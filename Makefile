@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-json figures check audit examples clean
+.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-json bench-module figures check audit examples clean
 
 all: build vet lint test
 
@@ -75,9 +75,18 @@ fuzz-smoke:
 		done; \
 	done
 
+# benchmark/ is a module of its own (replace triadtime => ../) that
+# compiles against internal/serve, wire and transport and replays
+# LiveServer's call sequence: vet it and run its short self-tests, so a
+# change to those surfaces that breaks it fails here and not in the
+# next benchmark run.
+bench-module:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test -short ./...
+
 # Full pre-merge gate: vet, lint, the suppression budget, build,
-# tests, and the race detector.
-check: vet lint lint-audit build test test-race
+# tests, the race detector, and the benchmark module.
+check: vet lint lint-audit build test test-race bench-module
 
 # 37-assertion reproduction audit (non-zero exit on any mismatch),
 # preceded by the static-analysis gate. Covers the paper figures, the

@@ -90,10 +90,12 @@ func (s *Server) handle(datagram []byte, from net.Addr) {
 		return
 	}
 	sleep, reply, ok := s.auth.Process(datagram)
-	s.mu.Unlock()
 	if !ok {
+		s.mu.Unlock()
 		return
 	}
+	// Still under s.mu: a zero sleep fires at once, and the callback
+	// must not read t, or look for it in s.timers, before both are set.
 	var t *time.Timer
 	t = time.AfterFunc(sleep, func() {
 		s.mu.Lock()
@@ -111,12 +113,7 @@ func (s *Server) handle(datagram []byte, from net.Addr) {
 		// retries, as with any UDP time service.
 		_, _ = s.conn.WriteTo(out, from)
 	})
-	s.mu.Lock()
-	if s.closed {
-		t.Stop()
-	} else {
-		s.timers[t] = struct{}{}
-	}
+	s.timers[t] = struct{}{}
 	s.mu.Unlock()
 }
 

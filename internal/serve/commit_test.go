@@ -286,7 +286,6 @@ func TestLiveServerCommitRoundtrip(t *testing.T) {
 		Conn:     listenUDP(t),
 		Key:      key,
 		SenderID: 150,
-		Tick:     time.Millisecond,
 		Server: Config{
 			Clock: clock,
 			Vault: newCommitVault(t, clock),
@@ -368,7 +367,6 @@ func TestLiveServerVaultlessDropsCommitSized(t *testing.T) {
 		Conn:     listenUDP(t),
 		Key:      key,
 		SenderID: 150,
-		Tick:     time.Millisecond,
 		Server: Config{
 			Clock: ClockFunc(func() (int64, error) { return 424242, nil }),
 		},

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -21,17 +22,15 @@ const (
 	// SealedResponseSize is the exact wire size of a sealed TimeResponse.
 	SealedResponseSize = wire.TimeResponseSize + wire.SealedOverhead
 	// SealedCommitRequestSize is the exact wire size of a sealed
-	// CommitRequest (kinds 8-10). Only legal when the endpoint has a
-	// commitment vault; without one these datagrams are oversize drops.
+	// CommitRequest (kinds 8-10); an oversize drop without a vault.
 	SealedCommitRequestSize = wire.CommitRequestSize + wire.SealedOverhead
 	// SealedCommitResponseSize is the exact wire size of a sealed
 	// CommitResponse.
 	SealedCommitResponseSize = wire.CommitResponseSize + wire.SealedOverhead
 )
 
-// recvSlots is how many datagrams one batched receive can return: one
-// recvmmsg pulls up to this many requests out of the socket buffer per
-// kernel crossing.
+// recvSlots is how many datagrams one batched receive (one recvmmsg
+// kernel crossing) can return.
 const recvSlots = 256
 
 // LiveConfig parameterizes a live (UDP) serving endpoint.
@@ -41,81 +40,128 @@ type LiveConfig struct {
 	// it is a *net.UDPConn). The server takes ownership and closes it on
 	// Close. Mutually exclusive with Listen.
 	Conn net.PacketConn
-	// Listen, when set, is a UDP address ("127.0.0.1:0", "0.0.0.0:7201")
-	// the server binds itself — as a SO_REUSEPORT group of Sockets
-	// members on Linux, so the kernel spreads client flows across
-	// receive goroutines. Mutually exclusive with Conn.
+	// Listen, when set, is a UDP address ("127.0.0.1:0") the server binds
+	// itself — as a SO_REUSEPORT group of Sockets members on Linux, so the
+	// kernel spreads client flows across receive goroutines. Excludes Conn.
 	Listen string
 	// Sockets is the reuseport group size for Listen mode. Default 1;
 	// values above 1 require Linux.
 	Sockets int
-	// Key seals client traffic — a separate credential from the
-	// protocol cluster key, so client datagrams cannot masquerade as
-	// protocol traffic (and vice versa).
+	// Key seals client traffic — not the protocol cluster key, so client
+	// datagrams cannot masquerade as protocol traffic (and vice versa).
 	Key []byte
-	// SenderID is the base of the endpoint's wire-identity range. The
-	// endpoint seals concurrently from every drain shard and every
-	// receive goroutine, each under its own identity so AES-GCM nonces
-	// stay unique without a shared counter: it reserves
-	// [SenderID, SenderID+Shards+Sockets). See PROTOCOL.md.
+	// SenderID is the base of the endpoint's wire-identity range: every
+	// receive goroutine seals under its own identity, so AES-GCM nonces
+	// stay unique without a shared counter. The endpoint reserves
+	// [SenderID, SenderID+Sockets). See PROTOCOL.md.
 	SenderID uint32
-	// Tick is the per-shard drain period. Default 1ms.
-	Tick time.Duration
 	// Server configures the underlying engine; Clock is required.
 	Server Config
 }
 
-// LiveServer runs a Server over UDP with nothing shared on the hot
-// path: each socket has a receive goroutine owning its own
-// wire.Opener, receive batch and shed sealer; each engine shard has a
-// drain goroutine owning its own sealer and send batch. Responses are
-// sealed straight into batch buffers and flushed with one sendmmsg per
-// batch (Linux), so steady-state serving performs no allocation and
-// takes no lock beyond the engine's per-shard queue mutex. The engine,
-// admission behavior and wire format are identical to the simulated
-// binding.
+// LiveServer runs a Server over UDP, run to completion: each socket has
+// one goroutine that receives a batch, authenticates and admits it,
+// drains the engine shards it touched from one trusted-clock read,
+// seals every reply — shed and served — under its own identity and
+// flushes them with one sendmmsg (Linux) before it receives again. An
+// admitted request never outlives the call that admitted it, so there
+// is no drain timer and nothing left to flush at shutdown. Steady-state
+// serving allocates nothing. The engine, admission behavior and wire
+// format are identical to the simulated binding.
 type LiveServer struct {
-	srv    *Server[transport.Sockaddr]
-	conns  []net.PacketConn
-	dconns []transport.DatagramConn
-	tick   time.Duration
-	start  time.Time
+	srv   *Server[transport.Sockaddr]
+	conns []net.PacketConn
+	recvs []*receiver
+	start time.Time
 
 	// maxReq/maxResp are the largest legal sealed datagram in each
-	// direction: the stamp sizes normally, the commit sizes when a
-	// vault is configured. Receive buffers, the pre-auth oversize
-	// threshold, send slots and the GSO segment all derive from them.
-	maxReq  int
-	maxResp int
+	// direction: the stamp sizes, or the commit sizes when a vault is
+	// configured (without one, commit-sized datagrams are oversize).
+	// Receive buffers, the pre-auth oversize threshold, send slots and
+	// the GSO segment all derive from them.
+	maxReq, maxResp int
 
-	// sendErrors counts responses discarded because the socket write
-	// failed; oversize counts received datagrams larger than any legal
-	// request, dropped before authentication.
+	// drainMu[i] makes its holder shard i's only drainer from pop
+	// through trusted read to socket write: with several sockets two
+	// goroutines can touch one shard, and a client must never be sent a
+	// later trusted time before an earlier one. Submit never takes it,
+	// so admission is never held up behind a send; touched shards are
+	// locked in ascending order.
+	drainMu []sync.Mutex
+
 	sendErrors atomic.Uint64
-	oversize   atomic.Uint64
+	recvErrors atomic.Uint64
+	drops      [numDropReasons]atomic.Uint64
 
-	done     chan struct{}
-	drainWG  sync.WaitGroup
 	recvWG   sync.WaitGroup
 	stopOnce sync.Once
 	closeErr error
 }
+
+// Why a received datagram drew no reply.
+const (
+	dropOversize = iota // larger than any legal request; not authenticated
+	dropAuthFail        // failed the AEAD open: forged, truncated, or protocol-keyed
+	dropReplay          // authentic, but its nonce counter was already accepted
+	dropBadLen          // authentic plaintext of no request family's size
+	dropBadKind         // request-sized plaintext that does not decode as that family
+	numDropReasons
+)
 
 // LiveCounters extends the engine's admission/serving tallies with the
 // endpoint's transport-level ones.
 type LiveCounters struct {
 	Counters
 	// SendErrors counts responses discarded because the socket write
-	// failed (client indistinguishable from datagram loss; see
-	// triad_serve_send_errors_total).
+	// failed (to the client, indistinguishable from datagram loss).
 	SendErrors uint64
-	// OversizeDrops counts received datagrams exceeding
-	// SealedRequestSize, dropped before any AEAD work.
+	// RecvErrors counts failed socket reads the endpoint carried on past.
+	RecvErrors uint64
+	// OversizeDrops counts received datagrams exceeding the largest
+	// legal sealed request, dropped before any AEAD work.
 	OversizeDrops uint64
+	// The other datagrams that drew no reply: failed AEAD open, replayed
+	// nonce, authentic plaintext of no request family's size, and
+	// request-sized plaintext that does not decode.
+	AuthFailDrops, ReplayDrops, BadLenDrops, BadKindDrops uint64
+}
+
+// receiver is one receive goroutine's private state: its socket,
+// replay windows, sealer identity, and every buffer a received batch
+// passes through on its way to a reply.
+type receiver struct {
+	conn   transport.DatagramConn
+	opener *wire.Opener
+	sealer *wire.Sealer
+	// in has one byte above the largest legal size per slot: a full
+	// read at cap is an oversize (possibly kernel-truncated) datagram,
+	// not a request. out[:k] holds the sealed replies not yet flushed.
+	in, out *transport.Batch
+	k       int
+	scratch []byte
+	plain   [wire.CommitResponseSize]byte
+
+	touched    []bool // by shard: the current batch admitted into it
+	shards     []int  // the touched shards, ascending
+	deliveries []Delivery[transport.Sockaddr]
 }
 
 // NewLiveServer creates the endpoint and starts its goroutines.
 func NewLiveServer(cfg LiveConfig) (*LiveServer, error) {
+	s, err := newLiveServer(cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range s.recvs {
+		s.recvWG.Add(1)
+		go s.recvLoop(r)
+	}
+	return s, nil
+}
+
+// newLiveServer binds the sockets and builds every receiver, starting
+// nothing.
+func newLiveServer(cfg LiveConfig) (*LiveServer, error) {
 	if (cfg.Conn == nil) == (cfg.Listen == "") {
 		return nil, errors.New("serve: exactly one of Conn and Listen is required")
 	}
@@ -125,112 +171,81 @@ func NewLiveServer(cfg LiveConfig) (*LiveServer, error) {
 	if cfg.Conn != nil && cfg.Sockets != 1 {
 		return nil, errors.New("serve: Sockets requires Listen mode (a caller-supplied Conn is one socket)")
 	}
-	if cfg.Tick <= 0 {
-		cfg.Tick = time.Millisecond
-	}
 	srv, err := New[transport.Sockaddr](cfg.Server)
 	if err != nil {
 		return nil, err
 	}
-	// With a commitment vault the endpoint speaks two request families;
-	// without one, buffers stay right-sized to stamp traffic and
-	// commit-sized datagrams are dropped before authentication.
-	maxReq, maxResp := SealedRequestSize, SealedResponseSize
+	s := &LiveServer{srv: srv, start: time.Now(), drainMu: make([]sync.Mutex, srv.Shards()),
+		maxReq: SealedRequestSize, maxResp: SealedResponseSize}
 	if cfg.Server.Vault != nil {
-		maxReq, maxResp = SealedCommitRequestSize, SealedCommitResponseSize
+		s.maxReq, s.maxResp = SealedCommitRequestSize, SealedCommitResponseSize
 	}
 
-	var conns []net.PacketConn
 	if cfg.Conn != nil {
-		conns = []net.PacketConn{cfg.Conn}
+		s.conns = []net.PacketConn{cfg.Conn}
 	} else {
 		group, err := transport.ListenReusePortGroup("udp", cfg.Listen, cfg.Sockets)
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-		conns = make([]net.PacketConn, len(group))
-		for i, c := range group {
-			conns[i] = c
+		for _, c := range group {
+			s.conns = append(s.conns, c)
 		}
 	}
-	closeConns := func() {
-		for _, c := range conns {
-			c.Close()
-		}
-	}
-	dconns := make([]transport.DatagramConn, len(conns))
-	for i, c := range conns {
-		if uc, ok := c.(*net.UDPConn); ok {
-			// Request bursts at hundreds of kreq/s overflow default
-			// socket buffers long before the recv loop falls behind;
-			// match the sizing ListenReusePortGroup applies.
-			_ = uc.SetReadBuffer(1 << 20)
-			_ = uc.SetWriteBuffer(1 << 20)
-			bc, err := transport.NewBatchConn(uc)
-			if err != nil {
-				closeConns()
-				return nil, fmt.Errorf("serve: batch socket: %w", err)
+	for j, c := range s.conns {
+		r, err := s.newReceiver(c, cfg.Key, cfg.SenderID, j)
+		if err != nil {
+			for _, c := range s.conns {
+				c.Close()
 			}
-			// Best-effort UDP GSO at the largest response size: stamp-only
-			// endpoints segment at SealedResponseSize as before; with a
-			// vault the segment grows to SealedCommitResponseSize, under
-			// which equal-size same-client runs still collapse and the
-			// smaller stamp responses simply terminate runs (groupGSO only
-			// rejects slots *exceeding* the segment). Kernels without
-			// UDP_SEGMENT keep the one-header-per-datagram path.
-			if g, ok := transport.DatagramConn(bc).(interface{ EnableGSO(int) error }); ok {
-				_ = g.EnableGSO(maxResp)
-			}
-			dconns[i] = bc
-		} else {
-			dconns[i] = transport.NewPacketBatchConn(c)
+			return nil, err
 		}
-	}
-
-	// Identity range: drain shard i seals as SenderID+i, receive
-	// goroutine j (shed responses) as SenderID+Shards+j. Disjoint
-	// identities keep every concurrent sealer's nonce space disjoint
-	// under the shared key.
-	idents := srv.Shards() + len(dconns)
-	drainSealers := make([]*wire.Sealer, srv.Shards())
-	for i := range drainSealers {
-		if drainSealers[i], err = wire.NewSealerShard(cfg.Key, cfg.SenderID, i, idents); err != nil {
-			closeConns()
-			return nil, fmt.Errorf("serve: client key: %w", err)
-		}
-	}
-	shedSealers := make([]*wire.Sealer, len(dconns))
-	openers := make([]*wire.Opener, len(dconns))
-	for j := range dconns {
-		if shedSealers[j], err = wire.NewSealerShard(cfg.Key, cfg.SenderID, srv.Shards()+j, idents); err != nil {
-			closeConns()
-			return nil, fmt.Errorf("serve: client key: %w", err)
-		}
-		if openers[j], err = wire.NewOpener(cfg.Key); err != nil {
-			closeConns()
-			return nil, fmt.Errorf("serve: client key: %w", err)
-		}
-	}
-
-	s := &LiveServer{
-		srv:     srv,
-		conns:   conns,
-		dconns:  dconns,
-		tick:    cfg.Tick,
-		start:   time.Now(),
-		maxReq:  maxReq,
-		maxResp: maxResp,
-		done:    make(chan struct{}),
-	}
-	for i := 0; i < srv.Shards(); i++ {
-		s.drainWG.Add(1)
-		go s.drainLoop(i, dconns[i%len(dconns)], drainSealers[i])
-	}
-	for j := range dconns {
-		s.recvWG.Add(1)
-		go s.recvLoop(dconns[j], openers[j], shedSealers[j])
+		s.recvs = append(s.recvs, r)
 	}
 	return s, nil
+}
+
+// newReceiver builds socket j's receiver. Its sealer is identity j of
+// the endpoint's [SenderID, SenderID+Sockets): disjoint identities keep
+// concurrent sealers' nonce spaces disjoint under the shared key.
+func (s *LiveServer) newReceiver(c net.PacketConn, key []byte, senderID uint32, j int) (*receiver, error) {
+	r := &receiver{
+		in:         transport.NewBatch(recvSlots, s.maxReq+1),
+		out:        transport.NewBatch(recvSlots, s.maxResp),
+		scratch:    make([]byte, 0, wire.CommitRequestSize),
+		touched:    make([]bool, s.srv.Shards()),
+		shards:     make([]int, 0, s.srv.Shards()),
+		deliveries: make([]Delivery[transport.Sockaddr], 0, s.srv.Shards()*s.srv.BatchMax()),
+	}
+	var err error
+	if r.sealer, err = wire.NewSealerShard(key, senderID, j, len(s.conns)); err != nil {
+		return nil, fmt.Errorf("serve: client key: %w", err)
+	}
+	if r.opener, err = wire.NewOpener(key); err != nil {
+		return nil, fmt.Errorf("serve: client key: %w", err)
+	}
+	uc, ok := c.(*net.UDPConn)
+	if !ok {
+		r.conn = transport.NewPacketBatchConn(c)
+		return r, nil
+	}
+	// Bursts at hundreds of kreq/s overflow default socket buffers;
+	// match the sizing ListenReusePortGroup applies.
+	_ = uc.SetReadBuffer(1 << 20)
+	_ = uc.SetWriteBuffer(1 << 20)
+	bc, err := transport.NewBatchConn(uc)
+	if err != nil {
+		return nil, fmt.Errorf("serve: batch socket: %w", err)
+	}
+	// Best-effort UDP GSO at the largest response size: with a vault,
+	// equal-size same-client runs still collapse and the smaller stamp
+	// responses simply end runs (groupGSO only rejects slots exceeding
+	// the segment). Kernels without UDP_SEGMENT send one header each.
+	if g, ok := transport.DatagramConn(bc).(interface{ EnableGSO(int) error }); ok {
+		_ = g.EnableGSO(s.maxResp)
+	}
+	r.conn = bc
+	return r, nil
 }
 
 // Server exposes the underlying engine (shard layout, engine counters).
@@ -242,7 +257,12 @@ func (s *LiveServer) Counters() LiveCounters {
 	return LiveCounters{
 		Counters:      s.srv.Counters(),
 		SendErrors:    s.sendErrors.Load(),
-		OversizeDrops: s.oversize.Load(),
+		RecvErrors:    s.recvErrors.Load(),
+		OversizeDrops: s.drops[dropOversize].Load(),
+		AuthFailDrops: s.drops[dropAuthFail].Load(),
+		ReplayDrops:   s.drops[dropReplay].Load(),
+		BadLenDrops:   s.drops[dropBadLen].Load(),
+		BadKindDrops:  s.drops[dropBadKind].Load(),
 	}
 }
 
@@ -251,50 +271,53 @@ func (s *LiveServer) Counters() LiveCounters {
 func (s *LiveServer) LocalAddr() net.Addr { return s.conns[0].LocalAddr() }
 
 // Sockets reports how many UDP sockets serve the address.
-func (s *LiveServer) Sockets() int { return len(s.dconns) }
+func (s *LiveServer) Sockets() int { return len(s.conns) }
 
 // nowNanos is the endpoint's monotonic clock for admission and
 // queue-wait accounting (not trusted time).
 func (s *LiveServer) nowNanos() int64 { return int64(time.Since(s.start)) }
 
-// recvLoop drains one socket: each batched receive authenticates and
-// admits its datagrams, and shed (overload) responses are sealed under
-// this goroutine's own identity and flushed back in one batched send.
-// All state — opener replay windows, batches, seal scratch — is owned
-// by this goroutine; the only shared structure touched is the engine
-// shard a request hashes onto.
-func (s *LiveServer) recvLoop(conn transport.DatagramConn, opener *wire.Opener, shedSealer *wire.Sealer) {
+// recvLoop serves one socket until it closes or Close interrupts its
+// reads. Any other receive error (ENOMEM, ENOBUFS) is counted and the
+// loop carries on: this goroutine is the socket's only reader.
+func (s *LiveServer) recvLoop(r *receiver) {
 	defer s.recvWG.Done()
-	// One byte above the largest legal size: a full read at cap is an
-	// oversize (possibly kernel-truncated) datagram, not a request.
-	in := transport.NewBatch(recvSlots, s.maxReq+1)
-	out := transport.NewBatch(recvSlots, s.maxResp)
-	scratch := make([]byte, 0, wire.CommitRequestSize)
-	var plain [wire.CommitResponseSize]byte
 	for {
-		n, err := conn.RecvBatch(in)
-		if err != nil {
-			return // closed, or reads interrupted for shutdown
+		n, err := r.conn.RecvBatch(r.in)
+		switch {
+		case err == nil:
+			s.serveBatch(r, n)
+		case errors.Is(err, net.ErrClosed), errors.Is(err, os.ErrDeadlineExceeded):
+			return
+		default:
+			s.recvErrors.Add(1)
 		}
-		s.admitBatch(conn, in, n, out, opener, shedSealer, &plain, scratch)
 	}
 }
 
-// admitBatch processes one received batch and sends any shed
-// responses.
+// serveBatch runs one received batch to completion: authenticate and
+// admit every datagram (sealing shed replies as it goes), then drain
+// the shards it admitted into until they are empty — BatchMax per shard
+// and ONE trusted read per pass — and flush shed and served replies
+// together.
 //
 //triad:hotpath
-func (s *LiveServer) admitBatch(conn transport.DatagramConn, in *transport.Batch, n int, out *transport.Batch, opener *wire.Opener, shedSealer *wire.Sealer, plain *[wire.CommitResponseSize]byte, scratch []byte) {
+func (s *LiveServer) serveBatch(r *receiver, n int) {
 	now := s.nowNanos()
-	shed := 0
+	var drops [numDropReasons]uint64
 	for i := 0; i < n; i++ {
-		if in.Len(i) > s.maxReq {
-			s.oversize.Add(1)
+		if r.in.Len(i) > s.maxReq {
+			drops[dropOversize]++
 			continue
 		}
-		pt, _, err := opener.OpenDatagramInto(scratch, in.Payload(i))
+		pt, _, err := r.opener.OpenDatagramInto(r.scratch, r.in.Payload(i))
 		if err != nil {
-			continue // forged, replayed, or protocol-keyed: drop
+			if errors.Is(err, wire.ErrReplay) {
+				drops[dropReplay]++
+			} else {
+				drops[dropAuthFail]++
+			}
+			continue
 		}
 		// The request families are fixed-size and distinct, so the
 		// authenticated plaintext length is the demultiplexer.
@@ -302,130 +325,102 @@ func (s *LiveServer) admitBatch(conn transport.DatagramConn, in *transport.Batch
 		case wire.TimeRequestSize:
 			req, err := wire.UnmarshalTimeRequest(pt)
 			if err != nil {
+				drops[dropBadKind]++
 				continue
 			}
-			if resp, shedNow := s.srv.Submit(now, req, in.Addr(i)); shedNow {
-				resp.MarshalInto(plain[:])
-				sealed := shedSealer.SealDatagramAppend(out.Buffer(shed), plain[:wire.TimeResponseSize])
-				out.Set(shed, len(sealed), in.Addr(i))
-				shed++
+			if resp, shed := s.srv.Submit(now, req, r.in.Addr(i)); shed {
+				resp.MarshalInto(r.plain[:])
+				s.reply(r, wire.TimeResponseSize, r.in.Addr(i))
+			} else {
+				r.touched[s.srv.ShardOf(req.ClientID)] = true
 			}
 		case wire.CommitRequestSize:
 			req, err := wire.UnmarshalCommitRequest(pt)
 			if err != nil {
+				drops[dropBadKind]++
 				continue
 			}
-			if resp, decided := s.srv.SubmitCommit(now, req, in.Addr(i)); decided {
-				resp.MarshalInto(plain[:])
-				sealed := shedSealer.SealDatagramAppend(out.Buffer(shed), plain[:wire.CommitResponseSize])
-				out.Set(shed, len(sealed), in.Addr(i))
-				shed++
+			if resp, decided := s.srv.SubmitCommit(now, req, r.in.Addr(i)); decided {
+				resp.MarshalInto(r.plain[:])
+				s.reply(r, wire.CommitResponseSize, r.in.Addr(i))
+			} else {
+				r.touched[s.srv.ShardOf(req.ClientID)] = true
 			}
+		default:
+			drops[dropBadLen]++
 		}
 	}
-	if shed > 0 {
-		sent, _ := conn.SendBatch(out, shed)
-		if sent < shed {
-			s.sendErrors.Add(uint64(shed - sent))
+	for reason, d := range drops {
+		if d != 0 {
+			s.drops[reason].Add(d)
 		}
 	}
-}
 
-// drainLoop serves one engine shard on the configured tick, sealing
-// under the shard's own identity and flushing each drained batch with
-// one batched send on the shard's assigned socket. (Reuseport group
-// members share the bound address, so responses carry the same source
-// address regardless of which socket sends them.)
-func (s *LiveServer) drainLoop(i int, conn transport.DatagramConn, sealer *wire.Sealer) {
-	defer s.drainWG.Done()
-	t := time.NewTicker(s.tick)
-	defer t.Stop()
-	deliveries := make([]Delivery[transport.Sockaddr], 0, s.srv.BatchMax())
-	out := transport.NewBatch(s.srv.BatchMax(), s.maxResp)
-	var plain [wire.CommitResponseSize]byte
+	r.shards = r.shards[:0]
+	for i, hit := range r.touched {
+		if hit {
+			r.touched[i] = false
+			r.shards = append(r.shards, i)
+			s.drainMu[i].Lock()
+		}
+	}
 	for {
-		select {
-		case <-t.C:
-			// Drain until the shard is empty, not once per tick: a
-			// backlog above BatchMax would otherwise be throttled to
-			// BatchMax responses per tick regardless of capacity.
-			for {
-				deliveries = s.srv.Drain(i, s.nowNanos(), deliveries[:0])
-				if len(deliveries) == 0 {
-					break
-				}
-				s.sendDeliveries(conn, sealer, deliveries, out, &plain)
-			}
-		case <-s.done:
-			// Answer everything already admitted: reads are interrupted
-			// before done closes, so the backlog only shrinks — but it
-			// can exceed one BatchMax drain, so drain until empty.
-			for {
-				deliveries = s.srv.Drain(i, s.nowNanos(), deliveries[:0])
-				if len(deliveries) == 0 {
-					return
-				}
-				s.sendDeliveries(conn, sealer, deliveries, out, &plain)
+		r.deliveries = s.srv.DrainShards(r.shards, s.nowNanos(), r.deliveries[:0])
+		if len(r.deliveries) == 0 {
+			break
+		}
+		for d := range r.deliveries {
+			if dl := &r.deliveries[d]; dl.IsCommit {
+				dl.Commit.MarshalInto(r.plain[:])
+				s.reply(r, wire.CommitResponseSize, dl.To)
+			} else {
+				dl.Resp.MarshalInto(r.plain[:])
+				s.reply(r, wire.TimeResponseSize, dl.To)
 			}
 		}
 	}
-}
-
-// sendDeliveries seals a drained batch into out and flushes it,
-// chunking in the (config-dependent) case that BatchMax exceeds the
-// batch's slot count.
-//
-//triad:hotpath
-func (s *LiveServer) sendDeliveries(conn transport.DatagramConn, sealer *wire.Sealer, deliveries []Delivery[transport.Sockaddr], out *transport.Batch, plain *[wire.CommitResponseSize]byte) {
-	k := 0
-	for d := range deliveries {
-		var pt []byte
-		if deliveries[d].IsCommit {
-			deliveries[d].Commit.MarshalInto(plain[:])
-			pt = plain[:wire.CommitResponseSize]
-		} else {
-			deliveries[d].Resp.MarshalInto(plain[:])
-			pt = plain[:wire.TimeResponseSize]
-		}
-		sealed := sealer.SealDatagramAppend(out.Buffer(k), pt)
-		out.Set(k, len(sealed), deliveries[d].To)
-		k++
-		if k == out.Size() {
-			s.flush(conn, out, k)
-			k = 0
-		}
-	}
-	if k > 0 {
-		s.flush(conn, out, k)
+	s.flush(r)
+	for _, i := range r.shards {
+		s.drainMu[i].Unlock()
 	}
 }
 
-// flush sends out's first k slots, counting responses the socket
-// refused. Write errors are indistinguishable from loss for the
-// client; the counter is the server operator's signal.
+// reply seals r.plain[:size] into the next send slot; a full send batch
+// is flushed early.
 //
 //triad:hotpath
-func (s *LiveServer) flush(conn transport.DatagramConn, out *transport.Batch, k int) {
-	sent, _ := conn.SendBatch(out, k)
-	if sent < k {
-		s.sendErrors.Add(uint64(k - sent))
+func (s *LiveServer) reply(r *receiver, size int, to transport.Sockaddr) {
+	sealed := r.sealer.SealDatagramAppend(r.out.Buffer(r.k), r.plain[:size])
+	r.out.Set(r.k, len(sealed), to)
+	r.k++
+	if r.k == r.out.Size() {
+		s.flush(r)
 	}
+}
+
+// flush sends the pending replies, counting those the socket refused.
+// Write errors are indistinguishable from loss for the client; the
+// counter is the server operator's signal.
+//
+//triad:hotpath
+func (s *LiveServer) flush(r *receiver) {
+	sent, _ := r.conn.SendBatch(r.out, r.k) // no syscall when k is 0
+	if sent < r.k {
+		s.sendErrors.Add(uint64(r.k - sent))
+	}
+	r.k = 0
 }
 
 // Close shuts the endpoint down gracefully: socket reads are
-// interrupted and the receive goroutines join (no further admissions),
-// then each drain goroutine answers everything already admitted on its
-// still-open socket and exits, and only then do the sockets close.
-// Every request admitted before Close is answered. Safe to call
-// multiple times.
+// interrupted, each receive goroutine finishes the batch it is in —
+// answering all it admitted on its still-open socket — and exits, and
+// only then do the sockets close. Safe to call multiple times.
 func (s *LiveServer) Close() error {
 	s.stopOnce.Do(func() {
 		for _, c := range s.conns {
 			_ = transport.InterruptReads(c)
 		}
 		s.recvWG.Wait()
-		close(s.done)
-		s.drainWG.Wait()
 		for _, c := range s.conns {
 			if err := c.Close(); err != nil && s.closeErr == nil {
 				s.closeErr = err

@@ -35,7 +35,6 @@ func BenchmarkLiveServeThroughput(b *testing.B) {
 		Sockets:  sockets,
 		Key:      key,
 		SenderID: 300,
-		Tick:     100 * time.Microsecond,
 		Server: Config{
 			Shards:     4,
 			QueueDepth: 4096,

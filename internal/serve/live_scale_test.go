@@ -7,18 +7,22 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"triadtime/internal/metrics"
 	"triadtime/internal/transport"
 	"triadtime/internal/wire"
 )
 
 // failingConn is a net.PacketConn stub whose writes always fail: the
 // SendErrors counter's unit-test harness. Reads deliver queued
-// datagrams and honor deadline interrupts the way a real socket does.
+// datagrams — or queued errors — and honor deadline interrupts the way
+// a real socket does.
 type failingConn struct {
 	reqs      chan []byte
+	readErrs  chan error
 	interrupt chan struct{}
 	closed    chan struct{}
 	intOnce   sync.Once
@@ -29,6 +33,7 @@ type failingConn struct {
 func newFailingConn() *failingConn {
 	return &failingConn{
 		reqs:      make(chan []byte, 16),
+		readErrs:  make(chan error, 1),
 		interrupt: make(chan struct{}),
 		closed:    make(chan struct{}),
 	}
@@ -38,6 +43,8 @@ func (c *failingConn) ReadFrom(p []byte) (int, net.Addr, error) {
 	select {
 	case b := <-c.reqs:
 		return copy(p, b), &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1), Port: 4242}, nil
+	case err := <-c.readErrs:
+		return 0, nil, err
 	case <-c.interrupt:
 		return 0, nil, os.ErrDeadlineExceeded
 	case <-c.closed:
@@ -79,7 +86,6 @@ func TestLiveServerCountsSendErrors(t *testing.T) {
 		Conn:     conn,
 		Key:      key,
 		SenderID: 150,
-		Tick:     time.Millisecond,
 		Server: Config{
 			Clock: ClockFunc(func() (int64, error) { return 42, nil }),
 		},
@@ -110,6 +116,46 @@ func TestLiveServerCountsSendErrors(t *testing.T) {
 	}
 }
 
+// TestLiveServerSurvivesRecvError: a failed read that is neither close
+// nor the shutdown interrupt is counted and the socket's only reader
+// carries on — the next request is still served.
+func TestLiveServerSurvivesRecvError(t *testing.T) {
+	key := liveTestKey()
+	conn := newFailingConn()
+	conn.readErrs <- syscall.ENOBUFS
+	srv, err := NewLiveServer(LiveConfig{
+		Conn:     conn,
+		Key:      key,
+		SenderID: 150,
+		Server: Config{
+			Clock: ClockFunc(func() (int64, error) { return 42, nil }),
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	sealer, err := wire.NewSealer(key, 9001)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var plain [wire.TimeRequestSize]byte
+	wire.TimeRequest{ClientID: 9001, Seq: 1}.MarshalInto(plain[:])
+	conn.reqs <- sealer.SealDatagramAppend(nil, plain[:])
+
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.Counters().Served == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("receiver did not survive the read error: %+v", srv.Counters())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if c := srv.Counters(); c.RecvErrors != 1 || c.Served != 1 {
+		t.Fatalf("recvErrors=%d served=%d, want 1/1", c.RecvErrors, c.Served)
+	}
+}
+
 // TestLiveServerDropsOversize: datagrams above the only legal sealed
 // request size are dropped before any authentication work and tallied;
 // well-formed requests on the same socket keep being served.
@@ -119,7 +165,6 @@ func TestLiveServerDropsOversize(t *testing.T) {
 		Conn:     listenUDP(t),
 		Key:      key,
 		SenderID: 150,
-		Tick:     time.Millisecond,
 		Server: Config{
 			Clock: ClockFunc(func() (int64, error) { return 42, nil }),
 		},
@@ -225,7 +270,6 @@ func TestLiveServerMultiSocket(t *testing.T) {
 		Sockets:  sockets,
 		Key:      key,
 		SenderID: 150,
-		Tick:     time.Millisecond,
 		Server: Config{
 			Clock: ClockFunc(func() (int64, error) { return 1234567890, nil }),
 		},
@@ -281,7 +325,6 @@ func TestLiveServerCloseUnderLoad(t *testing.T) {
 		Sockets:  sockets,
 		Key:      key,
 		SenderID: 150,
-		Tick:     time.Millisecond,
 		Server: Config{
 			Shards: 4,
 			Clock:  ClockFunc(func() (int64, error) { return 42, nil }),
@@ -351,49 +394,143 @@ func TestLiveServerCloseUnderLoad(t *testing.T) {
 	}
 }
 
-// TestLiveSendPathZeroAllocSteadyState gates the drain-side hot path:
-// marshaling, sealing and batch-flushing a full batch of responses
-// must not allocate once batches and sealers exist.
-func TestLiveSendPathZeroAllocSteadyState(t *testing.T) {
+// batchRig is an endpoint built but not started, so a test can hand
+// its one receiver preloaded batches and run serveBatch itself: the
+// whole pass minus the kernel's receive half. Replies go to a client
+// flow the test may read.
+type batchRig struct {
+	*liveClient
+	srv   *LiveServer
+	r     *receiver
+	from  transport.Sockaddr
+	seq   uint64
+	plain [wire.TimeRequestSize]byte // request scratch: a local would escape into the AEAD call
+}
+
+func newBatchRig(t *testing.T, cfg Config) *batchRig {
+	t.Helper()
+	key := liveTestKey()
+	srv, err := newLiveServer(LiveConfig{Listen: "127.0.0.1:0", Key: key, SenderID: 150, Server: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	rig := &batchRig{liveClient: dialLiveClient(t, key, srv.LocalAddr(), 1), srv: srv, r: srv.recvs[0]}
+	var ok bool
+	if rig.from, ok = transport.SockaddrFromUDP(rig.conn.LocalAddr().(*net.UDPAddr)); !ok {
+		t.Fatal("bad client addr")
+	}
+	return rig
+}
+
+// put places datagram d in receive slot i, as if the client had sent it.
+func (rig *batchRig) put(i int, d []byte) {
+	copy(rig.r.in.Buffer(i)[:len(d)], d)
+	rig.r.in.Set(i, len(d), rig.from)
+}
+
+// putRequests fills slots [0,n) with fresh sealed requests, client IDs
+// id(i), without allocating.
+func (rig *batchRig) putRequests(n int, id func(i int) uint64) {
+	for i := 0; i < n; i++ {
+		rig.seq++
+		wire.TimeRequest{ClientID: id(i), Seq: rig.seq}.MarshalInto(rig.plain[:])
+		sealed := rig.sealer.SealDatagramAppend(rig.r.in.Buffer(i), rig.plain[:])
+		rig.r.in.Set(i, len(sealed), rig.from)
+	}
+}
+
+// readReplies reads n replies off the client socket.
+func (rig *batchRig) readReplies(t *testing.T, n int) []wire.TimeResponse {
+	t.Helper()
+	out := make([]wire.TimeResponse, n)
+	for i := range out {
+		var err error
+		if out[i], err = rig.recv(5 * time.Second); err != nil {
+			t.Fatalf("after %d/%d replies: %v", i, n, err)
+		}
+	}
+	return out
+}
+
+// TestLiveServerShedsWithinOneBurst: a queue smaller than one received
+// burst still bounds admission — the overflow is answered
+// StatusOverloaded in the same flush as the served head of the burst,
+// not parked or dropped.
+func TestLiveServerShedsWithinOneBurst(t *testing.T) {
+	const depth, burst = 4, 32
+	rig := newBatchRig(t, Config{
+		QueueDepth: depth,
+		Clock:      ClockFunc(func() (int64, error) { return 42, nil }),
+	})
+	rig.putRequests(burst, func(int) uint64 { return 7 }) // one client: one shard
+	rig.srv.serveBatch(rig.r, burst)
+
+	served, shed := 0, 0
+	for _, resp := range rig.readReplies(t, burst) {
+		switch resp.Status {
+		case wire.StatusOK:
+			served++
+		case wire.StatusOverloaded:
+			shed++
+		}
+	}
+	c := rig.srv.Counters()
+	if served != depth || shed != burst-depth || c.Served != depth || c.ShedQueueFull != burst-depth || c.Batches != 1 {
+		t.Fatalf("served %d shed %d, want %d/%d: %s", served, shed, depth, burst-depth, c.Summary())
+	}
+}
+
+// TestLiveServerCountsDropReasons: every received datagram that draws
+// no reply is tallied under exactly one reason.
+func TestLiveServerCountsDropReasons(t *testing.T) {
+	rig := newBatchRig(t, Config{Clock: ClockFunc(func() (int64, error) { return 42, nil })})
+	var plain [wire.TimeRequestSize]byte
+	wire.TimeRequest{ClientID: 7, Seq: 1}.MarshalInto(plain[:])
+	good := rig.sealer.SealDatagramAppend(nil, plain[:])
+	forged := append([]byte(nil), good...)
+	forged[len(forged)-1] ^= 1
+	plain[0] = byte(wire.KindStampResponse)
+	rig.put(0, good)
+	rig.put(1, good)                                           // replayed
+	rig.put(2, forged)                                         // fails the AEAD open
+	rig.put(3, rig.sealer.SealDatagramAppend(nil, plain[:10])) // authentic, no family's size
+	rig.put(4, rig.sealer.SealDatagramAppend(nil, plain[:]))   // request-sized, wrong kind
+	rig.r.in.Set(5, SealedRequestSize+1, rig.from)             // oversize
+	rig.put(6, forged[:8])                                     // too short to carry a nonce
+	rig.srv.serveBatch(rig.r, 7)
+
+	c := rig.srv.Counters()
+	if c.Received != 1 || c.Served != 1 || c.ReplayDrops != 1 || c.AuthFailDrops != 2 ||
+		c.BadLenDrops != 1 || c.BadKindDrops != 1 || c.OversizeDrops != 1 {
+		t.Fatalf("counters: %+v", c)
+	}
+	rig.readReplies(t, 1)
+}
+
+// TestLiveServePassZeroAllocSteadyState gates the whole live pass, not
+// one half of it: authenticating and admitting a received batch,
+// draining the shards it touched from one trusted read, sealing and
+// flushing every reply must not allocate once the endpoint exists.
+func TestLiveServePassZeroAllocSteadyState(t *testing.T) {
 	if !transport.BatchSyscalls {
 		t.Skip("fallback transport: per-datagram WriteToUDP may allocate in the runtime")
 	}
-	key := liveTestKey()
-	sink := listenUDP(t) // absorbs the sealed responses
-	conn, err := net.DialUDP("udp", nil, sink.LocalAddr().(*net.UDPAddr))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	bc, err := transport.NewBatchConn(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sealer, err := wire.NewSealerShard(key, 500, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	to, ok := transport.SockaddrFromUDP(sink.LocalAddr().(*net.UDPAddr))
-	if !ok {
-		t.Fatal("bad sink addr")
-	}
 	const batch = 64
-	deliveries := make([]Delivery[transport.Sockaddr], batch)
-	for i := range deliveries {
-		deliveries[i] = Delivery[transport.Sockaddr]{
-			To:   to,
-			Resp: wire.TimeResponse{ClientID: uint64(i), Seq: uint64(i), Status: wire.StatusOK, Nanos: 42},
-		}
+	rig := newBatchRig(t, Config{
+		RatePerClient: 1e9, // token buckets on the path, never empty
+		QueueWait:     metrics.NewLatencyHistogram(),
+		Clock:         ClockFunc(func() (int64, error) { return 42, nil }),
+	})
+	run := func() {
+		rig.putRequests(batch, func(i int) uint64 { return uint64(i % 16) })
+		rig.srv.serveBatch(rig.r, batch)
 	}
-	out := transport.NewBatch(batch, SealedResponseSize)
-	var plain [wire.CommitResponseSize]byte
-	s := &LiveServer{}
-	run := func() { s.sendDeliveries(bc, sealer, deliveries, out, &plain) }
-	run() // warm
+	run() // warm: first sight of each client allocates its token bucket
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
-		t.Fatalf("steady-state send path allocated %.1f times per run", allocs)
+		t.Fatalf("steady-state serving pass allocated %.1f times per run", allocs)
 	}
-	if n := s.sendErrors.Load(); n != 0 {
-		t.Fatalf("%d send errors on loopback", n)
+	if c := rig.srv.Counters(); c.Served != 102*batch || c.Batches != 102 || c.SendErrors != 0 {
+		t.Fatalf("after 102 passes of %d: %s sendErrors=%d", batch, c.Summary(), c.SendErrors)
 	}
 }

@@ -1,10 +1,18 @@
 package serve
 
 import (
+	"errors"
+	"math/rand"
 	"net"
+	"os"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
+	"triadtime/internal/transport"
 	"triadtime/internal/wire"
 )
 
@@ -31,7 +39,6 @@ func TestLiveServerRoundtrip(t *testing.T) {
 		Conn:     listenUDP(t),
 		Key:      key,
 		SenderID: 150,
-		Tick:     time.Millisecond,
 		Server: Config{
 			Clock: ClockFunc(func() (int64, error) { return 1234567890, nil }),
 		},
@@ -73,9 +80,9 @@ func TestLiveServerRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("bad response datagram: %v", err)
 		}
-		// Each drain shard (and each receive goroutine's shed path)
-		// seals under its own identity from the base-anchored range.
-		idents := uint32(srv.Server().Shards() + srv.Sockets())
+		// Each receive goroutine seals under its own identity from the
+		// base-anchored range.
+		idents := uint32(srv.Sockets())
 		if sender < 150 || sender >= 150+idents {
 			t.Fatalf("response sender %d outside identity range [150,%d)", sender, 150+idents)
 		}
@@ -94,70 +101,259 @@ func TestLiveServerRoundtrip(t *testing.T) {
 	}
 }
 
-// TestLiveServerCloseAnswersAdmitted: requests admitted before Close
-// are answered by the final drain, not dropped.
+// loadFlow is one closed-loop client flow for the contract tests: a
+// sender that keeps at most flowWindow requests unanswered (so no socket
+// buffer overflows and every reply the server sends is read) and a
+// reader that checks every reply as it arrives.
+type loadFlow struct {
+	*liveClient
+	sent, got atomic.Uint64
+
+	// Reader-goroutine state, read by the test after the reader exits.
+	seen      map[uint64]bool
+	lastNanos int64
+	senders   map[uint32]bool
+}
+
+const flowWindow = 32
+
+// startFlows dials n flows with the given client IDs and starts their
+// goroutines. stop ends the senders (join with senders.Wait); the
+// readers run until done closes (join with readers.Wait). A reply that
+// answers a sequence number twice, or carries an earlier trusted time
+// than a reply this flow already received, fails the test.
+func startFlows(t *testing.T, key []byte, addr net.Addr, ids []uint64, stop, done chan struct{}) (flows []*loadFlow, senders, readers *sync.WaitGroup) {
+	t.Helper()
+	senders, readers = new(sync.WaitGroup), new(sync.WaitGroup)
+	for _, id := range ids {
+		f := &loadFlow{
+			liveClient: dialLiveClient(t, key, addr, id),
+			seen:       map[uint64]bool{},
+			senders:    map[uint32]bool{},
+		}
+		flows = append(flows, f)
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			for seq := uint64(0); ; {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if f.sent.Load()-f.got.Load() >= flowWindow {
+					time.Sleep(50 * time.Microsecond)
+					continue
+				}
+				if err := f.send(seq); err != nil {
+					// A closed endpoint's port answers ICMP unreachable,
+					// which a connected socket reports on its next call.
+					time.Sleep(50 * time.Microsecond)
+					continue
+				}
+				seq++
+				f.sent.Add(1)
+			}
+		}()
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			buf := make([]byte, SealedResponseSize+1)
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				f.conn.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+				n, err := f.conn.Read(buf)
+				if errors.Is(err, os.ErrDeadlineExceeded) || errors.Is(err, syscall.ECONNREFUSED) {
+					continue
+				}
+				if err != nil {
+					t.Errorf("flow %d read: %v", f.id, err)
+					return
+				}
+				pt, sender, err := f.opener.OpenDatagramInto(nil, buf[:n])
+				if err != nil {
+					t.Errorf("flow %d: bad reply datagram: %v", f.id, err)
+					continue
+				}
+				resp, err := wire.UnmarshalTimeResponse(pt)
+				if err != nil || resp.ClientID != f.id {
+					t.Errorf("flow %d: bad reply %+v: %v", f.id, resp, err)
+					continue
+				}
+				if f.seen[resp.Seq] {
+					t.Errorf("flow %d: seq %d answered twice", f.id, resp.Seq)
+				}
+				f.seen[resp.Seq] = true
+				if resp.Status == wire.StatusOK {
+					if resp.Nanos < f.lastNanos {
+						t.Errorf("flow %d: trusted time went back: %d after %d", f.id, resp.Nanos, f.lastNanos)
+					}
+					f.lastNanos = resp.Nanos
+				}
+				f.senders[sender] = true
+				f.got.Add(1)
+			}
+		}()
+	}
+	return flows, senders, readers
+}
+
+// tickingClock is a strictly increasing trusted clock that refuses
+// every failEvery-th read (0: never).
+func tickingClock(failEvery int64) ClockFunc {
+	var reads atomic.Int64
+	return func() (int64, error) {
+		n := reads.Add(1)
+		if failEvery > 0 && n%failEvery == 0 {
+			return 0, errors.New("test clock: tainted")
+		}
+		return n, nil
+	}
+}
+
+// TestLiveServerCloseAnswersAdmitted is the Close contract as a
+// property: whatever the moment Close lands in a stream of concurrent
+// requests, every datagram the engine counted as received has been
+// answered exactly once — served, unavailable or explicitly shed — on a
+// socket that was still open, and every serving goroutine is gone.
 func TestLiveServerCloseAnswersAdmitted(t *testing.T) {
+	rounds := 9
+	if testing.Short() {
+		rounds = 3
+	}
+	rng := rand.New(rand.NewSource(16))
+	for round := 0; round < rounds; round++ {
+		sockets := 1
+		if transport.ReusePortSockets {
+			sockets = 1 + rng.Intn(3)
+		}
+		after := time.Duration(rng.Intn(12_000)) * time.Microsecond
+		cfg := Config{Clock: tickingClock(0)}
+		switch round % 3 {
+		case 1: // a queue smaller than one burst, a clock that sometimes refuses
+			cfg.QueueDepth = 4
+			cfg.Clock = tickingClock(5)
+		case 2: // a rate limit the flows exceed
+			cfg.RatePerClient = 5000
+			cfg.RateBurst = 8
+		}
+		closeRound(t, sockets, cfg, after)
+	}
+}
+
+func closeRound(t *testing.T, sockets int, cfg Config, after time.Duration) {
+	t.Helper()
 	key := liveTestKey()
+	baseline := runtime.NumGoroutine()
 	srv, err := NewLiveServer(LiveConfig{
-		Conn:     listenUDP(t),
+		Listen:   "127.0.0.1:0",
+		Sockets:  sockets,
 		Key:      key,
 		SenderID: 150,
-		// A long tick: the periodic drain won't fire before Close does,
-		// so any response must come from the shutdown drain.
-		Tick: time.Hour,
-		Server: Config{
-			Clock: ClockFunc(func() (int64, error) { return 7, nil }),
-		},
+		Server:   cfg,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	flows, senders, readers := startFlows(t, key, srv.LocalAddr(), []uint64{1, 2, 3, 4, 5, 6}, stop, done)
 
-	client := listenUDP(t)
-	defer client.Close()
-	sealer, err := wire.NewSealer(key, 77)
-	if err != nil {
-		t.Fatal(err)
+	time.Sleep(after)
+	if err := srv.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
 	}
-	var plain [wire.TimeRequestSize]byte
-	wire.TimeRequest{ClientID: 77, Seq: 5}.MarshalInto(plain[:])
-	if _, err := client.WriteTo(sealer.SealDatagramAppend(nil, plain[:]), srv.LocalAddr()); err != nil {
-		t.Fatal(err)
+	// Close has returned: the tallies are final and every reply is in a
+	// client's socket buffer already.
+	c := srv.Counters()
+	close(stop)
+	senders.Wait()
+	answered := c.Served + c.Unavailable + c.Shed()
+	if c.Received != answered {
+		t.Errorf("received %d but answered %d: %s", c.Received, answered, c.Summary())
 	}
-	// Wait for admission, then close.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.Server().Counters().Queued == 0 {
+	if c.SendErrors != 0 {
+		t.Errorf("%d replies hit a closed or failing socket", c.SendErrors)
+	}
+	replies := func() (n uint64) {
+		for _, f := range flows {
+			n += f.got.Load()
+		}
+		return n
+	}
+	for deadline := time.Now().Add(5 * time.Second); replies() < answered && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	close(done)
+	readers.Wait()
+	if got := replies(); got != answered {
+		t.Errorf("sockets=%d close after %v: clients read %d replies, server answered %d: %s", sockets, after, got, answered, c.Summary())
+	}
+	if err := srv.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
+	}
+	for _, f := range flows {
+		f.conn.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > baseline; {
 		if time.Now().After(deadline) {
-			t.Fatal("request never admitted")
+			t.Fatalf("goroutines leaked: baseline %d, now %d", baseline, runtime.NumGoroutine())
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
-	}
+}
 
-	opener, err := wire.NewOpener(key)
+// TestLiveServerMonotonicAcrossSockets: two reuseport sockets whose
+// clients all hash onto one shard, so either receive goroutine may
+// drain what the other admitted. Under a strictly increasing clock no
+// flow may see trusted time step back in arrival order, and no request
+// may be answered twice (startFlows checks both on every reply).
+func TestLiveServerMonotonicAcrossSockets(t *testing.T) {
+	if !transport.ReusePortSockets {
+		t.Skip("needs a reuseport group")
+	}
+	key := liveTestKey()
+	srv, err := NewLiveServer(LiveConfig{
+		Listen:   "127.0.0.1:0",
+		Sockets:  2,
+		Key:      key,
+		SenderID: 150,
+		Server:   Config{Clock: tickingClock(0)},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	client.SetReadDeadline(time.Now().Add(5 * time.Second))
-	buf := make([]byte, 2048)
-	n, _, err := client.ReadFrom(buf)
-	if err != nil {
-		t.Fatalf("no response after Close: %v", err)
+	defer srv.Close()
+	var ids []uint64
+	for id := uint64(1); len(ids) < 24; id++ {
+		if srv.Server().ShardOf(id) == 0 {
+			ids = append(ids, id)
+		}
 	}
-	pt, _, err := opener.OpenDatagramInto(nil, buf[:n])
-	if err != nil {
-		t.Fatal(err)
+	stop, done := make(chan struct{}), make(chan struct{})
+	flows, senders, readers := startFlows(t, key, srv.LocalAddr(), ids, stop, done)
+	time.Sleep(150 * time.Millisecond)
+	close(stop)
+	senders.Wait()
+	time.Sleep(20 * time.Millisecond) // let the last replies land
+	close(done)
+	readers.Wait()
+
+	identities := map[uint32]bool{}
+	var replies uint64
+	for _, f := range flows {
+		replies += f.got.Load()
+		for id := range f.senders {
+			identities[id] = true
+		}
 	}
-	resp, err := wire.UnmarshalTimeResponse(pt)
-	if err != nil {
-		t.Fatal(err)
+	if !identities[150] || !identities[151] || len(identities) != 2 {
+		t.Fatalf("replies sealed under %v, want both of the endpoint's identities 150 and 151", identities)
 	}
-	if resp.Status != wire.StatusOK || resp.Seq != 5 || resp.Nanos != 7 {
-		t.Fatalf("shutdown drain response: %+v", resp)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatalf("second Close: %v", err)
+	if c := srv.Counters(); replies != c.Served || c.Shed() != 0 || c.SendErrors != 0 {
+		t.Fatalf("clients read %d replies: %s sendErrors=%d", replies, c.Summary(), c.SendErrors)
 	}
 }

@@ -5,14 +5,14 @@
 // introduction).
 //
 // Requests are dispatched across shards keyed by client ID; each shard
-// holds a bounded FIFO queue and drains it in batches, reading trusted
-// time ONCE per batch — under load, one TrustedNow amortizes over up
-// to BatchMax responses, which is what lets a single node serve tens
-// of thousands of requests per second. Admission control protects the
-// node instead of letting it collapse: a full shard queue or an
-// exhausted per-client token bucket sheds the request immediately with
-// an explicit StatusOverloaded response, so clients learn to back off
-// and served requests keep bounded latency.
+// holds a bounded FIFO queue and is drained in batches, reading trusted
+// time ONCE per drain — under load, one TrustedNow amortizes over up
+// to BatchMax responses per drained shard, which is what lets a single
+// node serve tens of thousands of requests per second. Admission
+// control protects the node instead of letting it collapse: a full
+// shard queue or an exhausted per-client token bucket sheds the request
+// immediately with an explicit StatusOverloaded response, so clients
+// learn to back off and served requests keep bounded latency.
 //
 // The core is platform-agnostic and allocation-free on the dispatch
 // path. SimBinding runs it on the deterministic simulation
@@ -81,8 +81,8 @@ type Config struct {
 	// QueueDepth bounds each shard's pending-request queue; a full
 	// queue sheds new arrivals with StatusOverloaded. Default 1024.
 	QueueDepth int
-	// BatchMax caps how many queued requests one Drain serves from a
-	// single TrustedNow read. Default 256.
+	// BatchMax caps how many queued requests one drain pops per shard
+	// (all served from the drain's single TrustedNow read). Default 256.
 	BatchMax int
 	// RatePerClient is the sustained per-client admission rate in
 	// requests/second, enforced by a token bucket per client ID.
@@ -156,8 +156,8 @@ type Counters struct {
 	Unavailable uint64
 	// TokensIssued counts tsa tokens stamped into responses.
 	TokensIssued uint64
-	// Batches counts Drain calls that served at least one request —
-	// i.e. TrustedNow reads; Served+Unavailable over Batches is the
+	// Batches counts drains that served at least one request — i.e.
+	// TrustedNow reads; Served+Unavailable over Batches is the
 	// amortization factor batching bought.
 	Batches uint64
 }
@@ -222,8 +222,8 @@ type shard[T any] struct {
 // Server is the serving engine. It is safe for concurrent use: every
 // shard is independently locked and counters are atomic. In the
 // single-threaded simulation the locks are uncontended and cost a few
-// nanoseconds; live bindings run one goroutine per shard plus
-// concurrent submitters.
+// nanoseconds; the live binding submits and drains from one goroutine
+// per socket.
 type Server[T any] struct {
 	cfg    Config
 	shards []*shard[T]
@@ -250,7 +250,7 @@ func New[T any](cfg Config) (*Server[T], error) {
 	return s, nil
 }
 
-// Shards reports the number of shards (the bindings' tick fan-out).
+// Shards reports the number of shards.
 func (s *Server[T]) Shards() int { return len(s.shards) }
 
 // BatchMax reports the per-drain batch cap (for sizing reply scratch).
@@ -271,7 +271,7 @@ func (s *Server[T]) ShardOf(clientID uint64) int {
 // time nowNanos (the binding's arrival clock, not trusted time). A
 // shed request returns (response, true): the caller must send the
 // explicit overload response now. An admitted request returns
-// (zero, false) and is answered by a later Drain. Allocation-free
+// (zero, false) and is answered by a later drain. Allocation-free
 // except the first request of a never-seen client (its token bucket).
 //
 //triad:hotpath
@@ -311,7 +311,7 @@ func (s *Server[T]) Submit(nowNanos int64, req wire.TimeRequest, to T) (wire.Tim
 // the same shard queues, token buckets, and shedding as Submit, so a
 // client cannot dodge its rate limit by switching request families. A
 // shed or immediately-decided request returns (response, true); an
-// admitted one returns (zero, false) and is answered by a later Drain.
+// admitted one returns (zero, false) and is answered by a later drain.
 // With no Vault configured, every commit request is answered
 // CommitUnavailable up front.
 //
@@ -387,30 +387,54 @@ func (sh *shard[T]) takeToken(clientID uint64, nowNanos int64, rate, burst float
 	return true
 }
 
-// Drain serves one batch from shard i: it pops up to BatchMax queued
-// requests, reads trusted time ONCE, and appends the finished
-// responses to out (reused scratch; the call allocates nothing when
-// out has capacity). nowNanos is the binding's monotonic clock, used
-// for queue-wait accounting. When the trusted clock cannot serve, the
-// whole batch is answered StatusUnavailable — the read would not have
-// succeeded for any of them.
-//
-// Drain may run concurrently with Submit and with Drains of other
-// shards, but not with another Drain of the same shard: each shard has
-// one batch scratch, matching the bindings' one-drainer-per-shard
-// structure.
+// Drain serves one batch from shard i alone; see DrainShards.
 //
 //triad:hotpath
 func (s *Server[T]) Drain(i int, nowNanos int64, out []Delivery[T]) []Delivery[T] {
-	sh := s.shards[i]
+	one := [1]int{i}
+	return s.DrainShards(one[:], nowNanos, out)
+}
+
+// DrainShards serves one batch from every listed shard: it pops up to
+// BatchMax queued requests per shard, reads trusted time ONCE for all
+// of them, and appends the finished responses to out in shard order
+// (reused scratch; the call allocates nothing when out has capacity).
+// nowNanos is the binding's monotonic clock, used for queue-wait
+// accounting. When the trusted clock cannot serve, every popped
+// request is answered StatusUnavailable — the read would not have
+// succeeded for any of them. With nothing queued the clock is not read.
+//
+// DrainShards may run concurrently with Submit and with drains of
+// other shards, but not with another drain of a listed shard: each
+// shard has one batch scratch, so the binding must give every shard
+// one drainer at a time.
+//
+//triad:hotpath
+func (s *Server[T]) DrainShards(shards []int, nowNanos int64, out []Delivery[T]) []Delivery[T] {
+	popped := 0
+	for _, i := range shards {
+		popped += s.pop(s.shards[i])
+	}
+	if popped == 0 {
+		return out
+	}
+	nanos, err := s.cfg.Clock.TrustedNow()
+	s.batches.Add(1)
+	for _, i := range shards {
+		out = s.answer(s.shards[i].batch, nanos, err, nowNanos, out)
+	}
+	return out
+}
+
+// pop moves up to BatchMax queued requests from sh's ring into its
+// batch scratch and reports how many.
+//
+//triad:hotpath
+func (s *Server[T]) pop(sh *shard[T]) int {
 	sh.mu.Lock()
 	n := sh.n
 	if n > s.cfg.BatchMax {
 		n = s.cfg.BatchMax
-	}
-	if n == 0 {
-		sh.mu.Unlock()
-		return out
 	}
 	batch := sh.batch[:0]
 	for k := 0; k < n; k++ {
@@ -424,19 +448,24 @@ func (s *Server[T]) Drain(i int, nowNanos int64, out []Delivery[T]) []Delivery[T
 	sh.n -= n
 	sh.batch = batch
 	sh.mu.Unlock()
+	return n
+}
 
-	nanos, err := s.cfg.Clock.TrustedNow()
-	s.batches.Add(1)
+// answer builds the responses for one popped batch against the trusted
+// read (nanos, err) its drain took.
+//
+//triad:hotpath
+func (s *Server[T]) answer(batch []pending[T], nanos int64, err error, nowNanos int64, out []Delivery[T]) []Delivery[T] {
 	for k := range batch {
 		p := &batch[k]
+		if s.cfg.QueueWait != nil {
+			s.cfg.QueueWait.Record(nowNanos - p.enqueuedNanos)
+		}
 		if p.op >= wire.KindCommitLock {
 			// Commit operations are decided by the vault, which reads
 			// the clock itself: an unlock must see the vault's
-			// high-water rollback checks, so the batch read above does
-			// not apply.
-			if s.cfg.QueueWait != nil {
-				s.cfg.QueueWait.Record(nowNanos - p.enqueuedNanos)
-			}
+			// high-water rollback checks, so the drain's read does not
+			// apply.
 			out = append(out, Delivery[T]{To: p.to, IsCommit: true, Commit: s.serveCommit(p)})
 			continue
 		}
@@ -455,9 +484,6 @@ func (s *Server[T]) Drain(i int, nowNanos int64, out []Delivery[T]) []Delivery[T
 				}
 			}
 			s.served.Add(1)
-		}
-		if s.cfg.QueueWait != nil {
-			s.cfg.QueueWait.Record(nowNanos - p.enqueuedNanos)
 		}
 		out = append(out, Delivery[T]{To: p.to, Resp: resp})
 	}

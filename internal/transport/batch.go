@@ -10,9 +10,9 @@ import (
 // datagram lengths and peer addresses, plus (on Linux) the mmsghdr /
 // iovec / raw-sockaddr arrays a recvmmsg or sendmmsg call consumes,
 // wired to the payload buffers once at construction. A Batch belongs to
-// ONE goroutine: receive loops own a receive batch, drain loops own a
-// send batch, and the same socket may be driven by several goroutines
-// as long as each brings its own Batch.
+// ONE goroutine: a serving loop owns its receive batch and its send
+// batch, and the same socket may be driven by several goroutines as
+// long as each brings its own Batch.
 type Batch struct {
 	bufs  [][]byte
 	lens  []int

@@ -1,11 +1,11 @@
 //go:build linux && amd64
 
 // Batched UDP syscalls: one recvmmsg/sendmmsg kernel crossing moves a
-// whole Batch of datagrams, which is what lets the serving drain tick
-// write its entire response batch without paying one syscall per
-// client. Raw syscall numbers are used directly (the frozen stdlib
-// syscall package predates sendmmsg), integrated with the runtime
-// netpoller through syscall.RawConn — no new dependencies.
+// whole Batch of datagrams, which is what lets the serving path answer
+// a received batch without paying one syscall per client. Raw syscall
+// numbers are used directly (the frozen stdlib syscall package predates
+// sendmmsg), integrated with the runtime netpoller through
+// syscall.RawConn — no new dependencies.
 
 package transport
 
@@ -90,25 +90,29 @@ func (s *batchSys) init(b *Batch) {
 // rawRecv is the netpoller read callback: false on EAGAIN re-arms the
 // poller, anything else completes the call with res/errno set.
 func (s *batchSys) rawRecv(fd uintptr) bool {
-	n, _, errno := syscall.Syscall6(syscall.SYS_RECVMMSG, fd,
-		uintptr(unsafe.Pointer(&s.hdrs[0])), uintptr(len(s.hdrs)), 0, 0, 0)
-	if errno == syscall.EAGAIN {
-		return false
-	}
-	s.errno = errno
-	s.res = int(n)
-	return true
+	return s.mmsg(syscall.SYS_RECVMMSG, fd, 0, len(s.hdrs))
 }
 
 func (s *batchSys) rawSend(fd uintptr) bool {
-	n, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-		uintptr(unsafe.Pointer(&s.hdrs[s.sendFrom])), uintptr(s.sendTo-s.sendFrom), 0, 0, 0)
-	if errno == syscall.EAGAIN {
-		return false
+	return s.mmsg(sysSENDMMSG, fd, s.sendFrom, s.sendTo)
+}
+
+// mmsg issues one recvmmsg/sendmmsg over hdrs[from:to], retrying a
+// call a signal interrupted before it moved anything.
+func (s *batchSys) mmsg(trap, fd uintptr, from, to int) bool {
+	for {
+		n, _, errno := syscall.Syscall6(trap, fd,
+			uintptr(unsafe.Pointer(&s.hdrs[from])), uintptr(to-from), 0, 0, 0)
+		switch errno {
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false
+		}
+		s.errno = errno
+		s.res = int(n)
+		return true
 	}
-	s.errno = errno
-	s.res = int(n)
-	return true
 }
 
 // BatchConn drives one *net.UDPConn with recvmmsg/sendmmsg. The
@@ -188,8 +192,12 @@ func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 
 // SendBatch transmits slots [0,n) — one sendmmsg per kernel crossing,
 // resuming after partial sends — and reports how many datagrams the
-// kernel accepted. With GSO enabled, consecutive slots to the same
-// destination collapse into segmented sends.
+// kernel accepted and the first error encountered. UDP write errors are
+// per-datagram, so a header the kernel refuses (say, a port-0
+// destination) is skipped and the slots after it are still sent; only a
+// socket-level failure (closed, write deadline) ends the call early.
+// With GSO enabled, consecutive slots to the same destination collapse
+// into segmented sends.
 //
 //triad:hotpath
 func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
@@ -213,13 +221,21 @@ func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
 		hdrs = n
 	}
 	sentSlots, sentHdrs := 0, 0
+	var firstErr error
 	for sentHdrs < hdrs {
 		s.sendFrom, s.sendTo = sentHdrs, hdrs
 		if err := c.rc.Write(s.sendFn); err != nil {
 			return sentSlots, err
 		}
 		if s.errno != 0 {
-			return sentSlots, s.errno
+			// sendmmsg fails only on the first header it is given (a
+			// later failure ends the call short and surfaces here on the
+			// resume): that header is the unsendable one.
+			if firstErr == nil {
+				firstErr = s.errno
+			}
+			sentHdrs++
+			continue
 		}
 		if s.res <= 0 {
 			break
@@ -229,7 +245,7 @@ func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
 		}
 		sentHdrs += s.res
 	}
-	return sentSlots, nil
+	return sentSlots, firstErr
 }
 
 // setName points header h's destination at slot i's address (nil name

@@ -370,3 +370,69 @@ func TestSendBatchGSO(t *testing.T) {
 		t.Fatalf("oversize GSO slot: sent=%d err=%v, want error", sent, err)
 	}
 }
+
+// TestSendBatchSkipsUnsendableSlot: one destination the kernel refuses
+// (port 0) in the middle of a batch costs that slot alone — the slots
+// on either side are delivered, the count excludes it, and the error is
+// reported. With and without GSO, which groups the same slots into
+// different headers.
+func TestSendBatchSkipsUnsendableSlot(t *testing.T) {
+	for _, gso := range []bool{false, true} {
+		t.Run(fmt.Sprintf("gso=%v", gso), func(t *testing.T) {
+			receiver, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer receiver.Close()
+			sender, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer sender.Close()
+			sbc, err := NewBatchConn(sender)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n, bad, size = 16, 7, 8
+			if gso {
+				g, ok := DatagramConn(sbc).(interface{ EnableGSO(int) error })
+				if !ok || g.EnableGSO(size) != nil {
+					t.Skip("fallback build, or a kernel without UDP_SEGMENT")
+				}
+			}
+			to, ok := SockaddrFromUDP(receiver.LocalAddr().(*net.UDPAddr))
+			if !ok {
+				t.Fatal("bad receiver addr")
+			}
+			nowhere := to
+			nowhere.Port = 0
+			out := NewBatch(n, size)
+			for i := 0; i < n; i++ {
+				payload := append(out.Buffer(i), []byte(fmt.Sprintf("slot-%03d", i))...)
+				dst := to
+				if i == bad {
+					dst = nowhere
+				}
+				out.Set(i, len(payload), dst)
+			}
+			sent, err := sbc.SendBatch(out, n)
+			if sent != n-1 || err == nil {
+				t.Fatalf("SendBatch sent %d err %v, want %d and the port-0 error", sent, err, n-1)
+			}
+			receiver.SetReadDeadline(time.Now().Add(5 * time.Second))
+			buf := make([]byte, 64)
+			for i := 0; i < n; i++ {
+				if i == bad {
+					continue
+				}
+				k, err := receiver.Read(buf)
+				if err != nil {
+					t.Fatalf("after %d datagrams: %v", i, err)
+				}
+				if want := fmt.Sprintf("slot-%03d", i); string(buf[:k]) != want {
+					t.Fatalf("got %q, want %q", buf[:k], want)
+				}
+			}
+		})
+	}
+}

@@ -200,8 +200,9 @@ func (o *Opener) OpenDatagramInto(scratch []byte, b []byte) ([]byte, uint32, err
 		o.windows[sender] = w
 	}
 	if !w.accept(counter) {
-		//triad:nolint:hotpath replay-rejection error path; the steady state never takes it
-		return nil, 0, fmt.Errorf("%w: sender %d counter %d", ErrReplay, sender, counter)
+		// The bare sentinel: a replay is attacker-triggered, so rejecting
+		// one must not format or allocate.
+		return nil, 0, ErrReplay
 	}
 	return plain, sender, nil
 }

@@ -259,7 +259,12 @@ func (ln *LiveNode) ServeStatus(listen string) (net.Addr, error) {
 			fmt.Fprintf(w, "triad_serve_tokens_issued_total %d\n", c.TokensIssued)
 			fmt.Fprintf(w, "triad_serve_batches_total %d\n", c.Batches)
 			fmt.Fprintf(w, "triad_serve_send_errors_total %d\n", c.SendErrors)
+			fmt.Fprintf(w, "triad_serve_recv_errors_total %d\n", c.RecvErrors)
 			fmt.Fprintf(w, "triad_serve_oversize_drops_total %d\n", c.OversizeDrops)
+			fmt.Fprintf(w, "triad_serve_auth_fail_drops_total %d\n", c.AuthFailDrops)
+			fmt.Fprintf(w, "triad_serve_replay_drops_total %d\n", c.ReplayDrops)
+			fmt.Fprintf(w, "triad_serve_bad_len_drops_total %d\n", c.BadLenDrops)
+			fmt.Fprintf(w, "triad_serve_bad_kind_drops_total %d\n", c.BadKindDrops)
 			snap := ln.clientWait.Snapshot()
 			fmt.Fprintf(w, "triad_serve_queue_wait_count %d\n", snap.Count)
 			for _, q := range []float64{0.5, 0.9, 0.99} {
@@ -319,17 +324,16 @@ type ClientServeConfig struct {
 	// while the node's state is OK: Degraded holdover serves timestamps
 	// but never vouches.
 	CommitAnchor string
-	// RatePerClient, Shards, QueueDepth, BatchMax and Tick tune
-	// admission control and batching; zero values use serve's defaults.
+	// RatePerClient, Shards, QueueDepth and BatchMax tune admission
+	// control and batching; zero values use serve's defaults.
 	RatePerClient        float64
 	Shards               int
 	QueueDepth, BatchMax int
-	Tick                 time.Duration
 }
 
 // ServeClients starts the client-facing serving endpoint. Timestamps
-// come from this node's TrustedNow — one read per batch, amortized
-// across up to BatchMax responses. Returns the bound UDP address; the
+// come from this node's TrustedNow — one read per received batch,
+// amortized across every response it yields. Returns the bound UDP address; the
 // endpoint stops when the node closes. Call at most once.
 func (ln *LiveNode) ServeClients(cfg ClientServeConfig) (net.Addr, error) {
 	if ln.clientSrv != nil {
@@ -365,7 +369,6 @@ func (ln *LiveNode) ServeClients(cfg ClientServeConfig) (net.Addr, error) {
 		Sockets:  cfg.Sockets,
 		Key:      cfg.Key,
 		SenderID: uint32(ln.id),
-		Tick:     cfg.Tick,
 		Server: serve.Config{
 			Shards:        cfg.Shards,
 			QueueDepth:    cfg.QueueDepth,
