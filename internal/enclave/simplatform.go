@@ -27,28 +27,8 @@ type SimPlatform struct {
 	aexHandler func()
 	msgHandler func(from simnet.Addr, payload []byte)
 
-	// inc measurement in flight, if any. Measurements run until the
-	// guest TSC reaches an absolute target, so mid-window manipulation
-	// (a jump or rescale) moves their completion time — exactly how
-	// the real monitoring loop reacts.
-	incDone   func(count float64, interrupted bool)
-	incCancel sim.Event
-	incStart  simtime.Instant
-	incTarget uint64
-
-	// mem measurement in flight, if any.
-	memDone   func(count float64, interrupted bool)
-	memCancel sim.Event
-	memStart  simtime.Instant
-	memTarget uint64
-
-	// finishINCFn/finishMemFn are the completion callbacks handed to the
-	// scheduler. Bound once at construction: a fresh method value per
-	// measurement window would allocate on every monitoring tick, which
-	// at thousand-node scale was the experiment harness's top allocation
-	// site.
-	finishINCFn func()
-	finishMemFn func()
+	// The monitoring thread's two measurement loops.
+	inc, mem window
 
 	// AEX bookkeeping for Figure 1's CDFs and Figure 6b's counts.
 	aexCount  int
@@ -59,6 +39,100 @@ type SimPlatform struct {
 }
 
 var _ Platform = (*SimPlatform)(nil)
+
+// window is one of the monitoring thread's measurement loops: INC
+// counting or memory-access counting. A measurement runs until the guest
+// TSC reaches an absolute target, so mid-window manipulation (a jump or
+// rescale) moves its completion time — exactly how the real monitoring
+// loop reacts. One re-armable timer carries every window of the run.
+//
+// Back-to-back windows repeat two pure computations, which the window
+// memoises. Each memo holds the last key and the value the un-memoised
+// formula gave for it, and a different key goes back to the formula, so
+// a hit returns the very float a recomputation would.
+type window struct {
+	timer sim.Timer
+	done  func(count float64, interrupted bool) // nil when none is in flight
+	start simtime.Instant
+	ticks uint64
+	// target is the guest TSC value that ends the measurement: the value
+	// at start plus ticks. Only a manipulation makes it matter, so it is
+	// worked out when the first one lands (targetOK).
+	target   uint64
+	targetOK bool
+
+	// Length memo. At start the target is exactly ticks away, so
+	// TimeOfReaching puts it ticks / (scale * hostHz) later: a function
+	// of ticks and of the TSC's guest view, which is fixed for a
+	// generation.
+	spanOK    bool
+	spanTicks uint64
+	spanGen   uint64
+	span      time.Duration
+
+	// Ideal-count memo: elapsed seconds * rate / per.
+	idealOK      bool
+	idealElapsed time.Duration
+	idealRate    float64
+	idealPer     float64
+	ideal        float64
+}
+
+// begin starts a measurement of ticks guest ticks.
+//
+//triad:hotpath
+func (w *window) begin(p *SimPlatform, ticks uint64, done func(count float64, interrupted bool)) {
+	w.done = done
+	w.start = p.sched.Now()
+	w.ticks = ticks
+	w.targetOK = false
+	if gen := p.tsc.Generation(); !w.spanOK || w.spanTicks != ticks || w.spanGen != gen {
+		w.span = p.tsc.TimeOfReaching(p.ReadTSC()+ticks, w.start).Sub(w.start)
+		w.spanOK, w.spanTicks, w.spanGen = true, ticks, gen
+	}
+	w.timer.Set(w.start.Add(w.span))
+}
+
+// end closes the measurement whose timer just fired and returns its
+// completion callback with the noise-free count of a loop executing
+// rate/per iterations per second of the real time the window spanned.
+//
+//triad:hotpath
+func (w *window) end(now simtime.Instant, rate, per float64) (done func(count float64, interrupted bool), ideal float64) {
+	done, w.done = w.done, nil
+	elapsed := now.Sub(w.start)
+	if !w.idealOK || w.idealElapsed != elapsed || w.idealRate != rate || w.idealPer != per {
+		w.ideal = elapsed.Seconds() * rate / per
+		w.idealOK, w.idealElapsed, w.idealRate, w.idealPer = true, elapsed, rate, per
+	}
+	return done, w.ideal
+}
+
+// abort interrupts the measurement in flight, if any.
+func (w *window) abort() {
+	if w.done == nil {
+		return
+	}
+	done := w.done
+	w.done = nil
+	w.timer.Stop()
+	done(0, true)
+}
+
+// retarget moves the completion of the measurement in flight, if any,
+// to where a manipulation at the given instant has put its tick target.
+// It runs after every manipulation, so a target not yet worked out is
+// the view the latest one replaced, read at start, plus ticks.
+func (w *window) retarget(tsc *simtime.TSC, at simtime.Instant) {
+	if w.done == nil {
+		return
+	}
+	if !w.targetOK {
+		w.target = tsc.ReadPriorAt(w.start) + w.ticks
+		w.targetOK = true
+	}
+	w.timer.Set(tsc.TimeOfReaching(w.target, at))
+}
 
 // SimConfig configures a simulated enclave.
 type SimConfig struct {
@@ -93,6 +167,9 @@ func NewSimPlatform(sched *sim.Scheduler, rng *sim.RNG, net *simnet.Network, cfg
 	if core.FreqHz == 0 {
 		core = simtime.PaperCore()
 	}
+	if core.CyclesPerINC <= 0 {
+		core.CyclesPerINC = 1
+	}
 	incModel := cfg.INCModel
 	if incModel == (INCModel{}) {
 		incModel = PaperINCModel()
@@ -117,8 +194,8 @@ func NewSimPlatform(sched *sim.Scheduler, rng *sim.RNG, net *simnet.Network, cfg
 		memModel:  memModel,
 		recordGap: cfg.RecordAEXGaps,
 	}
-	p.finishINCFn = p.finishINC
-	p.finishMemFn = p.finishMem
+	p.inc.timer = sched.NewTimer(p.finishINC)
+	p.mem.timer = sched.NewTimer(p.finishMem)
 	net.Register(cfg.Addr, func(pkt simnet.Packet) {
 		if p.msgHandler != nil {
 			p.msgHandler(pkt.From, pkt.Payload)
@@ -133,14 +210,8 @@ func NewSimPlatform(sched *sim.Scheduler, rng *sim.RNG, net *simnet.Network, cfg
 // onTSCManipulated reschedules in-flight measurement completions after
 // a guest-TSC jump or rescale.
 func (p *SimPlatform) onTSCManipulated(at simtime.Instant) {
-	if p.incDone != nil {
-		p.sched.Cancel(p.incCancel)
-		p.incCancel = p.sched.At(p.tsc.TimeOfReaching(p.incTarget, at), p.finishINCFn)
-	}
-	if p.memDone != nil {
-		p.sched.Cancel(p.memCancel)
-		p.memCancel = p.sched.At(p.tsc.TimeOfReaching(p.memTarget, at), p.finishMemFn)
-	}
+	p.inc.retarget(p.tsc, at)
+	p.mem.retarget(p.tsc, at)
 }
 
 // Addr reports the platform's network address.
@@ -188,29 +259,18 @@ func (p *SimPlatform) SetMessageHandler(fn func(from simnet.Addr, payload []byte
 //
 //triad:hotpath
 func (p *SimPlatform) StartINCCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	if p.incDone != nil {
+	if p.inc.done != nil {
 		panic("enclave: overlapping INC measurements on one monitoring thread")
 	}
-	p.incDone = done
-	p.incStart = p.sched.Now()
-	p.incTarget = p.ReadTSC() + ticks
-	p.incCancel = p.sched.At(p.tsc.TimeOfReaching(p.incTarget, p.incStart), p.finishINCFn)
+	p.inc.begin(p, ticks, done)
 }
 
 //triad:hotpath
 func (p *SimPlatform) finishINC() {
-	cb := p.incDone
-	p.incDone = nil
-	p.incCancel = sim.Event{}
-	elapsed := p.sched.Now().Sub(p.incStart).Seconds()
-	cycles := p.core.CyclesPerINC
-	if cycles <= 0 {
-		cycles = 1
-	}
-	ideal := elapsed * p.core.FreqHz / cycles
+	done, ideal := p.inc.end(p.sched.Now(), p.core.FreqHz, p.core.CyclesPerINC)
 	count := p.incModel.sample(ideal, p.incIndex, p.rng)
 	p.incIndex++
-	cb(count, false)
+	done(count, false)
 }
 
 // StartMemCheck runs one memory-access measurement over ticks guest
@@ -220,23 +280,17 @@ func (p *SimPlatform) finishINC() {
 //
 //triad:hotpath
 func (p *SimPlatform) StartMemCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	if p.memDone != nil {
+	if p.mem.done != nil {
 		panic("enclave: overlapping memory measurements on one monitoring thread")
 	}
-	p.memDone = done
-	p.memStart = p.sched.Now()
-	p.memTarget = p.ReadTSC() + ticks
-	p.memCancel = p.sched.At(p.tsc.TimeOfReaching(p.memTarget, p.memStart), p.finishMemFn)
+	p.mem.begin(p, ticks, done)
 }
 
 //triad:hotpath
 func (p *SimPlatform) finishMem() {
-	cb := p.memDone
-	p.memDone = nil
-	p.memCancel = sim.Event{}
-	elapsed := p.sched.Now().Sub(p.memStart).Seconds()
-	ideal := elapsed * p.memModel.AccessesPerSec
-	cb(p.memModel.sampleMem(ideal, p.rng), false)
+	// Dividing by one is exact, so this is elapsed * AccessesPerSec.
+	done, ideal := p.mem.end(p.sched.Now(), p.memModel.AccessesPerSec, 1)
+	done(p.memModel.sampleMem(ideal, p.rng), false)
 }
 
 // SetCoreFreqHz models the attacker (who owns the OS frequency
@@ -267,20 +321,8 @@ func (p *SimPlatform) FireAEX() {
 	p.sawAEX = true
 	p.lastAEXAt = now
 
-	if p.incDone != nil {
-		cb := p.incDone
-		p.incDone = nil
-		p.sched.Cancel(p.incCancel)
-		p.incCancel = sim.Event{}
-		cb(0, true)
-	}
-	if p.memDone != nil {
-		cb := p.memDone
-		p.memDone = nil
-		p.sched.Cancel(p.memCancel)
-		p.memCancel = sim.Event{}
-		cb(0, true)
-	}
+	p.inc.abort()
+	p.mem.abort()
 	if p.aexHandler != nil {
 		p.aexHandler()
 	}

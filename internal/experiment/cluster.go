@@ -7,6 +7,7 @@ package experiment
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"triadtime/internal/aex"
@@ -437,8 +438,17 @@ func (c *Cluster) sampleOnce() {
 	}
 }
 
-// RunFor advances the simulation by d.
+// RunFor advances the simulation by d. In retained mode it first makes
+// room for the samples the run will take, d / SampleEvery per series, so
+// that the series grow once per call and not by doubling along the way.
 func (c *Cluster) RunFor(d time.Duration) {
+	if n := int(d / c.sampleEv); n > 0 && !c.streaming {
+		for i := range c.Nodes {
+			c.Drift[i].Points = slices.Grow(c.Drift[i].Points, n)
+			c.TACounts[i].Points = slices.Grow(c.TACounts[i].Points, n)
+			c.AEXCounts[i].Points = slices.Grow(c.AEXCounts[i].Points, n)
+		}
+	}
 	c.Sched.RunUntil(c.Sched.Now().Add(d))
 }
 

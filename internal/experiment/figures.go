@@ -53,19 +53,35 @@ func (r *FigureResult) DriftRate(i int, fromSec, toSec float64) (float64, bool) 
 // quantity the paper's "~110ppm" drift rates describe, which a
 // whole-run fit would wash out to ~0 against the sawtooth.
 func (r *FigureResult) SegmentDriftPPM(i int) (float64, bool) {
-	pts := r.Drift[i].Available()
-	var rates []float64
-	for j := 0; j+1 < len(pts); j++ {
-		dt := pts[j+1].RefSeconds - pts[j].RefSeconds
-		if dt <= 0 || dt > 5 {
-			continue // unavailability gap: not a free-running stretch
+	var scratch []float64
+	return r.segmentDriftPPM(i, &scratch)
+}
+
+// segmentDriftPPM is SegmentDriftPPM working in the caller's scratch
+// slice, which it leaves (grown if it had to be) for the next call.
+func (r *FigureResult) segmentDriftPPM(i int, scratch *[]float64) (float64, bool) {
+	rates := (*scratch)[:0]
+	var prev *metrics.DriftPoint // the latest sample taken while serving
+	pts := r.Drift[i].Points
+	for j := range pts {
+		p := &pts[j]
+		if !p.State.Serving() {
+			continue
 		}
-		rates = append(rates, math.Abs(pts[j+1].DriftSeconds-pts[j].DriftSeconds)/dt*1e6)
+		if prev != nil {
+			dt := p.RefSeconds - prev.RefSeconds
+			// A longer gap is unavailability, not a free-running stretch.
+			if dt > 0 && dt <= 5 {
+				rates = append(rates, math.Abs(p.DriftSeconds-prev.DriftSeconds)/dt*1e6)
+			}
+		}
+		prev = p
 	}
+	*scratch = rates
 	if len(rates) == 0 {
 		return 0, false
 	}
-	return stats.Median(rates), true
+	return stats.MedianInPlace(rates), true
 }
 
 // Summary renders the shape-level numbers a reader compares against the
@@ -73,9 +89,10 @@ func (r *FigureResult) SegmentDriftPPM(i int) (float64, bool) {
 func (r *FigureResult) Summary() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s (%s simulated)\n", r.Name, r.Duration)
+	var scratch []float64
 	for i := range r.Drift {
 		rateStr := "n/a"
-		if ppm, ok := r.SegmentDriftPPM(i); ok {
+		if ppm, ok := r.segmentDriftPPM(i, &scratch); ok {
 			rateStr = fmt.Sprintf("%.0fppm", ppm)
 		}
 		fmt.Fprintf(&b, "  node%d: F_calib=%s drift_rate(between resets)=%s availability=%.3f%% TA_refs=%d AEXs=%d\n",

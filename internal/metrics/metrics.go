@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"io"
+	"iter"
 	"sort"
 	"strings"
 	"time"
@@ -159,30 +160,39 @@ type Segment struct {
 // Segments renders the timeline as contiguous segments over [from, to].
 // Before the first recorded change the node is considered StateInit.
 func (tl *StateTimeline) Segments(from, to simtime.Instant) []Segment {
-	if to < from {
-		from, to = to, from
-	}
 	var segs []Segment
-	cur := core.StateInit
-	curFrom := from
-	for _, c := range tl.changes {
-		if c.At <= from {
-			cur = c.State
-			continue
-		}
-		if c.At > to {
-			break
-		}
-		if c.At > curFrom {
-			segs = append(segs, Segment{From: curFrom, To: c.At, State: cur})
-		}
-		cur = c.State
-		curFrom = c.At
-	}
-	if to > curFrom {
-		segs = append(segs, Segment{From: curFrom, To: to, State: cur})
+	for seg := range tl.segments(from, to) {
+		segs = append(segs, seg)
 	}
 	return segs
+}
+
+// segments yields what Segments returns, one segment at a time.
+func (tl *StateTimeline) segments(from, to simtime.Instant) iter.Seq[Segment] {
+	return func(yield func(Segment) bool) {
+		if to < from {
+			from, to = to, from
+		}
+		cur := core.StateInit
+		curFrom := from
+		for _, c := range tl.changes {
+			if c.At <= from {
+				cur = c.State
+				continue
+			}
+			if c.At > to {
+				break
+			}
+			if c.At > curFrom && !yield(Segment{From: curFrom, To: c.At, State: cur}) {
+				return
+			}
+			cur = c.State
+			curFrom = c.At
+		}
+		if to > curFrom {
+			yield(Segment{From: curFrom, To: to, State: cur})
+		}
+	}
 }
 
 // Availability is the fraction of [from, to] spent serving timestamps
@@ -193,7 +203,7 @@ func (tl *StateTimeline) Availability(from, to simtime.Instant) float64 {
 		return 0
 	}
 	var ok time.Duration
-	for _, seg := range tl.Segments(from, to) {
+	for seg := range tl.segments(from, to) {
 		if seg.State.Serving() {
 			ok += seg.To.Sub(seg.From)
 		}

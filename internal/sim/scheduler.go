@@ -6,6 +6,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"triadtime/internal/simtime"
 )
@@ -34,13 +35,15 @@ func (e Event) At() simtime.Instant {
 	return sl.at
 }
 
-// slot is the in-place storage of one scheduled (or free) event.
+// slot is the in-place storage of one scheduled (or free) event, or of
+// one timer. A timer keeps its slot for good: it is never released, so
+// gen and nextFree stay unused and fn is written once.
 type slot struct {
 	at       simtime.Instant
 	seq      uint64 // tie-breaker: schedule order at equal instants
 	fn       func()
 	gen      uint32 // bumped on release; invalidates outstanding handles
-	pos      int32  // index in Scheduler.heap, -1 while free
+	pos      int32  // index in its heap, -1 while free (event) or idle (timer)
 	nextFree int32  // next slot in the free list, -1 at the tail
 }
 
@@ -54,20 +57,31 @@ const heapArity = 4
 // simulated components run inside callbacks dispatched by Run/Step, so no
 // locking is needed anywhere in the simulated stack.
 //
-// The pending queue is a hand-specialized index-addressed min-heap over
-// the slot array ordered by (at, seq), with freed slots recycled through
-// an intrusive free list. Steady-state At/After/Step/Cancel therefore
-// perform zero heap allocations: the slot and heap arrays only grow when
-// the number of simultaneously pending events exceeds every previous
-// high-water mark. Because (at, seq) is a total order (seq is unique),
-// events fire in exactly the same sequence as any other stable queue —
-// the heap shape is not observable.
+// It holds two kinds of pending work. One-shot events (At/After) live in
+// a hand-specialized index-addressed min-heap over the slot array, with
+// freed slots recycled through an intrusive free list. Timers (NewTimer)
+// are owner-held and re-armable; the armed ones live in a second, small
+// min-heap of their own over the same slot array. Both are ordered by
+// (at, seq), and both draw seq from the one counter below at the moment
+// they are scheduled, so (at, seq) is a single total order over
+// everything pending: Step fires the lesser of the two roots, which is
+// exactly the event a single queue holding all of them would fire.
+// Neither heap's shape, nor which heap an entry sits in, is observable.
+//
+// Steady-state At/After/Step/Cancel and Timer.Set/Stop perform zero heap
+// allocations: the arrays only grow when the number of simultaneously
+// pending entries exceeds every previous high-water mark. The heaps hold
+// indices, not pointers, so sifting never runs a GC write barrier.
 type Scheduler struct {
 	now    simtime.Instant
 	slots  []slot
-	heap   []uint32 // slot indices, min-heap on (at, seq)
+	heap   []uint32 // one-shot events: slot indices, min-heap on (at, seq)
+	timers []uint32 // armed timers: slot indices, min-heap on (at, seq)
 	free   int32    // head of the free-slot list, -1 when empty
-	seq    uint64
+	seq    uint64   // shared by one-shot events and timers
+	// firing marks that the root of the timer heap is a timer whose
+	// callback is running; see fireTimer.
+	firing bool
 	halted bool
 }
 
@@ -79,23 +93,37 @@ func NewScheduler() *Scheduler {
 // Now reports the current simulated reference time.
 func (s *Scheduler) Now() simtime.Instant { return s.now }
 
-// Pending reports the number of events waiting to fire.
-func (s *Scheduler) Pending() int { return len(s.heap) }
+// Pending reports how many firings are waiting: one-shot events plus
+// armed timers. An idle timer (never set, stopped, or fired and not
+// re-armed) does not count.
+func (s *Scheduler) Pending() int {
+	n := len(s.heap) + len(s.timers)
+	if s.firing {
+		n-- // idle while its callback runs
+	}
+	return n
+}
 
-// At schedules fn to run at the given instant. Scheduling in the past
-// panics: it is always a modelling bug, and silently reordering events
-// would destroy determinism.
-func (s *Scheduler) At(at simtime.Instant, fn func()) Event {
+// checkNotPast panics on scheduling in the past: it is always a
+// modelling bug, and silently reordering events would destroy
+// determinism.
+func (s *Scheduler) checkNotPast(at simtime.Instant) {
 	if at < s.now {
 		panic(fmt.Sprintf("sim: scheduling at %v before now %v", at, s.now))
 	}
+}
+
+// At schedules fn to run at the given instant. Scheduling in the past
+// panics.
+func (s *Scheduler) At(at simtime.Instant, fn func()) Event {
+	s.checkNotPast(at)
 	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.at = at
 	sl.seq = s.seq
 	sl.fn = fn
 	s.seq++
-	s.push(idx)
+	s.push(&s.heap, idx)
 	return Event{s: s, id: idx + 1, gen: sl.gen}
 }
 
@@ -121,19 +149,42 @@ func (s *Scheduler) Cancel(e Event) {
 	if sl.gen != e.gen || sl.pos < 0 {
 		return
 	}
-	s.remove(int(sl.pos))
+	s.remove(&s.heap, int(sl.pos))
 	s.release(idx)
 }
 
-// Step fires the next pending event and advances simulated time to it.
-// It reports whether an event was fired.
+// Step fires the next pending event or timer and advances simulated
+// time to it. It reports whether anything was fired.
 //
 //triad:hotpath
 func (s *Scheduler) Step() bool {
-	if len(s.heap) == 0 {
+	return s.stepUntil(maxInstant)
+}
+
+// maxInstant is the deadline of an unbounded run.
+const maxInstant = simtime.Instant(math.MaxInt64)
+
+// stepUntil fires the least (at, seq) entry of the two heaps unless it
+// is due after deadline, and reports whether it fired.
+//
+//triad:hotpath
+func (s *Scheduler) stepUntil(deadline simtime.Instant) bool {
+	if s.firing {
+		s.settleFiring() // a callback is stepping the scheduler itself
+	}
+	if len(s.timers) > 0 && (len(s.heap) == 0 || s.less(s.timers[0], s.heap[0])) {
+		t := &s.slots[s.timers[0]]
+		if t.at > deadline {
+			return false
+		}
+		s.now = t.at
+		s.fireTimer(t.fn)
+		return true
+	}
+	if len(s.heap) == 0 || s.slots[s.heap[0]].at > deadline {
 		return false
 	}
-	idx := s.popRoot()
+	idx := s.popRoot(&s.heap)
 	sl := &s.slots[idx]
 	s.now = sl.at
 	fn := sl.fn
@@ -148,8 +199,7 @@ func (s *Scheduler) Step() bool {
 // successive RunUntil calls see a monotone clock.
 func (s *Scheduler) RunUntil(deadline simtime.Instant) {
 	s.halted = false
-	for !s.halted && len(s.heap) > 0 && s.slots[s.heap[0]].at <= deadline {
-		s.Step()
+	for !s.halted && s.stepUntil(deadline) {
 	}
 	if !s.halted && s.now < deadline {
 		s.now = deadline
@@ -201,48 +251,48 @@ func (s *Scheduler) less(a, b uint32) bool {
 	return sa.seq < sb.seq
 }
 
-func (s *Scheduler) push(idx uint32) {
-	s.heap = append(s.heap, idx)
-	s.slots[idx].pos = int32(len(s.heap) - 1)
-	s.siftUp(len(s.heap) - 1)
+// The heap helpers below serve both heaps: heap is &s.heap or &s.timers
+// (h its contents), and a slot's pos indexes whichever one holds it.
+
+func (s *Scheduler) push(heap *[]uint32, idx uint32) {
+	*heap = append(*heap, idx)
+	s.siftUp(*heap, len(*heap)-1)
 }
 
 // popRoot removes and returns the minimum slot index.
-func (s *Scheduler) popRoot() uint32 {
-	h := s.heap
+func (s *Scheduler) popRoot(heap *[]uint32) uint32 {
+	h := *heap
 	root := h[0]
 	n := len(h) - 1
 	if n > 0 {
 		h[0] = h[n]
 		s.slots[h[0]].pos = 0
 	}
-	s.heap = h[:n]
+	*heap = h[:n]
 	if n > 1 {
-		s.siftDown(0)
+		s.siftDown(h[:n], 0)
 	}
 	return root
 }
 
 // remove deletes the heap entry at position i.
-func (s *Scheduler) remove(i int) {
-	h := s.heap
+func (s *Scheduler) remove(heap *[]uint32, i int) {
+	h := *heap
 	n := len(h) - 1
+	*heap = h[:n]
 	if i == n {
-		s.heap = h[:n]
 		return
 	}
 	moved := h[n]
 	h[i] = moved
 	s.slots[moved].pos = int32(i)
-	s.heap = h[:n]
-	s.siftDown(i)
+	s.siftDown(h[:n], i)
 	if s.slots[moved].pos == int32(i) {
-		s.siftUp(i)
+		s.siftUp(h[:n], i)
 	}
 }
 
-func (s *Scheduler) siftUp(i int) {
-	h := s.heap
+func (s *Scheduler) siftUp(h []uint32, i int) {
 	idx := h[i]
 	for i > 0 {
 		parent := (i - 1) / heapArity
@@ -257,32 +307,37 @@ func (s *Scheduler) siftUp(i int) {
 	s.slots[idx].pos = int32(i)
 }
 
-func (s *Scheduler) siftDown(i int) {
-	h := s.heap
+func (s *Scheduler) siftDown(h []uint32, i int) {
+	slots := s.slots
 	n := len(h)
 	idx := h[i]
+	at, seq := slots[idx].at, slots[idx].seq
 	for {
 		first := heapArity*i + 1
 		if first >= n {
 			break
 		}
-		min := first
 		last := first + heapArity
 		if last > n {
 			last = n
 		}
+		// The least child, its key kept in hand rather than re-read
+		// through the slot array for every comparison.
+		min := first
+		minAt, minSeq := slots[h[first]].at, slots[h[first]].seq
 		for c := first + 1; c < last; c++ {
-			if s.less(h[c], h[min]) {
-				min = c
+			sc := &slots[h[c]]
+			if sc.at < minAt || (sc.at == minAt && sc.seq < minSeq) {
+				min, minAt, minSeq = c, sc.at, sc.seq
 			}
 		}
-		if !s.less(h[min], idx) {
+		if minAt > at || (minAt == at && minSeq > seq) {
 			break
 		}
 		h[i] = h[min]
-		s.slots[h[i]].pos = int32(i)
+		slots[h[i]].pos = int32(i)
 		i = min
 	}
 	h[i] = idx
-	s.slots[idx].pos = int32(i)
+	slots[idx].pos = int32(i)
 }

@@ -317,85 +317,167 @@ func (s *oracleScheduler) run() {
 	}
 }
 
-// TestSchedulerMatchesHeapOracle drives the specialized queue and the
-// original container/heap implementation through identical randomized
-// workloads — bursts of schedules (including ties), cancellations of
-// random pending events, and follow-up events scheduled from inside
-// callbacks — and requires bit-identical firing order. This is the
-// determinism bar the golden-trace battery relies on.
+// queueDriver is what the oracle test's script needs of a scheduler, so
+// that one script can drive both the real one and the oracle. A timer on
+// the oracle is a one-shot event cancelled and scheduled afresh on every
+// set: the single-queue behaviour the real timers must reproduce.
+type queueDriver struct {
+	now      func() simtime.Instant
+	at       func(at simtime.Instant, fn func()) (cancel func())
+	newTimer func(fn func()) (set func(at simtime.Instant), stop func())
+	run      func()
+}
+
+func realDriver() queueDriver {
+	s := NewScheduler()
+	return queueDriver{
+		now: s.Now,
+		at: func(at simtime.Instant, fn func()) func() {
+			e := s.At(at, fn)
+			return func() { s.Cancel(e) }
+		},
+		newTimer: func(fn func()) (func(simtime.Instant), func()) {
+			t := s.NewTimer(fn)
+			return t.Set, t.Stop
+		},
+		run: s.RunUntilIdle,
+	}
+}
+
+func oracleDriver() queueDriver {
+	s := &oracleScheduler{}
+	return queueDriver{
+		now: func() simtime.Instant { return s.now },
+		at: func(at simtime.Instant, fn func()) func() {
+			e := s.at(at, fn)
+			return func() { s.cancel(e) }
+		},
+		newTimer: func(fn func()) (func(simtime.Instant), func()) {
+			var pending *oracleEvent
+			stop := func() { s.cancel(pending) }
+			return func(at simtime.Instant) {
+				stop()
+				pending = s.at(at, fn)
+			}, stop
+		},
+		run: s.run,
+	}
+}
+
+// oracleScript runs one randomized workload on d and returns the firing
+// order. One-shot events: bursts of schedules on a dense grid of
+// instants (plenty of ties), cancellations of random earlier ones, and
+// follow-ups scheduled from inside callbacks. Timers: set and stopped
+// from the top level, from one-shot callbacks, from their own callback
+// (the re-arm idiom, including for the very instant they are firing at)
+// and from each other's. Every third operation plants a timer and a
+// one-shot event on the same instant, in alternating order, so ties
+// between the two kinds occur both ways round.
+func oracleScript(seed int64, d queueDriver) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var order []int
+	ms := func(n int) simtime.Instant { return after(time.Duration(n) * time.Millisecond) }
+
+	const nTimers = 8
+	sets := make([]func(simtime.Instant), nTimers)
+	stops := make([]func(), nTimers)
+	budget := 400 // timer firings that may still re-arm: the script must quiesce
+	// poke does something random to a random timer, as any callback might.
+	poke := func() {
+		k := rng.Intn(nTimers)
+		if rng.Intn(5) == 0 {
+			stops[k]()
+		} else {
+			sets[k](d.now() + ms(rng.Intn(20)))
+		}
+	}
+	for k := 0; k < nTimers; k++ {
+		k := k
+		sets[k], stops[k] = d.newTimer(func() {
+			order = append(order, 1000+k)
+			if budget == 0 {
+				return
+			}
+			budget--
+			switch rng.Intn(8) {
+			case 0, 1, 2, 5, 6:
+				sets[k](d.now() + ms(rng.Intn(20))) // re-arm, possibly for this same instant
+			case 3:
+				poke()
+			case 4:
+				sets[k](d.now() + ms(1+rng.Intn(20)))
+				poke()
+			}
+		})
+	}
+
+	const nOps = 200
+	cancels := make([]func(), nOps)
+	for i := 0; i < nOps; i++ {
+		i := i
+		at := ms(rng.Intn(50))
+		chainMs := 0
+		if rng.Intn(5) == 0 {
+			chainMs = 1 + rng.Intn(20)
+		}
+		pokes := rng.Intn(6) == 0
+		fn := func() {
+			order = append(order, i)
+			if chainMs != 0 {
+				d.at(d.now()+ms(chainMs), func() { order = append(order, -i) })
+			}
+			if pokes {
+				poke()
+			}
+		}
+		switch i % 6 {
+		case 0: // tie: timer scheduled first
+			sets[rng.Intn(nTimers)](at)
+			cancels[i] = d.at(at, fn)
+		case 3: // tie: one-shot scheduled first
+			cancels[i] = d.at(at, fn)
+			sets[rng.Intn(nTimers)](at)
+		default:
+			cancels[i] = d.at(at, fn)
+		}
+		if i > 0 && rng.Intn(4) == 0 {
+			cancels[rng.Intn(i)]()
+		}
+		if rng.Intn(8) == 0 {
+			poke()
+		}
+	}
+	d.run()
+	return order
+}
+
+// TestSchedulerMatchesHeapOracle drives the scheduler and the original
+// container/heap implementation through identical randomized workloads
+// of one-shot events and timers and requires bit-identical firing order:
+// the two specialized heaps, merged by (at, seq), must behave as the one
+// queue the oracle is. This is the determinism bar the golden-trace
+// battery relies on.
 func TestSchedulerMatchesHeapOracle(t *testing.T) {
+	timerFirings := 0
 	for trial := 0; trial < 50; trial++ {
-		rng := rand.New(rand.NewSource(int64(trial)*2654435761 + 1))
-		type op struct {
-			delayMs  int
-			cancelOf int // index of an earlier op to cancel, -1 none
-			chainMs  int // reschedule delay from inside the callback, 0 none
+		seed := int64(trial)*2654435761 + 1
+		got := oracleScript(seed, realDriver())
+		want := oracleScript(seed, oracleDriver())
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: fired %d events, oracle fired %d", trial, len(got), len(want))
 		}
-		ops := make([]op, 200)
-		for i := range ops {
-			ops[i].delayMs = rng.Intn(50) // dense: plenty of (at) ties
-			ops[i].cancelOf = -1
-			if i > 0 && rng.Intn(4) == 0 {
-				ops[i].cancelOf = rng.Intn(i)
-			}
-			if rng.Intn(5) == 0 {
-				ops[i].chainMs = 1 + rng.Intn(20)
-			}
-		}
-
-		// New queue.
-		var gotOrder []int
-		{
-			s := NewScheduler()
-			events := make([]Event, len(ops))
-			for i, o := range ops {
-				i, o := i, o
-				events[i] = s.At(after(time.Duration(o.delayMs)*time.Millisecond), func() {
-					gotOrder = append(gotOrder, i)
-					if o.chainMs != 0 {
-						s.After(simtime.FromDuration(time.Duration(o.chainMs)*time.Millisecond), func() {
-							gotOrder = append(gotOrder, -i)
-						})
-					}
-				})
-				if o.cancelOf >= 0 {
-					s.Cancel(events[o.cancelOf])
-				}
-			}
-			s.RunUntilIdle()
-		}
-
-		// Oracle.
-		var wantOrder []int
-		{
-			s := &oracleScheduler{}
-			events := make([]*oracleEvent, len(ops))
-			for i, o := range ops {
-				i, o := i, o
-				events[i] = s.at(after(time.Duration(o.delayMs)*time.Millisecond), func() {
-					wantOrder = append(wantOrder, i)
-					if o.chainMs != 0 {
-						s.at(s.now+simtime.FromDuration(time.Duration(o.chainMs)*time.Millisecond), func() {
-							wantOrder = append(wantOrder, -i)
-						})
-					}
-				})
-				if o.cancelOf >= 0 {
-					s.cancel(events[o.cancelOf])
-				}
-			}
-			s.run()
-		}
-
-		if len(gotOrder) != len(wantOrder) {
-			t.Fatalf("trial %d: fired %d events, oracle fired %d", trial, len(gotOrder), len(wantOrder))
-		}
-		for i := range gotOrder {
-			if gotOrder[i] != wantOrder[i] {
+		for i := range got {
+			if got[i] != want[i] {
 				t.Fatalf("trial %d: firing order diverges from heap oracle at %d: got %d, want %d",
-					trial, i, gotOrder[i], wantOrder[i])
+					trial, i, got[i], want[i])
+			}
+			if got[i] >= 1000 {
+				timerFirings++
 			}
 		}
+	}
+	if timerFirings < 1000 {
+		t.Errorf("only %d timer firings in all; the script is not exercising timers", timerFirings)
 	}
 }
 
@@ -411,6 +493,121 @@ func TestEventAt(t *testing.T) {
 	}
 	if (Event{}).At() != simtime.Epoch {
 		t.Error("zero Event At() should report the epoch")
+	}
+}
+
+func TestTimerSetStopPending(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	tm := s.NewTimer(func() { fired++ })
+	if s.Pending() != 0 {
+		t.Fatalf("idle timer counted as pending: %d", s.Pending())
+	}
+	tm.Stop() // stopping an idle timer is a no-op
+	tm.Set(after(2 * time.Second))
+	tm.Set(after(time.Second)) // replaces the earlier setting
+	s.At(after(3*time.Second), func() {})
+	if s.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2 (one armed timer, one event)", s.Pending())
+	}
+	if !s.Step() || fired != 1 || s.Now() != after(time.Second) {
+		t.Fatalf("after one step: fired %d at %v, want 1 at t+1s", fired, s.Now())
+	}
+	if s.Pending() != 1 {
+		t.Errorf("Pending = %d after the timer fired, want 1", s.Pending())
+	}
+	tm.Set(after(2 * time.Second))
+	tm.Stop()
+	tm.Stop()
+	s.RunUntilIdle()
+	if fired != 1 {
+		t.Errorf("stopped timer fired (%d firings)", fired)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("setting a timer in the past should panic")
+		}
+	}()
+	tm.Set(after(time.Second))
+}
+
+// TestTimerRearmFromOwnCallback pins the re-arm idiom and what a
+// callback may observe while it runs: its own timer is idle (not
+// pending, stoppable without effect), and stepping the scheduler from
+// inside it fires the next entry, not the same timer again.
+func TestTimerRearmFromOwnCallback(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	var tick Timer
+	n := 0
+	tick = s.NewTimer(func() {
+		n++
+		order = append(order, "tick")
+		if n == 1 && s.Pending() != 1 { // the other timer only
+			t.Errorf("Pending inside the callback = %d, want 1", s.Pending())
+		}
+		tick.Stop() // idle already: must not disturb the re-arm below
+		if n == 2 {
+			s.Step() // fires "other", due later
+		}
+		if n < 3 {
+			tick.Set(s.Now() + after(time.Second))
+		}
+	})
+	other := s.NewTimer(func() { order = append(order, "other") })
+	tick.Set(after(time.Second))
+	other.Set(after(10 * time.Second))
+	s.RunUntilIdle()
+	want := []string{"tick", "tick", "other", "tick"}
+	if len(order) != len(want) {
+		t.Fatalf("order = %v, want %v", order, want)
+	}
+	for i := range want {
+		if order[i] != want[i] {
+			t.Fatalf("order = %v, want %v", order, want)
+		}
+	}
+	if s.Pending() != 0 {
+		t.Errorf("Pending = %d at the end, want 0", s.Pending())
+	}
+}
+
+// TestRunUntilWithOnlyTimers is TestSchedulerRunUntil and
+// TestSchedulerHalt with no one-shot event anywhere: the deadline and
+// Halt must hold when the timer heap is all there is.
+func TestRunUntilWithOnlyTimers(t *testing.T) {
+	s := NewScheduler()
+	fired := 0
+	var tick Timer
+	tick = s.NewTimer(func() {
+		fired++
+		if fired == 5 {
+			s.Halt()
+		}
+		tick.Set(s.Now() + after(time.Second))
+	})
+	tick.Set(after(time.Second))
+	s.RunUntil(after(2 * time.Second))
+	if fired != 2 {
+		t.Errorf("fired = %d, want 2 (deadline inclusive)", fired)
+	}
+	if s.Now() != after(2*time.Second) || s.Pending() != 1 {
+		t.Errorf("Now() = %v, Pending = %d; want t+2s, 1", s.Now(), s.Pending())
+	}
+	s.RunUntil(after(2*time.Second + time.Millisecond)) // nothing due: clock still advances
+	if fired != 2 || s.Now() != after(2*time.Second+time.Millisecond) {
+		t.Errorf("idle RunUntil: fired = %d, Now() = %v", fired, s.Now())
+	}
+	s.RunUntil(after(time.Minute))
+	if fired != 5 {
+		t.Errorf("fired = %d, want 5 (halted)", fired)
+	}
+	if s.Now() != after(5*time.Second) {
+		t.Errorf("Now() = %v after Halt, want t+5s (not the deadline)", s.Now())
+	}
+	s.RunUntil(after(7 * time.Second)) // a run resumes after a halt
+	if fired != 7 {
+		t.Errorf("fired = %d, want 7 after resume", fired)
 	}
 }
 
@@ -449,6 +646,25 @@ func TestSchedulerCancelZeroAllocSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state At+Cancel allocates %.1f objects/op, want 0", allocs)
+	}
+}
+
+func TestTimerZeroAllocSteadyState(t *testing.T) {
+	s := NewScheduler()
+	var tick Timer
+	tick = s.NewTimer(func() { tick.Set(s.Now() + after(time.Millisecond)) })
+	tick.Set(after(time.Millisecond))
+	other := s.NewTimer(func() {})
+	for i := 0; i < 16; i++ {
+		s.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		other.Set(s.Now() + after(time.Second))
+		s.Step()
+		other.Stop()
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state timer Set+Step+Stop allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
@@ -504,5 +720,21 @@ func BenchmarkSchedulerCancel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		e := s.After(simtime.FromDuration(time.Millisecond), fn)
 		s.Cancel(e)
+	}
+}
+
+// BenchmarkTimerRearm fires and re-arms one timer among a thousand armed
+// ones: the timer heap's counterpart of BenchmarkSchedulerDeepQueue.
+func BenchmarkTimerRearm(b *testing.B) {
+	s := NewScheduler()
+	for i := 0; i < 1000; i++ {
+		var tm Timer
+		tm = s.NewTimer(func() { tm.Set(s.Now() + after(time.Millisecond)) })
+		tm.Set(after(time.Duration(i) * time.Microsecond))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.Step()
 	}
 }

@@ -21,7 +21,7 @@ type Instant int64
 const Epoch Instant = 0
 
 // FromSeconds converts seconds of reference time since the epoch to an
-// Instant, rounding to the nearest nanosecond.
+// Instant, truncating toward zero to a whole nanosecond.
 func FromSeconds(s float64) Instant {
 	return Instant(s * float64(time.Second))
 }

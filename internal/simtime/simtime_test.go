@@ -222,3 +222,44 @@ func TestTSCObservers(t *testing.T) {
 		t.Errorf("notification instants = %v", notified)
 	}
 }
+
+// TestTSCGenerationAndPriorView pins what the monitoring windows build
+// on: every manipulation is a new generation, and ReadPriorAt keeps
+// answering, bit for bit, what ReadAt answered before the latest one.
+func TestTSCGenerationAndPriorView(t *testing.T) {
+	c := NewTSC(NominalTSCHz, 7e9)
+	probes := []Instant{Epoch, FromSeconds(0.0049), FromSeconds(1.25), FromSeconds(3)}
+	check := func(what string, want []uint64) {
+		t.Helper()
+		for i, at := range probes {
+			if got := c.ReadPriorAt(at); got != want[i] {
+				t.Errorf("%s: ReadPriorAt(%v) = %d, ReadAt said %d before", what, at, got, want[i])
+			}
+		}
+	}
+	read := func() []uint64 {
+		out := make([]uint64, len(probes))
+		for i, at := range probes {
+			out[i] = c.ReadAt(at)
+		}
+		return out
+	}
+	if c.Generation() != 0 {
+		t.Fatalf("fresh TSC at generation %d", c.Generation())
+	}
+	check("fresh", read()) // no manipulation yet: prior is current
+
+	before := read()
+	c.SetScale(1.1, FromSeconds(1))
+	if c.Generation() != 1 {
+		t.Errorf("generation %d after SetScale, want 1", c.Generation())
+	}
+	check("after SetScale", before)
+
+	before = read()
+	c.Jump(-5e6, FromSeconds(2))
+	if c.Generation() != 2 {
+		t.Errorf("generation %d after Jump, want 2", c.Generation())
+	}
+	check("after Jump", before)
+}

@@ -24,9 +24,11 @@ const NominalTSCHz = 2899.999e6
 // serialized by the event loop.
 type TSC struct {
 	hostHz float64 // physical tick rate, ticks per reference second
-	scale  float64 // hypervisor scaling factor applied to the guest view
-	base   float64 // guest ticks at baseAt
-	baseAt Instant
+	view           // the guest view in force
+	// prior is the view the latest manipulation replaced (the same as
+	// the current one until there has been a manipulation).
+	prior view
+	gen   uint64 // manipulations applied so far
 
 	// observers are notified after every manipulation (scale change or
 	// jump): in-enclave code that waits on a TSC target — monitoring
@@ -35,18 +37,35 @@ type TSC struct {
 	observers []func(at Instant)
 }
 
+// view is one linear piece of the guest view.
+type view struct {
+	scale  float64 // hypervisor scaling factor applied to the guest view
+	base   float64 // guest ticks at baseAt
+	baseAt Instant
+}
+
+// at evaluates the piece at reference time t, for a TSC ticking at
+// hostHz. Before baseAt it holds the value it has there.
+func (v view) at(hostHz float64, t Instant) uint64 {
+	if t < v.baseAt {
+		t = v.baseAt
+	}
+	dt := t.Sub(v.baseAt).Seconds()
+	g := v.base + v.scale*hostHz*dt
+	if g < 0 {
+		g = 0
+	}
+	return uint64(g)
+}
+
 // NewTSC creates a TSC whose physical rate is hostHz ticks per reference
 // second, starting from startTicks at the epoch, with no manipulation.
 func NewTSC(hostHz float64, startTicks uint64) *TSC {
 	if hostHz <= 0 {
 		panic(fmt.Sprintf("simtime: non-positive TSC rate %v", hostHz))
 	}
-	return &TSC{
-		hostHz: hostHz,
-		scale:  1,
-		base:   float64(startTicks),
-		baseAt: Epoch,
-	}
+	start := view{scale: 1, base: float64(startTicks), baseAt: Epoch}
+	return &TSC{hostHz: hostHz, view: start, prior: start}
 }
 
 // HostHz reports the physical tick rate in ticks per reference second.
@@ -55,26 +74,31 @@ func (c *TSC) HostHz() float64 { return c.hostHz }
 // Scale reports the hypervisor scaling factor currently applied.
 func (c *TSC) Scale() float64 { return c.scale }
 
+// Generation counts the manipulations (SetScale, Jump) applied so far.
+// The guest view is one fixed line between two of them, so anything
+// computed from it alone — how long the guest takes to advance by a
+// given number of ticks — stays valid for as long as the generation
+// does.
+func (c *TSC) Generation() uint64 { return c.gen }
+
 // ReadAt returns the guest-visible TSC value at reference time t.
 // Reading at a time before the last manipulation returns the value as of
 // that manipulation; the guest view never runs backwards.
-func (c *TSC) ReadAt(t Instant) uint64 {
-	if t < c.baseAt {
-		t = c.baseAt
-	}
-	dt := t.Sub(c.baseAt).Seconds()
-	v := c.base + c.scale*c.hostHz*dt
-	if v < 0 {
-		v = 0
-	}
-	return uint64(v)
-}
+func (c *TSC) ReadAt(t Instant) uint64 { return c.view.at(c.hostHz, t) }
+
+// ReadPriorAt returns what ReadAt(t) returned before the latest
+// manipulation. An observer that put off reading the TSC until a
+// manipulation made the old value matter recovers it here.
+func (c *TSC) ReadPriorAt(t Instant) uint64 { return c.prior.at(c.hostHz, t) }
 
 // rebase folds the guest view up to time t into the base so a subsequent
 // manipulation takes effect from t while keeping the view continuous.
+// Every manipulation starts here, which makes it a new generation.
 func (c *TSC) rebase(t Instant) {
+	c.prior = c.view
 	c.base = float64(c.ReadAt(t))
 	c.baseAt = t
+	c.gen++
 }
 
 // Observe registers a manipulation observer. Observers run after the

@@ -112,17 +112,23 @@ func TheilSen(samples []Sample) (Fit, error) {
 // Median returns the median of xs. It copies the input, so the caller's
 // slice is left untouched. It returns NaN for an empty slice.
 func Median(xs []float64) float64 {
+	cp := make([]float64, len(xs))
+	copy(cp, xs)
+	return MedianInPlace(cp)
+}
+
+// MedianInPlace is Median for a caller that owns xs and has no further
+// use for its order: it sorts xs itself instead of a copy.
+func MedianInPlace(xs []float64) float64 {
 	if len(xs) == 0 {
 		return math.NaN()
 	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	m := len(cp) / 2
-	if len(cp)%2 == 1 {
-		return cp[m]
+	sort.Float64s(xs)
+	m := len(xs) / 2
+	if len(xs)%2 == 1 {
+		return xs[m]
 	}
-	return (cp[m-1] + cp[m]) / 2
+	return (xs[m-1] + xs[m]) / 2
 }
 
 // PPM expresses the relative error of got with respect to want in
