@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-json bench-module figures check audit examples clean
+.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-module figures check audit examples clean
 
 all: build vet lint test
 
@@ -42,22 +42,6 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem
 
-# Tracked performance baseline: the hot-path micro-benchmarks (now
-# including the commit vault's lock/unlock path) plus the end-to-end
-# live serving throughput benchmark at full benchtime, and one
-# iteration of every figure-regeneration benchmark, converted to
-# JSON. The output (BENCH_pr9.json) is checked in so later PRs can
-# diff ns/op, allocs/op, events/sec, and req/s against it
-# (BENCH_pr8.json is the pre-commit-subsystem baseline; BENCH_pr7.json
-# predates serve sharding; BENCH_pr4.json predates streaming stats).
-BENCH_JSON_OUT ?= BENCH_pr9.json
-
-bench-json:
-	{ $(GO) test ./internal/sim ./internal/simnet ./internal/wire ./internal/serve ./internal/commit -run='^$$' \
-		-bench='^(BenchmarkSchedulerThroughput|BenchmarkNetworkDelivery|BenchmarkSealOpenRoundtrip|BenchmarkServeDispatch|BenchmarkLiveServeThroughput|BenchmarkCommitUnlockThroughput|BenchmarkCommitLock)$$' -benchmem \
-	  && $(GO) test . -run='^$$' -bench=. -benchtime=1x -benchmem ; } \
-	| $(GO) run ./cmd/bench-json -out $(BENCH_JSON_OUT)
-
 # Full figure regeneration with CSV + gnuplot scripts under results/.
 figures:
 	$(GO) run ./cmd/triad-sim -fig all -seed 1 -out results
@@ -79,10 +63,15 @@ fuzz-smoke:
 # compiles against internal/serve, wire and transport and replays
 # LiveServer's call sequence: vet it and run its short self-tests, so a
 # change to those surfaces that breaks it fails here and not in the
-# next benchmark run.
+# next benchmark run. -short skips TestSimDigestIsStable, so that one
+# runs by name: four simulation passes (seconds) compared with the
+# bytes in benchmark/golden.json — the only gate that catches a
+# behaviour change in core/resilient/quorum before the next benchmark
+# run's GUARD line does.
 bench-module:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test -short ./...
+	$(GO) -C benchmark test -run '^TestSimDigestIsStable$$' ./...
 
 # Full pre-merge gate: vet, lint, the suppression budget, build,
 # tests, the race detector, and the benchmark module.

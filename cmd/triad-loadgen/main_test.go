@@ -100,7 +100,7 @@ func TestLoadgenAgainstLiveEndpoint(t *testing.T) {
 }
 
 // TestLoadgenSustainsHighRate demonstrates the ≥250k req/s loopback
-// capability of the batched multi-worker path (see BENCH_pr8.json).
+// capability of the batched multi-worker path.
 // Opt-in (TRIAD_LOADGEN_FULLRATE=1): wall-clock throughput assertions
 // are hardware-dependent and would flake shared CI runners.
 func TestLoadgenSustainsHighRate(t *testing.T) {

@@ -3,11 +3,9 @@ package core
 import (
 	"time"
 
-	"triadtime/internal/enclave"
 	"triadtime/internal/engine"
 	"triadtime/internal/simnet"
 	"triadtime/internal/stats"
-	"triadtime/internal/wire"
 )
 
 // maxOWDNanos caps the one-way-delay estimate extracted from the
@@ -25,8 +23,7 @@ type policy struct {
 	calib    *calibRun
 	owdNanos int64 // one-way TA delay estimate from calibration
 
-	refSeq   uint64 // pending reference calibration request, 0 = none
-	refTimer enclave.CancelFunc
+	ref *engine.Round // pending reference calibration exchange
 }
 
 // calibRun tracks one full calibration: repeated TA roundtrips with
@@ -37,55 +34,32 @@ type calibRun struct {
 	samples  []stats.Sample
 	perSleep map[time.Duration]int
 
-	pendingSeq   uint64
-	pendingSleep time.Duration
-	sentTSC      uint64
-	sentEpoch    uint64
-	timer        enclave.CancelFunc
+	pending *engine.Round // the sample in flight
 
-	// lastResponse / lastRecvTSC anchor the time reference once the
-	// regression completes.
-	lastResponse wire.Message
-	lastRecvTSC  uint64
+	// last anchors the time reference once the regression completes.
+	last engine.Reading
 }
 
-// abandonPending drops the in-flight sample (timer included) so a fresh
-// request can be issued. The stale response, if it ever arrives, is
-// ignored by sequence-number mismatch.
-func (c *calibRun) abandonPending() {
-	if c.timer != nil {
-		c.timer()
-		c.timer = nil
-	}
-	c.pendingSeq = 0
+// askTA begins a one-authority exchange with the Time Authority.
+func (p *policy) askTA(e *engine.Engine, sleep time.Duration, done func(*engine.Round)) *engine.Round {
+	return e.BeginRound([]simnet.Addr{e.Authority()}, sleep, sleep+p.cfg.TATimeout, done)
 }
 
 // Start begins (or restarts) a full speed + reference calibration with
 // the Time Authority.
 func (p *policy) Start(e *engine.Engine) {
 	e.CancelGather()
-	p.cancelRef()
+	p.ref.Cancel()
 	p.calib = &calibRun{perSleep: make(map[time.Duration]int, len(p.cfg.CalibSleeps))}
 	p.sendNextCalibSample(e)
-}
-
-// OnTimeResponse claims Time Authority responses belonging to the
-// pending calibration sample. The sender is already authenticated as
-// the single configured authority, so only the sequence matters here.
-func (p *policy) OnTimeResponse(e *engine.Engine, _ simnet.Addr, msg wire.Message) bool {
-	if p.calib != nil && msg.Seq == p.calib.pendingSeq {
-		p.onCalibSample(e, msg)
-		return true
-	}
-	return false
 }
 
 // OnAEX abandons an in-flight calibration sample: it is no longer
 // bounded by uninterrupted execution, so retry immediately rather than
 // waiting out a wasted roundtrip.
 func (p *policy) OnAEX(e *engine.Engine) {
-	if p.calib != nil && p.calib.pendingSeq != 0 {
-		p.calib.abandonPending()
+	if p.calib != nil {
+		p.calib.pending.Cancel()
 		p.sendNextCalibSample(e)
 	}
 }
@@ -113,47 +87,24 @@ func (p *policy) sendNextCalibSample(e *engine.Engine) {
 		p.finishCalibration(e)
 		return
 	}
-	c := p.calib
-	c.pendingSleep = sleep
-	c.pendingSeq = e.NextSeq()
-	c.sentTSC = e.Platform().ReadTSC()
-	c.sentEpoch = e.AEXEpoch()
-	e.SendSealed(e.Authority(), wire.Message{
-		Kind:  wire.KindTimeRequest,
-		Seq:   c.pendingSeq,
-		Sleep: sleep,
-	})
-	timeout := sleep + p.cfg.TATimeout
-	c.timer = e.Platform().AfterTicks(e.TicksFor(timeout), func() {
-		// Response lost or over-delayed: retry with a fresh request.
-		c.timer = nil
-		c.pendingSeq = 0
-		p.sendNextCalibSample(e)
-	})
+	p.calib.pending = p.askTA(e, sleep, func(r *engine.Round) { p.onCalibSample(e, sleep, r) })
 }
 
-// onCalibSample handles the TA response to the pending calibration
-// request. Samples whose window was severed by an AEX are discarded:
-// the attacker could have manipulated the TSC during the exit.
-func (p *policy) onCalibSample(e *engine.Engine, msg wire.Message) {
-	c := p.calib
-	recvTSC := e.Platform().ReadTSC()
-	if c.timer != nil {
-		c.timer()
-		c.timer = nil
+// onCalibSample handles the outcome of one calibration roundtrip. A
+// lost or over-delayed response is retried with a fresh request, and so
+// is a sample whose window was severed by an AEX: the attacker could
+// have manipulated the TSC during the exit.
+func (p *policy) onCalibSample(e *engine.Engine, sleep time.Duration, r *engine.Round) {
+	rd, ok := r.First()
+	if ok && !r.Severed() {
+		c := p.calib
+		c.samples = append(c.samples, stats.Sample{
+			X: sleep.Seconds(),
+			Y: float64(rd.RTTTicks()),
+		})
+		c.perSleep[sleep]++
+		c.last = rd
 	}
-	c.pendingSeq = 0
-	if e.AEXEpoch() != c.sentEpoch {
-		p.sendNextCalibSample(e)
-		return
-	}
-	c.samples = append(c.samples, stats.Sample{
-		X: c.pendingSleep.Seconds(),
-		Y: float64(recvTSC - c.sentTSC),
-	})
-	c.perSleep[c.pendingSleep]++
-	c.lastResponse = msg
-	c.lastRecvTSC = recvTSC
 	p.sendNextCalibSample(e)
 }
 
@@ -188,7 +139,7 @@ func (p *policy) finishCalibration(e *engine.Engine) {
 	// Anchor the reference on the last TA response: the TA read its
 	// clock when sending, one network traversal before our receive.
 	p.calib = nil
-	e.CompleteCalibration(fit.Slope, c.lastResponse.TimeNanos+p.owdNanos, c.lastRecvTSC)
+	e.CompleteCalibration(fit.Slope, c.last.TimeNanos+p.owdNanos, c.last.RecvTSC)
 }
 
 // OnStart: the original protocol has no steady-state self-checking to
@@ -202,65 +153,25 @@ func (p *policy) OnTaint(e *engine.Engine) {
 	e.BeginPeerGather()
 }
 
-// OnPeerSample: the original protocol gathers peers only through the
-// engine's taint gather; stale responses are dropped.
-func (p *policy) OnPeerSample(*engine.Engine, uint64, engine.PeerSample) {}
-
 // StartRefCalib re-acquires only the time reference from the TA (the
-// peer untaint path failed). Retries on timeout until a response lands.
+// peer untaint path failed), with a sleep-0 request: immediate
+// response, minimal offset error. Retries on timeout until a response
+// lands.
 func (p *policy) StartRefCalib(e *engine.Engine) {
 	e.SetState(StateRefCalib)
-	p.refSeq = e.NextSeq()
-	e.SendSealed(e.Authority(), wire.Message{
-		Kind: wire.KindTimeRequest,
-		Seq:  p.refSeq,
-		// Sleep 0: immediate response, minimal offset error.
+	p.ref = p.askTA(e, 0, func(r *engine.Round) {
+		rd, ok := r.First()
+		if !ok {
+			p.StartRefCalib(e)
+			return
+		}
+		e.AdoptTAReference(rd.TimeNanos+p.owdNanos, rd.RecvTSC)
 	})
-	p.refTimer = e.Platform().AfterTicks(e.TicksFor(p.cfg.TATimeout), func() {
-		p.refTimer = nil
-		p.refSeq = 0
-		p.StartRefCalib(e)
-	})
-}
-
-// OnTimeResponse (recovery half) claims the pending reference
-// calibration response and installs the TA's reference time.
-func (p *policy) onRefCalibResponse(e *engine.Engine, msg wire.Message) {
-	if p.refTimer != nil {
-		p.refTimer()
-		p.refTimer = nil
-	}
-	p.refSeq = 0
-	e.AdoptTAReference(msg.TimeNanos+p.owdNanos, e.Platform().ReadTSC())
-}
-
-// recoveryPolicy is the RecoveryPolicy view of the bundle: both
-// engine policies share one state struct, but each interface claims
-// Time Authority responses for its own exchanges, so the method is
-// disambiguated here.
-type recoveryPolicy struct{ *policy }
-
-// OnTimeResponse claims the pending reference calibration response.
-func (rp recoveryPolicy) OnTimeResponse(e *engine.Engine, _ simnet.Addr, msg wire.Message) bool {
-	p := rp.policy
-	if p.refSeq != 0 && msg.Seq == p.refSeq {
-		p.onRefCalibResponse(e, msg)
-		return true
-	}
-	return false
 }
 
 // Cancel clears any pending peer-untaint or ref-calib exchange (used
 // when escalating to a full calibration).
 func (p *policy) Cancel(e *engine.Engine) {
 	e.CancelGather()
-	p.cancelRef()
-}
-
-func (p *policy) cancelRef() {
-	if p.refTimer != nil {
-		p.refTimer()
-		p.refTimer = nil
-	}
-	p.refSeq = 0
+	p.ref.Cancel()
 }

@@ -39,7 +39,7 @@ func NewNode(platform enclave.Platform, cfg Config) (*Node, error) {
 	pol := &policy{cfg: cfg}
 	pols := engine.Policies{
 		Calibration: pol,
-		Recovery:    recoveryPolicy{pol},
+		Recovery:    pol,
 		Filter:      engine.AdoptIfAhead{},
 	}
 	if len(cfg.Authorities) >= 2 {
@@ -53,7 +53,7 @@ func NewNode(platform enclave.Platform, cfg Config) (*Node, error) {
 			MinAgree:        cfg.QuorumMinAgree,
 		})
 		pols.Calibration = q
-		pols.Recovery = engine.QuorumRecovery{Inner: recoveryPolicy{pol}, Quorum: q}
+		pols.Recovery = engine.QuorumRecovery{RecoveryPolicy: pol, Quorum: q}
 	}
 	eng, err := engine.New(platform, engine.Config{
 		Key:              cfg.Key,

@@ -1,12 +1,15 @@
 // Package engine is the protocol machinery shared by every Triad
 // variant: the trusted-clock state and its monotonic serving, the
 // Init/FullCalib/RefCalib/Tainted/OK state machine, sealed datagram
-// dispatch (AEAD sealing, opening, replay windows), AEX-epoch
-// stamping, peer-timestamp gathering, the TSC rate monitor, and the
+// dispatch (AEAD sealing, opening, replay windows), every
+// request/response exchange — the Time Authority Round and the peer
+// Gather, with their sequence numbers, deadlines, AEX-epoch stamping,
+// RTT midpoint and response routing — the TSC rate monitor, and the
 // protocol counters.
 //
-// Variant behaviour — how to calibrate, how to recover from a taint,
-// which peer timestamps to believe, whether to gossip — is injected
+// Variant behaviour — what to ask the authorities for and what to make
+// of the readings, how to recover from a taint, which peer timestamps
+// to believe, whether to gossip — is injected
 // through the small interfaces in policy.go. internal/core assembles
 // the paper's original protocol from them; internal/resilient
 // assembles the Section V hardened protocol. The engine fires one set
@@ -61,7 +64,10 @@ type Engine struct {
 	aexEpoch uint64
 	seq      uint64 // request sequence numbers
 
-	gather  *gather
+	// rounds is the open set of Time Authority exchanges, a slice because
+	// it holds a handful at most and is scanned on every response.
+	rounds  []*Round
+	gather  *Gather
 	monitor *enclave.RateMonitor
 
 	// sealBuf/openBuf are the endpoint's datagram scratch: every sealed
@@ -183,12 +189,8 @@ func (e *Engine) SetState(s State) { e.setState(s) }
 // second, or 0 before the first calibration completes.
 func (e *Engine) FCalib() float64 { return e.fCalib }
 
-// AEXEpoch reports the current AEX epoch; policies stamp in-flight
-// measurements with it and discard any whose window was severed.
-func (e *Engine) AEXEpoch() uint64 { return e.aexEpoch }
-
-// NextSeq allocates a request sequence number.
-func (e *Engine) NextSeq() uint64 {
+// nextSeq allocates a request sequence number.
+func (e *Engine) nextSeq() uint64 {
 	e.seq++
 	return e.seq
 }
@@ -351,9 +353,7 @@ func (e *Engine) onDatagram(_ simnet.Addr, payload []byte) {
 		if !e.isAuthority(from) {
 			return
 		}
-		if !e.calibration.OnTimeResponse(e, from, msg) {
-			e.recovery.OnTimeResponse(e, from, msg)
-		}
+		e.onTimeResponse(from, msg)
 	case wire.KindPeerTimeRequest:
 		if !e.peers[simnet.Addr(sender)] {
 			return

@@ -16,26 +16,27 @@ type PeerSample struct {
 	ArrivalTSC uint64
 }
 
-// gather collects peer timestamps after a taint. How long it stays
-// open and what happens to the samples is the PeerFilter's call:
-// first-response-wins for the original protocol, a full PeerTimeout
-// window with majority filtering for the hardened one.
-type gather struct {
+// Gather is one broadcast-and-collect of peer timestamps: the taint
+// recovery gather, or a hardened self-check probe's peer half. An
+// engine has at most one open; the engine owns its sequence number,
+// deadline and response routing.
+type Gather struct {
+	e         *Engine
 	seq       uint64
-	responses []PeerSample
+	samples   []PeerSample
+	immediate bool // first response closes the window
 	timer     enclave.CancelFunc
+	done      func([]PeerSample)
 }
 
-// BeginPeerGather broadcasts a timestamp request to all peers and arms
-// the PeerTimeout fallback. With no peers configured it goes straight
-// to the recovery policy's reference calibration. Call while
-// StateTainted.
-func (e *Engine) BeginPeerGather() {
-	if len(e.cfg.Peers) == 0 {
-		e.recovery.StartRefCalib(e)
-		return
-	}
-	g := &gather{seq: e.NextSeq()}
+// GatherPeers broadcasts a timestamp request to all peers and arms the
+// PeerTimeout deadline, replacing any gather still open. done runs
+// once with the samples collected (possibly none) — at the deadline, or
+// on the first response when immediate — unless the gather is cancelled
+// first; the gather is no longer open by then.
+func (e *Engine) GatherPeers(immediate bool, done func([]PeerSample)) *Gather {
+	e.CancelGather()
+	g := &Gather{e: e, seq: e.nextSeq(), immediate: immediate, done: done}
 	e.gather = g
 	for _, p := range e.cfg.Peers {
 		// Each peer gets its own sealed copy: GCM nonces are single-use.
@@ -46,52 +47,61 @@ func (e *Engine) BeginPeerGather() {
 	}
 	g.timer = e.platform.AfterTicks(e.TicksFor(e.cfg.PeerTimeout), func() {
 		g.timer = nil
-		e.closeGather()
+		g.close()
 	})
+	return g
 }
 
-// CancelGather drops any gather in flight (timer included). Stale
-// responses are ignored by sequence-number mismatch.
-func (e *Engine) CancelGather() {
-	if e.gather == nil {
+// Cancel drops the gather if it is still open (timer included); late
+// responses are ignored by sequence-number mismatch. Nil-safe.
+func (g *Gather) Cancel() {
+	if g == nil || g.e.gather != g {
 		return
 	}
-	if e.gather.timer != nil {
-		e.gather.timer()
+	if g.timer != nil {
+		g.timer()
 	}
-	e.gather = nil
+	g.e.gather = nil
 }
 
-// closeGather ends the gather window and hands the samples to the
-// filter (or falls back to reference calibration when no peer had an
-// untainted timestamp for us).
-func (e *Engine) closeGather() {
-	g := e.gather
-	e.gather = nil
-	if g == nil || e.state != StateTainted {
-		return
-	}
-	if len(g.responses) == 0 {
+func (g *Gather) close() {
+	g.Cancel()
+	g.done(g.samples)
+}
+
+// CancelGather drops any gather in flight, whoever began it.
+func (e *Engine) CancelGather() { e.gather.Cancel() }
+
+// BeginPeerGather starts taint recovery from the peers: gather their
+// timestamps for as long as the PeerFilter says, then hand the samples
+// to the filter — or fall back to the recovery policy's reference
+// calibration when no peer had an untainted timestamp for us (at once,
+// with no peers configured). Call while StateTainted.
+func (e *Engine) BeginPeerGather() {
+	if len(e.cfg.Peers) == 0 {
 		e.recovery.StartRefCalib(e)
 		return
 	}
-	e.filter.Decide(e, g.responses)
+	e.GatherPeers(e.filter.Immediate(), func(samples []PeerSample) {
+		switch {
+		case e.state != StateTainted:
+		case len(samples) == 0:
+			e.recovery.StartRefCalib(e)
+		default:
+			e.filter.Decide(e, samples)
+		}
+	})
 }
 
-// onPeerTimeResponse routes one authenticated peer timestamp: into the
-// gather if it matches, otherwise to the recovery policy (hardened
-// probes collect peer samples outside taint recovery).
+// onPeerTimeResponse adds one authenticated peer timestamp to the open
+// gather if it answers it; anything else is stale and dropped.
 func (e *Engine) onPeerTimeResponse(from uint32, msg wire.Message) {
-	s := PeerSample{From: from, TS: msg.TimeNanos, ArrivalTSC: e.platform.ReadTSC()}
-	if e.gather != nil && msg.Seq == e.gather.seq {
-		e.gather.responses = append(e.gather.responses, s)
-		if e.filter.Immediate() {
-			if e.gather.timer != nil {
-				e.gather.timer()
-			}
-			e.closeGather()
-		}
+	g := e.gather
+	if g == nil || msg.Seq != g.seq {
 		return
 	}
-	e.recovery.OnPeerSample(e, msg.Seq, s)
+	g.samples = append(g.samples, PeerSample{From: from, TS: msg.TimeNanos, ArrivalTSC: e.platform.ReadTSC()})
+	if g.immediate {
+		g.close()
+	}
 }

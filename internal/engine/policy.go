@@ -1,17 +1,19 @@
 package engine
 
-import (
-	"triadtime/internal/simnet"
-	"triadtime/internal/wire"
-)
+import "triadtime/internal/wire"
 
 // The engine calls out to small policy interfaces at exactly the
 // decision points where the original protocol (internal/core) and the
 // Section V hardened variant (internal/resilient) diverge. A protocol
 // variant is an assembly of these policies over one engine; everything
-// else — clock state, state machine, datagram dispatch, AEX epochs,
-// peer gathering, rate monitoring, counters — is engine-owned and
-// identical across variants.
+// else — clock state, state machine, datagram dispatch, every
+// request/response exchange (sequence numbers, deadlines, AEX-epoch
+// stamping, RTT midpoint, response routing: Round for the Time
+// Authority, Gather for the peers), rate monitoring, counters — is
+// engine-owned and identical across variants. A policy never sees a
+// response datagram: it begins an exchange with Engine.BeginRound or
+// Engine.GatherPeers and gets the outcome in the close handler it
+// passed.
 
 // CalibrationPolicy drives full (rate + reference) calibration with
 // the Time Authority. The original protocol regresses TSC increments
@@ -22,13 +24,9 @@ type CalibrationPolicy interface {
 	// already set StateFullCalib; the policy must cancel its own stale
 	// exchanges and any engine gather (Engine.CancelGather) first.
 	Start(e *Engine)
-	// OnTimeResponse offers a Time Authority response; from is the
-	// authenticated authority identity, so multi-authority policies can
-	// attribute the response. It returns true if the response belonged
-	// to a calibration exchange (consumed).
-	OnTimeResponse(e *Engine, from simnet.Addr, msg wire.Message) bool
 	// OnAEX notifies the policy that an AEX fired while calibrating:
-	// any in-flight measurement window was severed.
+	// any in-flight measurement window was severed (an open Round
+	// reports Severed from now on).
 	OnAEX(e *Engine)
 }
 
@@ -45,14 +43,6 @@ type RecoveryPolicy interface {
 	// the engine to StateTainted and begin recovery (typically
 	// Engine.BeginPeerGather).
 	OnTaint(e *Engine)
-	// OnTimeResponse offers a Time Authority response not claimed by
-	// the calibration policy (reference calibration, probes); from is
-	// the authenticated authority identity. It returns true if
-	// consumed.
-	OnTimeResponse(e *Engine, from simnet.Addr, msg wire.Message) bool
-	// OnPeerSample offers a peer time response that did not match the
-	// engine's gather (e.g. hardened probe responses).
-	OnPeerSample(e *Engine, seq uint64, s PeerSample)
 	// StartRefCalib re-acquires the time reference from the Time
 	// Authority; the engine calls it when peer recovery yields nothing.
 	StartRefCalib(e *Engine)

@@ -6,8 +6,6 @@ import (
 
 	"triadtime/internal/enclave"
 	"triadtime/internal/marzullo"
-	"triadtime/internal/simnet"
-	"triadtime/internal/wire"
 )
 
 // Multi-authority quorum calibration (ROADMAP item 2, following
@@ -98,53 +96,6 @@ func QuorumDecide(intervals []marzullo.Interval, total, minAgree int) (marzullo.
 	return best, count, count*2 > total
 }
 
-// quorumSample is one authority's slot in a round.
-type quorumSample struct {
-	addr    simnet.Addr
-	seq     uint64
-	sentTSC uint64
-	recvTSC uint64
-	t       int64 // authority reference time, valid when have
-	have    bool
-}
-
-// quorumRound is one fan-out: a sleep-0 TimeRequest to every
-// configured authority, closing when all answered or the deadline
-// passed. Slots stay in authority config order, so iteration is
-// deterministic.
-type quorumRound struct {
-	slots   []quorumSample
-	pending int
-	epoch   uint64 // AEX epoch at send; a mismatch at close severs the round
-	timer   enclave.CancelFunc
-	done    func() // close handler: fired once, by deadline or last response
-}
-
-func (r *quorumRound) cancel() {
-	if r.timer != nil {
-		r.timer()
-		r.timer = nil
-	}
-}
-
-// offer matches a response to its slot (authenticated sender identity
-// and sequence number both must match) and reports whether the round
-// is now complete.
-func (r *quorumRound) offer(e *Engine, from simnet.Addr, msg wire.Message) (claimed, complete bool) {
-	for i := range r.slots {
-		s := &r.slots[i]
-		if s.addr != from || s.seq != msg.Seq || s.have {
-			continue
-		}
-		s.have = true
-		s.t = msg.TimeNanos
-		s.recvTSC = e.Platform().ReadTSC()
-		r.pending--
-		return true, r.pending == 0
-	}
-	return false, false
-}
-
 // Reference-round kinds.
 const (
 	refNone = iota
@@ -165,13 +116,13 @@ type QuorumCalibration struct {
 
 	// Full-calibration state machine: round A, window wait, round B.
 	windowSec  float64
-	calRound   *quorumRound
-	roundA     []quorumSample // responded round-A slots
+	calRound   *Round
+	roundA     []Reading // round A's answers
 	waitTimer  enclave.CancelFunc
 	retryTimer enclave.CancelFunc
 
 	// Reference rounds (taint recovery and steady-state rechecks).
-	refRound     *quorumRound
+	refRound     *Round
 	refKind      int
 	refRetry     enclave.CancelFunc
 	recheckTimer enclave.CancelFunc
@@ -195,23 +146,8 @@ func (q *QuorumCalibration) needed(n int) int {
 }
 
 // beginRound fans one sleep-0 request out to every authority.
-func (q *QuorumCalibration) beginRound(e *Engine, onDone func()) *quorumRound {
-	auths := e.Authorities()
-	r := &quorumRound{
-		slots:   make([]quorumSample, len(auths)),
-		pending: len(auths),
-		epoch:   e.AEXEpoch(),
-		done:    onDone,
-	}
-	for i, a := range auths {
-		r.slots[i] = quorumSample{addr: a, seq: e.NextSeq(), sentTSC: e.Platform().ReadTSC()}
-		e.SendSealed(a, wire.Message{Kind: wire.KindTimeRequest, Seq: r.slots[i].seq})
-	}
-	r.timer = e.Platform().AfterTicks(e.TicksFor(q.cfg.TATimeout), func() {
-		r.timer = nil
-		r.done()
-	})
-	return r
+func (q *QuorumCalibration) beginRound(e *Engine, done func(*Round)) *Round {
+	return e.BeginRound(e.Authorities(), 0, q.cfg.TATimeout, done)
 }
 
 // Start begins (or restarts) a full quorum calibration.
@@ -224,40 +160,32 @@ func (q *QuorumCalibration) Start(e *Engine) {
 }
 
 func (q *QuorumCalibration) startCalRoundA(e *Engine) {
-	q.calRound = q.beginRound(e, func() { q.onCalRoundA(e) })
+	q.calRound = q.beginRound(e, func(r *Round) { q.onCalRoundA(e, r) })
 }
 
 func (q *QuorumCalibration) startCalRoundB(e *Engine) {
-	q.calRound = q.beginRound(e, func() { q.onCalRoundB(e) })
+	q.calRound = q.beginRound(e, func(r *Round) { q.onCalRoundB(e, r) })
 }
 
 // retryCal restarts the calibration from round A after the backoff —
 // the pacing that keeps retries bounded while authorities are dark.
 func (q *QuorumCalibration) retryCal(e *Engine) {
-	q.roundA = q.roundA[:0]
+	q.roundA = nil
 	q.retryTimer = e.Platform().AfterTicks(e.TicksFor(q.cfg.RetryBackoff), func() {
 		q.retryTimer = nil
 		q.startCalRoundA(e)
 	})
 }
 
-func (q *QuorumCalibration) onCalRoundA(e *Engine) {
-	r := q.calRound
-	q.calRound = nil
-	r.cancel()
-	if e.AEXEpoch() != r.epoch {
+func (q *QuorumCalibration) onCalRoundA(e *Engine, r *Round) {
+	if r.Severed() {
 		// Severed by an AEX that raced the close; OnAEX normally
 		// restarts first, but never trust a severed window.
 		q.startCalRoundA(e)
 		return
 	}
-	q.roundA = q.roundA[:0]
-	for _, s := range r.slots {
-		if s.have {
-			q.roundA = append(q.roundA, s)
-		}
-	}
-	if len(q.roundA) < q.needed(len(r.slots)) {
+	q.roundA = r.Readings()
+	if len(q.roundA) < q.needed(len(e.Authorities())) {
 		q.retryCal(e)
 		return
 	}
@@ -267,18 +195,8 @@ func (q *QuorumCalibration) onCalRoundA(e *Engine) {
 	})
 }
 
-// midTSC is the roundtrip midpoint, the instant the authority's
-// reading is anchored at (the TA reads its clock one one-way before
-// the receive).
-func (s quorumSample) midTSC() float64 {
-	return float64(s.sentTSC) + float64(s.recvTSC-s.sentTSC)/2
-}
-
-func (q *QuorumCalibration) onCalRoundB(e *Engine) {
-	r := q.calRound
-	q.calRound = nil
-	r.cancel()
-	if e.AEXEpoch() != r.epoch {
+func (q *QuorumCalibration) onCalRoundB(e *Engine, r *Round) {
+	if r.Severed() {
 		q.startCalRoundA(e)
 		return
 	}
@@ -286,16 +204,13 @@ func (q *QuorumCalibration) onCalRoundB(e *Engine) {
 	// Per-authority rate over the window, for authorities that answered
 	// both rounds; the median defangs a minority of rate-lying clocks.
 	q.rates = q.rates[:0]
-	for _, sb := range r.slots {
-		if !sb.have {
-			continue
-		}
+	for _, sb := range r.Readings() {
 		for _, sa := range q.roundA {
-			if sa.addr != sb.addr {
+			if sa.From != sb.From {
 				continue
 			}
-			dt := float64(sb.t-sa.t) / 1e9
-			dticks := sb.midTSC() - sa.midTSC()
+			dt := float64(sb.TimeNanos-sa.TimeNanos) / 1e9
+			dticks := sb.MidTSC() - sa.MidTSC()
 			if dt > 0 && dticks > 0 {
 				q.rates = append(q.rates, dticks/dt)
 			}
@@ -313,10 +228,11 @@ func (q *QuorumCalibration) onCalRoundB(e *Engine) {
 	}
 
 	refTSC := e.Platform().ReadTSC()
+	total := len(e.Authorities())
 	intervals := q.intervals(r, refTSC, rate)
-	best, count, ok := QuorumDecide(intervals, len(r.slots), q.cfg.MinAgree)
+	best, count, ok := QuorumDecide(intervals, total, q.cfg.MinAgree)
 	if !ok {
-		if len(intervals) >= q.needed(len(r.slots)) {
+		if len(intervals) >= q.needed(total) {
 			e.Counters().QuorumNoMajority++
 		}
 		q.retryCal(e)
@@ -324,7 +240,7 @@ func (q *QuorumCalibration) onCalRoundB(e *Engine) {
 	}
 	e.Counters().QuorumAccepts++
 	e.Counters().FalseTickers += len(intervals) - count
-	q.roundA = q.roundA[:0]
+	q.roundA = nil
 	e.CompleteCalibration(rate, best.Midpoint(), refTSC)
 }
 
@@ -333,34 +249,15 @@ func (q *QuorumCalibration) onCalRoundB(e *Engine) {
 // rate. Each interval's half-width is the error budget plus half the
 // observed roundtrip (the one-way ambiguity a delaying attacker can
 // exploit, bounded per response).
-func (q *QuorumCalibration) intervals(r *quorumRound, refTSC uint64, rate float64) []marzullo.Interval {
-	out := make([]marzullo.Interval, 0, len(r.slots))
-	for _, s := range r.slots {
-		if !s.have {
-			continue
-		}
-		est := s.t + int64((float64(refTSC)-s.midTSC())/rate*1e9)
-		rttNanos := int64(float64(s.recvTSC-s.sentTSC) / rate * 1e9)
+func (q *QuorumCalibration) intervals(r *Round, refTSC uint64, rate float64) []marzullo.Interval {
+	out := make([]marzullo.Interval, 0, len(r.Readings()))
+	for _, s := range r.Readings() {
+		est := s.TimeNanos + int64((float64(refTSC)-s.MidTSC())/rate*1e9)
+		rttNanos := int64(float64(s.RTTTicks()) / rate * 1e9)
 		err := q.cfg.ErrBudget.Nanoseconds() + rttNanos/2
 		out = append(out, marzullo.Interval{Lo: est - err, Hi: est + err})
 	}
 	return out
-}
-
-// OnTimeResponse claims responses belonging to the calibration rounds.
-// The last outstanding response closes the round immediately instead
-// of waiting out the deadline.
-func (q *QuorumCalibration) OnTimeResponse(e *Engine, from simnet.Addr, msg wire.Message) bool {
-	r := q.calRound
-	if r == nil {
-		return false
-	}
-	claimed, complete := r.offer(e, from, msg)
-	if complete {
-		r.cancel()
-		r.done()
-	}
-	return claimed
 }
 
 // OnAEX severs the calibration in flight: cancel everything, halve the
@@ -375,10 +272,7 @@ func (q *QuorumCalibration) OnAEX(e *Engine) {
 }
 
 func (q *QuorumCalibration) cancelCal() {
-	if q.calRound != nil {
-		q.calRound.cancel()
-		q.calRound = nil
-	}
+	q.calRound.Cancel()
 	if q.waitTimer != nil {
 		q.waitTimer()
 		q.waitTimer = nil
@@ -387,14 +281,11 @@ func (q *QuorumCalibration) cancelCal() {
 		q.retryTimer()
 		q.retryTimer = nil
 	}
-	q.roundA = q.roundA[:0]
+	q.roundA = nil
 }
 
 func (q *QuorumCalibration) cancelRef() {
-	if q.refRound != nil {
-		q.refRound.cancel()
-		q.refRound = nil
-	}
+	q.refRound.Cancel()
 	if q.refRetry != nil {
 		q.refRetry()
 		q.refRetry = nil
@@ -413,7 +304,7 @@ func (q *QuorumCalibration) startRefCalib(e *Engine) {
 }
 
 func (q *QuorumCalibration) beginRefRound(e *Engine) {
-	q.refRound = q.beginRound(e, func() { q.onRefRound(e) })
+	q.refRound = q.beginRound(e, func(r *Round) { q.onRefRound(e, r) })
 }
 
 // armRecheck schedules the periodic steady-state quorum revalidation.
@@ -427,7 +318,7 @@ func (q *QuorumCalibration) armRecheck(e *Engine) {
 	q.recheckTimer = e.Platform().AfterTicks(e.TicksFor(q.cfg.RecheckInterval), func() {
 		q.recheckTimer = nil
 		q.armRecheck(e)
-		if !e.State().Serving() || q.refKind != refNone || q.refRound != nil {
+		if !e.State().Serving() || q.refKind != refNone {
 			return
 		}
 		q.refKind = refRecheck
@@ -435,13 +326,10 @@ func (q *QuorumCalibration) armRecheck(e *Engine) {
 	})
 }
 
-func (q *QuorumCalibration) onRefRound(e *Engine) {
-	r := q.refRound
-	q.refRound = nil
-	r.cancel()
+func (q *QuorumCalibration) onRefRound(e *Engine, r *Round) {
 	kind := q.refKind
 
-	if e.AEXEpoch() != r.epoch {
+	if r.Severed() {
 		switch kind {
 		case refRecalib:
 			// Still tainted and unanchored: retry the round.
@@ -460,9 +348,10 @@ func (q *QuorumCalibration) onRefRound(e *Engine) {
 
 	rate := e.FCalib()
 	refTSC := e.Platform().ReadTSC()
+	total := len(e.Authorities())
 	intervals := q.intervals(r, refTSC, rate)
-	best, count, ok := QuorumDecide(intervals, len(r.slots), q.cfg.MinAgree)
-	disagreed := len(intervals) >= q.needed(len(r.slots)) && !ok
+	best, count, ok := QuorumDecide(intervals, total, q.cfg.MinAgree)
+	disagreed := len(intervals) >= q.needed(total) && !ok
 
 	switch kind {
 	case refRecalib:
@@ -503,53 +392,22 @@ func (q *QuorumCalibration) onRefRound(e *Engine) {
 	}
 }
 
-// onRefResponse claims responses belonging to the reference round.
-func (q *QuorumCalibration) onRefResponse(e *Engine, from simnet.Addr, msg wire.Message) bool {
-	r := q.refRound
-	if r == nil {
-		return false
-	}
-	claimed, complete := r.offer(e, from, msg)
-	if complete {
-		r.cancel()
-		r.done()
-	}
-	return claimed
-}
-
 // QuorumRecovery wraps a variant's RecoveryPolicy for multi-authority
 // operation: taint recovery still tries peers first (the inner
 // policy's ladder), but the authority fallback and the steady-state
 // revalidation run quorum reference rounds instead of trusting one TA.
 type QuorumRecovery struct {
-	// Inner is the wrapped single-authority recovery behaviour (peer
-	// gathering, probes, deadlines).
-	Inner RecoveryPolicy
+	// RecoveryPolicy is the wrapped single-authority recovery behaviour
+	// (taint handling, peer gathering, probes, deadlines).
+	RecoveryPolicy
 	// Quorum is the calibration policy sharing the round machinery.
 	Quorum *QuorumCalibration
 }
 
 // OnStart arms the inner machinery and the periodic quorum recheck.
 func (qr QuorumRecovery) OnStart(e *Engine) {
-	qr.Inner.OnStart(e)
+	qr.RecoveryPolicy.OnStart(e)
 	qr.Quorum.armRecheck(e)
-}
-
-// OnTaint delegates to the inner policy's recovery ladder.
-func (qr QuorumRecovery) OnTaint(e *Engine) { qr.Inner.OnTaint(e) }
-
-// OnTimeResponse claims quorum reference-round responses, then offers
-// the rest to the inner policy (e.g. hardened probe responses).
-func (qr QuorumRecovery) OnTimeResponse(e *Engine, from simnet.Addr, msg wire.Message) bool {
-	if qr.Quorum.onRefResponse(e, from, msg) {
-		return true
-	}
-	return qr.Inner.OnTimeResponse(e, from, msg)
-}
-
-// OnPeerSample delegates to the inner policy.
-func (qr QuorumRecovery) OnPeerSample(e *Engine, seq uint64, s PeerSample) {
-	qr.Inner.OnPeerSample(e, seq, s)
 }
 
 // StartRefCalib re-anchors from a quorum of authorities instead of the
@@ -558,6 +416,6 @@ func (qr QuorumRecovery) StartRefCalib(e *Engine) { qr.Quorum.startRefCalib(e) }
 
 // Cancel aborts inner recovery machinery and quorum reference rounds.
 func (qr QuorumRecovery) Cancel(e *Engine) {
-	qr.Inner.Cancel(e)
+	qr.RecoveryPolicy.Cancel(e)
 	qr.Quorum.cancelRef()
 }

@@ -5,7 +5,6 @@ import (
 	"triadtime/internal/enclave"
 	"triadtime/internal/engine"
 	"triadtime/internal/simnet"
-	"triadtime/internal/wire"
 )
 
 // policy is the hardened protocol's behaviour bundle: windowed
@@ -18,9 +17,7 @@ type policy struct {
 
 	calib *calibState
 
-	refSeq     uint64 // pending reference calibration request, 0 = none
-	refSentTSC uint64
-	refTimer   enclave.CancelFunc
+	ref *engine.Round // pending reference calibration exchange
 
 	deadlineCancel enclave.CancelFunc
 	probe          *probeState
@@ -36,36 +33,35 @@ type policy struct {
 type calibState struct {
 	windowSec float64 // current (possibly halved) window
 
-	pendingSeq uint64
-	sentTSC    uint64
-	sentEpoch  uint64
-	timer      enclave.CancelFunc
+	pending *engine.Round // the exchange in flight
 
-	// First exchange's anchor, once taken.
+	// First exchange's reading, once taken.
 	haveFirst bool
-	t1        int64
-	tsc1      float64
+	first     engine.Reading
 	waitTimer enclave.CancelFunc
+}
+
+// askTA begins one sleep-free exchange with the Time Authority.
+func (p *policy) askTA(e *engine.Engine, done func(*engine.Round)) *engine.Round {
+	return e.BeginRound([]simnet.Addr{e.Authority()}, 0, p.cfg.TATimeout, done)
+}
+
+// overBound reports (and counts) a roundtrip longer than RTTBound: the
+// reading is over-delayed, possibly attacker-held, and unusable.
+func (p *policy) overBound(e *engine.Engine, rd engine.Reading) bool {
+	if float64(rd.RTTTicks()) <= p.cfg.RTTBound.Seconds()*e.Platform().BootTSCHz() {
+		return false
+	}
+	e.Counters().RTTRejections++
+	return true
 }
 
 // Start begins a windowed rate + reference calibration.
 func (p *policy) Start(e *engine.Engine) {
 	e.CancelGather()
-	p.cancelRef()
+	p.ref.Cancel()
 	p.calib = &calibState{windowSec: p.cfg.CalibWindow.Seconds()}
 	p.sendCalibExchange(e)
-}
-
-// OnTimeResponse claims Time Authority responses belonging to the
-// pending calibration exchange. The sender is already authenticated as
-// a configured authority; single-authority exchanges match by
-// sequence.
-func (p *policy) OnTimeResponse(e *engine.Engine, _ simnet.Addr, msg wire.Message) bool {
-	if p.calib != nil && msg.Seq == p.calib.pendingSeq {
-		p.onCalibResponse(e, msg)
-		return true
-	}
-	return false
 }
 
 // OnAEX aborts the calibration window in flight: cancel everything,
@@ -76,15 +72,11 @@ func (p *policy) OnAEX(e *engine.Engine) {
 	if c == nil {
 		return
 	}
-	if c.timer != nil {
-		c.timer()
-		c.timer = nil
-	}
+	c.pending.Cancel()
 	if c.waitTimer != nil {
 		c.waitTimer()
 		c.waitTimer = nil
 	}
-	c.pendingSeq = 0
 	c.haveFirst = false
 	c.windowSec /= 2
 	if min := p.cfg.MinCalibWindow.Seconds(); c.windowSec < min {
@@ -96,105 +88,53 @@ func (p *policy) OnAEX(e *engine.Engine) {
 // sendCalibExchange issues one sleep-free TA exchange (A or B according
 // to calib.haveFirst).
 func (p *policy) sendCalibExchange(e *engine.Engine) {
-	c := p.calib
-	c.pendingSeq = e.NextSeq()
-	c.sentTSC = e.Platform().ReadTSC()
-	c.sentEpoch = e.AEXEpoch()
-	e.SendSealed(e.Authority(), wire.Message{
-		Kind: wire.KindTimeRequest,
-		Seq:  c.pendingSeq,
-	})
-	c.timer = e.Platform().AfterTicks(e.TicksFor(p.cfg.TATimeout), func() {
-		c.timer = nil
-		c.pendingSeq = 0
-		p.sendCalibExchange(e)
-	})
+	p.calib.pending = p.askTA(e, func(r *engine.Round) { p.onCalibExchange(e, r) })
 }
 
-// onCalibResponse validates one exchange and advances the window state
+// onCalibExchange validates one exchange and advances the window state
 // machine.
-func (p *policy) onCalibResponse(e *engine.Engine, msg wire.Message) {
+func (p *policy) onCalibExchange(e *engine.Engine, r *engine.Round) {
 	c := p.calib
-	recvTSC := e.Platform().ReadTSC()
-	if c.timer != nil {
-		c.timer()
-		c.timer = nil
-	}
-	c.pendingSeq = 0
-
-	rttTicks := float64(recvTSC - c.sentTSC)
-	boundTicks := p.cfg.RTTBound.Seconds() * e.Platform().BootTSCHz()
-	interrupted := e.AEXEpoch() != c.sentEpoch
-	if interrupted || rttTicks > boundTicks {
-		if rttTicks > boundTicks {
-			e.Counters().RTTRejections++
-		}
-		// Retry this exchange; a severed window is handled by OnAEX.
+	rd, ok := r.First()
+	if !ok || p.overBound(e, rd) || r.Severed() {
+		// Lost, over-delayed or interrupted: retry this exchange; a
+		// severed window is handled by OnAEX.
 		p.sendCalibExchange(e)
 		return
 	}
-	// The TA read its clock one one-way before our receive: anchor the
-	// reading at the roundtrip midpoint.
-	tscMid := float64(c.sentTSC) + rttTicks/2
 	if !c.haveFirst {
 		c.haveFirst = true
-		c.t1 = msg.TimeNanos
-		c.tsc1 = tscMid
+		c.first = rd
 		c.waitTimer = e.Platform().AfterTicks(e.TicksForSeconds(c.windowSec), func() {
 			c.waitTimer = nil
 			p.sendCalibExchange(e)
 		})
 		return
 	}
-	dt := float64(msg.TimeNanos-c.t1) / 1e9
-	dticks := tscMid - c.tsc1
+	dt := float64(rd.TimeNanos-c.first.TimeNanos) / 1e9
+	dticks := rd.MidTSC() - c.first.MidTSC()
 	if dt <= 0 || dticks <= 0 {
 		// TA clock anomaly or TSC went backwards: restart outright.
 		p.Start(e)
 		return
 	}
 	p.calib = nil
-	e.CompleteCalibration(dticks/dt, msg.TimeNanos, uint64(tscMid))
+	e.CompleteCalibration(dticks/dt, rd.TimeNanos, uint64(rd.MidTSC()))
 }
 
 // StartRefCalib re-anchors the reference from a single bounded TA
-// exchange.
+// exchange, retried until one lands inside the bound (a visible retry
+// instead of a silent offset error).
 func (p *policy) StartRefCalib(e *engine.Engine) {
 	e.SetState(core.StateRefCalib)
-	p.sendRefExchange(e)
-}
-
-func (p *policy) sendRefExchange(e *engine.Engine) {
-	p.refSeq = e.NextSeq()
-	p.refSentTSC = e.Platform().ReadTSC()
-	e.SendSealed(e.Authority(), wire.Message{
-		Kind: wire.KindTimeRequest,
-		Seq:  p.refSeq,
+	p.ref = p.askTA(e, func(r *engine.Round) {
+		rd, ok := r.First()
+		if !ok || p.overBound(e, rd) {
+			p.StartRefCalib(e)
+			return
+		}
+		e.AdoptTAReference(rd.TimeNanos, uint64(rd.MidTSC()))
 	})
-	p.refTimer = e.Platform().AfterTicks(e.TicksFor(p.cfg.TATimeout), func() {
-		p.refTimer = nil
-		p.refSeq = 0
-		p.sendRefExchange(e)
-	})
-}
-
-func (p *policy) onRefCalibResponse(e *engine.Engine, msg wire.Message) {
-	recvTSC := e.Platform().ReadTSC()
-	if p.refTimer != nil {
-		p.refTimer()
-		p.refTimer = nil
-	}
-	p.refSeq = 0
-	rttTicks := float64(recvTSC - p.refSentTSC)
-	if rttTicks > p.cfg.RTTBound.Seconds()*e.Platform().BootTSCHz() {
-		// Over-delayed (possibly attacker-held): visible retry instead
-		// of silent offset error.
-		e.Counters().RTTRejections++
-		p.sendRefExchange(e)
-		return
-	}
-	tscMid := float64(p.refSentTSC) + rttTicks/2
-	e.AdoptTAReference(msg.TimeNanos, uint64(tscMid))
 }
 
 // Cancel clears pending probe/gather/refcalib machinery (used when
@@ -202,33 +142,5 @@ func (p *policy) onRefCalibResponse(e *engine.Engine, msg wire.Message) {
 func (p *policy) Cancel(e *engine.Engine) {
 	p.cancelProbe()
 	e.CancelGather()
-	p.cancelRef()
-}
-
-func (p *policy) cancelRef() {
-	if p.refTimer != nil {
-		p.refTimer()
-		p.refTimer = nil
-	}
-	p.refSeq = 0
-}
-
-// recoveryPolicy is the RecoveryPolicy view of the bundle: both engine
-// policies share one state struct, but each interface claims Time
-// Authority responses for its own exchanges, so the method is
-// disambiguated here.
-type recoveryPolicy struct{ *policy }
-
-// OnTimeResponse claims reference calibration and probe TA responses.
-func (rp recoveryPolicy) OnTimeResponse(e *engine.Engine, _ simnet.Addr, msg wire.Message) bool {
-	p := rp.policy
-	switch {
-	case p.refSeq != 0 && msg.Seq == p.refSeq:
-		p.onRefCalibResponse(e, msg)
-		return true
-	case p.probe != nil && msg.Seq == p.probe.taSeq:
-		p.onProbeTAResponse(e, msg)
-		return true
-	}
-	return false
+	p.ref.Cancel()
 }

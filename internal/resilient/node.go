@@ -41,7 +41,7 @@ func NewNode(platform enclave.Platform, cfg Config) (*Node, error) {
 	}
 	pols := engine.Policies{
 		Calibration: pol,
-		Recovery:    recoveryPolicy{pol},
+		Recovery:    pol,
 		Filter:      filter,
 		Gossip:      gossip,
 	}
@@ -59,7 +59,7 @@ func NewNode(platform enclave.Platform, cfg Config) (*Node, error) {
 			MinAgree:        cfg.QuorumMinAgree,
 		})
 		pols.Calibration = q
-		pols.Recovery = engine.QuorumRecovery{Inner: recoveryPolicy{pol}, Quorum: q}
+		pols.Recovery = engine.QuorumRecovery{RecoveryPolicy: pol, Quorum: q}
 	}
 	eng, err := engine.New(platform, engine.Config{
 		Key:              cfg.Key,

@@ -2,10 +2,8 @@ package resilient
 
 import (
 	"triadtime/internal/core"
-	"triadtime/internal/enclave"
 	"triadtime/internal/engine"
 	"triadtime/internal/marzullo"
-	"triadtime/internal/wire"
 )
 
 // freshTS returns the sample's timestamp advanced by the time elapsed
@@ -45,14 +43,6 @@ func (p *policy) OnTaint(e *engine.Engine) {
 	p.cancelProbe()
 	e.SetState(core.StateTainted)
 	e.BeginPeerGather()
-}
-
-// OnPeerSample collects probe responses (gather responses are routed
-// by the engine; anything else is stale and dropped).
-func (p *policy) OnPeerSample(_ *engine.Engine, seq uint64, s engine.PeerSample) {
-	if p.probe != nil && seq == p.probe.seq {
-		p.probe.responses = append(p.probe.responses, s)
-	}
 }
 
 // marzulloFilter is the hardened peer policy (paper §V): wait out the
@@ -141,12 +131,9 @@ func (p *policy) gossipAdoption(e *engine.Engine, samples []engine.PeerSample) (
 // (and if needed a TA reading) and verify the local clock is a
 // true-chimer.
 type probeState struct {
-	seq       uint64
+	peers     *engine.Gather // peer half, in flight
 	responses []engine.PeerSample
-	timer     enclave.CancelFunc
-	taSeq     uint64
-	taSentTSC uint64
-	taTimer   enclave.CancelFunc
+	ta        *engine.Round // TA check, in flight
 }
 
 // armDeadline schedules the next in-TCB self-check.
@@ -168,20 +155,14 @@ func (p *policy) onDeadline(e *engine.Engine) {
 	}
 	e.Counters().Probes++
 	p.broadcastChimerReport(e)
-	pr := &probeState{seq: e.NextSeq()}
+	pr := &probeState{}
 	p.probe = pr
 	if len(p.cfg.Peers) == 0 {
 		p.probeTACheck(e)
 		return
 	}
-	for _, peer := range p.cfg.Peers {
-		e.SendSealed(peer, wire.Message{
-			Kind: wire.KindPeerTimeRequest,
-			Seq:  pr.seq,
-		})
-	}
-	pr.timer = e.Platform().AfterTicks(e.TicksFor(p.cfg.PeerTimeout), func() {
-		pr.timer = nil
+	pr.peers = e.GatherPeers(false, func(samples []engine.PeerSample) {
+		pr.responses = samples
 		p.decideProbe(e)
 	})
 }
@@ -224,38 +205,19 @@ func (p *policy) probeTACheck(e *engine.Engine) {
 	if pr == nil {
 		return
 	}
-	pr.taSeq = e.NextSeq()
-	pr.taSentTSC = e.Platform().ReadTSC()
-	e.SendSealed(e.Authority(), wire.Message{
-		Kind: wire.KindTimeRequest,
-		Seq:  pr.taSeq,
-	})
-	pr.taTimer = e.Platform().AfterTicks(e.TicksFor(p.cfg.TATimeout), func() {
-		pr.taTimer = nil
-		// TA unreachable right now; give up on this probe, the next
-		// deadline retries.
-		p.probe = nil
-	})
+	pr.ta = p.askTA(e, func(r *engine.Round) { p.onProbeTA(e, pr, r) })
 }
 
-// onProbeTAResponse compares the local clock against the TA reading.
-func (p *policy) onProbeTAResponse(e *engine.Engine, msg wire.Message) {
-	pr := p.probe
-	recvTSC := e.Platform().ReadTSC()
-	if pr.taTimer != nil {
-		pr.taTimer()
-		pr.taTimer = nil
-	}
+// onProbeTA compares the local clock against the TA reading. With the
+// TA unreachable or the reading over the RTT bound, the probe is given
+// up; the next deadline retries.
+func (p *policy) onProbeTA(e *engine.Engine, pr *probeState, r *engine.Round) {
 	p.probe = nil
-	if e.State() != core.StateOK {
+	rd, ok := r.First()
+	if !ok || e.State() != core.StateOK || p.overBound(e, rd) {
 		return
 	}
-	rttTicks := float64(recvTSC - pr.taSentTSC)
-	if rttTicks > p.cfg.RTTBound.Seconds()*e.Platform().BootTSCHz() {
-		e.Counters().RTTRejections++
-		return // unusable reading; next deadline retries
-	}
-	taNow := msg.TimeNanos // one-way stale, well inside ErrBudget
+	taNow := rd.TimeNanos // one-way stale, well inside ErrBudget
 	diff := e.ClockNow() - taNow
 	if diff < 0 {
 		diff = -diff
@@ -287,11 +249,7 @@ func (p *policy) cancelProbe() {
 	if pr == nil {
 		return
 	}
-	if pr.timer != nil {
-		pr.timer()
-	}
-	if pr.taTimer != nil {
-		pr.taTimer()
-	}
+	pr.peers.Cancel()
+	pr.ta.Cancel()
 	p.probe = nil
 }

@@ -668,9 +668,9 @@ func TestTimerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkSchedulerThroughput is the headline scheduler metric tracked
-// in BENCH_pr3.json: steady-state events scheduled and fired against a
-// standing queue, reported as events/sec.
+// BenchmarkSchedulerThroughput is the headline scheduler metric:
+// steady-state events scheduled and fired against a standing queue,
+// reported as events/sec.
 func BenchmarkSchedulerThroughput(b *testing.B) {
 	s := NewScheduler()
 	fn := func() {}

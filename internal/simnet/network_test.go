@@ -306,8 +306,8 @@ func TestDeliverZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkNetworkDelivery is the headline network metric tracked in
-// BENCH_pr3.json: one jittered send and its delivery per iteration.
+// BenchmarkNetworkDelivery is the headline network metric: one jittered
+// send and its delivery per iteration.
 func BenchmarkNetworkDelivery(b *testing.B) {
 	sched := sim.NewScheduler()
 	net := New(sched, sim.NewRNG(1), DefaultLink())

@@ -48,9 +48,8 @@ type Platform struct {
 	tscHz float64
 	start time.Time
 
-	conn  net.PacketConn
-	dirMu sync.RWMutex
-	dir   map[simnet.Addr]*net.UDPAddr
+	conn net.PacketConn
+	dir  map[simnet.Addr]*net.UDPAddr // read-only after New
 
 	work     chan func()
 	done     chan struct{}
@@ -144,34 +143,22 @@ func (p *Platform) readLoop() {
 	defer close(p.readDone)
 	buf := make([]byte, 64*1024)
 	for {
-		n, from, err := p.conn.ReadFrom(buf)
+		n, _, err := p.conn.ReadFrom(buf)
 		if err != nil {
 			return // closed
 		}
 		bp := payloadPool.Get().(*[]byte)
 		payload := append((*bp)[:0], buf[:n]...)
 		*bp = payload
-		sender := p.identify(from)
 		p.post(func() {
 			if p.msgHandler != nil {
-				p.msgHandler(sender, payload)
+				// The UDP source is not an identity: handlers get 0 and
+				// trust the wire layer's authenticated sender ID instead.
+				p.msgHandler(0, payload)
 			}
 			payloadPool.Put(bp)
 		})
 	}
-}
-
-// identify maps a UDP source to a directory identity (0 if unknown —
-// the wire layer's authenticated sender ID is what actually matters).
-func (p *Platform) identify(from net.Addr) simnet.Addr {
-	p.dirMu.RLock()
-	defer p.dirMu.RUnlock()
-	for id, addr := range p.dir {
-		if addr.String() == from.String() {
-			return id
-		}
-	}
-	return 0
 }
 
 func (p *Platform) aexLoop(period time.Duration) {
@@ -224,9 +211,7 @@ func (p *Platform) BootTSCHz() float64 { return p.tscHz }
 // Send transmits a datagram to a directory identity. Unknown targets
 // are dropped silently (UDP semantics).
 func (p *Platform) Send(to simnet.Addr, payload []byte) {
-	p.dirMu.RLock()
 	addr := p.dir[to]
-	p.dirMu.RUnlock()
 	if addr == nil {
 		return
 	}

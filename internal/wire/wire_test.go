@@ -378,9 +378,9 @@ func TestOpenIntoZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// BenchmarkSealOpenRoundtrip is the headline wire metric tracked in
-// BENCH_pr3.json: one SealAppend + OpenInto per iteration, the exact
-// datagram path the engine dispatch loop runs.
+// BenchmarkSealOpenRoundtrip is the headline wire metric: one
+// SealAppend + OpenInto per iteration, the exact datagram path the
+// engine dispatch loop runs.
 func BenchmarkSealOpenRoundtrip(b *testing.B) {
 	sealer, _ := NewSealer(testKey(), 1)
 	opener, _ := NewOpener(testKey())
