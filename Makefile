@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-module figures check audit examples clean
+.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-module figures check audit examples loc clean
 
 all: build vet lint test
 
@@ -90,6 +90,17 @@ examples:
 	$(GO) run ./examples/resilient-demo
 	$(GO) run ./examples/lease-manager
 	$(GO) run ./examples/gossip-demo
+
+# Non-test Go lines per package (directory) and in total, testdata
+# excluded; benchmark/ is a module of its own and is listed separately.
+# The figure CHANGES.md entries quote as "non-test lines".
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path '*/testdata/*' ! -path './.*' \
+		-exec wc -l {} + | awk '$$2 != "total" { \
+			d = $$2; sub(/\/[^\/]*$$/, "", d); \
+			if (d ~ /^\.\/benchmark/) bench += $$1; else { n[d] += $$1; total += $$1 } } \
+		END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%7d total (without benchmark/)\n%7d ./benchmark\n", total, bench }'
 
 clean:
 	rm -rf results test_output.txt bench_output.txt

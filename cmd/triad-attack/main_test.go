@@ -8,6 +8,7 @@ import (
 
 	"triadtime/internal/authority"
 	"triadtime/internal/core"
+	"triadtime/internal/engine"
 	"triadtime/internal/resilient"
 	"triadtime/internal/simnet"
 	"triadtime/internal/simtime"
@@ -132,15 +133,12 @@ func TestLiveFMinusThroughProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer platform.Close()
-	var node *core.Node
+	var node *engine.Node
 	var nodeErr error
 	platform.Do(func() {
 		node, nodeErr = core.NewNode(platform, core.Config{
-			Key:            key,
-			Addr:           1,
-			Authority:      100,
-			CalibSleeps:    []time.Duration{0, 300 * time.Millisecond},
-			DisableMonitor: true,
+			Config:      engine.Config{Key: key, Addr: 1, Authority: 100, DisableMonitor: true},
+			CalibSleeps: []time.Duration{0, 300 * time.Millisecond},
 		})
 	})
 	if nodeErr != nil {
@@ -226,16 +224,13 @@ func TestLiveHardenedResistsProxy(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer platform.Close()
-	var node *resilient.Node
+	var node *engine.Node
 	var nodeErr error
 	platform.Do(func() {
 		node, nodeErr = resilient.NewNode(platform, resilient.Config{
-			Key:            key,
-			Addr:           1,
-			Authority:      100,
-			CalibWindow:    2 * time.Second, // keep the test quick
-			RTTBound:       20 * time.Millisecond,
-			DisableMonitor: true,
+			Config:      engine.Config{Key: key, Addr: 1, Authority: 100, DisableMonitor: true},
+			CalibWindow: 2 * time.Second, // keep the test quick
+			RTTBound:    20 * time.Millisecond,
 		})
 	})
 	if nodeErr != nil {
@@ -251,7 +246,7 @@ func TestLiveHardenedResistsProxy(t *testing.T) {
 	for time.Now().Before(deadline) {
 		platform.Do(func() {
 			fcalib = node.FCalib()
-			rejections = node.RTTRejections()
+			rejections = node.Counters().RTTRejections
 		})
 		if fcalib != 0 && rejections > 0 {
 			break

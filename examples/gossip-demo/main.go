@@ -39,8 +39,8 @@ func run(gossip bool) {
 	taRefs, untaints := 0, 0
 	worstAvail := 1.0
 	for i := 0; i < 5; i++ {
-		taRefs += lab.Nodes[i].TAReferences()
-		untaints += lab.Nodes[i].PeerUntaints()
+		taRefs += lab.Nodes[i].Counters().TAReferences
+		untaints += lab.Nodes[i].Counters().PeerUntaints
 		if a := lab.Availability(i); a < worstAvail {
 			worstAvail = a
 		}

@@ -8,6 +8,7 @@ import (
 	"triadtime/internal/authority"
 	"triadtime/internal/core"
 	"triadtime/internal/enclave"
+	"triadtime/internal/engine"
 	"triadtime/internal/sim"
 	"triadtime/internal/simnet"
 	"triadtime/internal/simtime"
@@ -94,7 +95,7 @@ func TestDelayResponseWithoutRequestTreatedAsLowHold(t *testing.T) {
 }
 
 // attackRig: one victim node + TA, with an optional delay attack.
-func attackRig(t *testing.T, mode Mode) (*sim.Scheduler, *core.Node, *Delay) {
+func attackRig(t *testing.T, mode Mode) (*sim.Scheduler, *engine.Node, *Delay) {
 	t.Helper()
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(77)
@@ -111,7 +112,7 @@ func attackRig(t *testing.T, mode Mode) (*sim.Scheduler, *core.Node, *Delay) {
 		Addr: 3,
 		TSC:  simtime.NewTSC(simtime.NominalTSCHz, 0),
 	})
-	node, err := core.NewNode(p, core.Config{Key: testKey(), Addr: 3, Authority: taAddr})
+	node, err := core.NewNode(p, core.Config{Config: engine.Config{Key: testKey(), Addr: 3, Authority: taAddr}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,9 +209,7 @@ func TestTheilSenAloneDoesNotStopClassDelays(t *testing.T) {
 		TSC:  simtime.NewTSC(simtime.NominalTSCHz, 0),
 	})
 	node, err := core.NewNode(p, core.Config{
-		Key:       testKey(),
-		Addr:      3,
-		Authority: taAddr,
+		Config: engine.Config{Key: testKey(), Addr: 3, Authority: taAddr},
 		// A richer sleep grid plus the robust estimator: still falls.
 		CalibSleeps:          []time.Duration{0, 250 * time.Millisecond, 500 * time.Millisecond, 750 * time.Millisecond, time.Second},
 		CalibSamplesPerSleep: 2,
@@ -251,13 +250,15 @@ func TestRateMonitorsDoNotStopCalibrationAttacks(t *testing.T) {
 	})
 	discrepancies := 0
 	node, err := core.NewNode(p, core.Config{
-		Key:              testKey(),
-		Addr:             3,
-		Authority:        taAddr,
-		EnableMemMonitor: true, // full dual monitoring, fully armed
-		Events: core.Events{
-			Discrepancy: func(float64) { discrepancies++ },
+		Config: engine.Config{
+			Key:       testKey(),
+			Addr:      3,
+			Authority: taAddr,
+			Events: core.Events{
+				Discrepancy: func(float64) { discrepancies++ },
+			},
 		},
+		EnableMemMonitor: true, // full dual monitoring, fully armed
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -86,7 +86,7 @@ func (a *Authority) Process(datagram []byte) (sleep time.Duration, reply func() 
 	reply = func() []byte {
 		a.mu.Lock()
 		a.served[sender]++
-		sealed := a.sealer.Seal(wire.Message{
+		sealed := a.sealer.SealAppend(make([]byte, 0, wire.SealedSize), wire.Message{
 			Kind:      wire.KindTimeResponse,
 			Seq:       seq,
 			TimeNanos: a.clock(),

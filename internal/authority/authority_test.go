@@ -28,7 +28,7 @@ func TestProcessTimeRequest(t *testing.T) {
 	sealer, _ := wire.NewSealer(testKey(), 1)
 	opener, _ := wire.NewOpener(testKey())
 
-	req := sealer.Seal(wire.Message{Kind: wire.KindTimeRequest, Seq: 42, Sleep: time.Second})
+	req := sealer.SealAppend(nil, wire.Message{Kind: wire.KindTimeRequest, Seq: 42, Sleep: time.Second})
 	sleep, reply, ok := auth.Process(req)
 	if !ok {
 		t.Fatal("valid request rejected")
@@ -37,7 +37,7 @@ func TestProcessTimeRequest(t *testing.T) {
 		t.Errorf("sleep = %v, want 1s", sleep)
 	}
 	now = 2000 // clock advances while the TA sleeps
-	msg, sender, err := opener.Open(reply())
+	msg, sender, err := opener.OpenInto(nil, reply())
 	if err != nil {
 		t.Fatalf("Open reply: %v", err)
 	}
@@ -58,12 +58,12 @@ func TestProcessTimeRequest(t *testing.T) {
 func TestProcessClampsSleep(t *testing.T) {
 	auth, _ := New(testKey(), 9, func() int64 { return 0 })
 	sealer, _ := wire.NewSealer(testKey(), 1)
-	req := sealer.Seal(wire.Message{Kind: wire.KindTimeRequest, Seq: 1, Sleep: time.Hour})
+	req := sealer.SealAppend(nil, wire.Message{Kind: wire.KindTimeRequest, Seq: 1, Sleep: time.Hour})
 	sleep, _, ok := auth.Process(req)
 	if !ok || sleep != MaxSleep {
 		t.Errorf("sleep = %v ok=%v, want clamp to %v", sleep, ok, MaxSleep)
 	}
-	req = sealer.Seal(wire.Message{Kind: wire.KindTimeRequest, Seq: 2, Sleep: -time.Second})
+	req = sealer.SealAppend(nil, wire.Message{Kind: wire.KindTimeRequest, Seq: 2, Sleep: -time.Second})
 	sleep, _, ok = auth.Process(req)
 	if !ok || sleep != 0 {
 		t.Errorf("negative sleep = %v ok=%v, want 0", sleep, ok)
@@ -76,14 +76,14 @@ func TestProcessRejectsGarbageReplayAndWrongKind(t *testing.T) {
 		t.Error("garbage accepted")
 	}
 	sealer, _ := wire.NewSealer(testKey(), 1)
-	req := sealer.Seal(wire.Message{Kind: wire.KindTimeRequest, Seq: 1})
+	req := sealer.SealAppend(nil, wire.Message{Kind: wire.KindTimeRequest, Seq: 1})
 	if _, _, ok := auth.Process(req); !ok {
 		t.Fatal("valid request rejected")
 	}
 	if _, _, ok := auth.Process(req); ok {
 		t.Error("replayed request accepted")
 	}
-	peer := sealer.Seal(wire.Message{Kind: wire.KindPeerTimeRequest, Seq: 2})
+	peer := sealer.SealAppend(nil, wire.Message{Kind: wire.KindPeerTimeRequest, Seq: 2})
 	if _, _, ok := auth.Process(peer); ok {
 		t.Error("non-TA message kind accepted")
 	}
@@ -106,7 +106,7 @@ func TestSimBindingRoundtrip(t *testing.T) {
 	var got wire.Message
 	var gotAt simtime.Instant
 	network.Register(1, func(pkt simnet.Packet) {
-		msg, _, err := opener.Open(pkt.Payload)
+		msg, _, err := opener.OpenInto(nil, pkt.Payload)
 		if err != nil {
 			t.Errorf("Open: %v", err)
 			return
@@ -114,7 +114,7 @@ func TestSimBindingRoundtrip(t *testing.T) {
 		got = msg
 		gotAt = sched.Now()
 	})
-	network.Send(1, 100, sealer.Seal(wire.Message{Kind: wire.KindTimeRequest, Seq: 5, Sleep: time.Second}))
+	network.Send(1, 100, sealer.SealAppend(nil, wire.Message{Kind: wire.KindTimeRequest, Seq: 5, Sleep: time.Second}))
 	sched.RunUntilIdle()
 
 	// 1ms to TA + 1s sleep + 1ms back.
@@ -156,7 +156,7 @@ func TestServerOverLocalUDP(t *testing.T) {
 	sealer, _ := wire.NewSealer(testKey(), 1)
 	opener, _ := wire.NewOpener(testKey())
 	before := time.Now().UnixNano()
-	if _, err := client.Write(sealer.Seal(wire.Message{
+	if _, err := client.Write(sealer.SealAppend(nil, wire.Message{
 		Kind:  wire.KindTimeRequest,
 		Seq:   7,
 		Sleep: 20 * time.Millisecond,
@@ -171,7 +171,7 @@ func TestServerOverLocalUDP(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	msg, sender, err := opener.Open(buf[:n])
+	msg, sender, err := opener.OpenInto(nil, buf[:n])
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -210,7 +210,7 @@ func TestServerCloseCancelsPendingReplies(t *testing.T) {
 	}
 	defer client.Close()
 	sealer, _ := wire.NewSealer(testKey(), 1)
-	if _, err := client.Write(sealer.Seal(wire.Message{
+	if _, err := client.Write(sealer.SealAppend(nil, wire.Message{
 		Kind:  wire.KindTimeRequest,
 		Seq:   1,
 		Sleep: 5 * time.Second,

@@ -24,9 +24,9 @@ import (
 	"time"
 )
 
-// Clock supplies trusted timestamps in nanoseconds. core.Node,
-// resilient.Node and the triadtime façade all provide compatible
-// methods.
+// Clock supplies trusted timestamps in nanoseconds. The node handle of
+// either protocol variant (engine.Node) and the triadtime façade both
+// provide a compatible method.
 type Clock interface {
 	TrustedNow() (int64, error)
 }

@@ -42,7 +42,7 @@ type calibRun struct {
 
 // askTA begins a one-authority exchange with the Time Authority.
 func (p *policy) askTA(e *engine.Engine, sleep time.Duration, done func(*engine.Round)) *engine.Round {
-	return e.BeginRound([]simnet.Addr{e.Authority()}, sleep, sleep+p.cfg.TATimeout, done)
+	return e.BeginRound([]simnet.Addr{e.Authority()}, sleep, sleep+e.TATimeout(), done)
 }
 
 // Start begins (or restarts) a full speed + reference calibration with

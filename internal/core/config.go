@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"triadtime/internal/engine"
-	"triadtime/internal/simnet"
 )
 
 // RegressionKind selects the calibration regression estimator.
@@ -21,34 +20,13 @@ const (
 	RegressionTheilSen
 )
 
-// Config parameterizes a Triad node.
+// Config parameterizes a Triad node: the configuration every variant
+// shares plus the original protocol's own knobs.
 type Config struct {
-	// Key is the cluster's 32-byte pre-shared AES-256 key.
-	Key []byte
-	// Addr is this node's network address and wire sender identity.
-	Addr simnet.Addr
-	// Peers are the other Triad nodes in the cluster.
-	Peers []simnet.Addr
-	// Authority is the Time Authority's address.
-	Authority simnet.Addr
-	// Authorities lists multiple independent Time Authorities. With two
-	// or more entries the node abandons the single-TA trust assumption:
-	// calibration fans out to every authority and a reference is
-	// adopted only when a quorum's Marzullo intervals agree
-	// (engine.QuorumCalibration); the sleep-regression calibration is
-	// not used. Authority may be left zero and defaults to
-	// Authorities[0].
-	Authorities []simnet.Addr
-	// QuorumMinAgree overrides the quorum's strict-majority agreement
-	// rule with an absolute count (e.g. 1 for a 2-authority deployment
-	// that must survive one authority loss). 0 keeps the majority rule.
-	QuorumMinAgree int
-	// QuorumRecheck is the steady-state quorum revalidation period
-	// (default 10s); failures degrade to holdover instead of going
-	// dark.
-	QuorumRecheck time.Duration
+	engine.Config
+
 	// QuorumErrBudget is the base half-width of each authority's
-	// confidence interval (default 10ms).
+	// confidence interval on multi-authority nodes (default 10ms).
 	QuorumErrBudget time.Duration
 
 	// CalibSleeps are the sleep durations requested from the TA during
@@ -62,45 +40,18 @@ type Config struct {
 	// Regression selects the slope estimator. Default: RegressionOLS.
 	Regression RegressionKind
 
-	// PeerTimeout bounds the wait for peer untainting responses before
-	// falling back to the Time Authority. Default: 20ms.
-	PeerTimeout time.Duration
-	// TATimeout bounds the wait for a TA response beyond the requested
-	// sleep before retrying. Default: 250ms.
-	TATimeout time.Duration
-
-	// MonitorTicks is the guest-TSC window of one INC monitoring
-	// measurement. Default: 15e6 ticks (~5ms), the paper's window.
-	MonitorTicks uint64
-	// MonitorTolerance is the relative INC deviation from the baseline
-	// that is flagged as a TSC discrepancy. Default: 0.005 (0.5%) —
-	// generous against the σ≈2.9/632182 ≈ 5ppm measurement noise while
-	// far below any useful attack scaling.
-	MonitorTolerance float64
-	// DisableMonitor turns off INC monitoring (some experiments isolate
-	// calibration behaviour).
-	DisableMonitor bool
 	// EnableMemMonitor additionally runs the frequency-independent
 	// memory-access monitor, closing the TSC-scaling-masked-by-DVFS
 	// attack (§IV-A.1's RQ A.1 answer).
 	EnableMemMonitor bool
 	// MemTolerance is the memory monitor's relative deviation flag
-	// threshold. Default: 0.05, above its ~1% measurement noise.
+	// threshold. Default: 0.08, well above its ~1% measurement noise
+	// and far below any discrete DVFS step ratio.
 	MemTolerance float64
-
-	// Events are optional observation hooks.
-	Events Events
 }
 
-// Defaults used when Config fields are zero. The monitor and peer
-// timeout defaults are the engine's, shared across variants.
-const (
-	DefaultCalibSamplesPerSleep = 4
-	DefaultPeerTimeout          = engine.DefaultPeerTimeout
-	DefaultTATimeout            = 250 * time.Millisecond
-	DefaultMonitorTicks         = engine.DefaultMonitorTicks
-	DefaultMonitorTolerance     = engine.DefaultMonitorTolerance
-)
+// DefaultCalibSamplesPerSleep is used when the Config field is zero.
+const DefaultCalibSamplesPerSleep = 4
 
 // DefaultCalibSleeps returns the paper's calibration sleeps: an
 // immediate response and a 1s-sleep response.
@@ -109,8 +60,8 @@ func DefaultCalibSleeps() []time.Duration {
 }
 
 // withDefaults returns a copy of the config with the core-specific
-// zero fields defaulted and validated; key and address validation is
-// the engine's job.
+// zero fields defaulted and validated; the embedded shared Config is
+// defaulted and validated by the engine.
 func (c Config) withDefaults() (Config, error) {
 	if len(c.CalibSleeps) == 0 {
 		c.CalibSleeps = DefaultCalibSleeps()
@@ -123,9 +74,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.Regression == 0 {
 		c.Regression = RegressionOLS
-	}
-	if c.TATimeout <= 0 {
-		c.TATimeout = DefaultTATimeout
 	}
 	return c, nil
 }

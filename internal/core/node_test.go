@@ -8,6 +8,7 @@ import (
 
 	"triadtime/internal/authority"
 	"triadtime/internal/enclave"
+	"triadtime/internal/engine"
 	"triadtime/internal/sim"
 	"triadtime/internal/simnet"
 	"triadtime/internal/simtime"
@@ -31,7 +32,8 @@ type rig struct {
 	sched     *sim.Scheduler
 	net       *simnet.Network
 	ta        *authority.SimBinding
-	nodes     []*Node
+	nodes     []*engine.Node
+	engines   []*engine.Engine // the nodes' engines, for fault injection
 	platforms []*enclave.SimPlatform
 }
 
@@ -61,20 +63,21 @@ func newRig(t *testing.T, nodeCount int, link simnet.Link, tweak func(i int, cfg
 				peers = append(peers, a)
 			}
 		}
-		cfg := Config{
+		cfg := Config{Config: engine.Config{
 			Key:       testKey(),
 			Addr:      addrs[i],
 			Peers:     peers,
 			Authority: taAddr,
-		}
+		}}
 		if tweak != nil {
 			tweak(i, &cfg)
 		}
-		node, err := NewNode(p, cfg)
+		eng, _, err := assemble(p, cfg)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		r.nodes = append(r.nodes, node)
+		r.nodes = append(r.nodes, eng.Node())
+		r.engines = append(r.engines, eng)
 		r.platforms = append(r.platforms, p)
 	}
 	return r
@@ -100,10 +103,10 @@ func TestConfigValidation(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"bad key", Config{Key: []byte("short"), Addr: 1, Authority: 9}},
-		{"self authority", Config{Key: testKey(), Addr: 1, Authority: 1}},
-		{"self peer", Config{Key: testKey(), Addr: 1, Authority: 9, Peers: []simnet.Addr{1}}},
-		{"one sleep", Config{Key: testKey(), Addr: 1, Authority: 9, CalibSleeps: []time.Duration{0}}},
+		{"bad key", Config{Config: engine.Config{Key: []byte("short"), Addr: 1, Authority: 9}}},
+		{"self authority", Config{Config: engine.Config{Key: testKey(), Addr: 1, Authority: 1}}},
+		{"self peer", Config{Config: engine.Config{Key: testKey(), Addr: 1, Authority: 9, Peers: []simnet.Addr{1}}}},
+		{"one sleep", Config{Config: engine.Config{Key: testKey(), Addr: 1, Authority: 9}, CalibSleeps: []time.Duration{0}}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -130,7 +133,7 @@ func TestTrustedNowUnavailableBeforeCalibration(t *testing.T) {
 func TestFullCalibrationConvergesToTrueRate(t *testing.T) {
 	r := newRig(t, 1, simnet.Link{Base: 100 * time.Microsecond}, nil)
 	var transitions []State
-	r.nodes[0].eng.Events().StateChanged = func(_, s State) { transitions = append(transitions, s) }
+	r.engines[0].Events().StateChanged = func(_, s State) { transitions = append(transitions, s) }
 	r.startAll()
 	r.run(30 * time.Second)
 
@@ -143,8 +146,8 @@ func TestFullCalibrationConvergesToTrueRate(t *testing.T) {
 	if ppm := math.Abs(n.FCalib()-simtime.NominalTSCHz) / simtime.NominalTSCHz * 1e6; ppm > 1 {
 		t.Errorf("FCalib = %v (%.2fppm off), want ~%v", n.FCalib(), ppm, simtime.NominalTSCHz)
 	}
-	if n.TAReferences() != 1 {
-		t.Errorf("TAReferences = %d, want 1 (single full calibration)", n.TAReferences())
+	if n.Counters().TAReferences != 1 {
+		t.Errorf("TAReferences = %d, want 1 (single full calibration)", n.Counters().TAReferences)
 	}
 	if len(transitions) < 2 || transitions[0] != StateFullCalib || transitions[len(transitions)-1] != StateOK {
 		t.Errorf("transitions = %v, want FullCalib...OK", transitions)
@@ -179,8 +182,8 @@ func TestServedTimestampsStrictlyMonotonic(t *testing.T) {
 		}
 		prev = ts
 	}
-	if n.ServedCount() != 1000 {
-		t.Errorf("ServedCount = %d", n.ServedCount())
+	if n.Counters().Served != 1000 {
+		t.Errorf("ServedCount = %d", n.Counters().Served)
 	}
 }
 
@@ -195,7 +198,7 @@ func TestMonotonicAcrossBackwardReferenceReset(t *testing.T) {
 	}
 	// Force the reference a full second backwards (as a TA re-anchor
 	// after a fast miscalibrated stretch would).
-	n.eng.ShiftReference(-int64(time.Second))
+	r.engines[0].ShiftReference(-int64(time.Second))
 	ts2, err := n.TrustedNow()
 	if err != nil {
 		t.Fatal(err)
@@ -226,11 +229,11 @@ func TestAEXTaintsAndPeerUntaints(t *testing.T) {
 	if got := r.nodes[0].State(); got != StateOK {
 		t.Fatalf("state after peer responses = %v, want OK", got)
 	}
-	if r.nodes[0].PeerUntaints() != 1 {
-		t.Errorf("PeerUntaints = %d, want 1", r.nodes[0].PeerUntaints())
+	if r.nodes[0].Counters().PeerUntaints != 1 {
+		t.Errorf("PeerUntaints = %d, want 1", r.nodes[0].Counters().PeerUntaints)
 	}
-	if r.nodes[0].TAReferences() != 1 {
-		t.Errorf("TAReferences = %d, want 1 (no TA fallback needed)", r.nodes[0].TAReferences())
+	if r.nodes[0].Counters().TAReferences != 1 {
+		t.Errorf("TAReferences = %d, want 1 (no TA fallback needed)", r.nodes[0].Counters().TAReferences)
 	}
 }
 
@@ -249,11 +252,11 @@ func TestSimultaneousTaintFallsBackToTA(t *testing.T) {
 		if n.State() != StateOK {
 			t.Errorf("node %d state = %v, want OK", i, n.State())
 		}
-		if n.TAReferences() != 2 {
-			t.Errorf("node %d TAReferences = %d, want 2 (calibration + refcalib)", i, n.TAReferences())
+		if n.Counters().TAReferences != 2 {
+			t.Errorf("node %d TAReferences = %d, want 2 (calibration + refcalib)", i, n.Counters().TAReferences)
 		}
-		if n.PeerUntaints() != 0 {
-			t.Errorf("node %d PeerUntaints = %d, want 0", i, n.PeerUntaints())
+		if n.Counters().PeerUntaints != 0 {
+			t.Errorf("node %d PeerUntaints = %d, want 0", i, n.Counters().PeerUntaints)
 		}
 	}
 }
@@ -262,9 +265,9 @@ func TestPeerUntaintAdoptsHigherTimestamp(t *testing.T) {
 	r := newRig(t, 2, simnet.Link{Base: 100 * time.Microsecond}, nil)
 	r.startAll()
 	r.run(30 * time.Second)
-	victim, donor := r.nodes[0], r.nodes[1]
+	victim, donor := r.nodes[0], r.engines[1]
 	// Push the donor's clock 50ms into the future.
-	donor.eng.ShiftReference(50 * int64(time.Millisecond))
+	donor.ShiftReference(50 * int64(time.Millisecond))
 	r.platforms[0].FireAEX()
 	r.run(time.Second)
 	if victim.State() != StateOK {
@@ -289,8 +292,8 @@ func TestPeerUntaintKeepsLocalWhenPeerBehind(t *testing.T) {
 	r := newRig(t, 2, simnet.Link{Base: 100 * time.Microsecond}, nil)
 	r.startAll()
 	r.run(30 * time.Second)
-	victim, donor := r.nodes[0], r.nodes[1]
-	donor.eng.ShiftReference(-50 * int64(time.Millisecond)) // donor behind
+	victim, donor := r.nodes[0], r.engines[1]
+	donor.ShiftReference(-50 * int64(time.Millisecond)) // donor behind
 	before, _ := victim.ClockReading()
 	r.platforms[0].FireAEX()
 	r.run(time.Second)
@@ -344,11 +347,11 @@ func TestTaintedPeersStaySilent(t *testing.T) {
 		t.Fatalf("victim state = %v", victim.State())
 	}
 	// The donor stayed silent, so the victim needed the TA again.
-	if victim.TAReferences() < 2 {
-		t.Errorf("TAReferences = %d, want >= 2 (had to use the TA)", victim.TAReferences())
+	if victim.Counters().TAReferences < 2 {
+		t.Errorf("TAReferences = %d, want >= 2 (had to use the TA)", victim.Counters().TAReferences)
 	}
-	if victim.PeerUntaints() != 0 {
-		t.Errorf("PeerUntaints = %d, want 0", victim.PeerUntaints())
+	if victim.Counters().PeerUntaints != 0 {
+		t.Errorf("PeerUntaints = %d, want 0", victim.Counters().PeerUntaints)
 	}
 	box.active = false
 }
@@ -356,7 +359,7 @@ func TestTaintedPeersStaySilent(t *testing.T) {
 func TestMonitorDetectsTSCScaling(t *testing.T) {
 	r := newRig(t, 1, simnet.Link{Base: 100 * time.Microsecond}, nil)
 	var discrepancies []float64
-	r.nodes[0].eng.Events().Discrepancy = func(rel float64) { discrepancies = append(discrepancies, rel) }
+	r.engines[0].Events().Discrepancy = func(rel float64) { discrepancies = append(discrepancies, rel) }
 	r.startAll()
 	r.run(30 * time.Second)
 	n := r.nodes[0]
@@ -380,8 +383,8 @@ func TestMonitorDetectsTSCScaling(t *testing.T) {
 	if ratio := n.FCalib() / firstCalib; math.Abs(ratio-1.1) > 0.01 {
 		t.Errorf("recalibrated FCalib ratio = %v, want ~1.1", ratio)
 	}
-	if n.TAReferences() < 2 {
-		t.Errorf("TAReferences = %d, want >= 2 (full recalibration)", n.TAReferences())
+	if n.Counters().TAReferences < 2 {
+		t.Errorf("TAReferences = %d, want >= 2 (full recalibration)", n.Counters().TAReferences)
 	}
 }
 
@@ -390,7 +393,7 @@ func TestMonitorDisabled(t *testing.T) {
 		cfg.DisableMonitor = true
 	})
 	fired := false
-	r.nodes[0].eng.Events().Discrepancy = func(float64) { fired = true }
+	r.engines[0].Events().Discrepancy = func(float64) { fired = true }
 	r.startAll()
 	r.run(10 * time.Second)
 	r.platforms[0].TSC().SetScale(1.5, r.sched.Now())
@@ -444,9 +447,9 @@ func TestForgedAndReplayedDatagramsIgnored(t *testing.T) {
 	r.net.Send(2, 1, []byte("garbage"))
 	wrongKey := make([]byte, wire.KeySize)
 	forger, _ := wire.NewSealer(wrongKey, uint32(taAddr))
-	r.net.Send(taAddr, 1, forger.Seal(wire.Message{Kind: wire.KindTimeResponse, Seq: 1, TimeNanos: 1 << 62}))
+	r.net.Send(taAddr, 1, forger.SealAppend(nil, wire.Message{Kind: wire.KindTimeResponse, Seq: 1, TimeNanos: 1 << 62}))
 	peerSealer, _ := wire.NewSealer(testKey(), 2)
-	r.net.Send(2, 1, peerSealer.Seal(wire.Message{Kind: wire.KindTimeResponse, Seq: 1, TimeNanos: 1 << 62}))
+	r.net.Send(2, 1, peerSealer.SealAppend(nil, wire.Message{Kind: wire.KindTimeResponse, Seq: 1, TimeNanos: 1 << 62}))
 	r.run(time.Second)
 
 	if n.State() != stateBefore {
@@ -467,7 +470,7 @@ func TestPeerRequestFromNonPeerIgnored(t *testing.T) {
 	outsider, _ := wire.NewSealer(testKey(), 55)
 	answered := false
 	r.net.Register(55, func(simnet.Packet) { answered = true })
-	r.net.Send(55, 1, outsider.Seal(wire.Message{Kind: wire.KindPeerTimeRequest, Seq: 1}))
+	r.net.Send(55, 1, outsider.SealAppend(nil, wire.Message{Kind: wire.KindPeerTimeRequest, Seq: 1}))
 	r.run(time.Second)
 	if answered {
 		t.Error("node answered a non-peer's time request")
@@ -479,8 +482,8 @@ func TestStartIsIdempotent(t *testing.T) {
 	r.nodes[0].Start()
 	r.nodes[0].Start()
 	r.run(10 * time.Second)
-	if r.nodes[0].TAReferences() != 1 {
-		t.Errorf("TAReferences = %d after double Start, want 1", r.nodes[0].TAReferences())
+	if r.nodes[0].Counters().TAReferences != 1 {
+		t.Errorf("TAReferences = %d after double Start, want 1", r.nodes[0].Counters().TAReferences)
 	}
 }
 
@@ -494,8 +497,8 @@ func TestNodeWithoutPeersGoesStraightToTA(t *testing.T) {
 	if n.State() != StateOK {
 		t.Fatalf("state = %v", n.State())
 	}
-	if n.TAReferences() != 2 || n.PeerUntaints() != 0 {
-		t.Errorf("TA/peer = %d/%d, want 2/0", n.TAReferences(), n.PeerUntaints())
+	if n.Counters().TAReferences != 2 || n.Counters().PeerUntaints != 0 {
+		t.Errorf("TA/peer = %d/%d, want 2/0", n.Counters().TAReferences, n.Counters().PeerUntaints)
 	}
 }
 
@@ -538,7 +541,7 @@ func TestDVFSMaskedScalingNeedsMemMonitor(t *testing.T) {
 		r := newRig(t, 1, simnet.Link{Base: 100 * time.Microsecond}, func(_ int, cfg *Config) {
 			cfg.EnableMemMonitor = enableMem
 		})
-		r.nodes[0].eng.Events().Discrepancy = func(float64) { discrepancies++ }
+		r.engines[0].Events().Discrepancy = func(float64) { discrepancies++ }
 		r.startAll()
 		r.run(30 * time.Second)
 		if r.nodes[0].State() != StateOK {
@@ -576,11 +579,11 @@ func TestHonestDVFSDoesNotDisruptService(t *testing.T) {
 		cfg.EnableMemMonitor = true
 	})
 	freqChanges, discrepancies := 0, 0
-	r.nodes[0].eng.Events().FreqChange = func(float64) { freqChanges++ }
-	r.nodes[0].eng.Events().Discrepancy = func(float64) { discrepancies++ }
+	r.engines[0].Events().FreqChange = func(float64) { freqChanges++ }
+	r.engines[0].Events().Discrepancy = func(float64) { discrepancies++ }
 	r.startAll()
 	r.run(30 * time.Second)
-	taRefs := r.nodes[0].TAReferences()
+	taRefs := r.nodes[0].Counters().TAReferences
 	r.platforms[0].SetCoreFreqHz(2100e6) // powersave governor kicks in
 	r.run(60 * time.Second)
 	if discrepancies != 0 {
@@ -589,7 +592,7 @@ func TestHonestDVFSDoesNotDisruptService(t *testing.T) {
 	if freqChanges == 0 {
 		t.Error("frequency change never surfaced")
 	}
-	if r.nodes[0].TAReferences() != taRefs {
+	if r.nodes[0].Counters().TAReferences != taRefs {
 		t.Error("honest DVFS should not cost TA roundtrips")
 	}
 }
@@ -671,7 +674,7 @@ func BenchmarkTrustedNow(b *testing.B) {
 	p := enclave.NewSimPlatform(sched, rng.Fork(1), network, enclave.SimConfig{
 		Addr: 1, TSC: simtime.NewTSC(simtime.NominalTSCHz, 0),
 	})
-	node, err := NewNode(p, Config{Key: testKey(), Addr: 1, Authority: taAddr})
+	node, err := NewNode(p, Config{Config: engine.Config{Key: testKey(), Addr: 1, Authority: taAddr}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -15,14 +15,16 @@
 //     hypervisor rate/offset manipulation, which triggers full
 //     recalibration.
 //
-// Since the engine extraction, this package is a thin policy bundle:
-// internal/engine owns the clock state, the state machine, datagram
-// dispatch, AEX epochs, peer gathering, rate monitoring, and counters,
-// while core contributes the original protocol's calibration policy
+// This package is a policy bundle on internal/engine and nothing else.
+// The engine owns the clock state, the state machine, datagram
+// dispatch, AEX epochs, every exchange, rate monitoring, counters, the
+// configuration shared by all variants (engine.Config, embedded in this
+// package's Config) and the node handle NewNode returns (*engine.Node);
+// core contributes the original protocol's calibration policy
 // (sleep-roundtrip regression), recovery policy (first-responding
-// peer, then the Time Authority) and the engine's accept-all
-// AdoptIfAhead peer filter. The node runs identically on the
-// discrete-event simulation and on the live UDP runtime.
+// peer, then the Time Authority), the engine's accept-all AdoptIfAhead
+// peer filter, and the knobs only they read. The node runs identically
+// on the discrete-event simulation and on the live UDP runtime.
 package core
 
 import "triadtime/internal/engine"

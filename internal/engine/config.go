@@ -9,10 +9,12 @@ import (
 	"triadtime/internal/wire"
 )
 
-// Config parameterizes the engine-owned machinery shared by every
-// protocol variant. Variant-specific knobs (calibration sleeps,
-// windows, RTT bounds, deadlines) live in the variant packages'
-// configs and reach the engine only through policy behaviour.
+// Config is the configuration every protocol variant shares: the
+// fields that mean the same thing, with the same default, whichever
+// policies run on the engine. It is declared, documented and defaulted
+// here only; a variant's Config embeds it and adds its own knobs
+// (calibration sleeps, windows, RTT bounds, deadlines), which reach
+// the engine through policy behaviour and the Policies bundle.
 type Config struct {
 	// Key is the cluster's 32-byte pre-shared AES-256 key.
 	Key []byte
@@ -25,44 +27,55 @@ type Config struct {
 	Authority simnet.Addr
 	// Authorities lists every Time Authority this node trusts, in a
 	// fixed order. Empty defaults to {Authority}: the single-authority
-	// protocol. With several entries, time responses from any listed
-	// authority reach the policies (the multi-authority quorum
-	// calibration), and Authority defaults to Authorities[0].
+	// protocol. With two or more entries the node abandons the
+	// single-TA trust assumption: the variant's own calibration is
+	// replaced by QuorumCalibration, which fans every exchange out to
+	// all authorities and adopts a reference only when a quorum's
+	// Marzullo intervals agree (peer untainting, probes and deadlines
+	// stay the variant's). Authority may then be left zero and
+	// defaults to Authorities[0].
 	Authorities []simnet.Addr
+	// QuorumMinAgree overrides the quorum's strict-majority agreement
+	// rule with an absolute count (e.g. 1 for a 2-authority deployment
+	// that must survive one authority loss, trading Byzantine
+	// protection for availability). 0 keeps the majority rule.
+	QuorumMinAgree int
+	// QuorumRecheck is the steady-state quorum revalidation period:
+	// while serving, a multi-authority node re-runs a reference round
+	// and degrades to holdover, instead of going dark, if the quorum
+	// is gone. Default: 10s.
+	QuorumRecheck time.Duration
 
 	// PeerTimeout bounds how long a tainted node waits for peer
 	// timestamps before falling back to the Time Authority.
 	// Default: 20ms.
 	PeerTimeout time.Duration
+	// TATimeout bounds the wait for a Time Authority response beyond
+	// any requested sleep; a quorum round closes when every authority
+	// answered or it passes. Default: 250ms.
+	TATimeout time.Duration
 
 	// MonitorTicks is the guest-TSC window of one INC monitoring
 	// measurement. Default: 15e6 ticks (~5ms), the paper's window.
 	MonitorTicks uint64
 	// MonitorTolerance is the relative INC deviation from the baseline
-	// that is flagged as a TSC discrepancy. Default: 0.005 (0.5%).
+	// that is flagged as a TSC discrepancy. Default: 0.005 (0.5%) —
+	// generous against the σ≈2.9/632182 ≈ 5ppm measurement noise while
+	// far below any useful attack scaling.
 	MonitorTolerance float64
-	// DisableMonitor turns off rate monitoring entirely.
+	// DisableMonitor turns off rate monitoring entirely (some
+	// experiments isolate calibration behaviour).
 	DisableMonitor bool
-	// EnableMemMonitor additionally runs the frequency-independent
-	// memory-access monitor, closing the TSC-scaling-masked-by-DVFS
-	// attack.
-	EnableMemMonitor bool
-	// MemTolerance is the memory monitor's relative deviation flag
-	// threshold (0 uses the monitor's default).
-	MemTolerance float64
-	// FreqChangeEvents wires the monitor's DVFS-reclassification
-	// callback to Events.FreqChange (the original protocol surfaces
-	// it; the hardened variant historically does not).
-	FreqChangeEvents bool
 
 	// Events are optional observation hooks.
 	Events Events
 }
 
-// Defaults used when Config fields are zero. They are shared by both
-// protocol variants.
+// Defaults used when Config fields are zero.
 const (
 	DefaultPeerTimeout      = 20 * time.Millisecond
+	DefaultTATimeout        = 250 * time.Millisecond
+	DefaultQuorumRecheck    = 10 * time.Second
 	DefaultMonitorTicks     = 15_000_000
 	DefaultMonitorTolerance = 0.005
 )
@@ -98,8 +111,14 @@ func (c Config) withDefaults() (Config, error) {
 			return c, errors.New("node lists itself as a peer")
 		}
 	}
+	if c.QuorumRecheck <= 0 {
+		c.QuorumRecheck = DefaultQuorumRecheck
+	}
 	if c.PeerTimeout <= 0 {
 		c.PeerTimeout = DefaultPeerTimeout
+	}
+	if c.TATimeout <= 0 {
+		c.TATimeout = DefaultTATimeout
 	}
 	if c.MonitorTicks == 0 {
 		c.MonitorTicks = DefaultMonitorTicks

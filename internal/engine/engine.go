@@ -9,18 +9,18 @@
 //
 // Variant behaviour — what to ask the authorities for and what to make
 // of the readings, how to recover from a taint, which peer timestamps
-// to believe, whether to gossip — is injected
-// through the small interfaces in policy.go. internal/core assembles
-// the paper's original protocol from them; internal/resilient
-// assembles the Section V hardened protocol. The engine fires one set
-// of observation hooks (Events) and keeps one set of Counters for
-// both, so the live runtime, the lab, and the experiment harness
-// observe any variant through the same surface.
+// to believe, whether to gossip — is injected through the small
+// interfaces in policy.go. A protocol variant is a Policies value plus
+// a Config that embeds this package's and adds its own knobs:
+// internal/core is the paper's original protocol, internal/resilient
+// the Section V hardened one. Both constructors return the one Node
+// handle; the engine fires one set of observation hooks (Events) and
+// keeps one set of Counters, so the live runtime, the lab, and the
+// experiment harness observe any variant through the same surface.
 package engine
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"triadtime/internal/enclave"
@@ -32,13 +32,12 @@ import (
 // trusted timestamps (tainted or calibrating).
 var ErrUnavailable = errors.New("trusted time unavailable")
 
-// Engine is the variant-independent half of a Triad node. It is
-// event-driven: after Start, all work happens in callbacks the
-// Platform dispatches (datagram deliveries, AEX notifications, timer
-// and INC-measurement completions). Platforms serialize callbacks, so
-// the engine has no internal locking; callers of TrustedNow must call
-// from the same dispatch context (in the simulation: from scheduler
-// events; live: via the transport's Do).
+// Engine is the variant-independent half of a Triad node, and the
+// surface policies drive it through; applications hold its Node handle
+// instead. It is event-driven: after Node.Start, all work happens in
+// callbacks the Platform dispatches (datagram deliveries, AEX
+// notifications, timer and INC-measurement completions). Platforms
+// serialize callbacks, so the engine has no internal locking.
 type Engine struct {
 	cfg      Config
 	platform enclave.Platform
@@ -47,10 +46,7 @@ type Engine struct {
 	events   *Events
 	peers    map[simnet.Addr]bool
 
-	calibration CalibrationPolicy
-	recovery    RecoveryPolicy
-	filter      PeerFilter
-	gossipHook  GossipHook
+	pol Policies
 
 	state State
 
@@ -83,10 +79,11 @@ type Engine struct {
 	timeJumps []int64
 }
 
-// New creates an engine bound to the platform with the given policy
-// assembly. It installs itself as the platform's AEX and message
-// handler; call Start to begin the protocol. Errors carry no package
-// prefix so variants wrap them under their own name.
+// New creates an engine bound to the platform running the given
+// variant, under multi-authority quorum calibration when two or more
+// authorities are configured. It installs itself as the platform's AEX
+// and message handler; Node().Start begins the protocol. Errors carry
+// no package prefix so variants wrap them under their own name.
 func New(platform enclave.Platform, cfg Config, pol Policies) (*Engine, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
@@ -94,6 +91,9 @@ func New(platform enclave.Platform, cfg Config, pol Policies) (*Engine, error) {
 	}
 	if pol.Calibration == nil || pol.Recovery == nil || pol.Filter == nil {
 		return nil, errors.New("engine policies incomplete")
+	}
+	if len(cfg.Authorities) >= 2 {
+		pol = pol.withQuorum()
 	}
 	sealer, err := wire.NewSealer(cfg.Key, uint32(cfg.Addr))
 	if err != nil {
@@ -108,39 +108,20 @@ func New(platform enclave.Platform, cfg Config, pol Policies) (*Engine, error) {
 		peers[p] = true
 	}
 	e := &Engine{
-		cfg:         cfg,
-		platform:    platform,
-		sealer:      sealer,
-		opener:      opener,
-		events:      &cfg.Events,
-		peers:       peers,
-		calibration: pol.Calibration,
-		recovery:    pol.Recovery,
-		filter:      pol.Filter,
-		gossipHook:  pol.Gossip,
-		state:       StateInit,
-		sealBuf:     make([]byte, 0, wire.SealedSize),
-		openBuf:     make([]byte, 0, wire.MarshaledSize),
+		cfg:      cfg,
+		platform: platform,
+		sealer:   sealer,
+		opener:   opener,
+		events:   &cfg.Events,
+		peers:    peers,
+		pol:      pol,
+		state:    StateInit,
+		sealBuf:  make([]byte, 0, wire.SealedSize),
+		openBuf:  make([]byte, 0, wire.MarshaledSize),
 	}
 	platform.SetAEXHandler(e.onAEX)
 	platform.SetMessageHandler(e.onDatagram)
 	return e, nil
-}
-
-// Start launches the protocol: full calibration with the Time
-// Authority, rate monitoring (unless disabled), and the recovery
-// policy's steady-state machinery. Starting a started engine is a
-// no-op.
-func (e *Engine) Start() {
-	if e.state != StateInit {
-		return
-	}
-	e.setState(StateFullCalib)
-	e.calibration.Start(e)
-	if !e.cfg.DisableMonitor {
-		e.startMonitor()
-	}
-	e.recovery.OnStart(e)
 }
 
 // Addr reports the node's network address.
@@ -149,11 +130,6 @@ func (e *Engine) Addr() simnet.Addr { return e.cfg.Addr }
 // Authority reports the Time Authority's address (the first configured
 // authority on multi-authority nodes).
 func (e *Engine) Authority() simnet.Addr { return e.cfg.Authority }
-
-// Authorities returns every configured Time Authority in trust order
-// (length 1 on single-authority nodes). The slice is shared; callers
-// must not mutate it.
-func (e *Engine) Authorities() []simnet.Addr { return e.cfg.Authorities }
 
 // isAuthority reports whether a is a configured Time Authority. The
 // authority list is at most a handful of entries, so a linear scan
@@ -189,6 +165,10 @@ func (e *Engine) SetState(s State) { e.setState(s) }
 // second, or 0 before the first calibration completes.
 func (e *Engine) FCalib() float64 { return e.fCalib }
 
+// TATimeout reports how long policies wait for a Time Authority
+// response beyond any requested sleep (Config.TATimeout, defaulted).
+func (e *Engine) TATimeout() time.Duration { return e.cfg.TATimeout }
+
 // nextSeq allocates a request sequence number.
 func (e *Engine) nextSeq() uint64 {
 	e.seq++
@@ -197,38 +177,6 @@ func (e *Engine) nextSeq() uint64 {
 
 // Counters exposes the protocol counters for policy updates.
 func (e *Engine) Counters() *Counters { return &e.counters }
-
-// CounterSnapshot returns a copy of the protocol counters.
-func (e *Engine) CounterSnapshot() Counters { return e.counters }
-
-// TimeJumps returns the forward jumps (ns) taken when adopting peer
-// timestamps; the 50–70ms jumps of Figure 3a and ~35ms jumps of
-// Figure 6a show up here. The slice is a copy.
-func (e *Engine) TimeJumps() []int64 {
-	cp := make([]int64, len(e.timeJumps))
-	copy(cp, e.timeJumps)
-	return cp
-}
-
-// TrustedNow serves one trusted timestamp (nanoseconds on the Time
-// Authority's timeline). It fails with ErrUnavailable while the node
-// is tainted or calibrating. Served timestamps are strictly monotonic.
-func (e *Engine) TrustedNow() (int64, error) {
-	if !e.state.Serving() {
-		return 0, fmt.Errorf("%w: state %s", ErrUnavailable, e.state)
-	}
-	return e.serveTimestamp(), nil
-}
-
-// ClockReading reports the internal clock without availability
-// checking or monotonic bumping. Instrumentation only (the experiment
-// harness samples drift with it); applications must use TrustedNow.
-func (e *Engine) ClockReading() (int64, bool) {
-	if e.fCalib == 0 {
-		return 0, false
-	}
-	return e.ClockNow(), true
-}
 
 // ClockNow converts the current TSC to trusted nanoseconds. Callers
 // must ensure a calibration has completed (fCalib != 0). When the TSC
@@ -365,10 +313,10 @@ func (e *Engine) onDatagram(_ simnet.Addr, payload []byte) {
 		}
 		e.onPeerTimeResponse(sender, msg)
 	case wire.KindChimerReport:
-		if e.gossipHook == nil || !e.peers[simnet.Addr(sender)] {
+		if e.pol.Gossip == nil || !e.peers[simnet.Addr(sender)] {
 			return
 		}
-		e.gossipHook.OnChimerReport(e, sender, msg)
+		e.pol.Gossip.OnChimerReport(e, sender, msg)
 	case wire.KindTimeRequest:
 		// Nodes are not the Time Authority; ignore.
 	case wire.KindStampRequest, wire.KindStampResponse,
@@ -401,9 +349,9 @@ func (e *Engine) onAEX() {
 	e.aexEpoch++
 	switch e.state {
 	case StateOK, StateDegraded:
-		e.recovery.OnTaint(e)
+		e.pol.Recovery.OnTaint(e)
 	case StateFullCalib:
-		e.calibration.OnAEX(e)
+		e.pol.Calibration.OnAEX(e)
 	case StateTainted, StateRefCalib, StateInit:
 		// Already tainted/recovering; nothing changes.
 	}
@@ -411,19 +359,19 @@ func (e *Engine) onAEX() {
 
 // startMonitor builds and starts the rate monitor: a dedicated
 // enclave thread cross-checks the guest TSC against the core's
-// instruction rate (INC counting, §IV-A.1) and — when EnableMemMonitor
-// is set — against the frequency-independent memory-access rate,
-// which closes the masking attack where the OS changes the core's
-// DVFS point in proportion to a TSC scaling.
+// instruction rate (INC counting, §IV-A.1) and — when the variant's
+// MemMonitor is set — against the frequency-independent memory-access
+// rate, which closes the masking attack where the OS changes the
+// core's DVFS point in proportion to a TSC scaling.
 func (e *Engine) startMonitor() {
 	mc := enclave.MonitorConfig{
 		INCTicks:      e.cfg.MonitorTicks,
 		INCTol:        e.cfg.MonitorTolerance,
-		EnableMem:     e.cfg.EnableMemMonitor,
-		MemTol:        e.cfg.MemTolerance,
+		EnableMem:     e.pol.MemMonitor,
+		MemTol:        e.pol.MemTolerance,
 		OnDiscrepancy: e.onDiscrepancy,
 	}
-	if e.cfg.FreqChangeEvents {
+	if e.pol.FreqChangeEvents {
 		mc.OnFreqChange = func(rel float64) {
 			// A core-frequency change is legal OS behaviour; the INC
 			// baseline re-learns. Surface it for observability only.
@@ -444,7 +392,7 @@ func (e *Engine) onDiscrepancy(rel float64) {
 	if e.state == StateFullCalib {
 		return // already recalibrating
 	}
-	e.recovery.Cancel(e)
+	e.pol.Recovery.Cancel(e)
 	e.setState(StateFullCalib)
-	e.calibration.Start(e)
+	e.pol.Calibration.Start(e)
 }

@@ -79,16 +79,16 @@ func (e *Engine) CancelGather() { e.gather.Cancel() }
 // with no peers configured). Call while StateTainted.
 func (e *Engine) BeginPeerGather() {
 	if len(e.cfg.Peers) == 0 {
-		e.recovery.StartRefCalib(e)
+		e.pol.Recovery.StartRefCalib(e)
 		return
 	}
-	e.GatherPeers(e.filter.Immediate(), func(samples []PeerSample) {
+	e.GatherPeers(e.pol.Filter.Immediate(), func(samples []PeerSample) {
 		switch {
 		case e.state != StateTainted:
 		case len(samples) == 0:
-			e.recovery.StartRefCalib(e)
+			e.pol.Recovery.StartRefCalib(e)
 		default:
-			e.filter.Decide(e, samples)
+			e.pol.Filter.Decide(e, samples)
 		}
 	})
 }

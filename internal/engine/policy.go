@@ -72,13 +72,34 @@ type GossipHook interface {
 	OnChimerReport(e *Engine, from uint32, msg wire.Message)
 }
 
-// Policies bundles a variant's behaviour for engine construction.
+// Policies is a protocol variant: its behaviour at the engine's decision
+// points plus the settings a variant fixes itself — options whose
+// polarity or default differs between variants and so cannot sit in
+// the shared Config. A new variant is a Policies value and a Config
+// embedding the engine's.
 type Policies struct {
 	Calibration CalibrationPolicy
 	Recovery    RecoveryPolicy
 	Filter      PeerFilter
 	// Gossip is optional; nil drops chimer reports.
 	Gossip GossipHook
+
+	// MemMonitor additionally runs the frequency-independent
+	// memory-access monitor, closing the TSC-scaling-masked-by-DVFS
+	// attack; MemTolerance is its relative deviation threshold (0 uses
+	// the monitor's default). Opt-in on the original protocol, on by
+	// default on the hardened one.
+	MemMonitor   bool
+	MemTolerance float64
+	// FreqChangeEvents wires the monitor's DVFS-reclassification
+	// callback to Events.FreqChange (the original protocol surfaces
+	// it; the hardened variant historically does not).
+	FreqChangeEvents bool
+
+	// Quorum tunes multi-authority operation, which New assembles
+	// around Calibration and Recovery when Config.Authorities has two
+	// or more entries.
+	Quorum QuorumConfig
 }
 
 // AdoptIfAhead is the original Triad peer policy (paper §III-B): the

@@ -23,11 +23,10 @@ import (
 // local TSC drift — while retrying, rather than going dark or trusting
 // a disputed reference.
 
-// QuorumConfig parameterizes the multi-authority quorum policies.
+// QuorumConfig is a variant's tuning of multi-authority operation; the
+// response deadline, recheck period and agreement rule are the shared
+// Config's (TATimeout, QuorumRecheck, QuorumMinAgree).
 type QuorumConfig struct {
-	// TATimeout is each round's response deadline: a round closes when
-	// every authority answered or the deadline passes. Default: 250ms.
-	TATimeout time.Duration
 	// ErrBudget is the base half-width of the confidence interval
 	// assigned to each authority reading (authority clock error + local
 	// extrapolation error); half the observed roundtrip is added on
@@ -39,28 +38,13 @@ type QuorumConfig struct {
 	// MinCalibWindow. Defaults: 2s / 250ms.
 	CalibWindow    time.Duration
 	MinCalibWindow time.Duration
-	// RecheckInterval is the steady-state quorum revalidation period:
-	// while serving, the node re-runs a reference round and degrades to
-	// holdover if the quorum is gone. Default: 10s.
-	RecheckInterval time.Duration
-	// DisableRecheck turns steady-state revalidation off (the node then
-	// only consults the quorum at calibration and taint recovery).
-	DisableRecheck bool
-	// RetryBackoff is the pause before retrying after a failed or
-	// under-responded quorum round. Default: 250ms.
-	RetryBackoff time.Duration
-	// MinAgree overrides the agreement rule: accept an intersection
-	// supported by at least MinAgree authorities instead of a strict
-	// majority of all configured ones. 0 keeps the majority rule. A
-	// 2-authority deployment sets MinAgree=1 to survive one authority
-	// loss (trading Byzantine protection for availability).
-	MinAgree int
 }
 
+// quorumRetryBackoff is the pause before retrying after a failed or
+// under-responded quorum round.
+const quorumRetryBackoff = 250 * time.Millisecond
+
 func (c QuorumConfig) withDefaults() QuorumConfig {
-	if c.TATimeout <= 0 {
-		c.TATimeout = 250 * time.Millisecond
-	}
 	if c.ErrBudget <= 0 {
 		c.ErrBudget = 10 * time.Millisecond
 	}
@@ -72,12 +56,6 @@ func (c QuorumConfig) withDefaults() QuorumConfig {
 	}
 	if c.MinCalibWindow > c.CalibWindow {
 		c.MinCalibWindow = c.CalibWindow
-	}
-	if c.RecheckInterval <= 0 {
-		c.RecheckInterval = 10 * time.Second
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
 	}
 	return c
 }
@@ -110,7 +88,8 @@ const (
 // QuorumCalibration is the multi-authority CalibrationPolicy: a
 // windowed two-round rate calibration fanned out over every configured
 // authority, with the reference adopted from the quorum intersection.
-// Pair it with QuorumRecovery wrapping the variant's recovery policy.
+// New installs it, with QuorumRecovery wrapping the variant's recovery
+// policy, on multi-authority nodes.
 type QuorumCalibration struct {
 	cfg QuorumConfig
 
@@ -130,24 +109,29 @@ type QuorumCalibration struct {
 	rates []float64 // scratch for the per-round rate median
 }
 
-// NewQuorumCalibration creates the quorum calibration policy. The
-// authority set comes from the engine's config at run time.
-func NewQuorumCalibration(cfg QuorumConfig) *QuorumCalibration {
-	return &QuorumCalibration{cfg: cfg.withDefaults()}
+// withQuorum wraps a variant's policies for multi-authority operation:
+// quorum calibration replaces the variant's single-TA calibration and
+// the authority side of recovery runs quorum reference rounds; peer
+// untainting, probes and deadlines stay the variant's.
+func (pol Policies) withQuorum() Policies {
+	q := &QuorumCalibration{cfg: pol.Quorum.withDefaults()}
+	pol.Calibration = q
+	pol.Recovery = QuorumRecovery{RecoveryPolicy: pol.Recovery, Quorum: q}
+	return pol
 }
 
-// needed returns the response count required by the agreement rule
-// over n configured authorities.
-func (q *QuorumCalibration) needed(n int) int {
-	if q.cfg.MinAgree > 0 {
-		return q.cfg.MinAgree
+// quorumNeeded returns the response count the agreement rule requires
+// of the configured authorities.
+func (e *Engine) quorumNeeded() int {
+	if e.cfg.QuorumMinAgree > 0 {
+		return e.cfg.QuorumMinAgree
 	}
-	return n/2 + 1
+	return len(e.cfg.Authorities)/2 + 1
 }
 
 // beginRound fans one sleep-0 request out to every authority.
 func (q *QuorumCalibration) beginRound(e *Engine, done func(*Round)) *Round {
-	return e.BeginRound(e.Authorities(), 0, q.cfg.TATimeout, done)
+	return e.BeginRound(e.cfg.Authorities, 0, e.cfg.TATimeout, done)
 }
 
 // Start begins (or restarts) a full quorum calibration.
@@ -171,7 +155,7 @@ func (q *QuorumCalibration) startCalRoundB(e *Engine) {
 // the pacing that keeps retries bounded while authorities are dark.
 func (q *QuorumCalibration) retryCal(e *Engine) {
 	q.roundA = nil
-	q.retryTimer = e.Platform().AfterTicks(e.TicksFor(q.cfg.RetryBackoff), func() {
+	q.retryTimer = e.Platform().AfterTicks(e.TicksFor(quorumRetryBackoff), func() {
 		q.retryTimer = nil
 		q.startCalRoundA(e)
 	})
@@ -185,7 +169,7 @@ func (q *QuorumCalibration) onCalRoundA(e *Engine, r *Round) {
 		return
 	}
 	q.roundA = r.Readings()
-	if len(q.roundA) < q.needed(len(e.Authorities())) {
+	if len(q.roundA) < e.quorumNeeded() {
 		q.retryCal(e)
 		return
 	}
@@ -228,11 +212,10 @@ func (q *QuorumCalibration) onCalRoundB(e *Engine, r *Round) {
 	}
 
 	refTSC := e.Platform().ReadTSC()
-	total := len(e.Authorities())
 	intervals := q.intervals(r, refTSC, rate)
-	best, count, ok := QuorumDecide(intervals, total, q.cfg.MinAgree)
+	best, count, ok := QuorumDecide(intervals, len(e.cfg.Authorities), e.cfg.QuorumMinAgree)
 	if !ok {
-		if len(intervals) >= q.needed(total) {
+		if len(intervals) >= e.quorumNeeded() {
 			e.Counters().QuorumNoMajority++
 		}
 		q.retryCal(e)
@@ -312,10 +295,7 @@ func (q *QuorumCalibration) beginRefRound(e *Engine) {
 // while the node is not serving (or while another reference round is
 // in flight) are skipped.
 func (q *QuorumCalibration) armRecheck(e *Engine) {
-	if q.cfg.DisableRecheck {
-		return
-	}
-	q.recheckTimer = e.Platform().AfterTicks(e.TicksFor(q.cfg.RecheckInterval), func() {
+	q.recheckTimer = e.Platform().AfterTicks(e.TicksFor(e.cfg.QuorumRecheck), func() {
 		q.recheckTimer = nil
 		q.armRecheck(e)
 		if !e.State().Serving() || q.refKind != refNone {
@@ -348,10 +328,9 @@ func (q *QuorumCalibration) onRefRound(e *Engine, r *Round) {
 
 	rate := e.FCalib()
 	refTSC := e.Platform().ReadTSC()
-	total := len(e.Authorities())
 	intervals := q.intervals(r, refTSC, rate)
-	best, count, ok := QuorumDecide(intervals, total, q.cfg.MinAgree)
-	disagreed := len(intervals) >= q.needed(total) && !ok
+	best, count, ok := QuorumDecide(intervals, len(e.cfg.Authorities), e.cfg.QuorumMinAgree)
+	disagreed := len(intervals) >= e.quorumNeeded() && !ok
 
 	switch kind {
 	case refRecalib:
@@ -359,7 +338,7 @@ func (q *QuorumCalibration) onRefRound(e *Engine, r *Round) {
 			if disagreed {
 				e.Counters().QuorumNoMajority++
 			}
-			q.refRetry = e.Platform().AfterTicks(e.TicksFor(q.cfg.RetryBackoff), func() {
+			q.refRetry = e.Platform().AfterTicks(e.TicksFor(quorumRetryBackoff), func() {
 				q.refRetry = nil
 				q.beginRefRound(e)
 			})

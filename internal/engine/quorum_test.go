@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"triadtime/internal/marzullo"
+	"triadtime/internal/simnet"
+	"triadtime/internal/wire"
 )
 
 // bruteQuorumDecide is the O(n²) oracle for the quorum decision: the
@@ -113,25 +115,31 @@ func TestQuorumDecideMinAgreeOverride(t *testing.T) {
 // TestQuorumConfigDefaults pins the documented defaults and the
 // agreement thresholds derived from them.
 func TestQuorumConfigDefaults(t *testing.T) {
-	q := NewQuorumCalibration(QuorumConfig{})
-	if q.cfg.TATimeout != 250*time.Millisecond || q.cfg.ErrBudget != 10*time.Millisecond ||
-		q.cfg.CalibWindow != 2*time.Second || q.cfg.MinCalibWindow != 250*time.Millisecond ||
-		q.cfg.RecheckInterval != 10*time.Second || q.cfg.RetryBackoff != 250*time.Millisecond {
-		t.Errorf("unexpected defaults: %+v", q.cfg)
+	cfg := QuorumConfig{}.withDefaults()
+	if cfg.ErrBudget != 10*time.Millisecond || cfg.CalibWindow != 2*time.Second ||
+		cfg.MinCalibWindow != 250*time.Millisecond {
+		t.Errorf("unexpected defaults: %+v", cfg)
+	}
+	shared, err := Config{Key: make([]byte, wire.KeySize), Addr: 1, Authority: 100}.withDefaults()
+	if err != nil || shared.TATimeout != 250*time.Millisecond || shared.QuorumRecheck != 10*time.Second {
+		t.Errorf("unexpected shared defaults: %+v (err %v)", shared, err)
+	}
+	needed := func(n, minAgree int) int {
+		e := &Engine{cfg: Config{Authorities: make([]simnet.Addr, n), QuorumMinAgree: minAgree}}
+		return e.quorumNeeded()
 	}
 	for _, c := range []struct{ n, want int }{{1, 1}, {2, 2}, {3, 2}, {4, 3}, {5, 3}} {
-		if got := q.needed(c.n); got != c.want {
+		if got := needed(c.n, 0); got != c.want {
 			t.Errorf("needed(%d) = %d, want %d", c.n, got, c.want)
 		}
 	}
-	q2 := NewQuorumCalibration(QuorumConfig{MinAgree: 1})
-	if got := q2.needed(2); got != 1 {
+	if got := needed(2, 1); got != 1 {
 		t.Errorf("needed(2) with MinAgree=1 = %d, want 1", got)
 	}
 	// A window floor above the window collapses to the window.
-	q3 := NewQuorumCalibration(QuorumConfig{CalibWindow: time.Second, MinCalibWindow: 5 * time.Second})
-	if q3.cfg.MinCalibWindow != time.Second {
-		t.Errorf("MinCalibWindow not clamped: %v", q3.cfg.MinCalibWindow)
+	clamped := QuorumConfig{CalibWindow: time.Second, MinCalibWindow: 5 * time.Second}.withDefaults()
+	if clamped.MinCalibWindow != time.Second {
+		t.Errorf("MinCalibWindow not clamped: %v", clamped.MinCalibWindow)
 	}
 }
 

@@ -98,7 +98,7 @@ func newRoundHarness(t *testing.T) *roundHarness {
 	key := make([]byte, wire.KeySize)
 	h := &roundHarness{
 		t:     t,
-		p:     &fakePlatform{tsc: 1000},
+		p:     NewFakePlatform(),
 		auths: []simnet.Addr{100, 101, 102},
 		seal:  map[simnet.Addr]*wire.Sealer{},
 	}

@@ -9,6 +9,7 @@ import (
 	"triadtime/internal/authority"
 	"triadtime/internal/core"
 	"triadtime/internal/enclave"
+	"triadtime/internal/engine"
 	"triadtime/internal/ntpdisc"
 	"triadtime/internal/resilient"
 	"triadtime/internal/sim"
@@ -63,14 +64,14 @@ func RunDriftQuality(seed uint64, duration time.Duration) ([]DriftQualityRow, er
 	}
 
 	triadNode, err := core.NewNode(newPlatform(1, 10), core.Config{
-		Key: ClusterKey(), Addr: 1, Authority: TAAddr,
+		Config:               engine.Config{Key: ClusterKey(), Addr: 1, Authority: TAAddr},
 		CalibSamplesPerSleep: 2,
 	})
 	if err != nil {
 		return nil, err
 	}
 	hardenedNode, err := resilient.NewNode(newPlatform(2, 11), resilient.Config{
-		Key: ClusterKey(), Addr: 2, Authority: TAAddr,
+		Config: engine.Config{Key: ClusterKey(), Addr: 2, Authority: TAAddr},
 	})
 	if err != nil {
 		return nil, err

@@ -24,26 +24,6 @@ import (
 	"triadtime/internal/wire"
 )
 
-// TimeNode is the common surface of the original (core.Node) and
-// hardened (resilient.Node) protocol implementations; experiments are
-// written against it so every scenario can run on either.
-type TimeNode interface {
-	Start()
-	Addr() simnet.Addr
-	State() core.State
-	FCalib() float64
-	TAReferences() int
-	PeerUntaints() int
-	Counters() engine.Counters
-	TrustedNow() (int64, error)
-	ClockReading() (int64, bool)
-}
-
-var (
-	_ TimeNode = (*core.Node)(nil)
-	_ TimeNode = (*resilient.Node)(nil)
-)
-
 // TAAddr is the (first) Time Authority's address in all experiments;
 // multi-authority clusters occupy TAAddr, TAAddr+1, ....
 const TAAddr simnet.Addr = 100
@@ -93,8 +73,8 @@ type ClusterConfig struct {
 	Tweak func(i int, cfg *core.Config)
 	// RecordAEXGaps enables per-node inter-AEX gap recording.
 	RecordAEXGaps bool
-	// Hardened builds resilient.Node participants instead of the
-	// original protocol (the Section V extension experiments).
+	// Hardened builds hardened (internal/resilient) participants instead
+	// of the original protocol (the Section V extension experiments).
 	Hardened bool
 	// HardenedTweak adjusts each hardened node's configuration (e.g.
 	// for ablations). Only used when Hardened is set.
@@ -147,7 +127,7 @@ type Cluster struct {
 	// in address order for multi-authority clusters.
 	TA        *authority.SimBinding
 	TAs       []*authority.SimBinding
-	Nodes     []TimeNode
+	Nodes     []*engine.Node
 	Platforms []*enclave.SimPlatform
 
 	// Per-node instrumentation. In streaming mode the series slices stay
@@ -277,53 +257,38 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			events.PeerUntaint = hooks.PeerUntaint
 			events.Discrepancy = hooks.Discrepancy
 		}
-		var node TimeNode
+		shared := engine.Config{
+			Key:          ClusterKey(),
+			Addr:         addrs[i],
+			Peers:        peers,
+			Authority:    TAAddr,
+			MonitorTicks: cfg.MonitorTicks,
+			Events:       events,
+		}
+		if cfg.Authorities >= 2 {
+			shared.Authorities = taAddrs
+			shared.QuorumMinAgree = cfg.QuorumMinAgree
+		}
+		var node *engine.Node
+		var err error
 		if cfg.Hardened {
-			nodeCfg := resilient.Config{
-				Key:          ClusterKey(),
-				Addr:         addrs[i],
-				Peers:        peers,
-				Authority:    TAAddr,
-				MonitorTicks: cfg.MonitorTicks,
-				Events:       events,
-			}
-			if cfg.Authorities >= 2 {
-				nodeCfg.Authorities = taAddrs
-				nodeCfg.QuorumMinAgree = cfg.QuorumMinAgree
-			}
+			nodeCfg := resilient.Config{Config: shared}
 			if cfg.HardenedTweak != nil {
 				cfg.HardenedTweak(i, &nodeCfg)
 			}
-			hardened, err := resilient.NewNode(platform, nodeCfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: hardened node %d: %w", i+1, err)
-			}
-			node = hardened
+			node, err = resilient.NewNode(platform, nodeCfg)
 		} else {
-			nodeCfg := core.Config{
-				Key:       ClusterKey(),
-				Addr:      addrs[i],
-				Peers:     peers,
-				Authority: TAAddr,
-				// The paper's effective drift rates come from few, short
-				// measurements; two samples per sleep value matches its
-				// "repeated and independent short interactions".
-				CalibSamplesPerSleep: 2,
-				MonitorTicks:         cfg.MonitorTicks,
-				Events:               events,
-			}
-			if cfg.Authorities >= 2 {
-				nodeCfg.Authorities = taAddrs
-				nodeCfg.QuorumMinAgree = cfg.QuorumMinAgree
-			}
+			// The paper's effective drift rates come from few, short
+			// measurements; two samples per sleep value matches its
+			// "repeated and independent short interactions".
+			nodeCfg := core.Config{Config: shared, CalibSamplesPerSleep: 2}
 			if cfg.Tweak != nil {
 				cfg.Tweak(i, &nodeCfg)
 			}
-			original, err := core.NewNode(platform, nodeCfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: node %d: %w", i+1, err)
-			}
-			node = original
+			node, err = core.NewNode(platform, nodeCfg)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("experiment: node %d: %w", i+1, err)
 		}
 		c.Nodes = append(c.Nodes, node)
 		c.Platforms = append(c.Platforms, platform)
@@ -433,7 +398,7 @@ func (c *Cluster) sampleOnce() {
 				State:        n.State(),
 			})
 		}
-		c.TACounts[i].Add(metrics.CountPoint{RefSeconds: refSec, Count: n.TAReferences()})
+		c.TACounts[i].Add(metrics.CountPoint{RefSeconds: refSec, Count: n.Counters().TAReferences})
 		c.AEXCounts[i].Add(metrics.CountPoint{RefSeconds: refSec, Count: c.Platforms[i].AEXCount()})
 	}
 }

@@ -300,8 +300,9 @@ func RunGossipComparison(seed uint64, duration time.Duration) ([]GossipRow, erro
 
 		row := GossipRow{Gossip: gossip, MinAvailability: 1}
 		for i, n := range c.Nodes {
-			row.TARefsPerNode += float64(n.TAReferences())
-			row.PeerUntaintsPerNode += float64(n.PeerUntaints())
+			cnt := n.Counters()
+			row.TARefsPerNode += float64(cnt.TAReferences)
+			row.PeerUntaintsPerNode += float64(cnt.PeerUntaints)
 			row.MinAvailability = math.Min(row.MinAvailability, c.Availability(i))
 		}
 		row.TARefsPerNode /= float64(len(c.Nodes))

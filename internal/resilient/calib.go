@@ -43,7 +43,7 @@ type calibState struct {
 
 // askTA begins one sleep-free exchange with the Time Authority.
 func (p *policy) askTA(e *engine.Engine, done func(*engine.Round)) *engine.Round {
-	return e.BeginRound([]simnet.Addr{e.Authority()}, 0, p.cfg.TATimeout, done)
+	return e.BeginRound([]simnet.Addr{e.Authority()}, 0, e.TATimeout(), done)
 }
 
 // overBound reports (and counts) a roundtrip longer than RTTBound: the

@@ -31,44 +31,26 @@
 //     miscalibrated clock cannot run unchecked arbitrarily long in a
 //     low-AEX environment (the amplifier behind Figure 4).
 //
-// Since the engine extraction, this package is a thin policy bundle:
-// internal/engine owns the clock state, the state machine, datagram
-// dispatch, AEX epochs, peer gathering, rate monitoring, and counters,
-// while resilient contributes the windowed calibration policy, the
+// This package is a policy bundle on internal/engine and nothing else.
+// The engine owns the clock state, the state machine, datagram
+// dispatch, AEX epochs, every exchange, rate monitoring, counters, the
+// configuration shared by all variants (engine.Config, embedded in this
+// package's Config) and the node handle NewNode returns (*engine.Node);
+// resilient contributes the windowed calibration policy, the
 // probe/deadline recovery policy, the Marzullo true-chimer peer
-// filter, and the chimer-gossip hook.
+// filter, the chimer-gossip hook, and the knobs only they read.
 package resilient
 
 import (
 	"time"
 
-	"triadtime/internal/core"
-	"triadtime/internal/simnet"
+	"triadtime/internal/engine"
 )
 
-// Config parameterizes a hardened node.
+// Config parameterizes a hardened node: the configuration every
+// variant shares plus the Section V knobs.
 type Config struct {
-	// Key is the cluster's 32-byte pre-shared AES-256 key.
-	Key []byte
-	// Addr is this node's network address and wire sender identity.
-	Addr simnet.Addr
-	// Peers are the other nodes in the cluster.
-	Peers []simnet.Addr
-	// Authority is the Time Authority's address.
-	Authority simnet.Addr
-	// Authorities lists multiple independent Time Authorities. With two
-	// or more entries the node runs multi-authority quorum calibration
-	// (engine.QuorumCalibration) instead of the single-TA windowed
-	// calibration: every exchange fans out to all authorities and a
-	// reference is adopted only when a quorum's Marzullo intervals
-	// agree. Authority may be left zero and defaults to Authorities[0].
-	Authorities []simnet.Addr
-	// QuorumMinAgree overrides the quorum's strict-majority agreement
-	// rule with an absolute count. 0 keeps the majority rule.
-	QuorumMinAgree int
-	// QuorumRecheck is the steady-state quorum revalidation period
-	// (default 10s).
-	QuorumRecheck time.Duration
+	engine.Config
 
 	// CalibWindow is the target TSC window between the two calibration
 	// exchanges, expressed as wall time via the boot hint. Longer
@@ -82,11 +64,6 @@ type Config struct {
 	// RTTBound rejects any TA exchange whose roundtrip exceeds it.
 	// Default: 5ms.
 	RTTBound time.Duration
-	// PeerTimeout is how long a tainted node gathers peer responses
-	// before deciding. Default: 20ms.
-	PeerTimeout time.Duration
-	// TATimeout bounds the wait for a TA response. Default: 250ms.
-	TATimeout time.Duration
 
 	// ErrBudget is the half-width of the consistency interval assigned
 	// to each clock reading when intersecting (own drift since last
@@ -108,17 +85,9 @@ type Config struct {
 	// identities must be <= 64 for the report bitmask.
 	EnableGossip bool
 
-	// MonitorTicks / MonitorTolerance / DisableMonitor mirror the
-	// original node's INC monitoring configuration. The hardened node
-	// runs the frequency-independent memory monitor by default;
-	// DisableMemMonitor turns it off (ablation).
-	MonitorTicks      uint64
-	MonitorTolerance  float64
-	DisableMonitor    bool
+	// DisableMemMonitor turns off the frequency-independent memory
+	// monitor, which the hardened node runs by default (ablation).
 	DisableMemMonitor bool
-
-	// Events are optional observation hooks (shared with core).
-	Events core.Events
 }
 
 // Defaults for zero Config fields.
@@ -126,16 +95,14 @@ const (
 	DefaultCalibWindow    = 8 * time.Second
 	DefaultMinCalibWindow = 500 * time.Millisecond
 	DefaultRTTBound       = 5 * time.Millisecond
-	DefaultPeerTimeout    = 20 * time.Millisecond
-	DefaultTATimeout      = 250 * time.Millisecond
 	DefaultErrBudget      = 50 * time.Millisecond
 	DefaultDeadline       = 2 * time.Second
 )
 
-// withDefaults returns a copy of the config with the resilient-specific
-// zero fields defaulted; key and address validation is the engine's
-// job (NewNode wraps its errors under this package's name).
-func (c Config) withDefaults() (Config, error) {
+// withDefaults returns a copy of the config with the
+// resilient-specific zero fields defaulted; the embedded shared Config
+// is defaulted and validated by the engine.
+func (c Config) withDefaults() Config {
 	if c.CalibWindow <= 0 {
 		c.CalibWindow = DefaultCalibWindow
 	}
@@ -148,15 +115,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.RTTBound <= 0 {
 		c.RTTBound = DefaultRTTBound
 	}
-	if c.PeerTimeout <= 0 {
-		c.PeerTimeout = DefaultPeerTimeout
-	}
-	if c.TATimeout <= 0 {
-		c.TATimeout = DefaultTATimeout
-	}
 	if c.ErrBudget <= 0 {
 		c.ErrBudget = DefaultErrBudget
 	}
-	// MonitorTicks / MonitorTolerance default in the engine.
-	return c, nil
+	return c
 }

@@ -23,12 +23,11 @@ func TestGossipBuildsAccreditation(t *testing.T) {
 	// reports circulate.
 	r.run(2 * time.Minute)
 	for i, n := range r.nodes {
-		sent, received, _ := n.GossipStats()
-		if sent == 0 || received == 0 {
-			t.Fatalf("node %d gossip sent/received = %d/%d", i+1, sent, received)
+		if c := n.Counters(); c.GossipSent == 0 || c.GossipReceived == 0 {
+			t.Fatalf("node %d gossip sent/received = %d/%d", i+1, c.GossipSent, c.GossipReceived)
 		}
-		for _, peer := range n.pol.cfg.Peers {
-			if !n.pol.accredited(uint32(peer)) {
+		for _, peer := range r.pols[i].cfg.Peers {
+			if !r.pols[i].accredited(uint32(peer)) {
 				t.Errorf("node %d: honest peer %d not accredited", i+1, peer)
 			}
 		}
@@ -51,10 +50,10 @@ func TestGossipNeverAccreditsFastClock(t *testing.T) {
 	r.startAll()
 	r.run(90 * time.Second)
 	// Compromise node 5's clock after everyone calibrated honestly.
-	r.nodes[4].eng.ShiftReference(10 * int64(time.Second))
+	r.engines[4].ShiftReference(10 * int64(time.Second))
 	r.run(3 * time.Minute)
 	for i := 0; i < 4; i++ {
-		if r.nodes[i].pol.accredited(5) {
+		if r.pols[i].accredited(5) {
 			t.Errorf("node %d accredits the fast clock", i+1)
 		}
 		// Honest peers stay accredited.
@@ -62,7 +61,7 @@ func TestGossipNeverAccreditsFastClock(t *testing.T) {
 			if peer == uint32(i+1) {
 				continue
 			}
-			if !r.nodes[i].pol.accredited(peer) {
+			if !r.pols[i].accredited(peer) {
 				t.Errorf("node %d lost accreditation of honest peer %d", i+1, peer)
 			}
 		}
@@ -79,8 +78,8 @@ func TestGossipAccreditedPeerUntaintsAlone(t *testing.T) {
 	r.run(2 * time.Minute) // accreditation established
 
 	victim := r.nodes[0]
-	taBefore := victim.TAReferences()
-	_, _, adoptionsBefore := victim.GossipStats()
+	taBefore := victim.Counters().TAReferences
+	adoptionsBefore := victim.Counters().GossipAdoptions
 	// Silence node 3 entirely: a taint on node 1 now yields a single
 	// answer (node 2) — no same-moment majority.
 	box.muted = 3
@@ -90,11 +89,11 @@ func TestGossipAccreditedPeerUntaintsAlone(t *testing.T) {
 	if victim.State() != core.StateOK {
 		t.Fatalf("victim state = %v", victim.State())
 	}
-	_, _, adoptions := victim.GossipStats()
+	adoptions := victim.Counters().GossipAdoptions
 	if adoptions != adoptionsBefore+1 {
 		t.Errorf("gossip adoptions = %d, want %d", adoptions, adoptionsBefore+1)
 	}
-	if victim.TAReferences() != taBefore {
+	if victim.Counters().TAReferences != taBefore {
 		t.Error("victim fell back to the TA despite an accredited responder")
 	}
 	// The clock stayed honest.
@@ -113,15 +112,15 @@ func TestGossipRefusesUnaccreditedSingleAnswer(t *testing.T) {
 	r.startAll()
 	r.run(10 * time.Second) // calibrated, but no probe rounds yet
 	victim := r.nodes[0]
-	taBefore := victim.TAReferences()
+	taBefore := victim.Counters().TAReferences
 	box.muted = 3
 	r.platforms[0].FireAEX()
 	r.run(2 * time.Second)
 	if victim.State() != core.StateOK {
 		t.Fatalf("victim state = %v", victim.State())
 	}
-	if victim.TAReferences() != taBefore+1 {
-		t.Errorf("TA refs = %d, want %d (no accreditation yet)", victim.TAReferences(), taBefore+1)
+	if victim.Counters().TAReferences != taBefore+1 {
+		t.Errorf("TA refs = %d, want %d (no accreditation yet)", victim.Counters().TAReferences, taBefore+1)
 	}
 }
 
@@ -139,20 +138,20 @@ func TestGossipFastClockCannotUntaintViaAccreditation(t *testing.T) {
 	})
 	r.startAll()
 	r.run(2 * time.Minute) // accreditation established everywhere
-	r.nodes[2].eng.ShiftReference(10 * int64(time.Second))
+	r.engines[2].ShiftReference(10 * int64(time.Second))
 	// Let probes observe the now-fast clock: honest nodes revoke.
 	r.run(30 * time.Second)
-	if r.nodes[0].pol.accredited(3) || r.nodes[1].pol.accredited(3) {
+	if r.pols[0].accredited(3) || r.pols[1].accredited(3) {
 		t.Fatal("fast clock still accredited after probe evidence")
 	}
 	// A taint on node 1 with node 2 muzzled leaves only node 3's
 	// answer: unaccredited -> TA, clock stays honest.
 	box := &muzzleAll{muted: 2}
 	r.net.AttachMiddlebox(box)
-	taBefore := r.nodes[0].TAReferences()
+	taBefore := r.nodes[0].Counters().TAReferences
 	r.platforms[0].FireAEX()
 	r.run(2 * time.Second)
-	if r.nodes[0].TAReferences() != taBefore+1 {
+	if r.nodes[0].Counters().TAReferences != taBefore+1 {
 		t.Error("victim did not use the TA against the lone fast clock")
 	}
 	reading, _ := r.nodes[0].ClockReading()
@@ -184,11 +183,10 @@ func TestGossipDisabledIsInert(t *testing.T) {
 	r.startAll()
 	r.run(2 * time.Minute)
 	for i, n := range r.nodes {
-		sent, received, adoptions := n.GossipStats()
-		if sent != 0 || received != 0 || adoptions != 0 {
-			t.Errorf("node %d gossip active while disabled: %d/%d/%d", i+1, sent, received, adoptions)
+		if c := n.Counters(); c.GossipSent != 0 || c.GossipReceived != 0 || c.GossipAdoptions != 0 {
+			t.Errorf("node %d gossip active while disabled: %d/%d/%d", i+1, c.GossipSent, c.GossipReceived, c.GossipAdoptions)
 		}
-		if n.pol.accredited(uint32((i+1)%3) + 1) {
+		if r.pols[i].accredited(uint32((i+1)%3) + 1) {
 			t.Errorf("node %d accredits with gossip disabled", i+1)
 		}
 	}

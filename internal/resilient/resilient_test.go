@@ -10,6 +10,7 @@ import (
 	"triadtime/internal/authority"
 	"triadtime/internal/core"
 	"triadtime/internal/enclave"
+	"triadtime/internal/engine"
 	"triadtime/internal/sim"
 	"triadtime/internal/simnet"
 	"triadtime/internal/simtime"
@@ -30,7 +31,9 @@ type rig struct {
 	t         *testing.T
 	sched     *sim.Scheduler
 	net       *simnet.Network
-	nodes     []*Node
+	nodes     []*engine.Node
+	engines   []*engine.Engine // the nodes' engines, for fault injection
+	pols      []*policy        // and their policies, for the gossip view
 	platforms []*enclave.SimPlatform
 }
 
@@ -58,15 +61,17 @@ func newRig(t *testing.T, nodeCount int, tweak func(i int, cfg *Config)) *rig {
 				peers = append(peers, a)
 			}
 		}
-		cfg := Config{Key: testKey(), Addr: addrs[i], Peers: peers, Authority: taAddr}
+		cfg := Config{Config: engine.Config{Key: testKey(), Addr: addrs[i], Peers: peers, Authority: taAddr}}
 		if tweak != nil {
 			tweak(i, &cfg)
 		}
-		n, err := NewNode(p, cfg)
+		eng, pol, err := assemble(p, cfg)
 		if err != nil {
 			t.Fatalf("node %d: %v", i, err)
 		}
-		r.nodes = append(r.nodes, n)
+		r.nodes = append(r.nodes, eng.Node())
+		r.engines = append(r.engines, eng)
+		r.pols = append(r.pols, pol)
 		r.platforms = append(r.platforms, p)
 	}
 	return r
@@ -86,13 +91,13 @@ func TestConfigValidation(t *testing.T) {
 	p := enclave.NewSimPlatform(sched, sim.NewRNG(2), network, enclave.SimConfig{
 		Addr: 1, TSC: simtime.NewTSC(1e9, 0),
 	})
-	bad := []Config{
+	bad := []engine.Config{
 		{Key: []byte("short"), Addr: 1, Authority: 9},
 		{Key: testKey(), Addr: 1, Authority: 1},
 		{Key: testKey(), Addr: 1, Authority: 9, Peers: []simnet.Addr{1}},
 	}
 	for _, cfg := range bad {
-		if _, err := NewNode(p, cfg); err == nil {
+		if _, err := NewNode(p, Config{Config: cfg}); err == nil {
 			t.Errorf("config %+v accepted", cfg)
 		}
 	}
@@ -188,7 +193,7 @@ func TestFMinusAttackBecomesVisibleDoSNotCorruption(t *testing.T) {
 			t.Errorf("FCalib %.0fppm off under F-: silent corruption", ppm)
 		}
 	}
-	if n.RTTRejections() == 0 {
+	if n.Counters().RTTRejections == 0 {
 		t.Error("no RTT rejections: the bound never engaged")
 	}
 	if n.FCalib() != 0 {
@@ -209,8 +214,8 @@ func TestChimerFilterRejectsLoneFastClock(t *testing.T) {
 		}
 	}
 	// Compromise node 3's clock: +10s into the future.
-	r.nodes[2].eng.ShiftReference(10 * int64(time.Second))
-	taBefore := r.nodes[0].TAReferences()
+	r.engines[2].ShiftReference(10 * int64(time.Second))
+	taBefore := r.nodes[0].Counters().TAReferences
 	// Taint node 1: it hears honest node 2 and fast node 3; the two
 	// disagree, so no majority -> TA fallback, fast clock rejected.
 	r.platforms[0].FireAEX()
@@ -224,10 +229,10 @@ func TestChimerFilterRejectsLoneFastClock(t *testing.T) {
 	if drift > 100*time.Millisecond {
 		t.Errorf("victim infected: drift %v after untaint", drift)
 	}
-	if victim.RejectedPeerSamples() == 0 {
+	if victim.Counters().RejectedPeers == 0 {
 		t.Error("chimer filter reported no rejections")
 	}
-	if victim.TAReferences() <= taBefore {
+	if victim.Counters().TAReferences <= taBefore {
 		t.Error("victim should have fallen back to the TA")
 	}
 }
@@ -238,7 +243,7 @@ func TestChimerConsensusAdoptsHonestMajority(t *testing.T) {
 	})
 	r.startAll()
 	r.run(60 * time.Second)
-	taBefore := r.nodes[0].TAReferences()
+	taBefore := r.nodes[0].Counters().TAReferences
 	// Both peers honest: the tainted node recovers from their
 	// consensus without touching the TA.
 	r.platforms[0].FireAEX()
@@ -247,10 +252,10 @@ func TestChimerConsensusAdoptsHonestMajority(t *testing.T) {
 	if victim.State() != core.StateOK {
 		t.Fatalf("state = %v", victim.State())
 	}
-	if victim.PeerUntaints() != 1 {
-		t.Errorf("PeerUntaints = %d, want 1", victim.PeerUntaints())
+	if victim.Counters().PeerUntaints != 1 {
+		t.Errorf("PeerUntaints = %d, want 1", victim.Counters().PeerUntaints)
 	}
-	if victim.TAReferences() != taBefore {
+	if victim.Counters().TAReferences != taBefore {
 		t.Error("TA contacted despite honest peer majority")
 	}
 }
@@ -262,7 +267,7 @@ func TestAblationWithoutChimerFilterGetsInfected(t *testing.T) {
 	})
 	r.startAll()
 	r.run(60 * time.Second)
-	r.nodes[2].eng.ShiftReference(10 * int64(time.Second))
+	r.engines[2].ShiftReference(10 * int64(time.Second))
 	// Make the fast clock's answer arrive first, as the original
 	// first-response policy race allows.
 	r.net.SetLink(2, 1, simnet.Link{Base: 10 * time.Millisecond})
@@ -282,9 +287,9 @@ func TestDeadlineProbeCatchesMiscalibratedClock(t *testing.T) {
 	n := r.nodes[2]
 	// Simulate a calibration the F- attack would have produced on the
 	// original protocol: rate 10% low -> clock runs +111ms/s.
-	n.eng.ScaleRate(0.9)
+	r.engines[2].ScaleRate(0.9)
 	r.run(30 * time.Second)
-	if n.ProbeFailures() == 0 {
+	if n.Counters().ProbeFailures == 0 {
 		t.Fatal("in-TCB deadline never caught the runaway clock")
 	}
 	// Recalibrated back to an honest rate.
@@ -307,10 +312,10 @@ func TestDeadlineDisabledAblation(t *testing.T) {
 	r.startAll()
 	r.run(30 * time.Second)
 	n := r.nodes[0]
-	n.eng.ScaleRate(0.9)
+	r.engines[0].ScaleRate(0.9)
 	r.run(60 * time.Second)
-	if n.Probes() != 0 {
-		t.Errorf("probes ran despite DisableDeadline: %d", n.Probes())
+	if n.Counters().Probes != 0 {
+		t.Errorf("probes ran despite DisableDeadline: %d", n.Counters().Probes)
 	}
 	// Without the in-TCB trigger the bad rate persists (that is the
 	// original protocol's hole).
@@ -348,7 +353,7 @@ func TestServedMonotonicAcrossConsensusAdoption(t *testing.T) {
 	}
 	// Push the victim's clock ahead, then force a consensus adoption
 	// (which lands behind): serving stays monotonic regardless.
-	victim.eng.ShiftReference(int64(time.Second))
+	r.engines[0].ShiftReference(int64(time.Second))
 	ts2, _ := victim.TrustedNow()
 	r.platforms[0].FireAEX()
 	r.run(time.Second)
@@ -379,8 +384,8 @@ func TestStartIdempotent(t *testing.T) {
 	r.nodes[0].Start()
 	r.nodes[0].Start()
 	r.run(30 * time.Second)
-	if r.nodes[0].TAReferences() != 1 {
-		t.Errorf("TAReferences = %d, want 1", r.nodes[0].TAReferences())
+	if r.nodes[0].Counters().TAReferences != 1 {
+		t.Errorf("TAReferences = %d, want 1", r.nodes[0].Counters().TAReferences)
 	}
 }
 
@@ -390,15 +395,15 @@ func TestProbeTACheckWithoutPeers(t *testing.T) {
 	r.startAll()
 	r.run(60 * time.Second)
 	n := r.nodes[0]
-	if n.Probes() == 0 {
+	if n.Counters().Probes == 0 {
 		t.Fatal("deadline probes never ran")
 	}
-	if n.ProbeFailures() != 0 {
-		t.Errorf("healthy clock failed %d probes", n.ProbeFailures())
+	if n.Counters().ProbeFailures != 0 {
+		t.Errorf("healthy clock failed %d probes", n.Counters().ProbeFailures)
 	}
 	// Consistency checks must not be misread as reference adoptions.
-	if n.TAReferences() != 1 {
-		t.Errorf("TAReferences = %d, want 1 (probes are checks, not re-anchors)", n.TAReferences())
+	if n.Counters().TAReferences != 1 {
+		t.Errorf("TAReferences = %d, want 1 (probes are checks, not re-anchors)", n.Counters().TAReferences)
 	}
 }
 
@@ -408,16 +413,16 @@ func TestProbeConsistentWithPeersSkipsTA(t *testing.T) {
 	r.run(10 * time.Second) // calibrations
 	taBefore := make([]int, 3)
 	for i, n := range r.nodes {
-		taBefore[i] = n.TAReferences()
+		taBefore[i] = n.Counters().TAReferences
 	}
 	r.run(60 * time.Second) // ~30 deadline probes per node
 	for i, n := range r.nodes {
-		if n.Probes() == 0 {
+		if n.Counters().Probes == 0 {
 			t.Fatalf("node %d never probed", i)
 		}
-		if n.TAReferences() != taBefore[i] {
+		if n.Counters().TAReferences != taBefore[i] {
 			t.Errorf("node %d contacted the TA %d times despite consistent peers",
-				i, n.TAReferences()-taBefore[i])
+				i, n.Counters().TAReferences-taBefore[i])
 		}
 	}
 }
@@ -501,7 +506,7 @@ func TestRTTRejectionOnRefCalib(t *testing.T) {
 	if n.State() == core.StateOK {
 		t.Error("node recovered through over-delayed TA responses")
 	}
-	if n.RTTRejections() == 0 {
+	if n.Counters().RTTRejections == 0 {
 		t.Error("no RTT rejections recorded")
 	}
 	box.extra = 0
@@ -542,19 +547,19 @@ func TestInteropWithOriginalNodes(t *testing.T) {
 	}
 	p1, p2, p3 := newPlatform(1, 10), newPlatform(2, 11), newPlatform(3, 12)
 	orig1, err := core.NewNode(p1, core.Config{
-		Key: testKey(), Addr: 1, Peers: []simnet.Addr{2, 3}, Authority: taAddr,
+		Config: engine.Config{Key: testKey(), Addr: 1, Peers: []simnet.Addr{2, 3}, Authority: taAddr},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	orig2, err := core.NewNode(p2, core.Config{
-		Key: testKey(), Addr: 2, Peers: []simnet.Addr{1, 3}, Authority: taAddr,
+		Config: engine.Config{Key: testKey(), Addr: 2, Peers: []simnet.Addr{1, 3}, Authority: taAddr},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	hard, err := NewNode(p3, Config{
-		Key: testKey(), Addr: 3, Peers: []simnet.Addr{1, 2}, Authority: taAddr,
+		Config: engine.Config{Key: testKey(), Addr: 3, Peers: []simnet.Addr{1, 2}, Authority: taAddr},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -573,22 +578,22 @@ func TestInteropWithOriginalNodes(t *testing.T) {
 	if orig1.State() != core.StateOK {
 		t.Fatalf("original node state = %v after peer untaint", orig1.State())
 	}
-	if orig1.PeerUntaints() != 1 {
-		t.Errorf("original node PeerUntaints = %d", orig1.PeerUntaints())
+	if orig1.Counters().PeerUntaints != 1 {
+		t.Errorf("original node PeerUntaints = %d", orig1.Counters().PeerUntaints)
 	}
 
 	// The hardened node taints: both original peers answer and their
 	// consensus untaints it without the TA.
-	taBefore := hard.TAReferences()
+	taBefore := hard.Counters().TAReferences
 	p3.FireAEX()
 	sched.RunUntil(sched.Now().Add(time.Second))
 	if hard.State() != core.StateOK {
 		t.Fatalf("hardened node state = %v", hard.State())
 	}
-	if hard.PeerUntaints() != 1 {
-		t.Errorf("hardened PeerUntaints = %d", hard.PeerUntaints())
+	if hard.Counters().PeerUntaints != 1 {
+		t.Errorf("hardened PeerUntaints = %d", hard.Counters().PeerUntaints)
 	}
-	if hard.TAReferences() != taBefore {
+	if hard.Counters().TAReferences != taBefore {
 		t.Error("hardened node needed the TA despite honest original peers")
 	}
 
@@ -633,7 +638,7 @@ func TestCalibrationRetriesOnLostResponses(t *testing.T) {
 	if _, err := n.TrustedNow(); err != nil {
 		t.Fatal(err)
 	}
-	if n.ServedCount() == 0 {
+	if n.Counters().Served == 0 {
 		t.Error("ServedCount not tracking")
 	}
 }

@@ -82,48 +82,3 @@ func (c *CDF) Points() []Point {
 	}
 	return pts
 }
-
-// Histogram counts observations into uniform-width bins over [lo, hi).
-// Observations outside the range are clamped into the edge bins so no
-// sample is silently dropped.
-type Histogram struct {
-	Lo, Hi float64
-	Counts []int
-	total  int
-}
-
-// NewHistogram creates a histogram with the given bin count over [lo, hi).
-// bins must be >= 1 and hi > lo; otherwise a single-bin histogram over the
-// degenerate range is returned.
-func NewHistogram(lo, hi float64, bins int) *Histogram {
-	if bins < 1 {
-		bins = 1
-	}
-	if hi <= lo {
-		hi = lo + 1
-	}
-	return &Histogram{Lo: lo, Hi: hi, Counts: make([]int, bins)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(x float64) {
-	bins := len(h.Counts)
-	idx := int(float64(bins) * (x - h.Lo) / (h.Hi - h.Lo))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= bins {
-		idx = bins - 1
-	}
-	h.Counts[idx]++
-	h.total++
-}
-
-// Total reports the number of observations recorded.
-func (h *Histogram) Total() int { return h.total }
-
-// BinCenter returns the midpoint of bin i.
-func (h *Histogram) BinCenter(i int) float64 {
-	w := (h.Hi - h.Lo) / float64(len(h.Counts))
-	return h.Lo + w*(float64(i)+0.5)
-}

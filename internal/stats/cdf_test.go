@@ -106,34 +106,3 @@ func TestCDFProperties(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5)
-	for _, x := range []float64{0, 1.9, 2, 9.9, -5, 100} {
-		h.Add(x)
-	}
-	if h.Total() != 6 {
-		t.Fatalf("Total = %d, want 6", h.Total())
-	}
-	// Bins: [0,2) [2,4) [4,6) [6,8) [8,10); -5 clamps low, 100 clamps high.
-	want := []int{3, 1, 0, 0, 2}
-	for i, c := range h.Counts {
-		if c != want[i] {
-			t.Errorf("Counts[%d] = %d, want %d (all: %v)", i, c, want[i], h.Counts)
-		}
-	}
-	if got := h.BinCenter(0); got != 1 {
-		t.Errorf("BinCenter(0) = %v, want 1", got)
-	}
-	if got := h.BinCenter(4); got != 9 {
-		t.Errorf("BinCenter(4) = %v, want 9", got)
-	}
-}
-
-func TestHistogramDegenerate(t *testing.T) {
-	h := NewHistogram(5, 5, 0) // invalid range and bin count
-	h.Add(5)
-	if h.Total() != 1 || len(h.Counts) != 1 {
-		t.Errorf("degenerate histogram mishandled: %+v", h)
-	}
-}

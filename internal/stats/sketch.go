@@ -270,35 +270,3 @@ func fracBelow(count, lo, hi, x float64) float64 {
 		return count * (x - lo) / (hi - lo)
 	}
 }
-
-// SketchPoints renders the sketch as a step CDF curve with one point
-// per non-empty bucket (upper edge, cumulative probability) — the
-// fixed-size counterpart of CDF.Points for plotting aggregated
-// distributions.
-func (s *Sketch) SketchPoints() []Point {
-	if s.n == 0 {
-		return nil
-	}
-	pts := make([]Point, 0, 64)
-	var cum float64
-	total := float64(s.n)
-	for i := sketchBuckets - 1; i >= 0; i-- {
-		if c := s.neg[i]; c != 0 {
-			lo, _ := sketchBounds(i)
-			cum += float64(c)
-			pts = append(pts, Point{X: -lo, P: cum / total})
-		}
-	}
-	if s.zero > 0 {
-		cum += float64(s.zero)
-		pts = append(pts, Point{X: 0, P: cum / total})
-	}
-	for i := 0; i < sketchBuckets; i++ {
-		if c := s.pos[i]; c != 0 {
-			_, hi := sketchBounds(i)
-			cum += float64(c)
-			pts = append(pts, Point{X: hi, P: cum / total})
-		}
-	}
-	return pts
-}

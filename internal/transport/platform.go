@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"triadtime/internal/enclave"
@@ -220,10 +221,25 @@ func (p *Platform) Send(to simnet.Addr, payload []byte) {
 }
 
 // AfterTicks schedules fn after the guest TSC advances by ticks.
+// Stopping the Go timer is not enough to cancel: once it has fired, fn
+// is already queued behind whatever handler is running, and that
+// handler may be the one cancelling. The queued closure therefore
+// checks the cancelled flag on the dispatch goroutine, so a handler's
+// cancel always wins over a callback that has not started.
 func (p *Platform) AfterTicks(ticks uint64, fn func()) enclave.CancelFunc {
 	d := time.Duration(float64(ticks) / p.tscHz * float64(time.Second))
-	t := time.AfterFunc(d, func() { p.post(fn) })
-	return func() { t.Stop() }
+	var cancelled atomic.Bool
+	t := time.AfterFunc(d, func() {
+		p.post(func() {
+			if !cancelled.Load() {
+				fn()
+			}
+		})
+	})
+	return func() {
+		cancelled.Store(true)
+		t.Stop()
+	}
 }
 
 // SetAEXHandler registers the AEX-Notify callback.

@@ -3,12 +3,14 @@ package transport
 import (
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"triadtime/internal/authority"
 	"triadtime/internal/core"
 	enclavepkg "triadtime/internal/enclave"
+	"triadtime/internal/engine"
 	"triadtime/internal/simnet"
 	"triadtime/internal/simtime"
 	"triadtime/internal/wire"
@@ -79,6 +81,28 @@ func TestAfterTicksAndCancel(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if cancelled {
 		t.Error("cancelled timer fired")
+	}
+}
+
+// TestCancelBeatsQueuedTimer: a timer that expires while a handler is
+// running is queued behind it; if that handler cancels the timer, the
+// function must still never run (a Gather or Round closed by the
+// handler would otherwise be closed a second time).
+func TestCancelBeatsQueuedTimer(t *testing.T) {
+	p, err := New(Config{Conn: listen(t), TSCHz: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	var fired atomic.Bool
+	p.Do(func() {
+		cancel := p.AfterTicks(1000, func() { fired.Store(true) }) // 1µs
+		time.Sleep(20 * time.Millisecond)                          // expires, queues behind this callback
+		cancel()
+	})
+	p.Do(func() {}) // the queued callback, if any, has run by now
+	if fired.Load() {
+		t.Error("timer cancelled by the running handler still fired")
 	}
 }
 
@@ -228,7 +252,7 @@ func TestLiveClusterEndToEnd(t *testing.T) {
 	}
 
 	var platforms []*Platform
-	var nodes []*core.Node
+	var nodes []*engine.Node
 	for i, c := range conns {
 		p, err := New(Config{
 			Conn:      c,
@@ -245,17 +269,19 @@ func TestLiveClusterEndToEnd(t *testing.T) {
 				peers = append(peers, simnet.Addr(j+1))
 			}
 		}
-		var node *core.Node
+		var node *engine.Node
 		ok := p.Do(func() {
 			node, err = core.NewNode(p, core.Config{
-				Key:       testKey(),
-				Addr:      simnet.Addr(i + 1),
-				Peers:     peers,
-				Authority: 100,
+				Config: engine.Config{
+					Key:            testKey(),
+					Addr:           simnet.Addr(i + 1),
+					Peers:          peers,
+					Authority:      100,
+					DisableMonitor: true, // wall-clock INC windows are noisy under CI load
+				},
 				// Short calibration sleeps keep the test fast while
 				// preserving the two-point regression.
-				CalibSleeps:    []time.Duration{0, 200 * time.Millisecond},
-				DisableMonitor: true, // wall-clock INC windows are noisy under CI load
+				CalibSleeps: []time.Duration{0, 200 * time.Millisecond},
 			})
 		})
 		if !ok || err != nil {

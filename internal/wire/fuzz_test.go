@@ -76,8 +76,8 @@ func FuzzPeerTimeDecode(f *testing.F) {
 func FuzzOpenPeerTimeTruncated(f *testing.F) {
 	const senderID = 9
 	sealer, _ := NewSealer(testKey(), senderID)
-	genuineReq := sealer.Seal(Message{Kind: KindPeerTimeRequest, Seq: 5})
-	genuineResp := sealer.Seal(Message{Kind: KindPeerTimeResponse, Seq: 5, TimeNanos: 1e18})
+	genuineReq := sealer.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: 5})
+	genuineResp := sealer.SealAppend(nil, Message{Kind: KindPeerTimeResponse, Seq: 5, TimeNanos: 1e18})
 	f.Add(genuineReq, len(genuineReq))
 	f.Add(genuineResp, len(genuineResp))
 	f.Add(genuineResp, 0)
@@ -98,7 +98,7 @@ func FuzzOpenPeerTimeTruncated(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, sender, err := opener.Open(data)
+		m, sender, err := opener.OpenInto(nil, data)
 		if err == nil {
 			if sender != senderID {
 				t.Fatalf("forged sender %d authenticated (message %+v)", sender, m)
@@ -174,12 +174,12 @@ func FuzzSealedGatherExchange(f *testing.F) {
 			{"chimer report", Message{Kind: KindChimerReport, Seq: seq, TimeNanos: int64(mask), Sleep: time.Duration(ts)}},
 		}
 		for _, d := range datagrams {
-			sealed := sealer.Seal(d.msg)
+			sealed := sealer.SealAppend(nil, d.msg)
 			opener, err := NewOpener(testKey())
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, sender, err := opener.Open(sealed)
+			got, sender, err := opener.OpenInto(nil, sealed)
 			if err != nil {
 				t.Fatalf("%s: genuine datagram rejected: %v", d.name, err)
 			}
@@ -191,7 +191,7 @@ func FuzzSealedGatherExchange(f *testing.F) {
 			}
 			corrupted := append([]byte(nil), sealed...)
 			corrupted[int(corruptAt)%len(corrupted)] ^= flip
-			got2, sender2, err := opener.Open(corrupted)
+			got2, sender2, err := opener.OpenInto(nil, corrupted)
 			if err == nil {
 				t.Fatalf("%s: corrupted datagram authenticated: %+v from %d", d.name, got2, sender2)
 			}
@@ -333,7 +333,7 @@ func FuzzReplayCache(f *testing.F) {
 // nothing not produced by the sealer may ever authenticate.
 func FuzzOpen(f *testing.F) {
 	sealer, _ := NewSealer(testKey(), 7)
-	f.Add(sealer.Seal(Message{Kind: KindTimeRequest, Seq: 1}))
+	f.Add(sealer.SealAppend(nil, Message{Kind: KindTimeRequest, Seq: 1}))
 	f.Add([]byte{})
 	f.Add(make([]byte, 64))
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -341,7 +341,7 @@ func FuzzOpen(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, _, err = opener.Open(data)
+		_, _, err = opener.OpenInto(nil, data)
 		if err == nil {
 			// Only a verbatim sealed datagram may open; fuzzed data
 			// opening cleanly would be a forgery. Distinguish the seed

@@ -90,14 +90,6 @@ func NewSealerShard(key []byte, base uint32, shard, shards int) (*Sealer, error)
 	return NewSealer(key, base+uint32(shard))
 }
 
-// Seal encrypts and authenticates a message. The output is
-// nonce || ciphertext || tag, self-contained for datagram transport.
-// It allocates a fresh buffer per call; hot paths that can recycle a
-// buffer should use SealAppend.
-func (s *Sealer) Seal(m Message) []byte {
-	return s.SealAppend(make([]byte, 0, SealedSize), m)
-}
-
 // SealAppend encrypts and authenticates a message, appending the sealed
 // datagram (nonce || ciphertext || tag, exactly SealedSize bytes) to dst
 // and returning the extended slice. When dst has SealedSize spare
@@ -145,17 +137,11 @@ func NewOpener(key []byte) (*Opener, error) {
 	return &Opener{aead: aead, windows: make(map[uint32]*replayWindow)}, nil
 }
 
-// Open authenticates and decrypts a datagram produced by Seal, returning
-// the message and the claimed (and authenticated) sender identity. It
-// lets the AEAD allocate the plaintext buffer; hot paths should hold a
-// scratch buffer and use OpenInto.
-func (o *Opener) Open(b []byte) (Message, uint32, error) {
-	return o.OpenInto(nil, b)
-}
-
-// OpenInto is Open with a caller-provided plaintext scratch buffer: the
-// decrypted plaintext is written into scratch's spare capacity (scratch
-// may be nil, in which case a buffer is allocated). With cap(scratch) >=
+// OpenInto authenticates and decrypts a datagram produced by
+// SealAppend, returning the message and the claimed (and authenticated)
+// sender identity. The decrypted plaintext is written into scratch's
+// spare capacity (scratch may be nil, in which case a buffer is
+// allocated). With cap(scratch) >=
 // MarshaledSize the steady-state path performs no heap allocation. The
 // plaintext never escapes — the returned Message is a value — so one
 // scratch buffer per receiving endpoint suffices.

@@ -87,8 +87,8 @@ func TestSealOpenRoundtrip(t *testing.T) {
 		t.Fatalf("NewOpener: %v", err)
 	}
 	msg := Message{Kind: KindTimeRequest, Seq: 7, Sleep: time.Second}
-	sealed := sealer.Seal(msg)
-	got, sender, err := opener.Open(sealed)
+	sealed := sealer.SealAppend(nil, msg)
+	got, sender, err := opener.OpenInto(nil, sealed)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestSealOpenRoundtrip(t *testing.T) {
 func TestSealHidesPlaintext(t *testing.T) {
 	sealer, _ := NewSealer(testKey(), 1)
 	msg := Message{Kind: KindTimeRequest, Seq: 1, Sleep: time.Second}
-	sealed := sealer.Seal(msg)
+	sealed := sealer.SealAppend(nil, msg)
 	if bytes.Contains(sealed, msg.Marshal()) {
 		t.Error("sealed datagram contains the plaintext")
 	}
@@ -115,15 +115,15 @@ func TestSealHidesPlaintext(t *testing.T) {
 func TestOpenRejectsTampering(t *testing.T) {
 	sealer, _ := NewSealer(testKey(), 1)
 	opener, _ := NewOpener(testKey())
-	sealed := sealer.Seal(Message{Kind: KindPeerTimeRequest, Seq: 5})
+	sealed := sealer.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: 5})
 	for _, idx := range []int{0, nonceSize, len(sealed) - 1} {
 		cp := append([]byte(nil), sealed...)
 		cp[idx] ^= 0x01
-		if _, _, err := opener.Open(cp); !errors.Is(err, ErrAuthFailed) {
+		if _, _, err := opener.OpenInto(nil, cp); !errors.Is(err, ErrAuthFailed) {
 			t.Errorf("tamper at %d: err = %v, want ErrAuthFailed", idx, err)
 		}
 	}
-	if _, _, err := opener.Open(sealed[:10]); !errors.Is(err, ErrAuthFailed) {
+	if _, _, err := opener.OpenInto(nil, sealed[:10]); !errors.Is(err, ErrAuthFailed) {
 		t.Errorf("truncated: err = %v, want ErrAuthFailed", err)
 	}
 }
@@ -133,7 +133,7 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 	otherKey := testKey()
 	otherKey[0] ^= 0xFF
 	opener, _ := NewOpener(otherKey)
-	if _, _, err := opener.Open(sealer.Seal(Message{Kind: KindPeerTimeRequest, Seq: 1})); !errors.Is(err, ErrAuthFailed) {
+	if _, _, err := opener.OpenInto(nil, sealer.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: 1})); !errors.Is(err, ErrAuthFailed) {
 		t.Errorf("wrong key: err = %v, want ErrAuthFailed", err)
 	}
 }
@@ -141,11 +141,11 @@ func TestOpenRejectsWrongKey(t *testing.T) {
 func TestOpenRejectsReplay(t *testing.T) {
 	sealer, _ := NewSealer(testKey(), 1)
 	opener, _ := NewOpener(testKey())
-	sealed := sealer.Seal(Message{Kind: KindPeerTimeRequest, Seq: 1})
-	if _, _, err := opener.Open(sealed); err != nil {
+	sealed := sealer.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: 1})
+	if _, _, err := opener.OpenInto(nil, sealed); err != nil {
 		t.Fatalf("first open: %v", err)
 	}
-	if _, _, err := opener.Open(sealed); !errors.Is(err, ErrReplay) {
+	if _, _, err := opener.OpenInto(nil, sealed); !errors.Is(err, ErrReplay) {
 		t.Errorf("replay: err = %v, want ErrReplay", err)
 	}
 }
@@ -155,21 +155,21 @@ func TestOpenToleratesReorderingWithinWindow(t *testing.T) {
 	opener, _ := NewOpener(testKey())
 	var sealed [][]byte
 	for i := 0; i < 10; i++ {
-		sealed = append(sealed, sealer.Seal(Message{Kind: KindPeerTimeRequest, Seq: uint64(i)}))
+		sealed = append(sealed, sealer.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: uint64(i)}))
 	}
 	// Deliver out of order: evens first, then odds.
 	for i := 0; i < 10; i += 2 {
-		if _, _, err := opener.Open(sealed[i]); err != nil {
+		if _, _, err := opener.OpenInto(nil, sealed[i]); err != nil {
 			t.Fatalf("even %d: %v", i, err)
 		}
 	}
 	for i := 1; i < 10; i += 2 {
-		if _, _, err := opener.Open(sealed[i]); err != nil {
+		if _, _, err := opener.OpenInto(nil, sealed[i]); err != nil {
 			t.Fatalf("odd %d: %v", i, err)
 		}
 	}
 	// But each at most once.
-	if _, _, err := opener.Open(sealed[3]); !errors.Is(err, ErrReplay) {
+	if _, _, err := opener.OpenInto(nil, sealed[3]); !errors.Is(err, ErrReplay) {
 		t.Errorf("second delivery of #3: err = %v, want ErrReplay", err)
 	}
 }
@@ -177,15 +177,15 @@ func TestOpenToleratesReorderingWithinWindow(t *testing.T) {
 func TestOpenRejectsTooOld(t *testing.T) {
 	sealer, _ := NewSealer(testKey(), 1)
 	opener, _ := NewOpener(testKey())
-	first := sealer.Seal(Message{Kind: KindPeerTimeRequest, Seq: 0})
+	first := sealer.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: 0})
 	var last []byte
 	for i := 0; i < 70; i++ {
-		last = sealer.Seal(Message{Kind: KindPeerTimeRequest, Seq: uint64(i + 1)})
+		last = sealer.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: uint64(i + 1)})
 	}
-	if _, _, err := opener.Open(last); err != nil {
+	if _, _, err := opener.OpenInto(nil, last); err != nil {
 		t.Fatalf("latest: %v", err)
 	}
-	if _, _, err := opener.Open(first); !errors.Is(err, ErrReplay) {
+	if _, _, err := opener.OpenInto(nil, first); !errors.Is(err, ErrReplay) {
 		t.Errorf("64+ old message: err = %v, want ErrReplay", err)
 	}
 }
@@ -195,10 +195,10 @@ func TestSendersTrackedIndependently(t *testing.T) {
 	s2, _ := NewSealer(testKey(), 2)
 	opener, _ := NewOpener(testKey())
 	// Both senders use counter 1; neither is a replay of the other.
-	if _, _, err := opener.Open(s1.Seal(Message{Kind: KindPeerTimeRequest, Seq: 1})); err != nil {
+	if _, _, err := opener.OpenInto(nil, s1.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: 1})); err != nil {
 		t.Fatalf("sender 1: %v", err)
 	}
-	if _, _, err := opener.Open(s2.Seal(Message{Kind: KindPeerTimeRequest, Seq: 1})); err != nil {
+	if _, _, err := opener.OpenInto(nil, s2.SealAppend(nil, Message{Kind: KindPeerTimeRequest, Seq: 1})); err != nil {
 		t.Fatalf("sender 2: %v", err)
 	}
 }
@@ -218,7 +218,7 @@ func TestSealOpenQuick(t *testing.T) {
 	f := func(kindRaw uint8, seq uint64, sleepNs int64, timeNs int64) bool {
 		kind := Kind(kindRaw%5) + KindTimeRequest
 		m := Message{Kind: kind, Seq: seq, Sleep: time.Duration(sleepNs), TimeNanos: timeNs}
-		got, sender, err := opener.Open(sealer.Seal(m))
+		got, sender, err := opener.OpenInto(nil, sealer.SealAppend(nil, m))
 		return err == nil && got == m && sender == 9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -316,7 +316,7 @@ func TestReplayWindowPermutationProperty(t *testing.T) {
 
 func TestSealedSizeExact(t *testing.T) {
 	sealer, _ := NewSealer(testKey(), 1)
-	sealed := sealer.Seal(Message{Kind: KindTimeRequest, Seq: 1})
+	sealed := sealer.SealAppend(nil, Message{Kind: KindTimeRequest, Seq: 1})
 	if len(sealed) != SealedSize {
 		t.Errorf("Seal output = %d bytes, SealedSize = %d", len(sealed), SealedSize)
 	}
@@ -326,7 +326,7 @@ func TestSealedSizeExact(t *testing.T) {
 		t.Errorf("SealAppend must append exactly SealedSize bytes after dst")
 	}
 	opener, _ := NewOpener(testKey())
-	if _, _, err := opener.Open(out[len(prefix):]); err != nil {
+	if _, _, err := opener.OpenInto(nil, out[len(prefix):]); err != nil {
 		t.Errorf("appended datagram failed to open: %v", err)
 	}
 }
@@ -363,7 +363,7 @@ func TestOpenIntoZeroAllocSteadyState(t *testing.T) {
 	const runs = 1000
 	sealed := make([][]byte, runs+2)
 	for i := range sealed {
-		sealed[i] = sealer.Seal(Message{Kind: KindTimeRequest, Seq: uint64(i)})
+		sealed[i] = sealer.SealAppend(nil, Message{Kind: KindTimeRequest, Seq: uint64(i)})
 	}
 	scratch := make([]byte, 0, MarshaledSize)
 	next := 0
@@ -402,7 +402,7 @@ func BenchmarkSeal(b *testing.B) {
 	msg := Message{Kind: KindTimeRequest, Seq: 1, Sleep: time.Second}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sealer.Seal(msg)
+		sealer.SealAppend(nil, msg)
 	}
 }
 
@@ -412,12 +412,12 @@ func BenchmarkOpen(b *testing.B) {
 	// Pre-seal so replay windows accept each datagram exactly once.
 	sealed := make([][]byte, b.N)
 	for i := range sealed {
-		sealed[i] = sealer.Seal(Message{Kind: KindTimeRequest, Seq: uint64(i)})
+		sealed[i] = sealer.SealAppend(nil, Message{Kind: KindTimeRequest, Seq: uint64(i)})
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := opener.Open(sealed[i]); err != nil {
+		if _, _, err := opener.OpenInto(nil, sealed[i]); err != nil {
 			b.Fatal(err)
 		}
 	}

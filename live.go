@@ -70,21 +70,12 @@ type LiveConfig struct {
 	CalibWindow time.Duration
 }
 
-// liveNode is the common handle surface of both protocol variants.
-type liveNode interface {
-	Start()
-	State() State
-	FCalib() float64
-	Counters() engine.Counters
-	TrustedNow() (int64, error)
-}
-
 // LiveNode is a running Triad participant bound to a UDP socket. It is
 // safe for concurrent use: every call is serialized onto the
 // platform's dispatch goroutine.
 type LiveNode struct {
 	platform  *transport.Platform
-	node      liveNode
+	node      *engine.Node
 	id        NodeID
 	statusSrv *http.Server
 
@@ -110,28 +101,25 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		return nil, err
 	}
 	ln := &LiveNode{platform: platform, id: cfg.ID}
+	shared := engine.Config{
+		Key:            cfg.Key,
+		Addr:           cfg.ID,
+		Peers:          cfg.Peers,
+		Authority:      cfg.Authority,
+		Authorities:    cfg.Authorities,
+		QuorumMinAgree: cfg.QuorumMinAgree,
+		QuorumRecheck:  cfg.QuorumRecheck,
+	}
 	var buildErr error
 	ok := platform.Do(func() {
 		if cfg.Hardened {
 			ln.node, buildErr = resilient.NewNode(platform, resilient.Config{
-				Key:            cfg.Key,
-				Addr:           cfg.ID,
-				Peers:          cfg.Peers,
-				Authority:      cfg.Authority,
-				Authorities:    cfg.Authorities,
-				QuorumMinAgree: cfg.QuorumMinAgree,
-				QuorumRecheck:  cfg.QuorumRecheck,
-				CalibWindow:    cfg.CalibWindow,
+				Config:      shared,
+				CalibWindow: cfg.CalibWindow,
 			})
 		} else {
 			ln.node, buildErr = core.NewNode(platform, core.Config{
-				Key:                  cfg.Key,
-				Addr:                 cfg.ID,
-				Peers:                cfg.Peers,
-				Authority:            cfg.Authority,
-				Authorities:          cfg.Authorities,
-				QuorumMinAgree:       cfg.QuorumMinAgree,
-				QuorumRecheck:        cfg.QuorumRecheck,
+				Config:               shared,
 				CalibSleeps:          cfg.CalibSleeps,
 				CalibSamplesPerSleep: cfg.CalibSamplesPerSleep,
 			})
