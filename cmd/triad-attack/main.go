@@ -21,8 +21,11 @@ import (
 	"os/signal"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
+
+	"triadtime/internal/attack"
 )
 
 func main() {
@@ -45,7 +48,7 @@ func run(args []string) error {
 	if *upstream == "" {
 		return fmt.Errorf("-upstream is required")
 	}
-	delayHigh, err := parseMode(*modeStr)
+	mode, err := parseMode(*modeStr)
 	if err != nil {
 		return err
 	}
@@ -57,16 +60,9 @@ func run(args []string) error {
 	if err != nil {
 		return fmt.Errorf("listen: %w", err)
 	}
-	p := &proxy{
-		conn:      conn,
-		upstream:  upAddr,
-		delayHigh: delayHigh,
-		extra:     *delay,
-		threshold: *threshold,
-		flows:     make(map[string]*flow),
-	}
+	p := newProxy(conn, upAddr, mode, *delay, *threshold)
 	fmt.Printf("%s attack proxy on %s -> %s (delay %v, threshold %v)\n",
-		*modeStr, conn.LocalAddr(), upAddr, *delay, *threshold)
+		mode, conn.LocalAddr(), upAddr, *delay, *threshold)
 
 	errc := make(chan error, 1)
 	go func() { errc <- p.serve() }()
@@ -76,96 +72,63 @@ func run(args []string) error {
 	case err := <-errc:
 		return err
 	case <-sigc:
-		fmt.Printf("shutting down: %d responses delayed, %d passed\n", p.delayed.value(), p.passed.value())
+		fmt.Printf("shutting down: %d responses delayed, %d passed\n", p.delayed.Load(), p.passed.Load())
 		return conn.Close()
 	}
 }
 
-// parseMode maps the flag to "delay the high-hold class?".
-func parseMode(s string) (bool, error) {
+// parseMode maps the flag to an attack mode.
+func parseMode(s string) (attack.Mode, error) {
 	switch strings.ToUpper(s) {
 	case "F+", "FPLUS":
-		return true, nil
+		return attack.ModeFPlus, nil
 	case "F-", "FMINUS":
-		return false, nil
+		return attack.ModeFMinus, nil
 	default:
-		return false, fmt.Errorf("unknown mode %q (want F+ or F-)", s)
+		return 0, fmt.Errorf("unknown mode %q (want F+ or F-)", s)
 	}
 }
 
-// counter is a trivial synchronized counter (stdlib-only build).
-type counter struct {
-	mu sync.Mutex
-	n  int
-}
-
-func (c *counter) inc() {
-	c.mu.Lock()
-	c.n++
-	c.mu.Unlock()
-}
-
-// value reads the counter.
-func (c *counter) value() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // flow is the NAT state for one victim endpoint: an upstream socket and
-// the outstanding request times used for hold estimation.
+// the victim's own classifier, which the request and response
+// goroutines share under mu.
 type flow struct {
 	client net.Addr
 	up     *net.UDPConn
 
-	mu          sync.Mutex
-	outstanding []time.Time
-}
-
-// holdOf matches a response to the oldest outstanding request.
-func (f *flow) holdOf(now time.Time) time.Duration {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if len(f.outstanding) == 0 {
-		return 0
-	}
-	sent := f.outstanding[0]
-	f.outstanding = f.outstanding[1:]
-	return now.Sub(sent)
-}
-
-func (f *flow) noteRequest(now time.Time) {
-	f.mu.Lock()
-	f.outstanding = append(f.outstanding, now)
-	f.mu.Unlock()
+	mu  sync.Mutex
+	cls attack.Classifier
 }
 
 // proxy shuttles datagrams between victims and the Time Authority,
-// delaying targeted responses.
+// delaying the responses each flow's classifier targets — the same
+// classification internal/attack.Delay runs in the simulation.
 type proxy struct {
-	conn      net.PacketConn
-	upstream  *net.UDPAddr
-	delayHigh bool
-	extra     time.Duration
-	threshold time.Duration
+	conn     net.PacketConn
+	upstream *net.UDPAddr
+	extra    time.Duration
+	start    time.Time         // origin of the classifiers' instants
+	cls      attack.Classifier // template for every new flow
 
 	mu    sync.Mutex
 	flows map[string]*flow
 
-	delayed counter
-	passed  counter
+	delayed, passed atomic.Int64
 }
 
-// target decides whether a response with the given hold gets delayed —
-// the attack's classification step (identical to the simulation's
-// internal/attack.Delay).
-func (p *proxy) target(hold time.Duration) bool {
-	high := hold >= p.threshold
-	if p.delayHigh {
-		return high
+func newProxy(conn net.PacketConn, upstream *net.UDPAddr, mode attack.Mode, extra, threshold time.Duration) *proxy {
+	return &proxy{
+		conn:     conn,
+		upstream: upstream,
+		extra:    extra,
+		start:    time.Now(),
+		cls:      attack.Classifier{Mode: mode, Threshold: int64(threshold)},
+		flows:    make(map[string]*flow),
 	}
-	return !high
 }
+
+// now is the classifiers' clock: monotonic nanoseconds since start.
+func (p *proxy) now() int64 { return int64(time.Since(p.start)) }
 
 func (p *proxy) serve() error {
 	buf := make([]byte, 64*1024)
@@ -174,18 +137,16 @@ func (p *proxy) serve() error {
 		if err != nil {
 			return nil // closed
 		}
-		datagram := make([]byte, n)
-		copy(datagram, buf[:n])
 		f, err := p.flowFor(from)
 		if err != nil {
 			continue
 		}
-		f.noteRequest(time.Now())
+		f.mu.Lock()
+		f.cls.Request(p.now())
+		f.mu.Unlock()
 		// Requests pass untouched (delaying them would shift both
 		// classes equally and cancel out of the regression).
-		if _, err := f.up.Write(datagram); err != nil {
-			continue
-		}
+		_, _ = f.up.Write(buf[:n])
 	}
 }
 
@@ -201,7 +162,7 @@ func (p *proxy) flowFor(client net.Addr) (*flow, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &flow{client: client, up: up}
+	f := &flow{client: client, up: up, cls: p.cls}
 	p.flows[client.String()] = f
 	go p.pumpResponses(f)
 	return f, nil
@@ -216,17 +177,18 @@ func (p *proxy) pumpResponses(f *flow) {
 		if err != nil {
 			return
 		}
-		datagram := make([]byte, n)
-		copy(datagram, buf[:n])
-		hold := f.holdOf(time.Now())
-		if p.target(hold) {
-			p.delayed.inc()
-			time.AfterFunc(p.extra, func() {
-				_, _ = p.conn.WriteTo(datagram, f.client)
-			})
+		f.mu.Lock()
+		target := f.cls.Response(p.now())
+		f.mu.Unlock()
+		if !target {
+			p.passed.Add(1)
+			_, _ = p.conn.WriteTo(buf[:n], f.client)
 			continue
 		}
-		p.passed.inc()
-		_, _ = p.conn.WriteTo(datagram, f.client)
+		p.delayed.Add(1)
+		datagram := append([]byte(nil), buf[:n]...)
+		time.AfterFunc(p.extra, func() {
+			_, _ = p.conn.WriteTo(datagram, f.client)
+		})
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"triadtime/internal/attack"
 	"triadtime/internal/authority"
 	"triadtime/internal/core"
 	"triadtime/internal/engine"
@@ -19,48 +20,21 @@ import (
 func TestParseMode(t *testing.T) {
 	tests := []struct {
 		in      string
-		high    bool
+		mode    attack.Mode
 		wantErr bool
 	}{
-		{"F+", true, false},
-		{"f+", true, false},
-		{"FPLUS", true, false},
-		{"F-", false, false},
-		{"fminus", false, false},
-		{"nope", false, true},
+		{"F+", attack.ModeFPlus, false},
+		{"f+", attack.ModeFPlus, false},
+		{"FPLUS", attack.ModeFPlus, false},
+		{"F-", attack.ModeFMinus, false},
+		{"fminus", attack.ModeFMinus, false},
+		{"nope", 0, true},
 	}
 	for _, tt := range tests {
-		high, err := parseMode(tt.in)
-		if (err != nil) != tt.wantErr || (err == nil && high != tt.high) {
-			t.Errorf("parseMode(%q) = %v, %v", tt.in, high, err)
+		mode, err := parseMode(tt.in)
+		if (err != nil) != tt.wantErr || (err == nil && mode != tt.mode) {
+			t.Errorf("parseMode(%q) = %v, %v", tt.in, mode, err)
 		}
-	}
-}
-
-func TestProxyTargetClassification(t *testing.T) {
-	fp := &proxy{delayHigh: true, threshold: 500 * time.Millisecond}
-	fm := &proxy{delayHigh: false, threshold: 500 * time.Millisecond}
-	if !fp.target(time.Second) || fp.target(time.Millisecond) {
-		t.Error("F+ classification wrong")
-	}
-	if fm.target(time.Second) || !fm.target(time.Millisecond) {
-		t.Error("F- classification wrong")
-	}
-}
-
-func TestFlowHoldMatching(t *testing.T) {
-	f := &flow{}
-	t0 := time.Now()
-	f.noteRequest(t0)
-	f.noteRequest(t0.Add(time.Second))
-	if got := f.holdOf(t0.Add(300 * time.Millisecond)); got != 300*time.Millisecond {
-		t.Errorf("hold = %v", got)
-	}
-	if got := f.holdOf(t0.Add(1200 * time.Millisecond)); got != 200*time.Millisecond {
-		t.Errorf("hold = %v", got)
-	}
-	if got := f.holdOf(time.Now()); got != 0 {
-		t.Errorf("unmatched response hold = %v, want 0", got)
 	}
 }
 
@@ -107,14 +81,7 @@ func TestLiveFMinusThroughProxy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &proxy{
-		conn:      proxyConn,
-		upstream:  upAddr,
-		delayHigh: false,
-		extra:     60 * time.Millisecond,
-		threshold: 150 * time.Millisecond,
-		flows:     make(map[string]*flow),
-	}
+	p := newProxy(proxyConn, upAddr, attack.ModeFMinus, 60*time.Millisecond, 150*time.Millisecond)
 	go func() { _ = p.serve() }()
 	defer proxyConn.Close()
 
@@ -163,7 +130,7 @@ func TestLiveFMinusThroughProxy(t *testing.T) {
 	if math.Abs(ratio-0.8) > 0.03 {
 		t.Errorf("F_calib ratio through live F- proxy = %v, want ~0.8", ratio)
 	}
-	if p.delayed.value() == 0 {
+	if p.delayed.Load() == 0 {
 		t.Error("proxy delayed nothing")
 	}
 }
@@ -201,14 +168,7 @@ func TestLiveHardenedResistsProxy(t *testing.T) {
 	}
 	// F- mode: all immediate responses get +60ms, far over the node's
 	// RTT bound.
-	p := &proxy{
-		conn:      proxyConn,
-		upstream:  upAddr,
-		delayHigh: false,
-		extra:     60 * time.Millisecond,
-		threshold: 150 * time.Millisecond,
-		flows:     make(map[string]*flow),
-	}
+	p := newProxy(proxyConn, upAddr, attack.ModeFMinus, 60*time.Millisecond, 150*time.Millisecond)
 	go func() { _ = p.serve() }()
 	defer proxyConn.Close()
 

@@ -203,7 +203,7 @@ type worker struct {
 	cfg      config
 	index    int
 	conn     *net.UDPConn
-	bc       *transport.BatchConn
+	bc       transport.DatagramConn
 	sealer   *wire.Sealer
 	opener   *wire.Opener
 	ring     []seqSlot
@@ -219,10 +219,7 @@ func newWorker(cfg config, index int, raddr *net.UDPAddr, start time.Time, t *ta
 	if err != nil {
 		return nil, err
 	}
-	// Response bursts arrive batched; default socket buffers drop them.
-	_ = conn.SetReadBuffer(1 << 20)
-	_ = conn.SetWriteBuffer(1 << 20)
-	bc, err := transport.NewBatchConn(conn)
+	bc, err := transport.NewDatagramConn(conn)
 	if err != nil {
 		conn.Close()
 		return nil, err
@@ -230,7 +227,7 @@ func newWorker(cfg config, index int, raddr *net.UDPAddr, start time.Time, t *ta
 	// Requests are fixed-size, so segmentation offload applies
 	// (best-effort: older kernels and other platforms send one
 	// header per datagram).
-	if g, ok := transport.DatagramConn(bc).(interface{ EnableGSO(int) error }); ok {
+	if g, ok := bc.(interface{ EnableGSO(int) error }); ok {
 		_ = g.EnableGSO(wire.TimeRequestSize + wire.SealedOverhead)
 	}
 	// Worker w seals as senderID+w: concurrent sealers under one key

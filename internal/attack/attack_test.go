@@ -70,6 +70,68 @@ func TestDelayClassification(t *testing.T) {
 	}
 }
 
+// TestClassifierHoldMatching: each response is matched to the oldest
+// outstanding request, and one with none counts as a zero hold.
+func TestClassifierHoldMatching(t *testing.T) {
+	ms := int64(time.Millisecond)
+	c := Classifier{Mode: ModeFPlus, Threshold: 250 * ms}
+	c.Request(0)
+	c.Request(1000 * ms)
+	if !c.Response(300 * ms) { // a 300ms hold: matched to the request at 0
+		t.Error("first response not matched to the oldest request")
+	}
+	if c.Response(1200 * ms) { // a 200ms hold: matched to the request at 1s
+		t.Error("second response not matched to the second request")
+	}
+	if c.Response(5000 * ms) {
+		t.Error("unmatched response should count as a zero hold")
+	}
+}
+
+// TestClassifierMatchesDelay feeds one request/response timeline, with
+// retries and an unmatched response, to the simulated middlebox and to
+// a bare Classifier (as the live proxy drives it): both take the same
+// delay decision for every response, in both modes.
+func TestClassifierMatchesDelay(t *testing.T) {
+	type event struct {
+		at       time.Duration
+		response bool
+	}
+	timeline := []event{
+		{0, false}, {2 * time.Millisecond, true}, // low hold
+		{10 * time.Millisecond, false}, {1010 * time.Millisecond, true}, // high hold
+		{1100 * time.Millisecond, false}, {1150 * time.Millisecond, false}, // a retry
+		{1600 * time.Millisecond, true}, {1605 * time.Millisecond, true}, // 500ms: on the threshold
+		{3000 * time.Millisecond, true}, // no outstanding request
+	}
+	for _, mode := range []Mode{ModeFPlus, ModeFMinus} {
+		d := NewDelay(DelayConfig{Victim: 3, Authority: taAddr, Mode: mode})
+		c := Classifier{Mode: mode, Threshold: int64(500 * time.Millisecond)}
+		var fromDelay, fromClassifier []bool
+		for _, e := range timeline {
+			now := simtime.Epoch.Add(e.at)
+			if !e.response {
+				d.Process(now, simnet.Packet{From: 3, To: taAddr})
+				c.Request(int64(e.at))
+				continue
+			}
+			v := d.Process(now, simnet.Packet{From: taAddr, To: 3})
+			fromDelay = append(fromDelay, v.ExtraDelay > 0)
+			fromClassifier = append(fromClassifier, c.Response(int64(e.at)))
+		}
+		want := []bool{false, true, true, false, false} // F+: only the 1s and 500ms holds
+		for i := range want {
+			if mode == ModeFMinus {
+				want[i] = !want[i]
+			}
+			if fromDelay[i] != want[i] || fromClassifier[i] != want[i] {
+				t.Errorf("%v response %d: Delay %v, Classifier %v, want %v",
+					mode, i, fromDelay[i], fromClassifier[i], want[i])
+			}
+		}
+	}
+}
+
 func TestDelayIgnoresUnrelatedTraffic(t *testing.T) {
 	d := NewDelay(DelayConfig{Victim: 3, Authority: taAddr, Mode: ModeFMinus})
 	for _, pkt := range []simnet.Packet{

@@ -66,17 +66,42 @@ type DelayConfig struct {
 	Threshold time.Duration
 }
 
+// Classifier is the attack's timing side channel, shared by Delay and
+// the live proxy (cmd/triad-attack). It matches each authority response
+// to the victim's oldest outstanding request and takes the gap as the
+// authority's hold time (the attacker's LAN round trip is negligible
+// against the 0s/1s split). Instants are nanoseconds on any one
+// monotonic clock.
+type Classifier struct {
+	Mode      Mode  // F+ targets high holds, F- low ones
+	Threshold int64 // nanoseconds; a hold at or above it is high
+
+	// Request send times, oldest first: depth one but for retries.
+	outstanding []int64
+}
+
+// Request records a victim-to-authority request sent at the instant.
+func (c *Classifier) Request(at int64) { c.outstanding = append(c.outstanding, at) }
+
+// Response reports whether the mode targets an authority-to-victim
+// response arriving at the instant. One with no observed request (the
+// attacker attached mid-exchange) counts as a zero hold.
+func (c *Classifier) Response(at int64) bool {
+	var hold int64
+	if len(c.outstanding) > 0 {
+		hold = at - c.outstanding[0]
+		c.outstanding = c.outstanding[1:]
+	}
+	high := hold >= c.Threshold
+	return high != (c.Mode == ModeFMinus)
+}
+
 // Delay is the attacking middlebox. It watches the victim's TA traffic,
-// estimates each response's hold time from request/response timing (the
-// only side channel the encryption leaves open), and delays the
-// responses its mode targets.
+// classifies each response by its hold time (the only side channel the
+// encryption leaves open), and delays the responses its mode targets.
 type Delay struct {
 	cfg DelayConfig
-
-	// Outstanding victim->TA request send times, oldest first. The node
-	// issues calibration requests one at a time, so this queue is
-	// effectively depth one; the queue handles retries gracefully.
-	outstanding []simtime.Instant
+	cls Classifier
 
 	delayed int
 	passed  int
@@ -93,7 +118,7 @@ func NewDelay(cfg DelayConfig) *Delay {
 	if cfg.Threshold == 0 {
 		cfg.Threshold = 500 * time.Millisecond
 	}
-	return &Delay{cfg: cfg}
+	return &Delay{cfg: cfg, cls: Classifier{Mode: cfg.Mode, Threshold: int64(cfg.Threshold)}}
 }
 
 // Delayed reports how many responses the attack has delayed.
@@ -106,37 +131,13 @@ func (d *Delay) Passed() int { return d.passed }
 func (d *Delay) Process(now simtime.Instant, pkt simnet.Packet) simnet.Verdict {
 	switch {
 	case pkt.From == d.cfg.Victim && pkt.To == d.cfg.Authority:
-		// Request leaving the compromised machine: remember when.
-		d.outstanding = append(d.outstanding, now)
-		return simnet.Verdict{}
+		d.cls.Request(int64(now))
 	case pkt.From == d.cfg.Authority && pkt.To == d.cfg.Victim:
-		hold := d.estimateHold(now)
-		target := hold >= d.cfg.Threshold
-		if d.cfg.Mode == ModeFMinus {
-			target = !target
-		}
-		if target {
+		if d.cls.Response(int64(now)) {
 			d.delayed++
 			return simnet.Verdict{ExtraDelay: d.cfg.Extra}
 		}
 		d.passed++
-		return simnet.Verdict{}
-	default:
-		return simnet.Verdict{}
 	}
-}
-
-// estimateHold matches this response to the oldest outstanding request
-// and returns the TA-side hold estimate (request-to-response gap minus
-// nothing: the attacker knows its LAN RTT is negligible against the
-// 0s/1s split).
-func (d *Delay) estimateHold(now simtime.Instant) time.Duration {
-	if len(d.outstanding) == 0 {
-		// Response with no observed request (e.g. attacker attached
-		// mid-exchange): treat as low hold.
-		return 0
-	}
-	sent := d.outstanding[0]
-	d.outstanding = d.outstanding[1:]
-	return now.Sub(sent)
+	return simnet.Verdict{}
 }

@@ -12,8 +12,9 @@ package enclave
 
 import "triadtime/internal/simnet"
 
-// CancelFunc cancels a pending timer. Calling it after the timer fired
-// or was already cancelled is a no-op.
+// CancelFunc cancels a pending timer, authoritatively: once it returns
+// the timer never fires, even if it was already due. Calling it after
+// the timer fired or was already cancelled is a no-op.
 type CancelFunc func()
 
 // Platform is the enclave's window on the world. Implementations: the
@@ -56,8 +57,9 @@ type Platform interface {
 
 	// StartINCCheck runs the monitoring loop until the guest TSC
 	// advances by ticks, then reports the number of loop iterations
-	// ("INC instructions") executed, or interrupted=true if an AEX
-	// severed the measurement.
+	// ("INC instructions") executed. An AEX ends the measurement at
+	// once with interrupted=true, and starting one while another is in
+	// flight panics, on both platforms.
 	StartINCCheck(ticks uint64, done func(count float64, interrupted bool))
 
 	// StartMemCheck is the frequency-independent twin of StartINCCheck:

@@ -224,27 +224,16 @@ func (s *LiveServer) newReceiver(c net.PacketConn, key []byte, senderID uint32, 
 	if r.opener, err = wire.NewOpener(key); err != nil {
 		return nil, fmt.Errorf("serve: client key: %w", err)
 	}
-	uc, ok := c.(*net.UDPConn)
-	if !ok {
-		r.conn = transport.NewPacketBatchConn(c)
-		return r, nil
-	}
-	// Bursts at hundreds of kreq/s overflow default socket buffers;
-	// match the sizing ListenReusePortGroup applies.
-	_ = uc.SetReadBuffer(1 << 20)
-	_ = uc.SetWriteBuffer(1 << 20)
-	bc, err := transport.NewBatchConn(uc)
-	if err != nil {
+	if r.conn, err = transport.NewDatagramConn(c); err != nil {
 		return nil, fmt.Errorf("serve: batch socket: %w", err)
 	}
 	// Best-effort UDP GSO at the largest response size: with a vault,
 	// equal-size same-client runs still collapse and the smaller stamp
 	// responses simply end runs (groupGSO only rejects slots exceeding
 	// the segment). Kernels without UDP_SEGMENT send one header each.
-	if g, ok := transport.DatagramConn(bc).(interface{ EnableGSO(int) error }); ok {
+	if g, ok := r.conn.(interface{ EnableGSO(int) error }); ok {
 		_ = g.EnableGSO(s.maxResp)
 	}
-	r.conn = bc
 	return r, nil
 }
 

@@ -104,6 +104,22 @@ func (s *Scheduler) Pending() int {
 	return n
 }
 
+// NextAt reports the instant of the next pending firing, event or
+// timer, and false when nothing is pending. A real-time loop that maps
+// the timeline onto a wall clock sleeps until then.
+func (s *Scheduler) NextAt() (simtime.Instant, bool) {
+	if s.firing {
+		s.settleFiring() // the root timer is idle while its callback runs
+	}
+	switch {
+	case len(s.timers) > 0 && (len(s.heap) == 0 || s.less(s.timers[0], s.heap[0])):
+		return s.slots[s.timers[0]].at, true
+	case len(s.heap) > 0:
+		return s.slots[s.heap[0]].at, true
+	}
+	return simtime.Epoch, false
+}
+
 // checkNotPast panics on scheduling in the past: it is always a
 // modelling bug, and silently reordering events would destroy
 // determinism.

@@ -496,6 +496,40 @@ func TestEventAt(t *testing.T) {
 	}
 }
 
+// TestNextAt: the accessor reports the least pending instant across
+// events and timers, ignores cancelled and stopped entries, and treats
+// a timer whose own callback is running as idle.
+func TestNextAt(t *testing.T) {
+	s := NewScheduler()
+	if _, ok := s.NextAt(); ok {
+		t.Fatal("empty scheduler reports a pending instant")
+	}
+	e := s.At(after(3*time.Second), func() {})
+	s.At(after(5*time.Second), func() {})
+	var tm Timer
+	tm = s.NewTimer(func() {
+		if at, ok := s.NextAt(); !ok || at != after(3*time.Second) {
+			t.Errorf("inside the timer callback NextAt = %v, %v; want t+3s", at, ok)
+		}
+	})
+	tm.Set(after(time.Second))
+	for _, want := range []time.Duration{time.Second, 3 * time.Second, 5 * time.Second} {
+		if at, ok := s.NextAt(); !ok || at != after(want) {
+			t.Fatalf("NextAt = %v, %v; want t+%v", at, ok, want)
+		}
+		switch want {
+		case time.Second:
+			s.Step() // fires the timer, which is then idle
+		case 3 * time.Second:
+			s.Cancel(e)
+		}
+	}
+	s.RunUntilIdle()
+	if _, ok := s.NextAt(); ok {
+		t.Error("drained scheduler reports a pending instant")
+	}
+}
+
 func TestTimerSetStopPending(t *testing.T) {
 	s := NewScheduler()
 	fired := 0

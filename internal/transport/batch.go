@@ -99,6 +99,25 @@ type DatagramConn interface {
 	LocalAddr() net.Addr
 }
 
+// NewDatagramConn wraps conn, which the caller keeps owning. A
+// *net.UDPConn gets the batched syscall path and 1 MiB kernel buffers
+// (default ones drop bursts of a few hundred small datagrams; the
+// kernel clamps the request); any other PacketConn the portable
+// adapter.
+func NewDatagramConn(conn net.PacketConn) (DatagramConn, error) {
+	uc, ok := conn.(*net.UDPConn)
+	if !ok {
+		return NewPacketBatchConn(conn), nil
+	}
+	_ = uc.SetReadBuffer(1 << 20)
+	_ = uc.SetWriteBuffer(1 << 20)
+	bc, err := NewBatchConn(uc)
+	if err != nil {
+		return nil, err
+	}
+	return bc, nil
+}
+
 // PacketBatchConn adapts any net.PacketConn to the DatagramConn
 // interface, one datagram per syscall: the portable path for test
 // stubs and caller-supplied sockets.

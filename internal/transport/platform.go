@@ -9,6 +9,13 @@
 // INC measurements return the modelled iteration count for the elapsed
 // window. The protocol logic above this layer is identical to what the
 // simulation runs, so live deployments exercise the same code paths.
+//
+// The event loop is the simulator's too: one goroutine runs a
+// sim.Scheduler in real time, on the monotonic clock. Timers, monitoring
+// windows and synthetic AEXs are entries on it, so a cancel always wins
+// over a firing that has not happened and an AEX aborts a window at
+// once, as on the simulated platform. A second goroutine reads the
+// socket and hands each received batch to the loop.
 package transport
 
 import (
@@ -16,10 +23,10 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"triadtime/internal/enclave"
+	"triadtime/internal/sim"
 	"triadtime/internal/simnet"
 	"triadtime/internal/simtime"
 )
@@ -41,29 +48,36 @@ type Config struct {
 	AEXPeriod time.Duration
 }
 
-// Platform is the live enclave.Platform. All handler callbacks and all
-// functions passed to Do run on one internal goroutine, satisfying the
-// Platform serialization contract.
+// The reader fills one of two receive batches while the loop delivers
+// the other. A slot is larger than any protocol datagram; a longer one
+// arrives truncated and fails authentication like any other junk.
+const rxBatches, rxSlots, rxSlotSize = 2, 32, 2048
+
+// Platform is the live enclave.Platform. Every handler callback and
+// every function passed to Do runs on one goroutine, the loop. The
+// enclave.Platform methods and AEXCount must be called there; Do,
+// InjectAEX, LocalAddr and Close are for other goroutines.
 type Platform struct {
-	cfg   Config
 	tscHz float64
 	start time.Time
 
 	conn net.PacketConn
 	dir  map[simnet.Addr]*net.UDPAddr // read-only after New
 
+	// work carries calls from other goroutines to the loop; nothing
+	// running on the loop sends on it.
 	work     chan func()
 	done     chan struct{}
 	readDone chan struct{}
 	loopDone chan struct{}
 	stopOnce sync.Once
 
-	// Accessed only on the loop goroutine.
+	// Owned by the loop goroutine.
+	sched      *sim.Scheduler
+	inc, mem   window
 	aexHandler func()
 	msgHandler func(from simnet.Addr, payload []byte)
-	aexEpoch   uint64
 	aexCount   int
-	core       simtime.Core
 	incIndex   int
 }
 
@@ -86,8 +100,11 @@ func New(cfg Config) (*Platform, error) {
 		}
 		dir[id] = udp
 	}
+	rx, err := NewDatagramConn(cfg.Conn)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %w", err)
+	}
 	p := &Platform{
-		cfg:      cfg,
 		tscHz:    tscHz,
 		start:    time.Now(),
 		conn:     cfg.Conn,
@@ -96,27 +113,66 @@ func New(cfg Config) (*Platform, error) {
 		done:     make(chan struct{}),
 		readDone: make(chan struct{}),
 		loopDone: make(chan struct{}),
-		core:     simtime.PaperCore(),
+		sched:    sim.NewScheduler(),
+	}
+	p.inc.timer = p.sched.NewTimer(func() {
+		count := enclave.IdealINC(simtime.PaperCore(), float64(p.inc.ticks), p.tscHz)
+		if p.incIndex == 0 {
+			count += enclave.PaperINCModel().WarmupOffset
+		}
+		p.incIndex++
+		p.inc.close(count, false)
+	})
+	p.mem.timer = p.sched.NewTimer(func() {
+		p.mem.close(enclave.PaperMemModel().IdealMem(float64(p.mem.ticks), p.tscHz), false)
+	})
+	if period := cfg.AEXPeriod; period > 0 {
+		var gen sim.Timer
+		gen = p.sched.NewTimer(func() {
+			p.fireAEX()
+			gen.Set(p.now().Add(period))
+		})
+		gen.Set(p.now().Add(period))
 	}
 	go p.loop()
-	go p.readLoop()
-	if cfg.AEXPeriod > 0 {
-		go p.aexLoop(cfg.AEXPeriod)
-	}
+	go p.readLoop(rx)
 	return p, nil
 }
 
-// loop serializes every callback the node sees.
+// now is the loop's timeline: monotonic nanoseconds since start. It
+// never runs behind the scheduler, whose time only ever advances to
+// earlier readings of it.
+func (p *Platform) now() simtime.Instant {
+	return simtime.FromDuration(time.Since(p.start))
+}
+
+// due is the instant ticks guest ticks from now, at the configured rate.
+func (p *Platform) due(ticks uint64) simtime.Instant {
+	return p.now().Add(time.Duration(float64(ticks) / p.tscHz * float64(time.Second)))
+}
+
+// loop runs the scheduler in real time: fire everything due, then sleep
+// until the next pending instant or until work arrives.
 func (p *Platform) loop() {
 	defer close(p.loopDone)
+	wake := time.NewTimer(0) // re-armed below before every wait
+	defer wake.Stop()
 	for {
+		p.sched.RunUntil(p.now())
+		if at, ok := p.sched.NextAt(); ok {
+			wake.Reset(at.Sub(p.now()))
+		} else {
+			wake.Stop()
+		}
 		select {
 		case fn := <-p.work:
 			fn()
+		case <-wake.C:
 		case <-p.done:
-			// Shutdown: run what is already enqueued — datagrams the
-			// read loop accepted before the socket closed — so Close
+			// Shutdown: run what is already enqueued — batches the
+			// reader accepted before the socket closed — so Close
 			// never abandons an admitted callback mid-queue, then exit.
+			// Pending timers are dropped.
 			for {
 				select {
 				case fn := <-p.work:
@@ -129,68 +185,48 @@ func (p *Platform) loop() {
 	}
 }
 
-// payloadPool recycles received-datagram buffers between the read and
-// dispatch goroutines. Handlers must not retain the payload past the
-// callback (the engine copies what it needs while opening the seal),
-// matching the simulated network's delivery-buffer contract.
-var payloadPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 0, 2048)
-		return &b
-	},
-}
-
-func (p *Platform) readLoop() {
+// readLoop posts each received batch to the loop. Handlers must not
+// retain a payload past the callback, as on the simulated network.
+func (p *Platform) readLoop(rx DatagramConn) {
 	defer close(p.readDone)
-	buf := make([]byte, 64*1024)
+	free := make(chan *Batch, rxBatches) // never full: it can hold every batch
+	for range rxBatches {
+		free <- NewBatch(rxSlots, rxSlotSize)
+	}
 	for {
-		n, _, err := p.conn.ReadFrom(buf)
+		b := <-free
+		n, err := rx.RecvBatch(b)
 		if err != nil {
 			return // closed
 		}
-		bp := payloadPool.Get().(*[]byte)
-		payload := append((*bp)[:0], buf[:n]...)
-		*bp = payload
-		p.post(func() {
-			if p.msgHandler != nil {
+		p.post(func() { // never refused: the loop outlives the reader
+			for i := 0; i < n && p.msgHandler != nil; i++ {
 				// The UDP source is not an identity: handlers get 0 and
-				// trust the wire layer's authenticated sender ID instead.
-				p.msgHandler(0, payload)
+				// trust the wire layer's authenticated sender ID.
+				p.msgHandler(0, b.Payload(i))
 			}
-			payloadPool.Put(bp)
+			free <- b
 		})
 	}
 }
 
-func (p *Platform) aexLoop(period time.Duration) {
-	t := time.NewTicker(period)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			p.InjectAEX()
-		case <-p.done:
-			return
-		}
-	}
-}
-
-// post enqueues fn onto the loop unless the platform is closed.
-func (p *Platform) post(fn func()) {
+// post hands fn to the loop from another goroutine. It reports false,
+// dropping fn, once the platform is closed.
+func (p *Platform) post(fn func()) bool {
 	select {
 	case p.work <- fn:
+		return true
 	case <-p.done:
+		return false
 	}
 }
 
-// Do runs fn on the platform's dispatch goroutine and waits for it —
-// the safe way for application code to call into the node (e.g.
-// TrustedNow). Returns false if the platform is closed.
+// Do runs fn on the loop and waits for it — the safe way for
+// application code to call into the node (e.g. TrustedNow). Returns
+// false if the platform is closed. Must not be called on the loop.
 func (p *Platform) Do(fn func()) bool {
 	done := make(chan struct{})
-	select {
-	case p.work <- func() { fn(); close(done) }:
-	case <-p.done:
+	if !p.post(func() { fn(); close(done) }) {
 		return false
 	}
 	select {
@@ -220,119 +256,97 @@ func (p *Platform) Send(to simnet.Addr, payload []byte) {
 	_, _ = p.conn.WriteTo(payload, addr)
 }
 
-// AfterTicks schedules fn after the guest TSC advances by ticks.
-// Stopping the Go timer is not enough to cancel: once it has fired, fn
-// is already queued behind whatever handler is running, and that
-// handler may be the one cancelling. The queued closure therefore
-// checks the cancelled flag on the dispatch goroutine, so a handler's
-// cancel always wins over a callback that has not started.
+// AfterTicks schedules fn once the real time ticks guest ticks span
+// has passed. Cancelling removes it from the scheduler, so a cancel
+// wins over any firing that has not started.
 func (p *Platform) AfterTicks(ticks uint64, fn func()) enclave.CancelFunc {
-	d := time.Duration(float64(ticks) / p.tscHz * float64(time.Second))
-	var cancelled atomic.Bool
-	t := time.AfterFunc(d, func() {
-		p.post(func() {
-			if !cancelled.Load() {
-				fn()
-			}
-		})
-	})
-	return func() {
-		cancelled.Store(true)
-		t.Stop()
-	}
+	ev := p.sched.At(p.due(ticks), fn)
+	return func() { p.sched.Cancel(ev) }
 }
 
 // SetAEXHandler registers the AEX-Notify callback.
-func (p *Platform) SetAEXHandler(fn func()) {
-	p.post(func() { p.aexHandler = fn })
-}
+func (p *Platform) SetAEXHandler(fn func()) { p.aexHandler = fn }
 
 // SetMessageHandler registers the datagram callback.
 func (p *Platform) SetMessageHandler(fn func(from simnet.Addr, payload []byte)) {
-	p.post(func() { p.msgHandler = fn })
+	p.msgHandler = fn
+}
+
+// window is one of the monitoring thread's measurement loops on the
+// live clock. Its timer completes it; an AEX closes it at once.
+type window struct {
+	timer sim.Timer
+	ticks uint64
+	done  func(count float64, interrupted bool) // nil when none is in flight
+}
+
+func (p *Platform) measure(w *window, ticks uint64, done func(count float64, interrupted bool)) {
+	if w.done != nil {
+		panic("transport: overlapping measurements on one monitoring thread")
+	}
+	w.ticks, w.done = ticks, done
+	w.timer.Set(p.due(ticks))
+}
+
+// close ends the measurement in flight, if any.
+func (w *window) close(count float64, interrupted bool) {
+	if done := w.done; done != nil {
+		w.done = nil
+		w.timer.Stop()
+		done(count, interrupted)
+	}
 }
 
 // StartINCCheck models one monitoring-loop measurement: it completes
 // after the wall time the tick window spans, reporting the modelled
-// iteration count, or interrupted if an AEX landed inside the window.
+// iteration count, or at once with interrupted=true if an AEX lands
+// first. Overlapping measurements panic, as on the simulated platform.
 func (p *Platform) StartINCCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	p.post(func() {
-		epoch := p.aexEpoch
-		d := time.Duration(float64(ticks) / p.tscHz * float64(time.Second))
-		time.AfterFunc(d, func() {
-			p.post(func() {
-				if p.aexEpoch != epoch {
-					done(0, true)
-					return
-				}
-				count := enclave.IdealINC(p.core, float64(ticks), p.tscHz)
-				if p.incIndex == 0 {
-					count += enclave.PaperINCModel().WarmupOffset
-				}
-				p.incIndex++
-				done(count, false)
-			})
-		})
-	})
+	p.measure(&p.inc, ticks, done)
 }
 
 // StartMemCheck models one memory-access monitoring measurement,
 // mirroring StartINCCheck with the frequency-independent counter.
 func (p *Platform) StartMemCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	p.post(func() {
-		epoch := p.aexEpoch
-		d := time.Duration(float64(ticks) / p.tscHz * float64(time.Second))
-		time.AfterFunc(d, func() {
-			p.post(func() {
-				if p.aexEpoch != epoch {
-					done(0, true)
-					return
-				}
-				done(enclave.PaperMemModel().IdealMem(float64(ticks), p.tscHz), false)
-			})
-		})
-	})
+	p.measure(&p.mem, ticks, done)
 }
 
-// InjectAEX delivers one AEX to the node (severing time continuity),
-// as the synthetic generator or an external test harness would.
-func (p *Platform) InjectAEX() {
-	p.post(func() {
-		p.aexEpoch++
-		p.aexCount++
-		if p.aexHandler != nil {
-			p.aexHandler()
-		}
-	})
-}
-
-// AEXCount reports delivered AEXs.
-func (p *Platform) AEXCount() int {
-	n := 0
-	if !p.Do(func() { n = p.aexCount }) {
-		return 0
+// fireAEX delivers one AEX on the loop: it aborts any in-flight
+// measurement, then invokes the AEX-Notify handler.
+func (p *Platform) fireAEX() {
+	p.aexCount++
+	p.inc.close(0, true)
+	p.mem.close(0, true)
+	if p.aexHandler != nil {
+		p.aexHandler()
 	}
-	return n
 }
+
+// InjectAEX hands one AEX to the loop (severing time continuity), as an
+// external test harness or operator would.
+func (p *Platform) InjectAEX() { p.post(p.fireAEX) }
+
+// AEXCount reports delivered AEXs; call it on the loop.
+func (p *Platform) AEXCount() int { return p.aexCount }
 
 // LocalAddr reports the bound UDP address.
 func (p *Platform) LocalAddr() net.Addr { return p.conn.LocalAddr() }
 
 // Close shuts the platform down gracefully and returns only when no
-// handler is running or pending: the socket closes first (unblocking
-// the read loop), then every datagram the read loop had already
-// accepted is dispatched, then the dispatch goroutine exits. Callbacks
+// handler is running or pending: the socket closes first (stopping the
+// reader), then every batch the reader had already handed over is
+// dispatched, then the loop exits, dropping pending timers. Calls
 // posted after Close are dropped. Safe to call multiple times; later
-// calls return nil without waiting. Must not be called from a handler
-// (it would wait for its own return).
+// calls return nil without waiting. Must not be called on the loop (it
+// would wait for its own return).
 func (p *Platform) Close() error {
 	var err error
 	p.stopOnce.Do(func() {
 		err = p.conn.Close()
-		// The read loop exits on the closed socket — after this, every
-		// accepted datagram is in the work queue.
+		// The reader exits on the closed socket — after this, every
+		// accepted batch is in the work queue.
 		<-p.readDone
-		// Tell the dispatch loop to drain that queue and stop.
+		// Tell the loop to drain that queue and stop.
 		close(p.done)
 		<-p.loopDone
 	})

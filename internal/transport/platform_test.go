@@ -3,6 +3,7 @@ package transport
 import (
 	"math"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,6 +32,13 @@ func listen(t *testing.T) net.PacketConn {
 		t.Fatalf("listen: %v", err)
 	}
 	return conn
+}
+
+// aexCount reads the platform's AEX count on its loop.
+func aexCount(p *Platform) int {
+	n := 0
+	p.Do(func() { n = p.AEXCount() })
+	return n
 }
 
 func TestReadTSCAdvancesMonotonically(t *testing.T) {
@@ -69,23 +77,27 @@ func TestAfterTicksAndCancel(t *testing.T) {
 	}
 	defer p.Close()
 	fired := make(chan struct{})
-	p.AfterTicks(10e6, func() { close(fired) }) // 10ms
+	p.Do(func() { p.AfterTicks(10e6, func() { close(fired) }) }) // 10ms
 	select {
 	case <-fired:
 	case <-time.After(2 * time.Second):
 		t.Fatal("timer never fired")
 	}
 	cancelled := false
-	cancel := p.AfterTicks(5e6, func() { cancelled = true })
-	cancel()
+	p.Do(func() {
+		cancel := p.AfterTicks(5e6, func() { cancelled = true })
+		cancel()
+	})
 	time.Sleep(30 * time.Millisecond)
-	if cancelled {
-		t.Error("cancelled timer fired")
-	}
+	p.Do(func() {
+		if cancelled {
+			t.Error("cancelled timer fired")
+		}
+	})
 }
 
 // TestCancelBeatsQueuedTimer: a timer that expires while a handler is
-// running is queued behind it; if that handler cancels the timer, the
+// running is due behind it; if that handler cancels the timer, the
 // function must still never run (a Gather or Round closed by the
 // handler would otherwise be closed a second time).
 func TestCancelBeatsQueuedTimer(t *testing.T) {
@@ -113,7 +125,7 @@ func TestInjectAEXAndCount(t *testing.T) {
 	}
 	defer p.Close()
 	hits := make(chan struct{}, 10)
-	p.SetAEXHandler(func() { hits <- struct{}{} })
+	p.Do(func() { p.SetAEXHandler(func() { hits <- struct{}{} }) })
 	p.InjectAEX()
 	p.InjectAEX()
 	for i := 0; i < 2; i++ {
@@ -123,7 +135,7 @@ func TestInjectAEXAndCount(t *testing.T) {
 			t.Fatal("AEX handler not invoked")
 		}
 	}
-	if got := p.AEXCount(); got != 2 {
+	if got := aexCount(p); got != 2 {
 		t.Errorf("AEXCount = %d", got)
 	}
 }
@@ -135,7 +147,7 @@ func TestSyntheticAEXGenerator(t *testing.T) {
 	}
 	defer p.Close()
 	deadline := time.After(3 * time.Second)
-	for p.AEXCount() < 3 {
+	for aexCount(p) < 3 {
 		select {
 		case <-deadline:
 			t.Fatal("generator produced too few AEXs")
@@ -155,8 +167,11 @@ func TestINCCheckLive(t *testing.T) {
 		interrupted bool
 	}
 	results := make(chan result, 1)
+	start := func() {
+		p.Do(func() { p.StartINCCheck(15e6, func(c float64, i bool) { results <- result{c, i} }) })
+	}
 	// 15e6 ticks at 2.9GHz ≈ 5.2ms of wall time.
-	p.StartINCCheck(15e6, func(c float64, i bool) { results <- result{c, i} })
+	start()
 	select {
 	case r := <-results:
 		if r.interrupted {
@@ -171,21 +186,27 @@ func TestINCCheckLive(t *testing.T) {
 		t.Fatal("INC check never completed")
 	}
 	// Second measurement: steady state.
-	p.StartINCCheck(15e6, func(c float64, i bool) { results <- result{c, i} })
+	start()
 	r := <-results
 	if math.Abs(r.count-simtime.PaperINCPer15MTicks) > 1 {
 		t.Errorf("steady count = %v", r.count)
 	}
 }
 
-func TestINCCheckInterruptedByAEX(t *testing.T) {
-	p, err := New(Config{Conn: listen(t), TSCHz: 1e6}) // 15e6 ticks = 15s, plenty of room
+// checkInterruptedByAEX: an AEX aborts an in-flight monitoring window
+// at once with interrupted=true, as on the simulated platform, instead
+// of the window running to its end first.
+func checkInterruptedByAEX(t *testing.T, start func(p *Platform) func(uint64, func(float64, bool))) {
+	p, err := New(Config{Conn: listen(t), TSCHz: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	results := make(chan bool, 1)
-	p.StartINCCheck(200_000, func(_ float64, interrupted bool) { results <- interrupted }) // 200ms
+	began := time.Now()
+	p.Do(func() {
+		start(p)(3e6, func(_ float64, interrupted bool) { results <- interrupted }) // a 3s window
+	})
 	time.Sleep(20 * time.Millisecond)
 	p.InjectAEX()
 	select {
@@ -193,8 +214,110 @@ func TestINCCheckInterruptedByAEX(t *testing.T) {
 		if !interrupted {
 			t.Error("AEX inside the window should interrupt the measurement")
 		}
-	case <-time.After(3 * time.Second):
-		t.Fatal("INC check never completed")
+		if d := time.Since(began); d > 500*time.Millisecond {
+			t.Errorf("interruption reported after %v; want it at the AEX, not at the window end", d)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("measurement never completed")
+	}
+}
+
+func TestINCCheckInterruptedByAEX(t *testing.T) {
+	checkInterruptedByAEX(t, func(p *Platform) func(uint64, func(float64, bool)) { return p.StartINCCheck })
+}
+
+func TestMemCheckInterruptedByAEX(t *testing.T) {
+	checkInterruptedByAEX(t, func(p *Platform) func(uint64, func(float64, bool)) { return p.StartMemCheck })
+}
+
+// TestOverlappingWindowsPanic: one monitoring thread runs one
+// measurement of each kind at a time, on both platforms.
+func TestOverlappingWindowsPanic(t *testing.T) {
+	p, err := New(Config{Conn: listen(t), TSCHz: 1e6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	panicked := false
+	p.Do(func() {
+		p.StartINCCheck(1e6, func(float64, bool) {})
+		p.StartMemCheck(1e6, func(float64, bool) {}) // the other kind may overlap
+		defer func() { panicked = recover() != nil }()
+		p.StartINCCheck(1e6, func(float64, bool) {})
+	})
+	if !panicked {
+		t.Error("overlapping INC measurements did not panic")
+	}
+}
+
+// TestHandlerCallsSurviveFullQueue: Platform methods called on the loop
+// act directly. A burst of datagrams that fills the loop's work queue
+// while a handler runs must not block the handler's own StartINCCheck,
+// AfterTicks or SetMessageHandler, and Close must still return.
+func TestHandlerCallsSurviveFullQueue(t *testing.T) {
+	conn := listen(t)
+	p, err := New(Config{Conn: conn, TSCHz: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handler := func(simnet.Addr, []byte) {}
+	p.Do(func() { p.SetMessageHandler(handler) })
+	sender := listen(t)
+	defer sender.Close()
+
+	returned := make(chan struct{})
+	go p.Do(func() {
+		defer close(returned)
+		for i := 0; i < 400; i++ {
+			_, _ = sender.WriteTo([]byte("burst"), conn.LocalAddr())
+		}
+		time.Sleep(100 * time.Millisecond) // the reader queues the burst
+		p.StartINCCheck(15e6, func(float64, bool) {})
+		p.AfterTicks(1e6, func() {})
+		p.SetMessageHandler(handler)
+	})
+	select {
+	case <-returned:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a handler's own platform calls blocked behind a full work queue")
+	}
+	closed := make(chan struct{})
+	go func() { p.Close(); close(closed) }()
+	select {
+	case <-closed:
+	case <-time.After(2 * time.Second):
+		t.Fatal("Close hung after a datagram burst")
+	}
+}
+
+// TestGoroutinesIndependentOfTimers: a running platform is two
+// goroutines, the loop and the reader, however many timers, windows and
+// synthetic AEXs are pending.
+func TestGoroutinesIndependentOfTimers(t *testing.T) {
+	time.Sleep(50 * time.Millisecond) // let earlier tests' goroutines exit
+	before := runtime.NumGoroutine()
+	p, err := New(Config{Conn: listen(t), TSCHz: 1e9, AEXPeriod: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	p.Do(func() {
+		for i := 1; i <= 100; i++ {
+			p.AfterTicks(uint64(i)*1e6, func() {}) // 1ms .. 100ms
+		}
+		p.StartINCCheck(1e9, func(float64, bool) {})
+		p.StartMemCheck(1e9, func(float64, bool) {})
+	})
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		got := runtime.NumGoroutine() - before
+		if got == 2 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("platform runs %d goroutines, want 2", got)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 
@@ -355,12 +478,14 @@ func TestCloseWaitsForInFlightHandler(t *testing.T) {
 	started := make(chan struct{})
 	release := make(chan struct{})
 	handled := 0
-	p.SetMessageHandler(func(_ simnet.Addr, _ []byte) {
-		if handled == 0 {
-			close(started)
-			<-release // hold the dispatch loop mid-handler
-		}
-		handled++
+	p.Do(func() {
+		p.SetMessageHandler(func(_ simnet.Addr, _ []byte) {
+			if handled == 0 {
+				close(started)
+				<-release // hold the loop mid-handler
+			}
+			handled++
+		})
 	})
 
 	sender := listen(t)
@@ -373,7 +498,8 @@ func TestCloseWaitsForInFlightHandler(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("first datagram never reached the handler")
 	}
-	// With the loop held, a second datagram lands in the work queue.
+	// With the loop held, the reader hands a second batch to the work
+	// queue.
 	if _, err := sender.WriteTo([]byte("two"), conn.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
@@ -410,7 +536,7 @@ func TestCloseWaitsForInFlightHandler(t *testing.T) {
 		t.Fatalf("second Close: %v", err)
 	}
 	p.InjectAEX()
-	if got := p.AEXCount(); got != 0 {
+	if got := p.AEXCount(); got != 0 { // the loop has exited: a plain read is race-free
 		t.Fatalf("AEXCount after Close = %d, want 0", got)
 	}
 }

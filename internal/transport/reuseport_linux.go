@@ -53,12 +53,6 @@ func ListenReusePortGroup(network, addr string, n int) ([]*net.UDPConn, error) {
 			closeAll(conns)
 			return nil, fmt.Errorf("transport: %q is not a UDP network", network)
 		}
-		// Burst headroom: batched serving drains hundreds of datagrams
-		// per wakeup, so default socket buffers (a few hundred small
-		// datagrams) drop under load spikes. Best-effort; the kernel
-		// clamps to its rmem/wmem limits.
-		_ = uc.SetReadBuffer(1 << 20)
-		_ = uc.SetWriteBuffer(1 << 20)
 		conns = append(conns, uc)
 		if i == 0 {
 			// Pin the concrete port the kernel chose for the group.

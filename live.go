@@ -203,8 +203,8 @@ func (ln *LiveNode) Snapshot() Snapshot {
 			s.TrustedNanos = ts
 			s.Available = true
 		}
+		s.AEXCount = ln.platform.AEXCount()
 	})
-	s.AEXCount = ln.platform.AEXCount()
 	return s
 }
 
