@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-module figures check audit examples loc clean
+.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-module figures check audit figdiff examples loc clean
 
 all: build vet lint test
 
@@ -83,6 +83,13 @@ check: vet lint lint-audit build test test-race bench-module
 # topology shrink.
 audit: lint lint-audit
 	$(GO) run ./cmd/triad-sim -fig check -seed 1
+
+# Simulator byte-identity against another revision: every figure, CSV,
+# the audit and the Fig. 6 trace, diffed (scripts/figdiff.sh). Not part
+# of check: a change may move figures on purpose.
+figdiff:
+	@test -n "$(REV)" || { echo "usage: make figdiff REV=<git revision>" >&2; exit 2; }
+	bash scripts/figdiff.sh $(REV)
 
 examples:
 	$(GO) run ./examples/quickstart

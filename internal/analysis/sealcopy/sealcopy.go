@@ -1,6 +1,7 @@
-// Package sealcopy defines the nonce-safety analyzer: wire.Sealer and
-// wire.Opener carry mutable anti-replay state (the sealer's nonce
-// counter, the opener's per-sender replay windows). Copying one by
+// Package sealcopy defines the nonce-safety analyzer: wire.Sealer,
+// wire.Opener and wire.ReplayWindow carry mutable anti-replay state
+// (the sealer's nonce counter, the opener's per-sender replay windows,
+// the window an endpoint keeps per sender itself). Copying one by
 // value forks that state — the copy and the original then reuse nonce
 // counter values under the same AES-GCM key, which voids
 // confidentiality, or accept replays the original already consumed.
@@ -17,7 +18,7 @@ import (
 
 // noCopyNames are the guarded type names, looked up in any package
 // named "wire".
-var noCopyNames = map[string]bool{"Sealer": true, "Opener": true}
+var noCopyNames = map[string]bool{"Sealer": true, "Opener": true, "ReplayWindow": true}
 
 // Analyzer is the sealcopy analysis.
 var Analyzer = &analysis.Analyzer{

@@ -57,6 +57,20 @@ func OpenerParam(o wire.Opener) bool { // want `declares a by-value Opener`
 	return o.Accept(1, 1)
 }
 
+// sender keeps a replay window by value, as an endpoint's per-sender
+// record does; the record must flow by pointer.
+type sender struct {
+	window wire.ReplayWindow
+}
+
+// CopyWindow copies a window out of a record, and a record out of a
+// table: both fork the window.
+func CopyWindow(table []sender) bool {
+	w := table[0].window // want `copies a ReplayWindow by value`
+	r := table[1]        // want `copies a ReplayWindow by value`
+	return w.Accept(1) && r.window.Accept(1) && (&table[2]).window.Accept(1)
+}
+
 // Fine shows the sanctioned pointer flow end to end.
 func Fine(p *wire.Sealer) (*wire.Sealer, uint64) {
 	q := p

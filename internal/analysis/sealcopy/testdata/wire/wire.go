@@ -21,6 +21,20 @@ type Opener struct {
 	windows map[uint32]uint64
 }
 
+// ReplayWindow is one sender's window, kept by an endpoint itself.
+type ReplayWindow struct {
+	max uint64
+}
+
+// Accept records a counter.
+func (w *ReplayWindow) Accept(counter uint64) bool {
+	if counter <= w.max {
+		return false
+	}
+	w.max = counter
+	return true
+}
+
 // NewOpener returns a fresh opener.
 func NewOpener() *Opener { return &Opener{windows: map[uint32]uint64{}} }
 

@@ -44,7 +44,10 @@ type Engine struct {
 	sealer   *wire.Sealer
 	opener   *wire.Opener
 	events   *Events
-	peers    map[simnet.Addr]bool
+	// senders holds everyone this node accepts datagrams from — its peers
+	// and authorities — with their roles and replay windows, so a
+	// delivery costs one lookup by sender identity.
+	senders senderTable
 
 	pol Policies
 
@@ -103,17 +106,13 @@ func New(platform enclave.Platform, cfg Config, pol Policies) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	peers := make(map[simnet.Addr]bool, len(cfg.Peers))
-	for _, p := range cfg.Peers {
-		peers[p] = true
-	}
 	e := &Engine{
 		cfg:      cfg,
 		platform: platform,
 		sealer:   sealer,
 		opener:   opener,
 		events:   &cfg.Events,
-		peers:    peers,
+		senders:  newSenderTable(cfg.Peers, cfg.Authorities),
 		pol:      pol,
 		state:    StateInit,
 		sealBuf:  make([]byte, 0, wire.SealedSize),
@@ -130,18 +129,6 @@ func (e *Engine) Addr() simnet.Addr { return e.cfg.Addr }
 // Authority reports the Time Authority's address (the first configured
 // authority on multi-authority nodes).
 func (e *Engine) Authority() simnet.Addr { return e.cfg.Authority }
-
-// isAuthority reports whether a is a configured Time Authority. The
-// authority list is at most a handful of entries, so a linear scan
-// beats a map (and keeps dispatch allocation- and map-iteration-free).
-func (e *Engine) isAuthority(a simnet.Addr) bool {
-	for _, auth := range e.cfg.Authorities {
-		if auth == a {
-			return true
-		}
-	}
-	return false
-}
 
 // PeerAddrs returns the configured peers in broadcast order. The
 // slice is shared; callers must not mutate it.
@@ -238,6 +225,19 @@ func (e *Engine) SendSealed(to simnet.Addr, msg wire.Message) {
 	e.platform.Send(to, e.sealBuf)
 }
 
+// Broadcast seals msg once and sends the same datagram to every peer,
+// in broadcast order. One seal serves them all: a Message names no
+// destination and every receiver keeps its own replay window, so a copy
+// is as good as a fresh seal to each peer — and an attacker could
+// already move one peer's copy to another. The sender's nonce counter
+// advances once per broadcast, not once per peer.
+func (e *Engine) Broadcast(msg wire.Message) {
+	e.sealBuf = e.sealer.SealAppend(e.sealBuf[:0], msg)
+	for _, p := range e.cfg.Peers {
+		e.platform.Send(p, e.sealBuf)
+	}
+}
+
 // CompleteCalibration installs a finished full calibration — rate and
 // reference anchor — and moves the node to StateOK, firing
 // TAReference then Calibrated in the order the trace battery pins.
@@ -289,34 +289,45 @@ func (e *Engine) ScaleRate(factor float64) { e.fCalib *= factor }
 // onDatagram authenticates and dispatches one delivered datagram. The
 // network-level source is ignored: trust keys off the authenticated
 // wire-layer sender identity — an attacker can spoof addresses but
-// not the AEAD.
+// not the AEAD. One lookup by that identity finds the sender's roles
+// and replay window; a datagram from anyone who is neither a peer nor
+// an authority could only be dropped, so it is dropped unopened.
+//
+//triad:hotpath
 func (e *Engine) onDatagram(_ simnet.Addr, payload []byte) {
-	msg, sender, err := e.opener.OpenInto(e.openBuf, payload)
+	id, ok := wire.DatagramSender(payload)
+	if !ok {
+		return
+	}
+	from := e.senders.find(id)
+	if from == nil {
+		return
+	}
+	msg, err := e.opener.OpenWindowInto(&from.window, e.openBuf, payload)
 	if err != nil {
-		return // tampered, replayed, or foreign traffic: drop
+		return // tampered, replayed, or malformed: drop
 	}
 	switch msg.Kind {
 	case wire.KindTimeResponse:
-		from := simnet.Addr(sender)
-		if !e.isAuthority(from) {
+		if !from.authority {
 			return
 		}
-		e.onTimeResponse(from, msg)
+		e.onTimeResponse(simnet.Addr(id), msg)
 	case wire.KindPeerTimeRequest:
-		if !e.peers[simnet.Addr(sender)] {
+		if !from.peer {
 			return
 		}
-		e.onPeerTimeRequest(simnet.Addr(sender), msg)
+		e.onPeerTimeRequest(simnet.Addr(id), msg)
 	case wire.KindPeerTimeResponse:
-		if !e.peers[simnet.Addr(sender)] {
+		if !from.peer {
 			return
 		}
-		e.onPeerTimeResponse(sender, msg)
+		e.onPeerTimeResponse(id, msg)
 	case wire.KindChimerReport:
-		if e.pol.Gossip == nil || !e.peers[simnet.Addr(sender)] {
+		if e.pol.Gossip == nil || !from.peer {
 			return
 		}
-		e.pol.Gossip.OnChimerReport(e, sender, msg)
+		e.pol.Gossip.OnChimerReport(e, id, msg)
 	case wire.KindTimeRequest:
 		// Nodes are not the Time Authority; ignore.
 	case wire.KindStampRequest, wire.KindStampResponse,

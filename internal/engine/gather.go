@@ -38,13 +38,7 @@ func (e *Engine) GatherPeers(immediate bool, done func([]PeerSample)) *Gather {
 	e.CancelGather()
 	g := &Gather{e: e, seq: e.nextSeq(), immediate: immediate, done: done}
 	e.gather = g
-	for _, p := range e.cfg.Peers {
-		// Each peer gets its own sealed copy: GCM nonces are single-use.
-		e.SendSealed(p, wire.Message{
-			Kind: wire.KindPeerTimeRequest,
-			Seq:  g.seq,
-		})
-	}
+	e.Broadcast(wire.Message{Kind: wire.KindPeerTimeRequest, Seq: g.seq})
 	g.timer = e.platform.AfterTicks(e.TicksFor(e.cfg.PeerTimeout), func() {
 		g.timer = nil
 		g.close()

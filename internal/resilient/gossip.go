@@ -63,14 +63,12 @@ func (p *policy) broadcastChimerReport(e *engine.Engine) {
 	}
 	c := e.Counters()
 	c.GossipSent++
-	for _, peer := range p.cfg.Peers {
-		e.SendSealed(peer, wire.Message{
-			Kind:      wire.KindChimerReport,
-			Seq:       uint64(c.GossipSent),
-			Sleep:     time.Duration(e.ReferenceNanos()), // latest TA-anchored time
-			TimeNanos: int64(p.gossip.own),
-		})
-	}
+	e.Broadcast(wire.Message{
+		Kind:      wire.KindChimerReport,
+		Seq:       uint64(c.GossipSent),
+		Sleep:     time.Duration(e.ReferenceNanos()), // latest TA-anchored time
+		TimeNanos: int64(p.gossip.own),
+	})
 }
 
 // gossipHook ingests peers' published views; it is installed only when

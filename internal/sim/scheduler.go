@@ -7,6 +7,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"triadtime/internal/simtime"
 )
@@ -29,7 +30,7 @@ func (e Event) At() simtime.Instant {
 		return simtime.Epoch
 	}
 	sl := &e.s.slots[e.id-1]
-	if sl.gen != e.gen || sl.pos < 0 {
+	if sl.gen != e.gen || sl.pos == idle {
 		return simtime.Epoch
 	}
 	return sl.at
@@ -37,20 +38,53 @@ func (e Event) At() simtime.Instant {
 
 // slot is the in-place storage of one scheduled (or free) event, or of
 // one timer. A timer keeps its slot for good: it is never released, so
-// gen and nextFree stay unused and fn is written once.
+// gen stays unused and fn is written once.
 type slot struct {
-	at       simtime.Instant
-	seq      uint64 // tie-breaker: schedule order at equal instants
-	fn       func()
-	gen      uint32 // bumped on release; invalidates outstanding handles
-	pos      int32  // index in its heap, -1 while free (event) or idle (timer)
-	nextFree int32  // next slot in the free list, -1 at the tail
+	at  simtime.Instant
+	seq uint64 // tie-breaker: schedule order at equal instants
+	fn  func()
+	gen uint32 // bumped on release; invalidates outstanding handles
+	// pos locates the slot: its index in the far or timer heap when
+	// ≥ 0, idle while free (event) or disarmed (timer), and bucketPos(b)
+	// while the event waits in calendar bucket b.
+	pos int32
+	// next and prev link the slot into its bucket's ring. While the slot
+	// is free, next is the next free slot (-1 at the tail).
+	next, prev int32
 }
 
-// heapArity is the fan-out of the event queue. A 4-ary heap halves the
-// tree depth of a binary heap; with cheap (at, seq) comparisons the
-// extra per-level compares are better than the extra levels, and the
-// node's children share a cache line.
+// idle is the pos of a free event slot or a disarmed timer.
+const idle = -1
+
+// bucketPos is the pos of an event waiting in bucket b; bucketOfPos
+// inverts it.
+func bucketPos(b int) int32     { return int32(-2 - b) }
+func bucketOfPos(pos int32) int { return int(-2 - pos) }
+
+// The calendar's geometry: a bucket spans 2^bucketShift ns ≈ 65.5 µs,
+// the window bucketCount buckets ≈ 268 ms. At the thousand-node
+// topology's density (a firing every ≈ 140 µs, ≈ 1000 pending) this
+// puts a LAN delivery (100 µs plus jitter) one to four buckets past the
+// cursor and every WAN delivery (20–145 ms) inside the window, while a
+// bucket holds a few entries, so its sorted insert stays short. What
+// lies beyond — timeouts, AEX and churn schedules seconds out, ≈ 1 % of
+// that topology's one-shot events — waits in the far heap. Only the
+// cost depends on these numbers, never the order of firings, so they
+// are constants and not knobs.
+const (
+	bucketShift = 16
+	bucketCount = 4096
+	bucketMask  = bucketCount - 1
+	bitmapWords = bucketCount / 64
+)
+
+// bucketOf is the absolute calendar bucket an instant falls in.
+func bucketOf(at simtime.Instant) int64 { return int64(at) >> bucketShift }
+
+// heapArity is the fan-out of the far and timer heaps. A 4-ary heap
+// halves the tree depth of a binary heap; with cheap (at, seq)
+// comparisons the extra per-level compares are better than the extra
+// levels, and the node's children share a cache line.
 const heapArity = 4
 
 // Scheduler is the simulation's event loop. It is single-threaded: all
@@ -58,24 +92,52 @@ const heapArity = 4
 // locking is needed anywhere in the simulated stack.
 //
 // It holds two kinds of pending work. One-shot events (At/After) live in
-// a hand-specialized index-addressed min-heap over the slot array, with
-// freed slots recycled through an intrusive free list. Timers (NewTimer)
-// are owner-held and re-armable; the armed ones live in a second, small
-// min-heap of their own over the same slot array. Both are ordered by
-// (at, seq), and both draw seq from the one counter below at the moment
-// they are scheduled, so (at, seq) is a single total order over
-// everything pending: Step fires the lesser of the two roots, which is
-// exactly the event a single queue holding all of them would fire.
-// Neither heap's shape, nor which heap an entry sits in, is observable.
+// a calendar queue: a window of bucketCount fixed-width buckets that
+// starts at the cursor bucket, each bucket a ring of slots sorted by
+// (at, seq), with a bitmap of the non-empty ones. An event due at or
+// after the window's end waits in the far heap, an index-addressed
+// min-heap, and moves into its bucket once the cursor has advanced far
+// enough for the window to cover it. Timers (NewTimer) are owner-held
+// and re-armable; the armed ones live in a second, small min-heap of
+// their own. Every entry sits in the one slot array, freed event slots
+// are recycled through an intrusive free list, and every entry draws
+// seq from the one counter below at the moment it is scheduled, so
+// (at, seq) is a single total order over everything pending.
+//
+// The least one-shot event is the head of the first non-empty bucket
+// from the cursor on, by construction: the window's buckets cover
+// consecutive time ranges in ring order from the cursor, each is
+// sorted, and every far event is due no earlier than the window's end.
+// Only firing a bucketed event moves the cursor, to that event's bucket
+// and over empty ones; a peek (NextAt, or a step whose deadline falls
+// short) leaves it alone. So the cursor never passes the current time,
+// and nothing can be scheduled before the window. Step fires the lesser
+// of that head (the far root when no bucket holds anything) and the
+// timer heap's root — exactly the event a single queue holding all of
+// them would fire. No bucket, heap or window position is observable.
 //
 // Steady-state At/After/Step/Cancel and Timer.Set/Stop perform zero heap
-// allocations: the arrays only grow when the number of simultaneously
-// pending entries exceeds every previous high-water mark. The heaps hold
-// indices, not pointers, so sifting never runs a GC write barrier.
+// allocations: the bucket array is fixed, and the slot array and heaps
+// only grow when the number of simultaneously pending entries exceeds
+// every previous high-water mark. Buckets and heaps hold indices, not
+// pointers, so linking and sifting never run a GC write barrier.
 type Scheduler struct {
-	now    simtime.Instant
-	slots  []slot
-	heap   []uint32 // one-shot events: slot indices, min-heap on (at, seq)
+	now   simtime.Instant
+	slots []slot
+	// cursor is the absolute bucket (bucketOf) the window starts at, and
+	// near counts the events in its buckets.
+	cursor int64
+	near   int
+	// first and head memoise the least one-shot event, so that the steps
+	// between two one-shot firings — timers fire in between, and the
+	// real-time loop peeks after every wake — read it without a search.
+	// head is its slot; first is its absolute bucket, farHead when the
+	// calendar is empty and head is the far heap's root, and -1 when the
+	// memo is void: the least bucket drained, or the far root changed
+	// while it stood for it.
+	first  int64
+	head   uint32
+	far    []uint32 // one-shot events past the window: slot indices, min-heap on (at, seq)
 	timers []uint32 // armed timers: slot indices, min-heap on (at, seq)
 	free   int32    // head of the free-slot list, -1 when empty
 	seq    uint64   // shared by one-shot events and timers
@@ -83,11 +145,20 @@ type Scheduler struct {
 	// callback is running; see fireTimer.
 	firing bool
 	halted bool
+	// heads holds each bucket's least slot index + 1, 0 when the bucket
+	// is empty; nonEmpty has one bit per bucket with a head. They come
+	// last, so that the fields every step reads share the first cache
+	// lines rather than sit 16 KB apart.
+	nonEmpty [bitmapWords]uint64
+	heads    [bucketCount]uint32
 }
+
+// farHead is first while the memo stands for the far heap's root.
+const farHead = math.MaxInt64
 
 // NewScheduler returns a scheduler positioned at the epoch.
 func NewScheduler() *Scheduler {
-	return &Scheduler{free: -1}
+	return &Scheduler{free: -1, first: -1}
 }
 
 // Now reports the current simulated reference time.
@@ -97,7 +168,7 @@ func (s *Scheduler) Now() simtime.Instant { return s.now }
 // armed timers. An idle timer (never set, stopped, or fired and not
 // re-armed) does not count.
 func (s *Scheduler) Pending() int {
-	n := len(s.heap) + len(s.timers)
+	n := s.near + len(s.far) + len(s.timers)
 	if s.firing {
 		n-- // idle while its callback runs
 	}
@@ -111,11 +182,12 @@ func (s *Scheduler) NextAt() (simtime.Instant, bool) {
 	if s.firing {
 		s.settleFiring() // the root timer is idle while its callback runs
 	}
+	ev, ok := s.nextEvent()
 	switch {
-	case len(s.timers) > 0 && (len(s.heap) == 0 || s.less(s.timers[0], s.heap[0])):
+	case len(s.timers) > 0 && (!ok || s.less(s.timers[0], ev)):
 		return s.slots[s.timers[0]].at, true
-	case len(s.heap) > 0:
-		return s.slots[s.heap[0]].at, true
+	case ok:
+		return s.slots[ev].at, true
 	}
 	return simtime.Epoch, false
 }
@@ -131,6 +203,8 @@ func (s *Scheduler) checkNotPast(at simtime.Instant) {
 
 // At schedules fn to run at the given instant. Scheduling in the past
 // panics.
+//
+//triad:hotpath
 func (s *Scheduler) At(at simtime.Instant, fn func()) Event {
 	s.checkNotPast(at)
 	idx := s.alloc()
@@ -139,7 +213,10 @@ func (s *Scheduler) At(at simtime.Instant, fn func()) Event {
 	sl.seq = s.seq
 	sl.fn = fn
 	s.seq++
-	s.push(&s.heap, idx)
+	if s.near == 0 {
+		s.slide(bucketOf(s.now)) // an empty calendar restarts its window now
+	}
+	s.place(idx)
 	return Event{s: s, id: idx + 1, gen: sl.gen}
 }
 
@@ -162,10 +239,15 @@ func (s *Scheduler) Cancel(e Event) {
 	}
 	idx := e.id - 1
 	sl := &s.slots[idx]
-	if sl.gen != e.gen || sl.pos < 0 {
+	if sl.gen != e.gen || sl.pos == idle {
 		return
 	}
-	s.remove(&s.heap, int(sl.pos))
+	if sl.pos >= 0 {
+		s.remove(&s.far, int(sl.pos))
+		s.farChanged()
+	} else {
+		s.unlink(idx)
+	}
 	s.release(idx)
 }
 
@@ -180,15 +262,17 @@ func (s *Scheduler) Step() bool {
 // maxInstant is the deadline of an unbounded run.
 const maxInstant = simtime.Instant(math.MaxInt64)
 
-// stepUntil fires the least (at, seq) entry of the two heaps unless it
-// is due after deadline, and reports whether it fired.
+// stepUntil fires the least (at, seq) entry of the calendar and the
+// timer heap unless it is due after deadline, and reports whether it
+// fired.
 //
 //triad:hotpath
 func (s *Scheduler) stepUntil(deadline simtime.Instant) bool {
 	if s.firing {
 		s.settleFiring() // a callback is stepping the scheduler itself
 	}
-	if len(s.timers) > 0 && (len(s.heap) == 0 || s.less(s.timers[0], s.heap[0])) {
+	ev, ok := s.nextEvent()
+	if len(s.timers) > 0 && (!ok || s.less(s.timers[0], ev)) {
 		t := &s.slots[s.timers[0]]
 		if t.at > deadline {
 			return false
@@ -197,14 +281,20 @@ func (s *Scheduler) stepUntil(deadline simtime.Instant) bool {
 		s.fireTimer(t.fn)
 		return true
 	}
-	if len(s.heap) == 0 || s.slots[s.heap[0]].at > deadline {
+	if !ok || s.slots[ev].at > deadline {
 		return false
 	}
-	idx := s.popRoot(&s.heap)
-	sl := &s.slots[idx]
+	sl := &s.slots[ev]
+	if sl.pos >= 0 {
+		s.popRoot(&s.far)
+		s.farChanged()
+	} else {
+		s.unlink(ev)
+		s.slide(bucketOf(sl.at))
+	}
 	s.now = sl.at
 	fn := sl.fn
-	s.release(idx) // before fn: the callback may reschedule into this slot
+	s.release(ev) // before fn: the callback may reschedule into this slot
 	fn()
 	return true
 }
@@ -238,10 +328,10 @@ func (s *Scheduler) Halt() { s.halted = true }
 func (s *Scheduler) alloc() uint32 {
 	if s.free >= 0 {
 		idx := uint32(s.free)
-		s.free = s.slots[idx].nextFree
+		s.free = s.slots[idx].next
 		return idx
 	}
-	s.slots = append(s.slots, slot{pos: -1, nextFree: -1})
+	s.slots = append(s.slots, slot{pos: idle, next: -1})
 	return uint32(len(s.slots) - 1)
 }
 
@@ -252,13 +342,13 @@ func (s *Scheduler) release(idx uint32) {
 	sl := &s.slots[idx]
 	sl.fn = nil
 	sl.gen++
-	sl.pos = -1
-	sl.nextFree = s.free
+	sl.pos = idle
+	sl.next = s.free
 	s.free = int32(idx)
 }
 
 // less orders slots by firing time, then schedule order: a strict total
-// order, so the firing sequence is independent of the heap's shape.
+// order, so the firing sequence is independent of where entries sit.
 func (s *Scheduler) less(a, b uint32) bool {
 	sa, sb := &s.slots[a], &s.slots[b]
 	if sa.at != sb.at {
@@ -267,7 +357,154 @@ func (s *Scheduler) less(a, b uint32) bool {
 	return sa.seq < sb.seq
 }
 
-// The heap helpers below serve both heaps: heap is &s.heap or &s.timers
+// nextEvent returns the least pending one-shot event without moving
+// anything: the head of the first non-empty bucket from the cursor on,
+// or the far heap's root when no bucket holds anything. It is small
+// enough to inline into the step loop, which reads the memo; seekEvent
+// renews a void one.
+//
+//triad:hotpath
+func (s *Scheduler) nextEvent() (uint32, bool) {
+	if s.first >= 0 {
+		return s.head, true
+	}
+	return s.seekEvent()
+}
+
+func (s *Scheduler) seekEvent() (uint32, bool) {
+	if s.near == 0 {
+		if len(s.far) == 0 {
+			return 0, false
+		}
+		s.first, s.head = farHead, s.far[0]
+		return s.head, true
+	}
+	s.first = s.cursor + int64(s.gap(int(s.cursor&bucketMask)))
+	s.head = s.heads[s.first&bucketMask] - 1
+	return s.head, true
+}
+
+// farChanged voids the memo if it stands for the far heap's root, which
+// a push, pop or removal may have replaced. A calendar memo outlives
+// such a change: every far event sorts after every bucketed one.
+func (s *Scheduler) farChanged() {
+	if s.first == farHead {
+		s.first = -1
+	}
+}
+
+// gap is the distance from bucket b to the first non-empty one at or
+// after it in ring order. The calendar must hold an event.
+func (s *Scheduler) gap(b int) int {
+	w := b >> 6
+	if m := s.nonEmpty[w] >> (b & 63); m != 0 {
+		return bits.TrailingZeros64(m)
+	}
+	d := 64 - (b & 63)
+	for i := 1; ; i++ {
+		if m := s.nonEmpty[(w+i)%bitmapWords]; m != 0 {
+			return d + bits.TrailingZeros64(m)
+		}
+		d += 64
+	}
+}
+
+// slide moves the window forward to start at bucket c, no later than
+// the current time's, and brings in the far events it now covers. The
+// buckets it passes must be empty: it is called with the bucket of the
+// event just fired, or with the calendar empty. The newcomers land in
+// the buckets the cursor has just left, now at the window's far end.
+func (s *Scheduler) slide(c int64) {
+	s.cursor = c
+	end := c + bucketCount
+	for len(s.far) > 0 && bucketOf(s.slots[s.far[0]].at) < end {
+		s.place(s.popRoot(&s.far))
+	}
+}
+
+// place files a one-shot event, due no earlier than the cursor bucket:
+// into its bucket when the window covers it, into the far heap when it
+// is due at or after the window's end.
+//
+//triad:hotpath
+func (s *Scheduler) place(idx uint32) {
+	b := bucketOf(s.slots[idx].at)
+	if b >= s.cursor+bucketCount {
+		s.push(&s.far, idx)
+		s.farChanged()
+		return
+	}
+	s.link(b, idx)
+}
+
+// link inserts idx into absolute bucket abs's ring at its (at, seq)
+// place. The search runs back from the tail: a new event carries the
+// largest seq yet, so among equal instants it goes last.
+//
+//triad:hotpath
+func (s *Scheduler) link(abs int64, idx uint32) {
+	if s.near == 0 || (s.first >= 0 && abs < s.first) {
+		s.first, s.head = abs, idx // alone in the least bucket
+	}
+	b := int(abs & bucketMask)
+	slots := s.slots
+	sl := &slots[idx]
+	sl.pos = bucketPos(b)
+	s.near++
+	h := s.heads[b]
+	if h == 0 {
+		sl.next, sl.prev = int32(idx), int32(idx)
+		s.heads[b] = idx + 1
+		s.nonEmpty[b>>6] |= 1 << (b & 63)
+		return
+	}
+	head := h - 1
+	tail := uint32(slots[head].prev)
+	after := tail
+	for s.less(idx, after) {
+		if after == head { // least of the bucket: the new head, after the tail
+			s.heads[b] = idx + 1
+			if abs == s.first {
+				s.head = idx
+			}
+			after = tail
+			break
+		}
+		after = uint32(slots[after].prev)
+	}
+	next := slots[after].next
+	sl.prev, sl.next = int32(after), next
+	slots[after].next = int32(idx)
+	slots[next].prev = int32(idx)
+}
+
+// unlink takes idx out of its bucket's ring.
+//
+//triad:hotpath
+func (s *Scheduler) unlink(idx uint32) {
+	slots := s.slots
+	sl := &slots[idx]
+	b := bucketOfPos(sl.pos)
+	s.near--
+	if sl.next == int32(idx) { // alone in the bucket
+		s.heads[b] = 0
+		s.nonEmpty[b>>6] &^= 1 << (b & 63)
+		if s.first&bucketMask == int64(b) {
+			s.first = -1
+		}
+		return
+	}
+	slots[sl.prev].next = sl.next
+	slots[sl.next].prev = sl.prev
+	if s.heads[b] == idx+1 {
+		s.heads[b] = uint32(sl.next) + 1
+		if s.first&bucketMask == int64(b) {
+			s.head = uint32(sl.next)
+		}
+	}
+}
+
+// The heap helpers below serve both heaps: heap is &s.far or &s.timers
 // (h its contents), and a slot's pos indexes whichever one holds it.
 
 func (s *Scheduler) push(heap *[]uint32, idx uint32) {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -250,8 +251,8 @@ func TestSchedulerDeterministicOrderProperty(t *testing.T) {
 }
 
 // oracleQueue is the scheduler's original container/heap event queue,
-// kept here as the ordering oracle for the specialized 4-ary queue: both
-// order by (at, seq), so any random workload must fire identically.
+// kept here as the ordering oracle for the calendar and its heaps: both
+// order by (at, seq), so any workload must fire identically.
 type oracleEvent struct {
 	at    simtime.Instant
 	seq   uint64
@@ -309,12 +310,24 @@ func (s *oracleScheduler) cancel(e *oracleEvent) {
 	e.index = -1
 }
 
-func (s *oracleScheduler) run() {
-	for len(s.queue) > 0 {
+func (s *oracleScheduler) run() { s.runUntil(maxInstant) }
+
+func (s *oracleScheduler) runUntil(deadline simtime.Instant) {
+	for len(s.queue) > 0 && s.queue[0].at <= deadline {
 		e := heap.Pop(&s.queue).(*oracleEvent)
 		s.now = e.at
 		e.fn()
 	}
+	if deadline != maxInstant && s.now < deadline {
+		s.now = deadline
+	}
+}
+
+func (s *oracleScheduler) peek() (simtime.Instant, bool) {
+	if len(s.queue) == 0 {
+		return simtime.Epoch, false
+	}
+	return s.queue[0].at, true
 }
 
 // queueDriver is what the oracle test's script needs of a scheduler, so
@@ -325,22 +338,40 @@ type queueDriver struct {
 	now      func() simtime.Instant
 	at       func(at simtime.Instant, fn func()) (cancel func())
 	newTimer func(fn func()) (set func(at simtime.Instant), stop func())
+	peek     func() (simtime.Instant, bool)
+	runUntil func(deadline simtime.Instant)
 	run      func()
 }
 
-func realDriver() queueDriver {
+// realDriver drives a real scheduler and checks its calendar's
+// invariants around every operation and before every callback,
+// failing t at the first violation.
+func realDriver(t *testing.T) queueDriver {
 	s := NewScheduler()
+	check := func() {
+		t.Helper()
+		if err := s.checkCalendar(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return queueDriver{
 		now: s.Now,
 		at: func(at simtime.Instant, fn func()) func() {
-			e := s.At(at, fn)
-			return func() { s.Cancel(e) }
+			e := s.At(at, func() { check(); fn() })
+			check()
+			return func() { s.Cancel(e); check() }
 		},
 		newTimer: func(fn func()) (func(simtime.Instant), func()) {
-			t := s.NewTimer(fn)
+			t := s.NewTimer(func() { check(); fn() })
 			return t.Set, t.Stop
 		},
-		run: s.RunUntilIdle,
+		peek: func() (simtime.Instant, bool) {
+			at, ok := s.NextAt()
+			check()
+			return at, ok
+		},
+		runUntil: func(deadline simtime.Instant) { s.RunUntil(deadline); check() },
+		run:      func() { s.RunUntilIdle(); check() },
 	}
 }
 
@@ -360,8 +391,69 @@ func oracleDriver() queueDriver {
 				pending = s.at(at, fn)
 			}, stop
 		},
-		run: s.run,
+		peek:     s.peek,
+		runUntil: s.runUntil,
+		run:      s.run,
 	}
+}
+
+// checkCalendar verifies the one-shot queue's invariants: every bucket
+// ring is well linked, sorted by (at, seq) and inside the window at its
+// ring position, heads, bitmap and counts agree, every far event is due
+// at or after the window's end, the cursor is not past the current
+// time, and the least-event memo, when set, names the least bucket and
+// its head, or the far root while no bucket holds anything.
+func (s *Scheduler) checkCalendar() error {
+	near, least := 0, int64(-1)
+	for b := 0; b < bucketCount; b++ {
+		h := s.heads[b]
+		if bit := s.nonEmpty[b>>6]>>(b&63)&1 == 1; (h != 0) != bit {
+			return fmt.Errorf("bucket %d: head %d but bitmap bit %v", b, h, bit)
+		}
+		if h == 0 {
+			continue
+		}
+		for idx, i := h-1, 0; ; i++ {
+			sl := &s.slots[idx]
+			abs := bucketOf(sl.at)
+			switch {
+			case sl.pos != bucketPos(b):
+				return fmt.Errorf("bucket %d holds slot %d with pos %d", b, idx, sl.pos)
+			case int(abs&bucketMask) != b || abs < s.cursor || abs >= s.cursor+bucketCount:
+				return fmt.Errorf("bucket %d holds an event at %v, outside it (cursor %d)", b, sl.at, s.cursor)
+			case uint32(s.slots[sl.next].prev) != idx:
+				return fmt.Errorf("bucket %d: ring broken at slot %d", b, idx)
+			case i > 0 && !s.less(uint32(sl.prev), idx):
+				return fmt.Errorf("bucket %d: ring out of (at, seq) order at slot %d", b, idx)
+			}
+			if least < 0 || abs < least {
+				least = abs
+			}
+			near++
+			if idx = uint32(sl.next); idx == h-1 {
+				break
+			}
+		}
+	}
+	if near != s.near {
+		return fmt.Errorf("buckets hold %d events, near counts %d", near, s.near)
+	}
+	switch {
+	case s.first < 0:
+	case s.first == farHead && (near > 0 || len(s.far) == 0 || s.head != s.far[0]):
+		return fmt.Errorf("far memo names slot %d with %d near and %d far events", s.head, near, len(s.far))
+	case s.first != farHead && (near == 0 || s.first != least || s.head != s.heads[least&bucketMask]-1):
+		return fmt.Errorf("memo bucket %d slot %d, least bucket %d", s.first, s.head, least)
+	}
+	for i, idx := range s.far {
+		if sl := &s.slots[idx]; sl.pos != int32(i) || bucketOf(sl.at) < s.cursor+bucketCount {
+			return fmt.Errorf("far heap entry %d (pos %d) at %v inside the window (cursor %d)", i, sl.pos, sl.at, s.cursor)
+		}
+	}
+	if s.cursor > bucketOf(s.now) {
+		return fmt.Errorf("cursor %d past the current time's bucket %d", s.cursor, bucketOf(s.now))
+	}
+	return nil
 }
 
 // oracleScript runs one randomized workload on d and returns the firing
@@ -451,33 +543,303 @@ func oracleScript(seed int64, d queueDriver) []int {
 	return order
 }
 
+// window is the calendar's span: an event due this far past the start
+// of the cursor bucket or later waits in the far heap.
+const window = simtime.Instant(bucketCount << bucketShift)
+
+func us(n int) simtime.Instant { return after(time.Duration(n) * time.Microsecond) }
+func ms(n int) simtime.Instant { return after(time.Duration(n) * time.Millisecond) }
+
+// calendarScripts are fixed workloads aimed at the calendar's seams,
+// each returning its firing order. Negative and large labels keep the
+// callbacks apart.
+var calendarScripts = []struct {
+	name string
+	run  func(d queueDriver) []int
+}{
+	// Far events and their migration: a LAN-scale heartbeat keeps
+	// bucketed events firing, so the window slides and reaches the far
+	// events one by one — the last instant inside the first window, the
+	// first outside it, ties among far events, and events seconds out.
+	{"far events migrate as the window slides", func(d queueDriver) []int {
+		var order []int
+		n := 0
+		var beat func()
+		beat = func() {
+			order = append(order, -1)
+			if n++; n < 120 {
+				d.at(d.now()+ms(37)+us(n), beat)
+			}
+		}
+		d.at(us(100), beat)
+		for i, at := range []simtime.Instant{window - 1, window, window + 1, window, ms(300), after(time.Second),
+			2 * window, 2*window - 1, after(2 * time.Second), after(2 * time.Second), after(4 * time.Second)} {
+			i := i
+			d.at(at, func() { order = append(order, i) })
+		}
+		d.run()
+		return order
+	}},
+	// A peek, or a RunUntil whose deadline falls short of the next
+	// event, must not let later schedules before that event misfire.
+	{"At behind a peeked cursor", func(d queueDriver) []int {
+		var order []int
+		label := func(i int) func() { return func() { order = append(order, i) } }
+		tick, _ := d.newTimer(label(100))
+		d.at(ms(200), label(1))
+		d.at(ms(200)+window, label(2))
+		d.peek()
+		tick(ms(50))
+		d.runUntil(ms(100)) // the timer fires; 200 ms is past the deadline
+		d.peek()
+		d.at(ms(100)+us(10), label(3))
+		d.at(ms(100), label(4)) // now, exactly
+		d.at(ms(200), label(5)) // ties with 1, scheduled later
+		d.at(ms(150), label(6))
+		tick(ms(150)) // ties with 6 across the two queues
+		d.peek()
+		d.runUntil(ms(150))
+		d.at(ms(150), label(7)) // at the deadline just reached
+		d.run()
+		return order
+	}},
+	// Cancellations inside one bucket — its head, its tail, a middle
+	// entry, one of equal instants — and of a whole bucket, which is then
+	// refilled.
+	{"Cancel inside a bucket", func(d queueDriver) []int {
+		var order []int
+		base := ms(1)
+		var cancels []func()
+		for i, off := range []int{5, 1, 3, 3, 0, 7, 3, 2, 64, 65} {
+			i := i
+			cancels = append(cancels, d.at(base+us(off), func() { order = append(order, i) }))
+		}
+		two := []func(){
+			d.at(ms(2), func() { order = append(order, 20) }),
+			d.at(ms(2), func() { order = append(order, 21) }),
+		}
+		for _, i := range []int{4, 5, 2, 8} { // head, tail, an equal-instant one, another bucket's
+			cancels[i]()
+		}
+		two[0]()
+		two[1]()
+		d.peek()
+		d.at(ms(2)+us(1), func() { order = append(order, 22) })
+		d.at(base+us(1), func() { order = append(order, 23) }) // ties with 1
+		cancels[1]()
+		d.run()
+		return order
+	}},
+	// With the calendar empty the window restarts where time is: the far
+	// heap's root fires straight from the heap, schedules made then — at
+	// the same instant as far events still waiting, and across long empty
+	// stretches — must still come out in order.
+	{"window jumps when the calendar empties", func(d queueDriver) []int {
+		var order []int
+		label := func(i int) func() { return func() { order = append(order, i) } }
+		d.at(us(10), label(1))
+		ten := after(10 * time.Second)
+		d.at(ten, func() {
+			order = append(order, 2)
+			d.at(d.now(), label(3)) // ties with 4 and 5, still in the far heap
+			d.at(d.now()+us(5), label(6))
+			d.at(d.now()+after(time.Hour), label(7))
+			d.at(d.now()+window, label(8))
+		})
+		d.at(ten, label(4))
+		d.at(ten, label(5))
+		d.runUntil(after(5 * time.Second)) // drains the calendar
+		d.at(d.now()+ms(1), label(9))
+		d.at(ten, label(10))
+		d.runUntil(after(3 * time.Hour))
+		d.at(d.now(), label(11))
+		d.run()
+		return order
+	}},
+	// Equal instants reached by different routes: scheduled while the
+	// instant was past the window (far heap, then migrated), after the
+	// window covered it (straight into the bucket), and a timer set to it
+	// from both sides.
+	{"equal-at ties across the near/far boundary", func(d queueDriver) []int {
+		var order []int
+		label := func(i int) func() { return func() { order = append(order, i) } }
+		tie := window + us(1)
+		tick, _ := d.newTimer(label(100))
+		d.at(tie, label(1))
+		tick(tie)
+		d.at(tie, label(2))
+		n := 0
+		var beat func()
+		beat = func() {
+			n++
+			switch n {
+			case 3:
+				d.at(tie, label(3))
+				tick(tie)
+				d.at(tie, label(4))
+			case 6:
+				d.at(tie, label(5))
+			}
+			if n < 12 {
+				d.at(d.now()+ms(40), beat)
+			}
+		}
+		d.at(ms(1), beat)
+		d.run()
+		return order
+	}},
+}
+
+// horizonScript is oracleScript's mixed-horizon sibling, shaped like the
+// thousand-node topology: LAN-scale, WAN-scale and far-off events (and
+// instants on the window's edge), ties with earlier instants, chained
+// follow-ups, cancellations, timers, and RunUntil/peek pauses that leave
+// the clock between firings.
+func horizonScript(seed int64, d queueDriver) []int {
+	rng := rand.New(rand.NewSource(seed))
+	var order []int
+	var instants []simtime.Instant
+	delay := func() simtime.Instant {
+		switch c := rng.Intn(20); {
+		case c < 8:
+			return us(50 + rng.Intn(400)) // LAN
+		case c < 15:
+			return ms(20) + us(rng.Intn(130_000)) // WAN
+		case c < 17:
+			return window - us(200) + us(rng.Intn(400)) // the window's edge
+		default:
+			return ms(300) + ms(rng.Intn(20_000)) // far
+		}
+	}
+	when := func() simtime.Instant {
+		if len(instants) > 0 && rng.Intn(6) == 0 {
+			if at := instants[rng.Intn(len(instants))]; at >= d.now() {
+				return at // a tie with an earlier schedule
+			}
+		}
+		at := d.now() + delay()
+		instants = append(instants, at)
+		return at
+	}
+	const nTimers = 4
+	sets := make([]func(simtime.Instant), nTimers)
+	budget := 300
+	for k := range sets {
+		k := k
+		sets[k], _ = d.newTimer(func() {
+			order = append(order, 10000+k)
+			if budget > 0 && rng.Intn(3) > 0 {
+				budget--
+				sets[k](when())
+			}
+		})
+	}
+	var cancels []func()
+	var schedule func()
+	schedule = func() {
+		label := len(cancels) + 1
+		cancels = append(cancels, d.at(when(), func() {
+			order = append(order, label)
+			if budget > 0 && rng.Intn(3) == 0 {
+				budget--
+				schedule()
+			}
+		}))
+	}
+	for i := 0; i < 400; i++ {
+		schedule()
+		switch r := rng.Intn(10); {
+		case r == 0:
+			cancels[rng.Intn(len(cancels))]()
+		case r == 1:
+			sets[rng.Intn(nTimers)](when())
+		case r == 2:
+			d.peek()
+		case r < 5:
+			d.runUntil(d.now() + delay())
+		}
+	}
+	d.run()
+	return order
+}
+
 // TestSchedulerMatchesHeapOracle drives the scheduler and the original
-// container/heap implementation through identical randomized workloads
-// of one-shot events and timers and requires bit-identical firing order:
-// the two specialized heaps, merged by (at, seq), must behave as the one
-// queue the oracle is. This is the determinism bar the golden-trace
-// battery relies on.
+// container/heap implementation through identical workloads of one-shot
+// events and timers and requires bit-identical firing order: the
+// calendar, its far heap and the timer heap, merged by (at, seq), must
+// behave as the one queue the oracle is, and the real side's calendar
+// invariants must hold throughout. This is the determinism bar the
+// golden-trace battery relies on.
 func TestSchedulerMatchesHeapOracle(t *testing.T) {
-	timerFirings := 0
-	for trial := 0; trial < 50; trial++ {
-		seed := int64(trial)*2654435761 + 1
-		got := oracleScript(seed, realDriver())
-		want := oracleScript(seed, oracleDriver())
+	same := func(t *testing.T, got, want []int) {
+		t.Helper()
 		if len(got) != len(want) {
-			t.Fatalf("trial %d: fired %d events, oracle fired %d", trial, len(got), len(want))
+			t.Fatalf("fired %d events, oracle fired %d", len(got), len(want))
 		}
 		for i := range got {
 			if got[i] != want[i] {
-				t.Fatalf("trial %d: firing order diverges from heap oracle at %d: got %d, want %d",
-					trial, i, got[i], want[i])
+				t.Fatalf("firing order diverges from heap oracle at %d: got %d, want %d", i, got[i], want[i])
 			}
-			if got[i] >= 1000 {
+		}
+	}
+	timerFirings := 0
+	for trial := 0; trial < 50; trial++ {
+		seed := int64(trial)*2654435761 + 1
+		got := oracleScript(seed, realDriver(t))
+		same(t, got, oracleScript(seed, oracleDriver()))
+		for _, label := range got {
+			if label >= 1000 {
 				timerFirings++
 			}
 		}
 	}
 	if timerFirings < 1000 {
 		t.Errorf("only %d timer firings in all; the script is not exercising timers", timerFirings)
+	}
+	for _, script := range calendarScripts {
+		t.Run(script.name, func(t *testing.T) { same(t, script.run(realDriver(t)), script.run(oracleDriver())) })
+	}
+	t.Run("mixed horizons", func(t *testing.T) {
+		for trial := 0; trial < 20; trial++ {
+			seed := int64(trial)*40503 + 7
+			same(t, horizonScript(seed, realDriver(t)), horizonScript(seed, oracleDriver()))
+		}
+	})
+}
+
+// TestCalendarSeams checks that the oracle scripts reach the calendar's
+// seams at all: an event past the window waits in the far heap and
+// migrates into its bucket as firings slide the window; a peek leaves
+// the cursor where it was; and an empty calendar restarts its window at
+// the current time.
+func TestCalendarSeams(t *testing.T) {
+	s := NewScheduler()
+	fn := func() {}
+	far := s.At(window, fn)
+	edge := s.At(window-1, fn)
+	if pos := s.slots[far.id-1].pos; pos < 0 {
+		t.Fatalf("event at the window's end not in the far heap (pos %d)", pos)
+	}
+	if pos := s.slots[edge.id-1].pos; pos >= 0 {
+		t.Fatalf("event just inside the window in the far heap (pos %d)", pos)
+	}
+	s.At(ms(50), fn)
+	s.NextAt()
+	if s.cursor != 0 {
+		t.Errorf("a peek moved the cursor to %d", s.cursor)
+	}
+	s.Step()
+	if pos := s.slots[far.id-1].pos; pos >= 0 {
+		t.Errorf("far event still in the far heap after the window slid past it (pos %d)", pos)
+	}
+	s.RunUntilIdle()
+	s.RunUntil(after(time.Hour))
+	s.At(after(time.Hour)+us(3), fn)
+	if want := bucketOf(after(time.Hour)); s.cursor != want {
+		t.Errorf("empty calendar restarted at bucket %d, want %d (now's)", s.cursor, want)
+	}
+	if err := s.checkCalendar(); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -730,17 +1092,48 @@ func BenchmarkSchedulerEventThroughput(b *testing.B) {
 }
 
 func BenchmarkSchedulerDeepQueue(b *testing.B) {
-	// Sustained 1k-event queue: push one, pop one.
-	s := NewScheduler()
-	for i := 0; i < 1000; i++ {
-		s.After(simtime.FromDuration(time.Duration(i)*time.Microsecond), func() {})
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.After(simtime.FromDuration(time.Millisecond), func() {})
-		s.Step()
-	}
+	b.Run("uniform", func(b *testing.B) {
+		// Sustained 1k-event queue: push one, pop one.
+		s := NewScheduler()
+		for i := 0; i < 1000; i++ {
+			s.After(simtime.FromDuration(time.Duration(i)*time.Microsecond), func() {})
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.After(simtime.FromDuration(time.Millisecond), func() {})
+			s.Step()
+		}
+	})
+	b.Run("mixed-horizon", func(b *testing.B) {
+		// The thousand-node topology's shape: ≈ 1000 pending, and of every
+		// 100 schedules 20 LAN deliveries (100–300 µs), 79 WAN ones
+		// (20–145 ms) and one far event (1–20 s), from a fixed pseudo-
+		// random sequence.
+		s := NewScheduler()
+		fn := func() {}
+		rng := rand.New(rand.NewSource(1))
+		delays := make([]simtime.Instant, 4096)
+		for i := range delays {
+			switch c := rng.Intn(100); {
+			case c < 20:
+				delays[i] = us(100 + rng.Intn(200))
+			case c < 99:
+				delays[i] = ms(20) + us(rng.Intn(125_000))
+			default:
+				delays[i] = after(time.Second) + ms(rng.Intn(19_000))
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			s.After(delays[i%len(delays)], fn)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			s.After(delays[i%len(delays)], fn)
+			s.Step()
+		}
+	})
 }
 
 func BenchmarkSchedulerCancel(b *testing.B) {

@@ -10,7 +10,7 @@ import "triadtime/internal/simtime"
 // one per recurring process, not one per firing. Armed timers are
 // searched on every Step, so a process that fires rarely next to ones
 // that fire all the time is better left on one-shot events, where it
-// does not deepen the heap the busy ones sift through.
+// does not deepen the timer heap the busy ones sift through.
 //
 // A timer fires exactly where the one-shot event scheduled by the same
 // call at the same moment would have: Set draws seq from the
@@ -24,7 +24,7 @@ type Timer struct {
 
 // NewTimer returns an idle timer that runs fn each time it fires.
 func (s *Scheduler) NewTimer(fn func()) Timer {
-	s.slots = append(s.slots, slot{fn: fn, pos: -1, nextFree: -1})
+	s.slots = append(s.slots, slot{fn: fn, pos: idle, next: -1})
 	return Timer{s: s, idx: uint32(len(s.slots) - 1)}
 }
 

@@ -15,6 +15,8 @@ import (
 )
 
 // Addr identifies an endpoint. It doubles as the wire-layer sender ID.
+// The network indexes its endpoints by address, so a simulation numbers
+// them densely from small integers.
 type Addr uint32
 
 // Packet is one datagram in flight. Payload is ciphertext: middleboxes
@@ -87,7 +89,7 @@ func DefaultLink() Link {
 type Network struct {
 	sched       *sim.Scheduler
 	rng         *sim.RNG
-	handlers    map[Addr]Handler
+	handlers    []Handler // indexed by Addr, nil where none is registered
 	defaultLink Link
 	links       map[[2]Addr]Link
 	policy      LinkPolicy
@@ -124,19 +126,30 @@ func New(sched *sim.Scheduler, rng *sim.RNG, defaultLink Link) *Network {
 	return &Network{
 		sched:       sched,
 		rng:         rng,
-		handlers:    make(map[Addr]Handler),
 		defaultLink: defaultLink,
 		links:       make(map[[2]Addr]Link),
 	}
 }
 
 // Register installs the delivery handler for an address. Registering an
-// address twice is a configuration bug and panics.
+// address twice is a configuration bug and panics. The handler table
+// grows to the largest address registered.
 func (n *Network) Register(a Addr, h Handler) {
-	if _, dup := n.handlers[a]; dup {
+	if int(a) < len(n.handlers) && n.handlers[a] != nil {
 		panic(fmt.Sprintf("simnet: address %d registered twice", a))
 	}
+	if grow := int(a) + 1 - len(n.handlers); grow > 0 {
+		n.handlers = append(n.handlers, make([]Handler, grow)...)
+	}
 	n.handlers[a] = h
+}
+
+// handler returns the handler registered for a, nil if there is none.
+func (n *Network) handler(a Addr) Handler {
+	if int(a) < len(n.handlers) {
+		return n.handlers[a]
+	}
+	return nil
 }
 
 // SetLink overrides the link model for the directed pair from -> to.
@@ -255,7 +268,7 @@ func (n *Network) deliver(pkt Packet, delay time.Duration) {
 func (pp *pendingPacket) deliverNow() {
 	n := pp.n
 	pkt := pp.pkt
-	if h, ok := n.handlers[pkt.To]; ok {
+	if h := n.handler(pkt.To); h != nil {
 		n.delivered++
 		h(pkt)
 	} else {

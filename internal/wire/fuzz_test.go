@@ -292,7 +292,7 @@ func FuzzReplayCache(f *testing.F) {
 	f.Add([]byte{255, 0, 255, 128, 1})
 	f.Add([]byte{10, 10, 10, 10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w := &replayWindow{}
+		w := &ReplayWindow{}
 		accepted := map[uint64]bool{}
 		var cursor uint64
 		for _, b := range data {

@@ -122,10 +122,10 @@ func (s *Sealer) SealDatagramAppend(dst, plaintext []byte) []byte {
 
 // Opener decrypts incoming datagrams and rejects replays. One Opener
 // guards one receiving endpoint; it tracks a sliding replay window per
-// sender.
+// sender, unless the endpoint keeps the windows itself (OpenWindowInto).
 type Opener struct {
 	aead    cipher.AEAD
-	windows map[uint32]*replayWindow
+	windows map[uint32]*ReplayWindow
 }
 
 // NewOpener creates an opener for the given 32-byte pre-shared key.
@@ -134,7 +134,37 @@ func NewOpener(key []byte) (*Opener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Opener{aead: aead, windows: make(map[uint32]*replayWindow)}, nil
+	return &Opener{aead: aead, windows: make(map[uint32]*ReplayWindow)}, nil
+}
+
+// DatagramSender reports the sender identity a sealed datagram claims,
+// and false when b is too short to be one. The claim is not yet
+// authenticated, but it is bound: the identity is part of the nonce, so
+// the datagram opens only as that sender's. An endpoint that keeps
+// per-sender state looks it up once by this identity — the replay
+// window included — and hands the window to OpenWindowInto.
+func DatagramSender(b []byte) (uint32, bool) {
+	if len(b) < SealedOverhead {
+		return 0, false
+	}
+	return binary.BigEndian.Uint32(b[:4]), true
+}
+
+// OpenWindowInto is OpenInto for an endpoint that keeps its senders'
+// replay windows itself: w is the window of the sender DatagramSender
+// reports for b. It authenticates and decrypts b into scratch's spare
+// capacity, then enforces w.
+//
+//triad:hotpath
+func (o *Opener) OpenWindowInto(w *ReplayWindow, scratch []byte, b []byte) (Message, error) {
+	plain, _, counter, err := o.open(scratch, b)
+	if err != nil {
+		return Message{}, err
+	}
+	if !w.accept(counter) {
+		return Message{}, ErrReplay
+	}
+	return Unmarshal(plain)
 }
 
 // OpenInto authenticates and decrypts a datagram produced by
@@ -170,19 +200,13 @@ func (o *Opener) OpenInto(scratch []byte, b []byte) (Message, uint32, error) {
 //
 //triad:hotpath
 func (o *Opener) OpenDatagramInto(scratch []byte, b []byte) ([]byte, uint32, error) {
-	if len(b) < nonceSize+o.aead.Overhead() {
-		return nil, 0, ErrAuthFailed
-	}
-	nonce := b[:nonceSize]
-	sender := binary.BigEndian.Uint32(nonce[:4])
-	counter := binary.BigEndian.Uint64(nonce[4:])
-	plain, err := o.aead.Open(scratch[:0], nonce, b[nonceSize:], nil)
+	plain, sender, counter, err := o.open(scratch, b)
 	if err != nil {
-		return nil, 0, ErrAuthFailed
+		return nil, 0, err
 	}
 	w := o.windows[sender]
 	if w == nil {
-		w = &replayWindow{} //triad:nolint:hotpath one-time allocation on the first datagram from a never-seen sender
+		w = &ReplayWindow{} //triad:nolint:hotpath one-time allocation on the first datagram from a never-seen sender
 		o.windows[sender] = w
 	}
 	if !w.accept(counter) {
@@ -191,6 +215,23 @@ func (o *Opener) OpenDatagramInto(scratch []byte, b []byte) ([]byte, uint32, err
 		return nil, 0, ErrReplay
 	}
 	return plain, sender, nil
+}
+
+// open authenticates and decrypts b into scratch's spare capacity and
+// returns the plaintext with the nonce's sender identity and counter;
+// the replay check is the caller's.
+//
+//triad:hotpath
+func (o *Opener) open(scratch []byte, b []byte) ([]byte, uint32, uint64, error) {
+	if len(b) < SealedOverhead {
+		return nil, 0, 0, ErrAuthFailed
+	}
+	nonce := b[:nonceSize]
+	plain, err := o.aead.Open(scratch[:0], nonce, b[nonceSize:], nil)
+	if err != nil {
+		return nil, 0, 0, ErrAuthFailed
+	}
+	return plain, binary.BigEndian.Uint32(nonce[:4]), binary.BigEndian.Uint64(nonce[4:]), nil
 }
 
 func newAEAD(key []byte) (cipher.AEAD, error) {
@@ -211,16 +252,17 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 	return aead, nil
 }
 
-// replayWindow is a 64-entry sliding anti-replay window (RFC 6479 style):
-// it accepts each counter at most once and tolerates reordering within
-// the window, which matters because the network (or the attacker) may
-// reorder UDP datagrams.
-type replayWindow struct {
+// ReplayWindow is one sender's 64-entry sliding anti-replay window (RFC
+// 6479 style): it accepts each counter at most once and tolerates
+// reordering within the window, which matters because the network (or
+// the attacker) may reorder UDP datagrams. The zero value is ready for
+// use; copying one in use forks it, so it flows by pointer.
+type ReplayWindow struct {
 	max    uint64
 	bitmap uint64
 }
 
-func (w *replayWindow) accept(counter uint64) bool {
+func (w *ReplayWindow) accept(counter uint64) bool {
 	if counter == 0 {
 		return false // counters start at 1
 	}

@@ -227,7 +227,7 @@ func TestSealOpenQuick(t *testing.T) {
 }
 
 func TestReplayWindowUnit(t *testing.T) {
-	var w replayWindow
+	var w ReplayWindow
 	if w.accept(0) {
 		t.Error("counter 0 must be rejected")
 	}
@@ -263,7 +263,7 @@ func TestReplayWindowUnit(t *testing.T) {
 // bit alive.
 func TestReplayWindowShiftBoundary(t *testing.T) {
 	// Shift of exactly 63: counter 1's bit survives at the window edge.
-	var w replayWindow
+	var w ReplayWindow
 	if !w.accept(1) || !w.accept(64) {
 		t.Fatal("setup accepts failed")
 	}
@@ -275,7 +275,7 @@ func TestReplayWindowShiftBoundary(t *testing.T) {
 	}
 	// Shift of exactly 64: history is wiped, and everything it covered is
 	// now too old to verify anyway.
-	w = replayWindow{}
+	w = ReplayWindow{}
 	if !w.accept(1) || !w.accept(65) {
 		t.Fatal("setup accepts failed")
 	}
@@ -298,7 +298,7 @@ func TestReplayWindowPermutationProperty(t *testing.T) {
 	for trial := 0; trial < 200; trial++ {
 		start := rng.Uint64()%1000 + 1
 		perm := rng.Perm(64)
-		var w replayWindow
+		var w ReplayWindow
 		for i, p := range perm {
 			c := start + uint64(p)
 			if !w.accept(c) {
