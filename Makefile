@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-module figures check audit figdiff examples loc clean
+.PHONY: all build test test-short test-race vet lint lint-audit fuzz-smoke bench bench-module figures check audit figdiff benchab examples loc clean
 
 all: build vet lint test
 
@@ -90,6 +90,17 @@ audit: lint lint-audit
 figdiff:
 	@test -n "$(REV)" || { echo "usage: make figdiff REV=<git revision>" >&2; exit 2; }
 	bash scripts/figdiff.sh $(REV)
+
+# Alternated benchmark runs of the working tree against another
+# revision (scripts/benchab.sh): every run, each side's quartiles and
+# the pairs won. Not part of check: the numbers are noisy.
+WORKLOAD ?= ops_mixed
+PAIRS ?= 10
+SEED ?= 1
+
+benchab:
+	@test -n "$(REV)" || { echo "usage: make benchab REV=<git revision> [WORKLOAD=ops_mixed PAIRS=10 SEED=1]" >&2; exit 2; }
+	bash scripts/benchab.sh $(REV) $(WORKLOAD) $(PAIRS) $(SEED)
 
 examples:
 	$(GO) run ./examples/quickstart

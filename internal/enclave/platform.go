@@ -17,6 +17,16 @@ import "triadtime/internal/simnet"
 // the timer fired or was already cancelled is a no-op.
 type CancelFunc func()
 
+// AEXGate is implemented by a platform that hands AEXs to its dispatch
+// loop from other goroutines (the live transport). AEXPending reports,
+// from any goroutine, whether an AEX has been handed over that the AEX
+// handler has not finished handling: readers of the trusted clock off
+// the loop refuse to serve while it does, so a taint is visible the
+// moment it is raised, not when the loop gets to it.
+type AEXGate interface {
+	AEXPending() bool
+}
+
 // Platform is the enclave's window on the world. Implementations: the
 // discrete-event simulation (SimPlatform) and the live UDP runtime
 // (internal/transport).

@@ -21,6 +21,7 @@ package engine
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"triadtime/internal/enclave"
@@ -37,13 +38,18 @@ var ErrUnavailable = errors.New("trusted time unavailable")
 // instead. It is event-driven: after Node.Start, all work happens in
 // callbacks the Platform dispatches (datagram deliveries, AEX
 // notifications, timer and INC-measurement completions). Platforms
-// serialize callbacks, so the engine has no internal locking.
+// serialize callbacks, so the engine has no internal locking; the only
+// state other goroutines touch is the published clock snapshot and the
+// serving clamp, both atomic (see SharedClock).
 type Engine struct {
 	cfg      Config
 	platform enclave.Platform
-	sealer   *wire.Sealer
-	opener   *wire.Opener
-	events   *Events
+	// gate is the platform's pending-AEX signal, nil on platforms that
+	// deliver every AEX on the loop that raised it (the simulation).
+	gate   enclave.AEXGate
+	sealer *wire.Sealer
+	opener *wire.Opener
+	events *Events
 	// senders holds everyone this node accepts datagrams from — its peers
 	// and authorities — with their roles and replay windows, so a
 	// delivery costs one lookup by sender identity.
@@ -53,11 +59,17 @@ type Engine struct {
 
 	state State
 
-	// Trusted clock: now = refNanos + (tsc - refTSC)/fCalib.
-	fCalib     float64 // estimated guest-TSC ticks per reference second
-	refNanos   int64
-	refTSC     uint64
-	lastServed int64 //triad:monotonic strictly-increasing serving clamp (uniqueness of served timestamps)
+	// Trusted clock: now = refNanos + (tsc - refTSC)/fCalib. The loop
+	// owns these; pub is their published copy for SharedClock readers.
+	fCalib   float64 // estimated guest-TSC ticks per reference second
+	refNanos int64
+	refTSC   uint64
+	pub      published
+	// lastServed is the strictly-increasing serving clamp (uniqueness of
+	// served timestamps), advanced only by serve's compare-and-swap;
+	// served counts the timestamps it handed out.
+	lastServed atomic.Int64
+	served     atomic.Uint64
 
 	//triad:monotonic bumped on every AEX; stamps in-flight measurements
 	aexEpoch uint64
@@ -118,6 +130,8 @@ func New(platform enclave.Platform, cfg Config, pol Policies) (*Engine, error) {
 		sealBuf:  make([]byte, 0, wire.SealedSize),
 		openBuf:  make([]byte, 0, wire.MarshaledSize),
 	}
+	e.gate, _ = platform.(enclave.AEXGate)
+	e.publish()
 	platform.SetAEXHandler(e.onAEX)
 	platform.SetMessageHandler(e.onDatagram)
 	return e, nil
@@ -170,11 +184,7 @@ func (e *Engine) Counters() *Counters { return &e.counters }
 // sits behind the anchor — a backwards jump the monitor has not yet
 // caught — the clock freezes rather than going back in time.
 func (e *Engine) ClockNow() int64 {
-	tsc := e.platform.ReadTSC()
-	if tsc < e.refTSC {
-		return e.refNanos
-	}
-	return e.refNanos + int64(float64(tsc-e.refTSC)/e.fCalib*1e9)
+	return clockAt(e.refNanos, e.refTSC, e.fCalib, e.platform.ReadTSC())
 }
 
 // ReferenceNanos reports the current reference anchor — the latest
@@ -184,15 +194,7 @@ func (e *Engine) ReferenceNanos() int64 { return e.refNanos }
 
 // serveTimestamp returns the current clock reading bumped to stay
 // strictly monotonic across everything this node has ever served.
-func (e *Engine) serveTimestamp() int64 {
-	ts := e.ClockNow()
-	if ts <= e.lastServed {
-		ts = e.lastServed + 1
-	}
-	e.lastServed = ts
-	e.counters.Served++
-	return ts
-}
+func (e *Engine) serveTimestamp() int64 { return e.serve(e.ClockNow()) }
 
 func (e *Engine) setState(s State) {
 	if s == e.state {
@@ -200,6 +202,7 @@ func (e *Engine) setState(s State) {
 	}
 	old := e.state
 	e.state = s
+	e.publish()
 	e.events.stateChanged(old, s)
 }
 
@@ -245,6 +248,7 @@ func (e *Engine) CompleteCalibration(fCalib float64, refNanos int64, refTSC uint
 	e.fCalib = fCalib
 	e.refNanos = refNanos
 	e.refTSC = refTSC
+	e.publish()
 	e.counters.TAReferences++
 	e.events.taReference()
 	e.events.calibrated(fCalib)
@@ -256,6 +260,7 @@ func (e *Engine) CompleteCalibration(fCalib float64, refNanos int64, refTSC uint
 func (e *Engine) AdoptTAReference(refNanos int64, refTSC uint64) {
 	e.refNanos = refNanos
 	e.refTSC = refTSC
+	e.publish()
 	e.counters.TAReferences++
 	e.events.taReference()
 	e.setState(StateOK)
@@ -267,6 +272,7 @@ func (e *Engine) AdoptTAReference(refNanos int64, refTSC uint64) {
 func (e *Engine) AdoptPeerReference(from uint32, refNanos int64, refTSC uint64, jumpNanos int64) {
 	e.refNanos = refNanos
 	e.refTSC = refTSC
+	e.publish()
 	e.counters.PeerUntaints++
 	e.timeJumps = append(e.timeJumps, jumpNanos)
 	e.events.peerUntaint(from, jumpNanos)
@@ -280,11 +286,17 @@ func (e *Engine) EmitDiscrepancy(rel float64) { e.events.discrepancy(rel) }
 // ShiftReference moves the reference anchor by delta nanoseconds — a
 // fault-injection hook for tests and attack drills (a compromised or
 // skewed clock).
-func (e *Engine) ShiftReference(delta int64) { e.refNanos += delta }
+func (e *Engine) ShiftReference(delta int64) {
+	e.refNanos += delta
+	e.publish()
+}
 
 // ScaleRate multiplies the calibrated rate by factor — the
 // fault-injection analogue of a miscalibration.
-func (e *Engine) ScaleRate(factor float64) { e.fCalib *= factor }
+func (e *Engine) ScaleRate(factor float64) {
+	e.fCalib *= factor
+	e.publish()
+}
 
 // onDatagram authenticates and dispatches one delivered datagram. The
 // network-level source is ignored: trust keys off the authenticated
@@ -366,6 +378,9 @@ func (e *Engine) onAEX() {
 	case StateTainted, StateRefCalib, StateInit:
 		// Already tainted/recovering; nothing changes.
 	}
+	// Publish even when the state did not move: a SharedClock read that
+	// overlapped this AEX retries and sees it.
+	e.publish()
 }
 
 // startMonitor builds and starts the rate monitor: a dedicated

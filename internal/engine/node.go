@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"triadtime/internal/simnet"
-)
+import "triadtime/internal/simnet"
 
 // Node is the handle on a running Triad participant of any variant —
 // what core.NewNode and resilient.NewNode return and what the live
@@ -14,7 +10,9 @@ import (
 //
 // Like the engine behind it, a Node has no locking: call it from the
 // platform's dispatch context (in the simulation: from scheduler
-// events; live: via the transport's Do).
+// events; live: via the transport's Do). The one exception is the
+// SharedClock it hands out, which reads the trusted clock from any
+// goroutine.
 type Node struct{ e *Engine }
 
 // Node returns the engine's application-facing handle.
@@ -48,7 +46,11 @@ func (n *Node) FCalib() float64 { return n.e.fCalib }
 
 // Counters returns a snapshot of the protocol counters (the
 // hardening-only fields stay zero on original-protocol nodes).
-func (n *Node) Counters() Counters { return n.e.counters }
+func (n *Node) Counters() Counters {
+	c := n.e.counters
+	c.Served = n.e.served.Load()
+	return c
+}
 
 // TimeJumps returns the forward jumps (ns) taken when adopting peer
 // timestamps; the 50–70ms jumps of Figure 3a and ~35ms jumps of
@@ -65,7 +67,7 @@ func (n *Node) TimeJumps() []int64 {
 func (n *Node) TrustedNow() (int64, error) {
 	e := n.e
 	if !e.state.Serving() {
-		return 0, fmt.Errorf("%w: state %s", ErrUnavailable, e.state)
+		return 0, unavailable(e.state)
 	}
 	return e.serveTimestamp(), nil
 }

@@ -78,7 +78,7 @@ type LiveServer struct {
 	// direction: the stamp sizes, or the commit sizes when a vault is
 	// configured (without one, commit-sized datagrams are oversize).
 	// Receive buffers, the pre-auth oversize threshold, send slots and
-	// the GSO segment all derive from them.
+	// the GSO cap all derive from them.
 	maxReq, maxResp int
 
 	// drainMu[i] makes its holder shard i's only drainer from pop
@@ -227,10 +227,10 @@ func (s *LiveServer) newReceiver(c net.PacketConn, key []byte, senderID uint32, 
 	if r.conn, err = transport.NewDatagramConn(c); err != nil {
 		return nil, fmt.Errorf("serve: batch socket: %w", err)
 	}
-	// Best-effort UDP GSO at the largest response size: with a vault,
-	// equal-size same-client runs still collapse and the smaller stamp
-	// responses simply end runs (groupGSO only rejects slots exceeding
-	// the segment). Kernels without UDP_SEGMENT send one header each.
+	// Best-effort UDP GSO capped at the largest response size: every
+	// equal-size same-client run collapses, stamp and commit replies
+	// alike, each run segmented at its own size. Kernels without
+	// UDP_SEGMENT send one header each.
 	if g, ok := r.conn.(interface{ EnableGSO(int) error }); ok {
 		_ = g.EnableGSO(s.maxResp)
 	}
@@ -358,13 +358,20 @@ func (s *LiveServer) serveBatch(r *receiver, n int) {
 		if len(r.deliveries) == 0 {
 			break
 		}
+		// Stamp replies first, then commit replies: the pass's stamps
+		// share its one trusted read and every commit decision read the
+		// clock after it, so this is also time order — and equal-size
+		// replies to one client sit side by side for GSO.
+		for d := range r.deliveries {
+			if dl := &r.deliveries[d]; !dl.IsCommit {
+				dl.Resp.MarshalInto(r.plain[:])
+				s.reply(r, wire.TimeResponseSize, dl.To)
+			}
+		}
 		for d := range r.deliveries {
 			if dl := &r.deliveries[d]; dl.IsCommit {
 				dl.Commit.MarshalInto(r.plain[:])
 				s.reply(r, wire.CommitResponseSize, dl.To)
-			} else {
-				dl.Resp.MarshalInto(r.plain[:])
-				s.reply(r, wire.TimeResponseSize, dl.To)
 			}
 		}
 	}

@@ -400,14 +400,16 @@ func TestLiveServerCloseUnderLoad(t *testing.T) {
 // flow the test may read.
 type batchRig struct {
 	*liveClient
-	srv   *LiveServer
-	r     *receiver
-	from  transport.Sockaddr
-	seq   uint64
-	plain [wire.TimeRequestSize]byte // request scratch: a local would escape into the AEAD call
+	srv  *LiveServer
+	r    *receiver
+	from transport.Sockaddr
+	seq  uint64
+	// Request scratch: a local would escape into the AEAD call.
+	plain  [wire.TimeRequestSize]byte
+	cplain [wire.CommitRequestSize]byte
 }
 
-func newBatchRig(t *testing.T, cfg Config) *batchRig {
+func newBatchRig(t testing.TB, cfg Config) *batchRig {
 	t.Helper()
 	key := liveTestKey()
 	srv, err := newLiveServer(LiveConfig{Listen: "127.0.0.1:0", Key: key, SenderID: 150, Server: cfg})

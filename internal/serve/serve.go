@@ -439,7 +439,8 @@ func (s *Server[T]) pop(sh *shard[T]) int {
 	batch := sh.batch[:0]
 	for k := 0; k < n; k++ {
 		batch = append(batch, sh.ring[sh.head])
-		sh.ring[sh.head] = pending[T]{} // drop any reply-address reference
+		var none T
+		sh.ring[sh.head].to = none // drop any reply-address reference
 		sh.head++
 		if sh.head == len(sh.ring) {
 			sh.head = 0
@@ -461,15 +462,20 @@ func (s *Server[T]) answer(batch []pending[T], nanos int64, err error, nowNanos 
 		if s.cfg.QueueWait != nil {
 			s.cfg.QueueWait.Record(nowNanos - p.enqueuedNanos)
 		}
+		// Each response is built in its delivery slot, not copied in.
+		out = append(out, Delivery[T]{To: p.to})
+		d := &out[len(out)-1]
 		if p.op >= wire.KindCommitLock {
 			// Commit operations are decided by the vault, which reads
 			// the clock itself: an unlock must see the vault's
 			// high-water rollback checks, so the drain's read does not
 			// apply.
-			out = append(out, Delivery[T]{To: p.to, IsCommit: true, Commit: s.serveCommit(p)})
+			d.IsCommit = true
+			s.serveCommit(p, &d.Commit)
 			continue
 		}
-		resp := wire.TimeResponse{ClientID: p.clientID, Seq: p.seq}
+		resp := &d.Resp
+		resp.ClientID, resp.Seq = p.clientID, p.seq
 		if err != nil {
 			resp.Status = wire.StatusUnavailable
 			s.unavailable.Add(1)
@@ -485,12 +491,12 @@ func (s *Server[T]) answer(batch []pending[T], nanos int64, err error, nowNanos 
 			}
 			s.served.Add(1)
 		}
-		out = append(out, Delivery[T]{To: p.to, Resp: resp})
 	}
 	return out
 }
 
-// serveCommit answers one drained commit operation against the vault.
+// serveCommit answers one drained commit operation against the vault,
+// into resp (a zeroed delivery slot).
 // Verdict-specific fields follow the wire contract: an OK lock carries
 // the minted token; unlock/status answers echo the token's unlock time
 // and report the deciding trusted now; every answer carries the
@@ -498,9 +504,9 @@ func (s *Server[T]) answer(batch []pending[T], nanos int64, err error, nowNanos 
 // clock-undecidable ones as Unavailable.
 //
 //triad:hotpath
-func (s *Server[T]) serveCommit(p *pending[T]) wire.CommitResponse {
+func (s *Server[T]) serveCommit(p *pending[T], resp *wire.CommitResponse) {
 	v := s.cfg.Vault
-	resp := wire.CommitResponse{Kind: p.op, ClientID: p.clientID, Seq: p.seq}
+	resp.Kind, resp.ClientID, resp.Seq = p.op, p.clientID, p.seq
 	switch p.op {
 	case wire.KindCommitLock:
 		tok, vd := v.Lock(p.hash, p.unlockNanos, p.flags)
@@ -530,7 +536,6 @@ func (s *Server[T]) serveCommit(p *pending[T]) wire.CommitResponse {
 	} else {
 		s.served.Add(1)
 	}
-	return resp
 }
 
 // Pending reports shard i's current queue length.

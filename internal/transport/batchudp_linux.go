@@ -21,17 +21,24 @@ import (
 // syscall package exports SYS_RECVMMSG but predates sendmmsg.
 const sysSENDMMSG = 307
 
-// UDP generalized segmentation offload: with UDP_SEGMENT set on a
-// socket, one send of concatenated payloads is split by the kernel
-// into datagrams of the configured segment size — the per-datagram
-// cost of the loopback/driver TX path (~2.4µs here) collapses to the
-// per-segment cost (~0.3µs). The constants predate the frozen syscall
-// package.
+// UDP generalized segmentation offload: a send carrying a UDP_SEGMENT
+// control message is split by the kernel into datagrams of that segment
+// size — the per-datagram cost of the loopback/driver TX path (~2.4µs
+// here) collapses to the per-segment cost (~0.3µs). The constants
+// predate the frozen syscall package.
 const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT
 	gsoMaxSegs = 64  // kernel UDP_MAX_SEGMENTS floor across GSO-capable kernels
 )
+
+// gsoCmsg is one UDP_SEGMENT control message as sendmsg reads it: a
+// cmsghdr and the uint16 segment size, padded to CMSG_SPACE(2).
+type gsoCmsg struct {
+	hdr syscall.Cmsghdr
+	seg uint16
+	_   [6]byte
+}
 
 // errGSOSegmentSize is returned when a slot exceeds the socket's GSO
 // segment size (the kernel would split it mid-datagram).
@@ -64,6 +71,10 @@ type batchSys struct {
 	// a same-destination run of up to gsoMaxSegs with it. Partial-send
 	// accounting maps kernel-accepted headers back to datagrams.
 	segs []int
+	// ctrl[h] is header h's UDP_SEGMENT control message, attached only
+	// while h covers a multi-slot run: each run carries its own segment
+	// size.
+	ctrl []gsoCmsg
 
 	recvFn, sendFn   func(fd uintptr) bool
 	res              int
@@ -77,11 +88,15 @@ func (s *batchSys) init(b *Batch) {
 	s.iovs = make([]syscall.Iovec, n)
 	s.names = make([]syscall.RawSockaddrInet6, n)
 	s.segs = make([]int, n)
+	s.ctrl = make([]gsoCmsg, n)
 	for i := range s.hdrs {
 		s.iovs[i].Base = &b.bufs[i][0]
 		s.iovs[i].SetLen(cap(b.bufs[i]))
 		s.hdrs[i].hdr.Iov = &s.iovs[i]
 		s.hdrs[i].hdr.Iovlen = 1
+		s.ctrl[i].hdr.Level = solUDP
+		s.ctrl[i].hdr.Type = udpSegment
+		s.ctrl[i].hdr.SetLen(syscall.CmsgLen(2))
 	}
 	s.recvFn = s.rawRecv
 	s.sendFn = s.rawSend
@@ -137,12 +152,14 @@ func NewBatchConn(conn *net.UDPConn) (*BatchConn, error) {
 
 // EnableGSO turns on UDP segmentation offload for sends: SendBatch
 // then hands the kernel one segmented payload per same-destination run
-// of segSize-byte datagrams instead of one header each, collapsing the
+// of equal-size datagrams instead of one header each, collapsing the
 // TX path's per-datagram cost. Natural for this protocol because every
-// sealed message of a given kind has one exact size. After enabling,
-// every sent slot must be at most segSize bytes (runs are split so
-// datagram boundaries always align). Call before the socket is shared;
-// fails on kernels without UDP_SEGMENT. Receiving is unaffected.
+// sealed message of a given kind has one exact size. Each run carries
+// its own segment size — its first datagram's — so runs of different
+// message kinds collapse alike; segSize is the cap: after enabling,
+// every sent slot must be at most segSize bytes. Call before the socket
+// is shared; fails on kernels without UDP_SEGMENT. Receiving is
+// unaffected.
 func (c *BatchConn) EnableGSO(segSize int) error {
 	if segSize <= 0 || segSize > 0xffff {
 		return fmt.Errorf("transport: GSO segment size %d out of range", segSize)
@@ -175,6 +192,8 @@ func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 		s.hdrs[i].hdr.Iovlen = 1
 		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.names[i]))
 		s.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
+		s.hdrs[i].hdr.Control = nil
+		s.hdrs[i].hdr.Controllen = 0
 	}
 	if err := c.rc.Read(s.recvFn); err != nil {
 		return 0, err
@@ -196,8 +215,9 @@ func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 // per-datagram, so a header the kernel refuses (say, a port-0
 // destination) is skipped and the slots after it are still sent; only a
 // socket-level failure (closed, write deadline) ends the call early.
-// With GSO enabled, consecutive slots to the same destination collapse
-// into segmented sends.
+// With GSO enabled, consecutive equal-size slots to the same
+// destination collapse into segmented sends; a run the kernel refuses
+// is resent one header per slot, together with the rest of the batch.
 //
 //triad:hotpath
 func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
@@ -212,15 +232,10 @@ func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
 			return 0, err
 		}
 	} else {
-		for i := 0; i < n; i++ {
-			s.hdrs[i].hdr.Iov = &s.iovs[i]
-			s.hdrs[i].hdr.Iovlen = 1
-			s.setName(i, i, b)
-			s.segs[i] = 1
-		}
-		hdrs = n
+		hdrs = s.singles(b, 0, n, 0)
 	}
-	sentSlots, sentHdrs := 0, 0
+	// slot is the first slot of header sentHdrs.
+	sentSlots, sentHdrs, slot := 0, 0, 0
 	var firstErr error
 	for sentHdrs < hdrs {
 		s.sendFrom, s.sendTo = sentHdrs, hdrs
@@ -230,11 +245,18 @@ func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
 		if s.errno != 0 {
 			// sendmmsg fails only on the first header it is given (a
 			// later failure ends the call short and surfaces here on the
-			// resume): that header is the unsendable one.
+			// resume): that header is the unsendable one. A refused run
+			// may be its control message's fault, not the datagrams':
+			// regroup from it one slot per header and try again.
+			if s.segs[sentHdrs] > 1 {
+				hdrs = sentHdrs + s.singles(b, slot, n, sentHdrs)
+				continue
+			}
 			if firstErr == nil {
 				firstErr = s.errno
 			}
 			sentHdrs++
+			slot++
 			continue
 		}
 		if s.res <= 0 {
@@ -242,6 +264,7 @@ func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
 		}
 		for h := sentHdrs; h < sentHdrs+s.res; h++ {
 			sentSlots += s.segs[h]
+			slot += s.segs[h]
 		}
 		sentHdrs += s.res
 	}
@@ -262,29 +285,60 @@ func (s *batchSys) setName(h, i int, b *Batch) {
 	}
 }
 
-// groupGSO builds one header per same-destination run of slots. A run
-// stays datagram-aligned because every slot in it except the last is
-// exactly seg bytes: the kernel splits the concatenated payload at seg
-// boundaries, which are then exactly the slot boundaries. The per-slot
-// iovecs are contiguous, so a run is expressed as an iovec subslice —
-// no copying.
+// singles writes one header per slot for slots [from, to), starting at
+// header h0, and reports how many it wrote.
 //
 //triad:hotpath
-func (s *batchSys) groupGSO(b *Batch, n, seg int) (int, error) {
+func (s *batchSys) singles(b *Batch, from, to, h0 int) int {
+	h := h0
+	for i := from; i < to; i++ {
+		s.hdrs[h].hdr.Iov = &s.iovs[i]
+		s.hdrs[h].hdr.Iovlen = 1
+		s.hdrs[h].hdr.Control = nil
+		s.hdrs[h].hdr.Controllen = 0
+		s.setName(h, i, b)
+		s.segs[h] = 1
+		h++
+	}
+	return h - h0
+}
+
+// groupGSO builds one header per same-destination run of slots, each
+// run segmented at its first slot's size, and refuses a batch holding a
+// slot above the cap. A run stays datagram-aligned because every slot
+// in it except the last has exactly the first's size and the last is no
+// larger: the kernel splits the concatenated payload at segment
+// boundaries, which are then exactly the slot boundaries. The per-slot
+// iovecs are contiguous, so a run is expressed as an iovec subslice —
+// no copying — and a multi-slot run gets its own UDP_SEGMENT control
+// message.
+//
+//triad:hotpath
+func (s *batchSys) groupGSO(b *Batch, n, maxSeg int) (int, error) {
 	h := 0
 	for i := 0; i < n; {
-		if b.lens[i] > seg {
+		seg := b.lens[i]
+		if seg > maxSeg {
 			return 0, errGSOSegmentSize
 		}
 		run := 1
-		for i+run < n && run < gsoMaxSegs &&
+		for seg > 0 && i+run < n && run < gsoMaxSegs &&
 			b.lens[i+run-1] == seg && // all but a run's last slot must be full-size
 			b.lens[i+run] <= seg &&
 			b.addrs[i+run] == b.addrs[i] {
 			run++
 		}
-		s.hdrs[h].hdr.Iov = &s.iovs[i]
-		s.hdrs[h].hdr.Iovlen = uint64(run)
+		hdr := &s.hdrs[h].hdr
+		hdr.Iov = &s.iovs[i]
+		hdr.Iovlen = uint64(run)
+		if run > 1 {
+			s.ctrl[h].seg = uint16(seg)
+			hdr.Control = (*byte)(unsafe.Pointer(&s.ctrl[h]))
+			hdr.Controllen = uint64(unsafe.Sizeof(s.ctrl[h]))
+		} else {
+			hdr.Control = nil
+			hdr.Controllen = 0
+		}
 		s.setName(h, i, b)
 		s.segs[h] = run
 		h++

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"triadtime/internal/enclave"
@@ -56,10 +57,15 @@ const rxBatches, rxSlots, rxSlotSize = 2, 32, 2048
 // Platform is the live enclave.Platform. Every handler callback and
 // every function passed to Do runs on one goroutine, the loop. The
 // enclave.Platform methods and AEXCount must be called there; Do,
-// InjectAEX, LocalAddr and Close are for other goroutines.
+// InjectAEX, AEXPending, ReadTSC, LocalAddr and Close are for other
+// goroutines too.
 type Platform struct {
 	tscHz float64
 	start time.Time
+
+	// aexPending counts AEXs handed to the loop whose handler has not
+	// yet returned (enclave.AEXGate).
+	aexPending atomic.Int64
 
 	conn net.PacketConn
 	dir  map[simnet.Addr]*net.UDPAddr // read-only after New
@@ -81,7 +87,10 @@ type Platform struct {
 	incIndex   int
 }
 
-var _ enclave.Platform = (*Platform)(nil)
+var (
+	_ enclave.Platform = (*Platform)(nil)
+	_ enclave.AEXGate  = (*Platform)(nil)
+)
 
 // New creates and starts a live platform.
 func New(cfg Config) (*Platform, error) {
@@ -129,6 +138,7 @@ func New(cfg Config) (*Platform, error) {
 	if period := cfg.AEXPeriod; period > 0 {
 		var gen sim.Timer
 		gen = p.sched.NewTimer(func() {
+			p.aexPending.Add(1)
 			p.fireAEX()
 			gen.Set(p.now().Add(period))
 		})
@@ -237,7 +247,8 @@ func (p *Platform) Do(fn func()) bool {
 	}
 }
 
-// ReadTSC maps the monotonic clock to guest ticks.
+// ReadTSC maps the monotonic clock to guest ticks. Safe from any
+// goroutine.
 func (p *Platform) ReadTSC() uint64 {
 	return uint64(time.Since(p.start).Seconds() * p.tscHz)
 }
@@ -312,7 +323,8 @@ func (p *Platform) StartMemCheck(ticks uint64, done func(count float64, interrup
 }
 
 // fireAEX delivers one AEX on the loop: it aborts any in-flight
-// measurement, then invokes the AEX-Notify handler.
+// measurement, then invokes the AEX-Notify handler, and only then
+// retires the pending count its raiser took.
 func (p *Platform) fireAEX() {
 	p.aexCount++
 	p.inc.close(0, true)
@@ -320,11 +332,22 @@ func (p *Platform) fireAEX() {
 	if p.aexHandler != nil {
 		p.aexHandler()
 	}
+	p.aexPending.Add(-1)
 }
 
 // InjectAEX hands one AEX to the loop (severing time continuity), as an
-// external test harness or operator would.
-func (p *Platform) InjectAEX() { p.post(p.fireAEX) }
+// external test harness or operator would. The AEX is pending from
+// before InjectAEX returns, so trusted reads off the loop fail from
+// then on even while the loop is busy; one handed over after Close is
+// never delivered and stays pending.
+func (p *Platform) InjectAEX() {
+	p.aexPending.Add(1)
+	p.post(p.fireAEX)
+}
+
+// AEXPending reports whether an AEX has been handed over whose handler
+// has not yet returned (enclave.AEXGate). Safe from any goroutine.
+func (p *Platform) AEXPending() bool { return p.aexPending.Load() != 0 }
 
 // AEXCount reports delivered AEXs; call it on the loop.
 func (p *Platform) AEXCount() int { return p.aexCount }

@@ -2,9 +2,11 @@ package triadtime
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
+	"sync/atomic"
 	"time"
 
 	"triadtime/internal/authority"
@@ -71,11 +73,15 @@ type LiveConfig struct {
 }
 
 // LiveNode is a running Triad participant bound to a UDP socket. It is
-// safe for concurrent use: every call is serialized onto the
-// platform's dispatch goroutine.
+// safe for concurrent use. Trusted reads (TrustedNow, TrustedNanos,
+// State, FCalib) never wait for the protocol loop: they read the clock
+// snapshot the loop publishes at each mutation. Everything else is
+// serialized onto the platform's dispatch goroutine.
 type LiveNode struct {
 	platform  *transport.Platform
 	node      *engine.Node
+	clock     engine.SharedClock
+	closed    atomic.Bool
 	id        NodeID
 	statusSrv *http.Server
 
@@ -133,47 +139,46 @@ func NewLiveNode(cfg LiveConfig) (*LiveNode, error) {
 		platform.Close()
 		return nil, buildErr
 	}
+	ln.clock = ln.node.SharedClock()
 	platform.Do(ln.node.Start)
 	return ln, nil
 }
 
+// errNodeClosed refuses reads once Close has begun.
+var errNodeClosed = errors.New("triadtime: node closed")
+
 // TrustedNow serves one trusted timestamp. It returns ErrUnavailable
-// while the node is tainted or calibrating.
+// while the node is tainted or calibrating — including from the moment
+// InjectAEX (or the synthetic AEX generator) hands over an AEX — and
+// fails once the node is closed.
 func (ln *LiveNode) TrustedNow() (Timestamp, error) {
-	var ts int64
-	var err error
-	if !ln.platform.Do(func() { ts, err = ln.node.TrustedNow() }) {
-		return Timestamp{}, fmt.Errorf("triadtime: node closed")
-	}
-	if err != nil {
-		return Timestamp{}, err
-	}
-	return Timestamp{Nanos: ts}, nil
+	ts, err := ln.TrustedNanos()
+	return Timestamp{Nanos: ts}, err
 }
 
 // TrustedNanos serves one trusted timestamp as raw nanoseconds — the
 // form application toolkits (tsa.Clock, lease.Clock) consume.
+//
+//triad:hotpath
 func (ln *LiveNode) TrustedNanos() (int64, error) {
-	ts, err := ln.TrustedNow()
-	if err != nil {
-		return 0, err
+	if ln.closed.Load() {
+		return 0, errNodeClosed
 	}
-	return ts.Nanos, nil
+	return ln.clock.TrustedNow()
 }
 
-// State reports the node's protocol state.
+// State reports the node's protocol state: StateTainted from the moment
+// an AEX is handed over while the node serves, and the zero State once
+// the node is closed.
 func (ln *LiveNode) State() State {
-	var s State
-	ln.platform.Do(func() { s = ln.node.State() })
-	return s
+	if ln.closed.Load() {
+		return 0
+	}
+	return ln.clock.State()
 }
 
 // FCalib reports the calibrated TSC rate (0 before calibration).
-func (ln *LiveNode) FCalib() float64 {
-	var f float64
-	ln.platform.Do(func() { f = ln.node.FCalib() })
-	return f
-}
+func (ln *LiveNode) FCalib() float64 { return ln.clock.FCalib() }
 
 // LocalAddr reports the bound UDP address.
 func (ln *LiveNode) LocalAddr() net.Addr { return ln.platform.LocalAddr() }
@@ -192,19 +197,18 @@ type Snapshot struct {
 	Counters Counters `json:"counters"`
 }
 
-// Snapshot captures the node's current status.
+// Snapshot captures the node's current status. It reads the clock
+// without serving a timestamp, so scrapes move neither the monotonic
+// clamp nor the Served counter.
 func (ln *LiveNode) Snapshot() Snapshot {
 	var s Snapshot
 	ln.platform.Do(func() {
-		s.State = ln.node.State().String()
-		s.FCalibHz = ln.node.FCalib()
 		s.Counters = ln.node.Counters()
-		if ts, err := ln.node.TrustedNow(); err == nil {
-			s.TrustedNanos = ts
-			s.Available = true
-		}
 		s.AEXCount = ln.platform.AEXCount()
 	})
+	s.State = ln.clock.State().String()
+	s.FCalibHz = ln.clock.FCalib()
+	s.TrustedNanos, s.Available = ln.clock.Reading()
 	return s
 }
 
@@ -320,7 +324,7 @@ type ClientServeConfig struct {
 }
 
 // ServeClients starts the client-facing serving endpoint. Timestamps
-// come from this node's TrustedNow — one read per received batch,
+// come from this node's TrustedNow — one snapshot read per drain pass,
 // amortized across every response it yields. Returns the bound UDP address; the
 // endpoint stops when the node closes. Call at most once.
 func (ln *LiveNode) ServeClients(cfg ClientServeConfig) (net.Addr, error) {
@@ -421,6 +425,8 @@ func (ln *LiveNode) Close() error {
 		// anchor on disk.
 		_ = ln.vault.Flush()
 	}
+	// Reads fail from here on, as the protocol loop stops.
+	ln.closed.Store(true)
 	return ln.platform.Close()
 }
 

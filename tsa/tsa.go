@@ -17,6 +17,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
+	"sync"
 	"time"
 )
 
@@ -92,12 +94,22 @@ func Unmarshal(b []byte) (Token, error) {
 	return t, nil
 }
 
-// Stamper issues and verifies timestamp tokens.
+// Stamper issues and verifies timestamp tokens. It is safe for
+// concurrent use: one HMAC state is reused under mu, so issuing and
+// verifying allocate nothing.
 type Stamper struct {
 	clock Clock
 	key   []byte
 	// randRead is swapped in tests for determinism.
 	randRead func([]byte) (int, error)
+
+	mu  sync.Mutex
+	mac hash.Hash // HMAC-SHA256 under key, Reset before each use
+	// in stages a token's MAC input (hash, nanos, nonce) and sum takes
+	// its tag: buffers the stamper owns, so that neither the caller's
+	// token nor a slice of it escapes through the hash interface.
+	in  [TokenSize - macSize]byte
+	sum [macSize]byte
 }
 
 // New creates a stamper. The key authenticates tokens; anyone holding
@@ -112,7 +124,7 @@ func New(clock Clock, key []byte) (*Stamper, error) {
 	}
 	cp := make([]byte, len(key))
 	copy(cp, key)
-	return &Stamper{clock: clock, key: cp, randRead: rand.Read}, nil
+	return &Stamper{clock: clock, key: cp, randRead: rand.Read, mac: hmac.New(sha256.New, cp)}, nil
 }
 
 // Issue binds the document to the current trusted time. It fails when
@@ -132,21 +144,35 @@ func (s *Stamper) Issue(document []byte) (Token, error) {
 // token in the batch against that read, instead of one clock call per
 // request. The caller vouches that nanos came from the trusted clock —
 // the token is only as trustworthy as its timestamp source.
+//
+//triad:hotpath
 func (s *Stamper) IssueAt(hash [HashSize]byte, nanos int64) (Token, error) {
 	t := Token{Hash: hash, Nanos: nanos}
-	if _, err := s.randRead(t.Nonce[:]); err != nil {
-		return Token{}, fmt.Errorf("tsa: nonce: %w", err)
+	s.mu.Lock()
+	nonce := s.in[HashSize+8:]
+	if _, err := s.randRead(nonce); err != nil {
+		s.mu.Unlock()
+		return Token{}, nonceError(err)
 	}
-	copy(t.MAC[:], s.mac(t))
+	copy(t.Nonce[:], nonce)
+	s.macLocked(&t)
+	t.MAC = s.sum
+	s.mu.Unlock()
 	return t, nil
 }
+
+// nonceError wraps a failed CSPRNG read, off IssueAt's hot path.
+func nonceError(err error) error { return fmt.Errorf("tsa: nonce: %w", err) }
 
 // Verify checks that the token authentically binds the document.
 func (s *Stamper) Verify(document []byte, t Token) bool {
 	if sha256.Sum256(document) != t.Hash {
 		return false
 	}
-	return hmac.Equal(t.MAC[:], s.mac(t))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.macLocked(&t)
+	return hmac.Equal(t.MAC[:], s.sum[:])
 }
 
 // VerifyBytes parses and verifies a serialized token.
@@ -158,12 +184,16 @@ func (s *Stamper) VerifyBytes(document, token []byte) (Token, bool) {
 	return t, s.Verify(document, t)
 }
 
-func (s *Stamper) mac(t Token) []byte {
-	m := hmac.New(sha256.New, s.key)
-	m.Write(t.Hash[:])
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], uint64(t.Nanos))
-	m.Write(buf[:])
-	m.Write(t.Nonce[:])
-	return m.Sum(nil)
+// macLocked computes the MAC of t's hash, nanos and nonce into s.sum —
+// the serialized token's first TokenSize-macSize bytes. Caller holds
+// s.mu.
+//
+//triad:hotpath
+func (s *Stamper) macLocked(t *Token) {
+	copy(s.in[:HashSize], t.Hash[:])
+	binary.BigEndian.PutUint64(s.in[HashSize:], uint64(t.Nanos))
+	copy(s.in[HashSize+8:], t.Nonce[:])
+	s.mac.Reset()
+	s.mac.Write(s.in[:])
+	s.mac.Sum(s.sum[:0])
 }
