@@ -13,14 +13,15 @@ vet:
 	$(GO) vet ./...
 
 # Custom analyzer suite (cmd/triad-vet): determinism, hot-path
-# allocation, wire-kind exhaustiveness, sealer/opener copy, lock
-# discipline, nonce partitioning, durability ordering, atomic-field
-# consistency, and epoch fencing. See DESIGN.md, "Static analysis".
+# allocation, wire-kind exhaustiveness, lock discipline and typed
+# atomics, nonce partitioning, and durability ordering. Sealer/opener
+# copies and monotonic state are held by types and go vet's copylocks
+# check (make vet). See DESIGN.md, "Static analysis".
 lint:
 	$(GO) run ./cmd/triad-vet ./...
 
-# Suppression budget: every //triad:nolint must name its analyzers and
-# carry a reason, and the total count must not exceed
+# Suppression budget: every //triad:nolint must name analyzers of the
+# suite and carry a reason, and the total count must not exceed
 # lint-baseline.txt. Fails the build on silent or unexplained
 # suppressions.
 lint-audit:

@@ -13,16 +13,12 @@
 //	             constructs
 //	wirekind     switches over wire enum types must be exhaustive or carry
 //	             an explicit default
-//	sealcopy     wire Sealer/Opener values must not be copied by value
 //	lockflow     serve/transport must not hold mutexes across channel
-//	             sends or TrustedNow calls
+//	             sends or TrustedNow calls; no function-style sync/atomic
+//	             anywhere
 //	noncepart    sealer constructions must not provably reuse a sender
 //	             identity (AEAD nonce partitioning, DESIGN §6.1)
 //	durable      persisted files must follow write→fsync→rename→dir-sync
-//	atomicfield  a field accessed via sync/atomic anywhere must be
-//	             atomic everywhere
-//	fencecmp     stores to //triad:monotonic fields must be provably
-//	             non-decreasing; no narrowing of monotonic values
 //
 // Exit status is 1 if any diagnostic is reported, 2 on load failure.
 // Suppress a finding with a trailing //triad:nolint:<name> <reason>
@@ -30,8 +26,9 @@
 //
 // -json emits diagnostics as a JSON array for tooling; -nolint-audit
 // checks the suppression budget instead of running analyzers: every
-// //triad:nolint must carry a reason, and the total count must not
-// exceed the baseline file (-baseline, default lint-baseline.txt).
+// //triad:nolint must name analyzers of the suite and carry a reason,
+// and the total count must not exceed the baseline file (-baseline,
+// default lint-baseline.txt).
 package main
 
 import (
@@ -48,14 +45,11 @@ import (
 	"strings"
 
 	"triadtime/internal/analysis"
-	"triadtime/internal/analysis/atomicfield"
 	"triadtime/internal/analysis/durable"
-	"triadtime/internal/analysis/fencecmp"
 	"triadtime/internal/analysis/hotpath"
 	"triadtime/internal/analysis/load"
 	"triadtime/internal/analysis/lockflow"
 	"triadtime/internal/analysis/noncepart"
-	"triadtime/internal/analysis/sealcopy"
 	"triadtime/internal/analysis/simdet"
 	"triadtime/internal/analysis/wirekind"
 )
@@ -65,12 +59,9 @@ var Suite = []*analysis.Analyzer{
 	simdet.Analyzer,
 	hotpath.Analyzer,
 	wirekind.Analyzer,
-	sealcopy.Analyzer,
 	lockflow.Analyzer,
 	noncepart.Analyzer,
 	durable.Analyzer,
-	atomicfield.Analyzer,
-	fencecmp.Analyzer,
 }
 
 func main() {
@@ -214,10 +205,10 @@ func runAudit(dir, baselinePath string, stdout, stderr io.Writer) int {
 
 // auditFile scans one source file for //triad:nolint directives,
 // returning the directive count and a description of each malformed
-// one (missing names or missing reason). Files are parsed so only
-// real comments count — a mention of the marker in prose (mid-comment)
-// or in a string literal is not a directive, exactly mirroring the
-// framework's own suppression matching.
+// one (missing names, a name that is not in Suite, or missing reason).
+// Files are parsed so only real comments count — a mention of the
+// marker in prose (mid-comment) or in a string literal is not a
+// directive, exactly mirroring the framework's own suppression matching.
 func auditFile(path string) (int, []string, error) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, path, nil, parser.ParseComments)
@@ -242,12 +233,31 @@ func auditFile(path string) (int, []string, error) {
 			if names == "" {
 				problems = append(problems, fmt.Sprintf("%s: //triad:nolint: with empty analyzer list", at))
 			}
+			for _, name := range strings.Split(names, ",") {
+				if name != "" && !known(name) {
+					problems = append(problems, fmt.Sprintf("%s: suppression names %q, which is not an analyzer of the suite (triad-vet -list)", at, name))
+				}
+			}
 			if strings.TrimSpace(reason) == "" {
 				problems = append(problems, fmt.Sprintf("%s: suppression of %q has no reason; every //triad:nolint must say why the invariant does not apply", at, names))
 			}
 		}
 	}
 	return count, problems, nil
+}
+
+// known reports whether a suppression may name an analyzer: one in
+// Suite, or "all".
+func known(name string) bool {
+	if name == "all" {
+		return true
+	}
+	for _, a := range Suite {
+		if a.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // readBaseline parses the budget file: the first non-blank,

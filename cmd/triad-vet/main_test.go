@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"triadtime/internal/analysis"
@@ -46,9 +47,9 @@ func TestRepoIsClean(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	diags := []analysis.Diagnostic{
 		{
-			Analyzer: "fencecmp",
+			Analyzer: "durable",
 			Pos:      token.Position{Filename: "/abs/elsewhere/vault.go", Line: 42, Column: 7},
-			Message:  "store is not provably monotonic",
+			Message:  "rename without a preceding fsync",
 		},
 	}
 	var buf bytes.Buffer
@@ -67,7 +68,7 @@ func TestWriteJSON(t *testing.T) {
 			t.Errorf("missing field %q in %v", key, got[0])
 		}
 	}
-	if got[0]["line"] != float64(42) || got[0]["analyzer"] != "fencecmp" {
+	if got[0]["line"] != float64(42) || got[0]["analyzer"] != "durable" {
 		t.Errorf("bad values: %v", got[0])
 	}
 
@@ -106,7 +107,7 @@ func auditTree(t *testing.T, baseline string, files map[string]string) string {
 func TestAuditCleanTree(t *testing.T) {
 	dir := auditTree(t, "# budget\n2\n", map[string]string{
 		"a.go": "package a\n\nvar x = 1 //triad:nolint:simdet justified reason here\n",
-		"b.go": "package a\n\n//triad:nolint:hotpath,fencecmp two analyzers, one reason\nvar y = 2\n",
+		"b.go": "package a\n\n//triad:nolint:hotpath,durable two analyzers, one reason\nvar y = 2\n",
 		// Prose mentions and testdata directives must not count.
 		"c.go":            "package a\n\n// Docs may mention //triad:nolint without being a directive.\nvar z = 3\n",
 		"testdata/t.go":   "package t\n\nvar q = 4 //triad:nolint:simdet testdata is exempt\n",
@@ -149,6 +150,22 @@ func TestAuditRejectsUnreasonedAndOverBudget(t *testing.T) {
 	errOut.Reset()
 	if code := runAudit(dir, "lint-baseline.txt", &out, &errOut); code != 1 {
 		t.Errorf("nameless directive: runAudit = %d, want 1", code)
+	}
+
+	// A name that is not an analyzer of the suite (a typo, or one since
+	// deleted) suppresses nothing and is malformed, alone or in a list.
+	for _, names := range []string{"nosuch", "hotpath,nosuch"} {
+		dir = auditTree(t, "5\n", map[string]string{
+			"a.go": "package a\n\nvar x = 1 //triad:nolint:" + names + " a reason\n",
+		})
+		out.Reset()
+		errOut.Reset()
+		if code := runAudit(dir, "lint-baseline.txt", &out, &errOut); code != 1 {
+			t.Errorf("unknown analyzer in %q: runAudit = %d, want 1", names, code)
+		}
+		if !strings.Contains(out.String(), `"nosuch"`) {
+			t.Errorf("unknown analyzer in %q: stdout %q does not name it", names, out.String())
+		}
 	}
 }
 

@@ -41,12 +41,6 @@ type Analyzer struct {
 	// A returned error aborts the whole run (it means the analyzer
 	// itself failed, not that the code has findings).
 	Run func(*Pass) error
-	// Finish, if non-nil, runs once after every package's Run pass.
-	// Whole-run analyses whose verdict needs all packages at once
-	// (atomicfield's everywhere-or-nowhere rule) accumulate facts in
-	// Run and report from Finish. Finish diagnostics pass through the
-	// same //triad:nolint filtering as pass diagnostics.
-	Finish func(*FinishPass) error
 }
 
 // Fact is a piece of knowledge an analyzer attaches to a package-level
@@ -114,54 +108,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 	}
 	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
 	return true
-}
-
-// HasObjectFact reports whether obj carries a fact of the given
-// concrete type without copying it.
-func (p *Pass) HasObjectFact(obj types.Object, fact Fact) bool {
-	if obj == nil {
-		return false
-	}
-	_, ok := p.facts[factKey{p.Analyzer.Name, obj, reflect.TypeOf(fact)}]
-	return ok
-}
-
-// ObjectFact pairs an object with one fact attached to it.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
-
-// FinishPass is the whole-run view handed to Analyzer.Finish after the
-// last package's Run pass.
-type FinishPass struct {
-	Analyzer *Analyzer
-	Fset     *token.FileSet
-
-	facts factStore
-	diags *[]Diagnostic
-}
-
-// AllObjectFacts returns every fact this analyzer exported during the
-// run, across all packages, in no particular order.
-func (p *FinishPass) AllObjectFacts() []ObjectFact {
-	var out []ObjectFact
-	for k, f := range p.facts {
-		if k.analyzer == p.Analyzer.Name {
-			out = append(out, ObjectFact{Object: k.obj, Fact: f})
-		}
-	}
-	return out
-}
-
-// Reportf records one finding at pos (which must come from a file
-// registered in the run's shared FileSet).
-func (p *FinishPass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Analyzer: p.Analyzer.Name,
-		Pos:      p.Fset.Position(pos),
-		Message:  fmt.Sprintf(format, args...),
-	})
 }
 
 // Diagnostic is one finding.
@@ -241,19 +187,8 @@ func (s suppressions) suppressed(d Diagnostic) bool {
 func Run(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	facts := factStore{}
-	// merged accumulates every package's suppressions so Finish-phase
-	// diagnostics (reported after all packages) are filtered too.
-	merged := suppressions{}
 	for _, pkg := range pkgs {
 		sup := collectSuppressions(pkg.Fset, pkg.Files)
-		for file, lines := range sup {
-			if merged[file] == nil {
-				merged[file] = map[int][]string{}
-			}
-			for line, names := range lines {
-				merged[file][line] = append(merged[file][line], names...)
-			}
-		}
 		var raw []Diagnostic
 		for _, a := range analyzers {
 			pass := &Pass{
@@ -272,28 +207,6 @@ func Run(pkgs []*load.Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 		}
 		for _, d := range raw {
 			if !sup.suppressed(d) {
-				diags = append(diags, d)
-			}
-		}
-	}
-	if len(pkgs) > 0 {
-		var raw []Diagnostic
-		for _, a := range analyzers {
-			if a.Finish == nil {
-				continue
-			}
-			fp := &FinishPass{
-				Analyzer: a,
-				Fset:     pkgs[0].Fset, // load shares one FileSet run-wide
-				facts:    facts,
-				diags:    &raw,
-			}
-			if err := a.Finish(fp); err != nil {
-				return nil, fmt.Errorf("analyzer %s finish: %w", a.Name, err)
-			}
-		}
-		for _, d := range raw {
-			if !merged.suppressed(d) {
 				diags = append(diags, d)
 			}
 		}

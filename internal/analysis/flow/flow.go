@@ -3,15 +3,16 @@
 // dependency. It answers the three questions the dataflow analyzers
 // keep asking about an expression inside one function body:
 //
-//   - what does this expression *mean* — Resolve/Canon substitute
+//   - what does this expression *mean* — resolve/Canon substitute
 //     single-assignment locals with their defining expressions and fold
 //     constants, so `idents`, `srv.Shards()+len(dconns)` and a literal
 //     all reduce to comparable symbolic keys;
 //   - what does it *depend on* — Mentions collects the objects a
 //     resolved expression reads, which is how noncepart decides whether
 //     a sealer identity varies with a loop variable;
-//   - where does it *sit* — Parent gives the enclosing-node chain, which
-//     is how fencecmp finds the guard dominating a store.
+//   - where does it *sit* — LoopsEnclosing gives the for/range
+//     statements around a node, which is how noncepart decides whether
+//     a construction runs once or on every iteration.
 //
 // The analysis is deliberately conservative: a local that is assigned
 // more than once, assigned from a multi-value expression, mutated by
@@ -40,7 +41,6 @@ type Func struct {
 	poison  map[*types.Var]bool     // multiply-assigned / mutated / escaped
 	loopVar map[*types.Var]bool     // range keys/values, for-init variables
 	parents map[ast.Node]ast.Node
-	body    *ast.BlockStmt
 }
 
 // New builds the value-flow view for a function declaration or
@@ -54,28 +54,25 @@ func New(info *types.Info, fn ast.Node) *Func {
 		loopVar: map[*types.Var]bool{},
 		parents: map[ast.Node]ast.Node{},
 	}
+	var body *ast.BlockStmt
 	switch n := fn.(type) {
 	case *ast.FuncDecl:
-		f.body = n.Body
+		body = n.Body
 	case *ast.FuncLit:
-		f.body = n.Body
+		body = n.Body
 	}
-	if f.body == nil {
-		return f
+	if body != nil {
+		f.collect(body)
 	}
-	f.collect()
 	return f
 }
-
-// Body returns the function body the view was built over.
-func (f *Func) Body() *ast.BlockStmt { return f.body }
 
 // collect records definitions, poisons, loop variables, and the parent
 // chain in one walk. Function literals are walked too: they share the
 // enclosing scope, so their assignments must poison captured locals.
-func (f *Func) collect() {
+func (f *Func) collect(body *ast.BlockStmt) {
 	var stack []ast.Node
-	ast.Inspect(f.body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		if n == nil {
 			stack = stack[:len(stack)-1]
 			return true
@@ -175,14 +172,10 @@ func (f *Func) varOf(e ast.Expr) *types.Var {
 	return v
 }
 
-// Parent returns the AST node enclosing n within the function body,
-// or nil at (or outside) the body root.
-func (f *Func) Parent(n ast.Node) ast.Node { return f.parents[n] }
-
-// Resolve returns e's sole defining expression when e is a
+// resolve returns e's sole defining expression when e is a
 // single-assignment, unpoisoned local — recursively, so a chain of
 // aliases reduces to its source. Anything else returns unchanged.
-func (f *Func) Resolve(e ast.Expr) ast.Expr {
+func (f *Func) resolve(e ast.Expr) ast.Expr {
 	for depth := 0; depth < maxDepth; depth++ {
 		if p, ok := e.(*ast.ParenExpr); ok {
 			e = p.X
@@ -201,16 +194,11 @@ func (f *Func) Resolve(e ast.Expr) ast.Expr {
 	return e
 }
 
-// Const returns e's constant value when one is derivable: either the
-// type checker recorded one, or e reduces to arithmetic over such
-// values after single-assignment locals are substituted (go/types only
-// folds spec-constant expressions; `base := 8; base + 2` is a variable
-// expression to it, but a known 10 to this helper).
-func (f *Func) Const(e ast.Expr) (constant.Value, bool) {
-	v := f.constVal(e, 0)
-	return v, v != nil
-}
-
+// constVal returns e's constant value when one is derivable, or nil:
+// either the type checker recorded one, or e reduces to arithmetic over
+// such values after single-assignment locals are substituted (go/types
+// only folds spec-constant expressions; `base := 8; base + 2` is a
+// variable expression to it, but a known 10 to this helper).
 func (f *Func) constVal(e ast.Expr, depth int) (v constant.Value) {
 	if e == nil || depth > maxDepth {
 		return nil
@@ -218,7 +206,7 @@ func (f *Func) constVal(e ast.Expr, depth int) (v constant.Value) {
 	if tv, ok := f.info.Types[e]; ok && tv.Value != nil {
 		return tv.Value
 	}
-	if r := f.Resolve(e); r != e {
+	if r := f.resolve(e); r != e {
 		return f.constVal(r, depth+1)
 	}
 	// constant.BinaryOp/UnaryOp panic on operand mismatches (e.g. a
@@ -262,10 +250,11 @@ func (f *Func) constVal(e ast.Expr, depth int) (v constant.Value) {
 	return nil
 }
 
-// ConstInt is Const narrowed to integer expressions.
+// ConstInt returns e's value when it is a derivable integer constant
+// (see constVal).
 func (f *Func) ConstInt(e ast.Expr) (int64, bool) {
-	v, ok := f.Const(e)
-	if !ok || v.Kind() != constant.Int {
+	v := f.constVal(e, 0)
+	if v == nil || v.Kind() != constant.Int {
 		return 0, false
 	}
 	return constant.Int64Val(v)
@@ -287,10 +276,10 @@ func (f *Func) canon(e ast.Expr, depth int) string {
 	if depth > maxDepth {
 		return "<deep>"
 	}
-	if v, ok := f.Const(e); ok {
+	if v := f.constVal(e, 0); v != nil {
 		return v.ExactString()
 	}
-	e = f.Resolve(e)
+	e = f.resolve(e)
 	switch e := e.(type) {
 	case *ast.Ident:
 		return e.Name
@@ -333,7 +322,7 @@ func (f *Func) mentions(e ast.Expr, out map[types.Object]bool, depth int) {
 	if e == nil || depth > maxDepth {
 		return
 	}
-	e = f.Resolve(e)
+	e = f.resolve(e)
 	ast.Inspect(e, func(n ast.Node) bool {
 		id, ok := n.(*ast.Ident)
 		if !ok {
@@ -356,32 +345,6 @@ func (f *Func) mentions(e ast.Expr, out map[types.Object]bool, depth int) {
 	})
 }
 
-// LoopVarsEnclosing returns the iteration variables of every for/range
-// statement enclosing n (inside the function body). An expression that
-// Mentions one of them takes a different value on each pass over n.
-func (f *Func) LoopVarsEnclosing(n ast.Node) map[types.Object]bool {
-	out := map[types.Object]bool{}
-	for p := f.parents[n]; p != nil; p = f.parents[p] {
-		switch s := p.(type) {
-		case *ast.RangeStmt:
-			for _, e := range []ast.Expr{s.Key, s.Value} {
-				if v := f.varOf(e); v != nil {
-					out[v] = true
-				}
-			}
-		case *ast.ForStmt:
-			if init, ok := s.Init.(*ast.AssignStmt); ok {
-				for _, lhs := range init.Lhs {
-					if v := f.varOf(lhs); v != nil {
-						out[v] = true
-					}
-				}
-			}
-		}
-	}
-	return out
-}
-
 // LoopsEnclosing returns the for/range statements enclosing n,
 // innermost first. An object *declared* within one of these spans can
 // take a different value on every pass over n even if it is not the
@@ -395,16 +358,4 @@ func (f *Func) LoopsEnclosing(n ast.Node) []ast.Node {
 		}
 	}
 	return out
-}
-
-// InsideLoop reports whether n sits inside any for/range statement of
-// the function body.
-func (f *Func) InsideLoop(n ast.Node) bool {
-	for p := f.parents[n]; p != nil; p = f.parents[p] {
-		switch p.(type) {
-		case *ast.RangeStmt, *ast.ForStmt:
-			return true
-		}
-	}
-	return false
 }

@@ -68,7 +68,7 @@ func g(base int) {
 	sink(m)
 }`, "g")
 	arg := firstCall(t, fd, "sink").Args[0]
-	got := types.ExprString(f.Resolve(arg))
+	got := types.ExprString(f.resolve(arg))
 	if got != "base + 4" {
 		t.Fatalf("Resolve(m) = %q, want %q", got, "base + 4")
 	}
@@ -83,7 +83,7 @@ func g() {
 	sink(n)
 }`, "g")
 	arg := firstCall(t, fd, "sink").Args[0]
-	if got := types.ExprString(f.Resolve(arg)); got != "n" {
+	if got := types.ExprString(f.resolve(arg)); got != "n" {
 		t.Fatalf("Resolve(reassigned n) = %q, want n", got)
 	}
 }
@@ -98,7 +98,7 @@ func g() {
 	sink(n)
 }`, "g")
 	arg := firstCall(t, fd, "sink").Args[0]
-	if got := types.ExprString(f.Resolve(arg)); got != "n" {
+	if got := types.ExprString(f.resolve(arg)); got != "n" {
 		t.Fatalf("Resolve(address-taken n) = %q, want n", got)
 	}
 }
@@ -112,7 +112,7 @@ func g() {
 	sink(n)
 }`, "g")
 	arg := firstCall(t, fd, "sink").Args[0]
-	if got := types.ExprString(f.Resolve(arg)); got != "n" {
+	if got := types.ExprString(f.resolve(arg)); got != "n" {
 		t.Fatalf("Resolve(compound-assigned n) = %q, want n", got)
 	}
 }
@@ -191,27 +191,33 @@ func g(base int) {
 	}
 }
 
-func TestLoopVarsEnclosing(t *testing.T) {
+func TestLoopsEnclosing(t *testing.T) {
 	f, fd, _ := parseFunc(t, `package p
 func sink(int)
 func g(xs []int) {
+	sink(0)
 	for i := 0; i < len(xs); i++ {
-		sink(i)
-	}
-}`, "g")
-	call := firstCall(t, fd, "sink")
-	vars := f.LoopVarsEnclosing(call)
-	found := false
-	for obj := range vars {
-		if obj.Name() == "i" {
-			found = true
+		if i > 0 {
+			sink(i)
 		}
 	}
-	if !found {
-		t.Fatalf("LoopVarsEnclosing = %v, want to include i", vars)
+}`, "g")
+	if loops := f.LoopsEnclosing(firstCall(t, fd, "sink")); len(loops) != 0 {
+		t.Fatalf("LoopsEnclosing(call before the loop) = %d loops, want 0", len(loops))
 	}
-	if !f.InsideLoop(call) {
-		t.Fatal("InsideLoop(call in for) = false")
+	var inner *ast.CallExpr
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if ifs, ok := n.(*ast.IfStmt); ok {
+			inner = ifs.Body.List[0].(*ast.ExprStmt).X.(*ast.CallExpr)
+		}
+		return true
+	})
+	loops := f.LoopsEnclosing(inner)
+	if len(loops) != 1 {
+		t.Fatalf("LoopsEnclosing(call in for/if) = %d loops, want 1", len(loops))
+	}
+	if _, ok := loops[0].(*ast.ForStmt); !ok {
+		t.Fatalf("LoopsEnclosing(call in for/if) = %T, want *ast.ForStmt", loops[0])
 	}
 }
 
@@ -225,36 +231,18 @@ func g(xs []int) {
 	}
 }`, "g")
 	call := firstCall(t, fd, "sink")
-	loops := f.LoopVarsEnclosing(call)
-	mentions := f.Mentions(call.Args[0])
+	loops := f.LoopsEnclosing(call)
+	if len(loops) != 1 {
+		t.Fatalf("LoopsEnclosing = %d loops, want 1", len(loops))
+	}
 	hit := false
-	for obj := range mentions {
-		if loops[obj] {
+	for obj := range f.Mentions(call.Args[0]) {
+		if loops[0].Pos() <= obj.Pos() && obj.Pos() < loops[0].End() {
 			hit = true
 		}
 	}
 	if !hit {
 		t.Fatal("identity derived from range variable not seen as loop-dependent")
-	}
-}
-
-func TestParentChain(t *testing.T) {
-	f, fd, _ := parseFunc(t, `package p
-func sink(int)
-func g(x int) {
-	if x > 0 {
-		sink(x)
-	}
-}`, "g")
-	call := firstCall(t, fd, "sink")
-	foundIf := false
-	for p := f.Parent(call); p != nil; p = f.Parent(p) {
-		if _, ok := p.(*ast.IfStmt); ok {
-			foundIf = true
-		}
-	}
-	if !foundIf {
-		t.Fatal("parent chain from call did not reach the if statement")
 	}
 }
 
@@ -268,7 +256,7 @@ func g() {
 	sink(n)
 }`, "g")
 	arg := firstCall(t, fd, "sink").Args[0]
-	if got := types.ExprString(f.Resolve(arg)); got != "n" {
+	if got := types.ExprString(f.resolve(arg)); got != "n" {
 		t.Fatalf("Resolve(closure-mutated n) = %q, want n", got)
 	}
 }

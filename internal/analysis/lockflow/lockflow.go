@@ -16,6 +16,13 @@
 // state. Code this analyzer cannot see through should be restructured
 // — the repo's own hot paths all unlock before blocking — or carry a
 // //triad:nolint:lockflow argument.
+//
+// One rule applies module-wide, outside that scope: no package-level
+// sync/atomic function (atomic.AddInt64, atomic.LoadUint64, ...) may be
+// used. Their operand is a plain integer, so nothing stops a plain read
+// or write of the same field beside them — a race the detector only
+// catches under the right interleaving. The typed atomics (atomic.Int64
+// and friends) have no plain access to forget.
 package lockflow
 
 import (
@@ -37,11 +44,17 @@ var guardedPkgs = map[string]bool{"serve": true, "transport": true}
 var Analyzer = &analysis.Analyzer{
 	Name: "lockflow",
 	Doc: "flags mutexes held across channel sends, TrustedNow calls, or " +
-		"datagram transmits in the live serving/transport packages",
+		"datagram transmits in the live serving/transport packages, and " +
+		"function-style sync/atomic calls anywhere",
 	Run: run,
 }
 
 func run(pass *analysis.Pass) error {
+	for id, obj := range pass.TypesInfo.Uses {
+		if fn, ok := obj.(*types.Func); ok && fn.Pkg() != nil && fn.Pkg().Path() == "sync/atomic" && fn.Signature().Recv() == nil {
+			pass.Reportf(id.Pos(), "function-style atomic.%s leaves its operand open to plain access; use a typed atomic (atomic.Int64, atomic.Uint64, ...)", fn.Name())
+		}
+	}
 	if !guardedPkgs[analysis.PathBase(pass.PkgPath)] {
 		return nil
 	}

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"triadtime/internal/monotonic"
 )
 
 // anchorState is the vault's persisted identity: the fencing epoch,
@@ -16,11 +18,13 @@ import (
 // times the vault has been reopened. It is the whole of the vault's
 // durable state — tokens are self-authenticating, so the anchor is the
 // only thing that must survive a crash for the T-Lease fencing
-// guarantees to hold.
+// guarantees to hold. None of the three may move backwards: a rewound
+// epoch revalidates fenced tokens, a rewound high-water mark hides a
+// clock rollback, and a rewound restart count falsifies the audit trail.
 type anchorState struct {
-	Epoch     uint64 //triad:monotonic fencing epoch; a rollback revalidates forged old-epoch tokens
-	LastNanos int64  //triad:monotonic high-water mark of vouched trusted time
-	Restarts  uint64 //triad:monotonic reopen counter feeding the restart audit trail
+	Epoch     monotonic.Value[uint64]
+	LastNanos monotonic.Value[int64]
+	Restarts  monotonic.Value[uint64]
 }
 
 // Anchor file format: magic(4) + version(1) + epoch(8) + lastNanos(8)
@@ -59,34 +63,39 @@ var (
 // encodeAnchor serializes and MACs the state into b (anchorSize
 // bytes). mac must be the vault's anchor HMAC instance; the caller
 // holds the vault mutex. Allocation-free.
-func encodeAnchor(b *[anchorSize]byte, st anchorState, key []byte) {
+func encodeAnchor(b *[anchorSize]byte, st *anchorState, key []byte) {
 	copy(b[:], anchorMagic[:])
 	b[4] = anchorVersion
-	binary.BigEndian.PutUint64(b[5:], st.Epoch)
-	binary.BigEndian.PutUint64(b[13:], uint64(st.LastNanos))
-	binary.BigEndian.PutUint64(b[21:], st.Restarts)
+	binary.BigEndian.PutUint64(b[5:], st.Epoch.Load())
+	binary.BigEndian.PutUint64(b[13:], uint64(st.LastNanos.Load()))
+	binary.BigEndian.PutUint64(b[21:], st.Restarts.Load())
 	m := hmac.New(sha256.New, key)
 	m.Write([]byte(anchorMACLabel))
 	m.Write(b[:29])
 	m.Sum(b[29:29])
 }
 
-// decodeAnchor parses and authenticates a stored anchor.
-func decodeAnchor(b []byte, key []byte) (anchorState, error) {
+// decodeAnchor parses and authenticates a stored anchor into st, which
+// must be fresh (zero). A high-water mark below zero is refused as
+// corrupt: the mark starts at zero and only rises, so no vault wrote it.
+func decodeAnchor(b []byte, key []byte, st *anchorState) error {
 	if len(b) != anchorSize || [4]byte(b[:4]) != anchorMagic || b[4] != anchorVersion {
-		return anchorState{}, fmt.Errorf("%w: %d bytes", ErrAnchorCorrupt, len(b))
+		return fmt.Errorf("%w: %d bytes", ErrAnchorCorrupt, len(b))
 	}
 	m := hmac.New(sha256.New, key)
 	m.Write([]byte(anchorMACLabel))
 	m.Write(b[:29])
 	if !hmac.Equal(m.Sum(nil), b[29:]) {
-		return anchorState{}, fmt.Errorf("%w: bad MAC", ErrAnchorCorrupt)
+		return fmt.Errorf("%w: bad MAC", ErrAnchorCorrupt)
 	}
-	return anchorState{
-		Epoch:     binary.BigEndian.Uint64(b[5:]),
-		LastNanos: int64(binary.BigEndian.Uint64(b[13:])),
-		Restarts:  binary.BigEndian.Uint64(b[21:]),
-	}, nil
+	lastNanos := int64(binary.BigEndian.Uint64(b[13:]))
+	if lastNanos < 0 {
+		return fmt.Errorf("%w: negative high-water mark %d", ErrAnchorCorrupt, lastNanos)
+	}
+	st.Epoch.Raise(binary.BigEndian.Uint64(b[5:]))
+	st.LastNanos.Raise(lastNanos)
+	st.Restarts.Raise(binary.BigEndian.Uint64(b[21:]))
+	return nil
 }
 
 // Store persists the anchor. Save must be atomic and durable: a crash

@@ -1,7 +1,12 @@
 package commit
 
 import (
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -43,8 +48,7 @@ func TestFileStoreTornTempWrite(t *testing.T) {
 	path := filepath.Join(dir, "anchor")
 	store := NewFileStore(path)
 
-	var good [anchorSize]byte
-	encodeAnchor(&good, anchorState{Epoch: 7, LastNanos: 123, Restarts: 3}, testVaultKey())
+	good := anchorBytes(7, 123, 3, testVaultKey())
 	if err := store.Save(good[:]); err != nil {
 		t.Fatal(err)
 	}
@@ -57,9 +61,9 @@ func TestFileStoreTornTempWrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := decodeAnchor(raw, testVaultKey())
-	if err != nil || st.Epoch != 7 || st.LastNanos != 123 {
-		t.Fatalf("post-crash load: %+v, %v", st, err)
+	var st anchorState
+	if err := decodeAnchor(raw, testVaultKey(), &st); err != nil || st.Epoch.Load() != 7 || st.LastNanos.Load() != 123 {
+		t.Fatalf("post-crash load: epoch %d, last %d, %v", st.Epoch.Load(), st.LastNanos.Load(), err)
 	}
 
 	// And a vault opens fine over the torn remnant.
@@ -77,8 +81,7 @@ func TestFileStoreTornTempWrite(t *testing.T) {
 // store that exposes a torn or tampered anchor. The vault must refuse
 // to guess an epoch.
 func TestTornAnchorRefused(t *testing.T) {
-	var good [anchorSize]byte
-	encodeAnchor(&good, anchorState{Epoch: 7, LastNanos: 123}, testVaultKey())
+	good := anchorBytes(7, 123, 0, testVaultKey())
 	clk := &scriptClock{nanos: 1000}
 
 	cases := map[string][]byte{
@@ -105,8 +108,7 @@ func TestTornAnchorRefused(t *testing.T) {
 	// An anchor written under a different key is equally refused.
 	otherKey := testVaultKey()
 	otherKey[0] ^= 0xFF
-	var foreign [anchorSize]byte
-	encodeAnchor(&foreign, anchorState{Epoch: 1}, otherKey)
+	foreign := anchorBytes(1, 0, 0, otherKey)
 	store := &MemStore{}
 	store.Restore(foreign[:])
 	if _, err := Open(Config{Clock: clk, Key: testVaultKey(), Store: store, Rand: detRand()}); !errors.Is(err, ErrAnchorCorrupt) {
@@ -114,19 +116,61 @@ func TestTornAnchorRefused(t *testing.T) {
 	}
 }
 
+// anchorBytes encodes the anchor with the given fields under key.
+func anchorBytes(epoch uint64, lastNanos int64, restarts uint64, key []byte) [anchorSize]byte {
+	var st anchorState
+	st.Epoch.Raise(epoch)
+	st.LastNanos.Raise(lastNanos)
+	st.Restarts.Raise(restarts)
+	var b [anchorSize]byte
+	encodeAnchor(&b, &st, key)
+	return b
+}
+
 func TestAnchorEncodeDecodeRoundtrip(t *testing.T) {
-	states := []anchorState{
+	states := []struct {
+		epoch     uint64
+		lastNanos int64
+		restarts  uint64
+	}{
 		{},
-		{Epoch: 1},
-		{Epoch: ^uint64(0), LastNanos: -1, Restarts: ^uint64(0)},
-		{Epoch: 42, LastNanos: 1719412345678901234, Restarts: 7},
+		{epoch: 1},
+		{^uint64(0), math.MaxInt64, ^uint64(0)},
+		{42, 1719412345678901234, 7},
 	}
-	for _, st := range states {
-		var b [anchorSize]byte
-		encodeAnchor(&b, st, testVaultKey())
-		got, err := decodeAnchor(b[:], testVaultKey())
-		if err != nil || got != st {
-			t.Errorf("roundtrip %+v: got %+v, %v", st, got, err)
+	for _, want := range states {
+		b := anchorBytes(want.epoch, want.lastNanos, want.restarts, testVaultKey())
+		var got anchorState
+		err := decodeAnchor(b[:], testVaultKey(), &got)
+		if err != nil || got.Epoch.Load() != want.epoch || got.LastNanos.Load() != want.lastNanos || got.Restarts.Load() != want.restarts {
+			t.Errorf("roundtrip %+v: got epoch %d, last %d, restarts %d, %v",
+				want, got.Epoch.Load(), got.LastNanos.Load(), got.Restarts.Load(), err)
 		}
+	}
+}
+
+// TestAnchorNegativeHighWaterRefused: an authentic anchor whose
+// high-water mark is below zero cannot come from a vault (the mark
+// starts at zero and only rises), so it is refused like a tampered one.
+func TestAnchorNegativeHighWaterRefused(t *testing.T) {
+	b := anchorBytes(3, 0, 0, testVaultKey())
+	binary.BigEndian.PutUint64(b[13:], math.MaxUint64) // int64(-1)
+	m := hmac.New(sha256.New, testVaultKey())
+	m.Write([]byte(anchorMACLabel))
+	m.Write(b[:29])
+	m.Sum(b[29:29])
+	var st anchorState
+	if err := decodeAnchor(b[:], testVaultKey(), &st); !errors.Is(err, ErrAnchorCorrupt) {
+		t.Fatalf("negative high-water mark: %v, want ErrAnchorCorrupt", err)
+	}
+}
+
+// TestAnchorBytesGolden pins the anchor encoding for a fixed state and
+// key: layout, byte order and MAC.
+func TestAnchorBytesGolden(t *testing.T) {
+	const want = "5452414e01000000000000002a17dc946b269caff20000000000000007f5d82a49107fdddf5a67c9607f579e8f99815f206d5e38ee53c2161189363d31"
+	b := anchorBytes(42, 1719412345678901234, 7, testVaultKey())
+	if got := hex.EncodeToString(b[:]); got != want {
+		t.Fatalf("anchor bytes = %s, want %s", got, want)
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"hash"
 	"sync"
 	"time"
+
+	"triadtime/internal/monotonic"
 )
 
 // Verdict is a vault operation's disposition. Values align 1:1 with
@@ -140,8 +142,8 @@ type Vault struct {
 	// high-water mark, persisted at least every flushEvery of trusted
 	// time (epoch changes persist immediately).
 	st anchorState
-	//triad:monotonic durable image of st.LastNanos; only ever advanced to it
-	persistedNanos int64
+	// persistedNanos is the durable image of st.LastNanos.
+	persistedNanos monotonic.Value[int64]
 	// anchorChecked flips once the loaded anchor has been validated
 	// against a live trusted read (deferred when the clock was not yet
 	// calibrated at Open).
@@ -207,33 +209,29 @@ func Open(cfg Config) (*Vault, error) {
 	raw, err := v.store.Load()
 	switch {
 	case errors.Is(err, ErrNoAnchor):
-		v.st = anchorState{Epoch: 1}
+		v.st.Epoch.Next()
 		v.anchorChecked = true // nothing to check against
 	case err != nil:
 		return nil, fmt.Errorf("commit: loading anchor: %w", err)
 	default:
-		st, err := decodeAnchor(raw, v.key)
-		if err != nil {
+		if err := decodeAnchor(raw, v.key, &v.st); err != nil {
 			return nil, err
 		}
 		// The restart fence: a new incarnation, a new epoch. Every
 		// lease-mode token minted before this instant is now fenced.
-		st.Epoch++
-		st.Restarts++
-		v.st = st
+		v.st.Epoch.Next()
+		v.st.Restarts.Next()
 		// If the clock can already answer, validate the anchor against
 		// it now; otherwise the first successful read does it.
 		if now, err := v.clock.TrustedNow(); err == nil {
-			if v.slack >= 0 && now+v.slack < st.LastNanos {
-				return nil, fmt.Errorf("%w: anchor at %d, trusted now %d", ErrAnchorFuture, st.LastNanos, now)
+			if last := v.st.LastNanos.Load(); v.slack >= 0 && now+v.slack < last {
+				return nil, fmt.Errorf("%w: anchor at %d, trusted now %d", ErrAnchorFuture, last, now)
 			}
 			v.anchorChecked = true
-			if now > v.st.LastNanos {
-				v.st.LastNanos = now
-			}
+			v.st.LastNanos.Raise(now)
 		}
 	}
-	v.c.Restarts = v.st.Restarts
+	v.c.Restarts = v.st.Restarts.Load()
 	if err := v.persistLocked(); err != nil {
 		return nil, fmt.Errorf("commit: persisting anchor: %w", err)
 	}
@@ -243,11 +241,11 @@ func Open(cfg Config) (*Vault, error) {
 // persistLocked writes the current anchor state through the store.
 // Caller holds v.mu (or is still constructing the vault).
 func (v *Vault) persistLocked() error {
-	encodeAnchor(&v.anchorBuf, v.st, v.key)
+	encodeAnchor(&v.anchorBuf, &v.st, v.key)
 	if err := v.store.Save(v.anchorBuf[:]); err != nil {
 		return err
 	}
-	v.persistedNanos = v.st.LastNanos
+	v.persistedNanos.Raise(v.st.LastNanos.Load())
 	return nil
 }
 
@@ -255,7 +253,7 @@ func (v *Vault) persistLocked() error {
 // has advanced past the flush interval. A failed Save is counted
 // (PersistErrors) and the vault keeps serving on its in-memory state.
 func (v *Vault) flushLocked(force bool) {
-	if !force && v.st.LastNanos-v.persistedNanos < v.flushEvery {
+	if !force && v.st.LastNanos.Load()-v.persistedNanos.Load() < v.flushEvery {
 		return
 	}
 	if err := v.persistLocked(); err != nil {
@@ -272,7 +270,7 @@ func (v *Vault) nowLocked() (now int64, ok bool) {
 	if err != nil {
 		return 0, false
 	}
-	if v.slack >= 0 && now+v.slack < v.st.LastNanos {
+	if v.slack >= 0 && now+v.slack < v.st.LastNanos.Load() {
 		// The trusted clock reads below history this vault already
 		// vouched against: a rolled-back clock, or an anchor replayed
 		// from the future. Either way, refuse to vouch.
@@ -280,8 +278,7 @@ func (v *Vault) nowLocked() (now int64, ok bool) {
 		return now, false
 	}
 	v.anchorChecked = true
-	if now > v.st.LastNanos {
-		v.st.LastNanos = now
+	if v.st.LastNanos.Raise(now) {
 		v.flushLocked(false)
 	}
 	return now, true
@@ -325,7 +322,7 @@ func (v *Vault) Lock(hashVal [HashSize]byte, unlockNanos int64, flags uint8) (To
 		Hash:        hashVal,
 		UnlockNanos: unlockNanos,
 		IssuedNanos: now,
-		Epoch:       v.st.Epoch,
+		Epoch:       v.st.Epoch.Load(),
 		Flags:       flags & FlagLease,
 	}
 	if _, err := v.randRead(v.tokScratch.Nonce[:]); err != nil {
@@ -375,16 +372,16 @@ func (v *Vault) decide(t Token, isUnlock bool) (int64, Verdict) {
 	// rolled back to an older copy: this incarnation's epoch was
 	// derived from stale state. Re-fence past the evidence and persist
 	// immediately, so the stolen epochs can never be reissued.
-	if t.Epoch > v.st.Epoch {
+	if t.Epoch > v.st.Epoch.Load() {
 		v.c.AnchorRollbacks++
-		v.st.Epoch = t.Epoch + 1
+		v.st.Epoch.Raise(t.Epoch + 1)
 		v.flushLocked(true)
 		if isUnlock {
 			v.c.UnlocksRefusedFenced++
 		}
 		return 0, Fenced
 	}
-	if t.Lease() && t.Epoch != v.st.Epoch {
+	if t.Lease() && t.Epoch != v.st.Epoch.Load() {
 		// A lease-mode token from a previous incarnation: fenced by the
 		// restart bump, exactly T-Lease's stale-holder guarantee.
 		if isUnlock {
@@ -423,7 +420,7 @@ func (v *Vault) decide(t Token, isUnlock bool) (int64, Verdict) {
 func (v *Vault) Epoch() uint64 {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	return v.st.Epoch
+	return v.st.Epoch.Load()
 }
 
 // Counters returns a snapshot of the vault's event counts.

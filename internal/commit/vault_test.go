@@ -378,11 +378,11 @@ func TestPersistAmortization(t *testing.T) {
 		if !ok {
 			t.Fatal("no anchor")
 		}
-		st, err := decodeAnchor(b, testVaultKey())
-		if err != nil {
+		var st anchorState
+		if err := decodeAnchor(b, testVaultKey(), &st); err != nil {
 			t.Fatal(err)
 		}
-		return st.LastNanos
+		return st.LastNanos.Load()
 	}
 
 	clk.nanos = int64(100 * time.Millisecond)

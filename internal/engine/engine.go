@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"triadtime/internal/enclave"
+	"triadtime/internal/monotonic"
 	"triadtime/internal/simnet"
 	"triadtime/internal/wire"
 )
@@ -66,13 +67,13 @@ type Engine struct {
 	refTSC   uint64
 	pub      published
 	// lastServed is the strictly-increasing serving clamp (uniqueness of
-	// served timestamps), advanced only by serve's compare-and-swap;
-	// served counts the timestamps it handed out.
-	lastServed atomic.Int64
+	// served timestamps), advanced only by serve; served counts the
+	// timestamps it handed out.
+	lastServed monotonic.Atomic
 	served     atomic.Uint64
 
-	//triad:monotonic bumped on every AEX; stamps in-flight measurements
-	aexEpoch uint64
+	// aexEpoch is bumped on every AEX; it stamps in-flight measurements.
+	aexEpoch monotonic.Value[uint64]
 	seq      uint64 // request sequence numbers
 
 	// rounds is the open set of Time Authority exchanges, a slice because
@@ -369,7 +370,7 @@ func (e *Engine) onPeerTimeRequest(from simnet.Addr, msg wire.Message) {
 
 // onAEX is the AEX-Notify handler: time continuity was severed.
 func (e *Engine) onAEX() {
-	e.aexEpoch++
+	e.aexEpoch.Next()
 	switch e.state {
 	case StateOK, StateDegraded:
 		e.pol.Recovery.OnTaint(e)

@@ -55,7 +55,7 @@ func (e *Engine) BeginRound(to []simnet.Addr, sleep, timeout time.Duration, done
 		e:        e,
 		readings: make([]Reading, len(to)),
 		pending:  len(to),
-		epoch:    e.aexEpoch,
+		epoch:    e.aexEpoch.Load(),
 		done:     done,
 	}
 	for i, a := range to {
@@ -97,7 +97,7 @@ func (r *Round) First() (Reading, bool) {
 // Severed reports whether an AEX fired since the round was sent: its
 // roundtrips are then not bounded by uninterrupted execution, and an
 // attacker could have manipulated the TSC during the exit.
-func (r *Round) Severed() bool { return r.e.aexEpoch != r.epoch }
+func (r *Round) Severed() bool { return r.e.aexEpoch.Load() != r.epoch }
 
 // close ends an open round: keep only the answered readings and run
 // the close handler.

@@ -45,24 +45,16 @@ func clockAt(refNanos int64, refTSC uint64, fCalib float64, tsc uint64) int64 {
 
 // serve advances the serving clamp to the least value above both the
 // reading and everything served before, counts the serve, and returns
-// that value. The clamp is one atomic strict-max shared by the loop
-// (peer answers, Node.TrustedNow) and every SharedClock reader, so
-// served timestamps are unique and strictly increasing across all of
-// them.
+// that value. The clamp is one atomic strict-max (monotonic.Atomic)
+// shared by the loop (peer answers, Node.TrustedNow) and every
+// SharedClock reader, so served timestamps are unique and strictly
+// increasing across all of them.
 //
 //triad:hotpath
 func (e *Engine) serve(reading int64) int64 {
-	for {
-		last := e.lastServed.Load()
-		ts := reading
-		if ts <= last {
-			ts = last + 1
-		}
-		if e.lastServed.CompareAndSwap(last, ts) {
-			e.served.Add(1)
-			return ts
-		}
-	}
+	ts := e.lastServed.Advance(reading)
+	e.served.Add(1)
+	return ts
 }
 
 // readShared takes one consistent reading of the published clock: the

@@ -28,6 +28,7 @@ import (
 
 	"triadtime/internal/commit"
 	"triadtime/internal/metrics"
+	"triadtime/internal/monotonic"
 	"triadtime/internal/wire"
 	"triadtime/tsa"
 )
@@ -204,8 +205,9 @@ type pending[T any] struct {
 // bucket is one client's token bucket.
 type bucket struct {
 	tokens float64
-	//triad:monotonic refill reference; a rollback would mint free tokens
-	lastNanos int64
+	// lastNanos is the refill reference; a rollback would mint free
+	// tokens.
+	lastNanos monotonic.Value[int64]
 }
 
 // shard is one queue/batch lane. Each shard has its own lock, so
@@ -371,14 +373,15 @@ func shedCommitResponse(req wire.CommitRequest) wire.CommitResponse {
 func (sh *shard[T]) takeToken(clientID uint64, nowNanos int64, rate, burst float64) bool {
 	b := sh.buckets[clientID]
 	if b == nil {
-		b = &bucket{tokens: burst, lastNanos: nowNanos}
+		b = &bucket{tokens: burst}
+		b.lastNanos.Raise(nowNanos)
 		sh.buckets[clientID] = b
-	} else if elapsed := nowNanos - b.lastNanos; elapsed > 0 {
+	} else if elapsed := nowNanos - b.lastNanos.Load(); elapsed > 0 {
 		b.tokens += rate * float64(elapsed) / 1e9
 		if b.tokens > burst {
 			b.tokens = burst
 		}
-		b.lastNanos = nowNanos
+		b.lastNanos.Raise(nowNanos)
 	}
 	if b.tokens < 1 {
 		return false

@@ -6,6 +6,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"triadtime/internal/monotonic"
 )
 
 // KeySize is the AES-256 key size in bytes.
@@ -38,14 +40,24 @@ var (
 	ErrReplay = errors.New("wire: replayed message")
 )
 
+// noCopy makes go vet's copylocks check report any copy of a struct
+// that holds it: a copied Sealer reuses its nonces under the same key,
+// and a copied Opener or ReplayWindow accepts what the original already
+// consumed. These types flow by pointer.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
+
 // Sealer encrypts outgoing datagrams for one sender identity. Each seal
 // consumes one nonce counter value; a Sealer must not be shared across
 // concurrent goroutines without external synchronization (the simulation
 // is single-threaded; the live transport wraps it in a mutex).
 type Sealer struct {
+	_        noCopy
 	aead     cipher.AEAD
 	senderID uint32
-	counter  uint64
+	counter  monotonic.Value[uint64]
 	// nonce/plain are per-sealer scratch so the append-style hot path
 	// never allocates; single-goroutine use is already the type's
 	// contract (the counter would race first).
@@ -113,9 +125,8 @@ func (s *Sealer) SealAppend(dst []byte, m Message) []byte {
 //
 //triad:hotpath
 func (s *Sealer) SealDatagramAppend(dst, plaintext []byte) []byte {
-	s.counter++
 	binary.BigEndian.PutUint32(s.nonce[:4], s.senderID)
-	binary.BigEndian.PutUint64(s.nonce[4:], s.counter)
+	binary.BigEndian.PutUint64(s.nonce[4:], s.counter.Next())
 	dst = append(dst, s.nonce[:]...)
 	return s.aead.Seal(dst, s.nonce[:], plaintext, nil)
 }
@@ -124,6 +135,7 @@ func (s *Sealer) SealDatagramAppend(dst, plaintext []byte) []byte {
 // guards one receiving endpoint; it tracks a sliding replay window per
 // sender, unless the endpoint keeps the windows itself (OpenWindowInto).
 type Opener struct {
+	_       noCopy
 	aead    cipher.AEAD
 	windows map[uint32]*ReplayWindow
 }
@@ -258,6 +270,7 @@ func newAEAD(key []byte) (cipher.AEAD, error) {
 // the attacker) may reorder UDP datagrams. The zero value is ready for
 // use; copying one in use forks it, so it flows by pointer.
 type ReplayWindow struct {
+	_      noCopy
 	max    uint64
 	bitmap uint64
 }

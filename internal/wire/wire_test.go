@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"math/rand"
 	"testing"
@@ -479,5 +480,31 @@ func TestNewSealerShardValidation(t *testing.T) {
 	}
 	if _, err := NewSealerShard(key[:5], 1, 0, 1); err == nil {
 		t.Fatal("short key accepted")
+	}
+}
+
+// TestSealedBytesGolden pins the sealed-datagram bytes for a fixed key,
+// sender and counter sequence: nonce = sender || counter, big-endian,
+// counters starting at 1, so any change to the nonce layout or to how
+// the counter advances shows here.
+func TestSealedBytesGolden(t *testing.T) {
+	s, err := NewSealer(testKey(), 0x01020304)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"010203040000000000000001e21b89d0fa615b0d0d24e58cb04efe1a0bbd6e095097d1ad5d9d34274ac3a6acc2638dc5cb0a247bc9",
+		"010203040000000000000002a40348e51d531a9e650d1576b0d5570af53da511b57b4ba1a17ae75d527292",
+	}
+	msgs := []func() []byte{
+		func() []byte {
+			return s.SealAppend(nil, Message{Kind: KindPeerTimeResponse, Seq: 99, TimeNanos: 1719412345678901234})
+		},
+		func() []byte { return s.SealDatagramAppend(nil, []byte("client datagram")) },
+	}
+	for i, seal := range msgs {
+		if got := hex.EncodeToString(seal()); got != want[i] {
+			t.Errorf("datagram %d (counter %d) = %s, want %s", i, i+1, got, want[i])
+		}
 	}
 }

@@ -2,9 +2,11 @@ package triadtime
 
 import (
 	"bufio"
+	"net"
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -109,5 +111,124 @@ func TestLiveNodeReadsFailAfterClose(t *testing.T) {
 	}
 	if s := node.State(); s == StateOK {
 		t.Fatal("state OK after Close")
+	}
+}
+
+// TestLiveServeMonotonicAcrossSockets is the serving clamp end to end
+// on a calibrated node's published snapshot: client flows spread over
+// two reuseport sockets while another goroutine reads the node's
+// trusted time directly. One shard with BatchMax 1 gives every reply a
+// trusted read of its own, and each flow keeps one request in flight,
+// so a flow's replies come from successive reads. Every flow's
+// timestamps must then strictly increase, and no timestamp may be
+// handed out twice, whichever socket or reader it went to.
+func TestLiveServeMonotonicAcrossSockets(t *testing.T) {
+	node := calibratedLiveNode(t)
+	key := make([]byte, KeySize)
+	for i := range key {
+		key[i] = byte(i + 31)
+	}
+	addr, err := node.ServeClients(ClientServeConfig{Listen: "127.0.0.1:0", Key: key, Sockets: 2, Shards: 1, BatchMax: 1})
+	if err != nil {
+		t.Skipf("two-socket endpoint: %v", err)
+	}
+
+	const flows = 8
+	stamps := make([][]int64, flows+1) // the last slot: direct reads
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for f := 0; f < flows; f++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stamps[f] = flowStamps(t, addr.String(), key, uint64(7000+f), stop)
+		}()
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if ns, err := node.TrustedNanos(); err == nil {
+				stamps[flows] = append(stamps[flows], ns)
+			}
+			time.Sleep(20 * time.Microsecond)
+		}
+	}()
+	time.Sleep(300 * time.Millisecond)
+	close(stop)
+	wg.Wait()
+
+	seen := map[int64]bool{}
+	var replies uint64
+	for f, got := range stamps {
+		if len(got) < 2 {
+			t.Fatalf("reader %d got %d timestamps", f, len(got))
+		}
+		for i, ns := range got {
+			if i > 0 && ns <= got[i-1] {
+				t.Fatalf("reader %d: timestamp %d after %d", f, ns, got[i-1])
+			}
+			if seen[ns] {
+				t.Fatalf("timestamp %d handed out twice", ns)
+			}
+			seen[ns] = true
+		}
+		if f < flows {
+			replies += uint64(len(got))
+		}
+	}
+	if c := node.ServeCounters(); c.Served != replies {
+		t.Fatalf("clients read %d replies, endpoint served %d: %s", replies, c.Served, c.Summary())
+	}
+}
+
+// flowStamps is one closed-loop client: it sends a stamp request, waits
+// for its reply and records the served time, until stop closes.
+func flowStamps(t *testing.T, addr string, key []byte, id uint64, stop chan struct{}) []int64 {
+	conn, err := net.Dial("udp", addr)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	defer conn.Close()
+	sealer, err := NewClientSealer(key, uint32(id))
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	opener, err := NewClientOpener(key)
+	if err != nil {
+		t.Error(err)
+		return nil
+	}
+	var out []int64
+	buf := make([]byte, 2048)
+	for seq := uint64(1); ; seq++ {
+		select {
+		case <-stop:
+			return out
+		default:
+		}
+		if _, err := conn.Write(sealer.SealRequest(nil, TimeRequest{ClientID: id, Seq: seq})); err != nil {
+			t.Errorf("client %d: %v", id, err)
+			return out
+		}
+		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
+		n, err := conn.Read(buf)
+		if err != nil {
+			t.Errorf("client %d seq %d: no reply: %v", id, seq, err)
+			return out
+		}
+		resp, err := opener.OpenResponse(buf[:n])
+		if err != nil || resp.Status != StatusOK || resp.ClientID != id || resp.Seq != seq {
+			t.Errorf("client %d seq %d: reply %+v, %v", id, seq, resp, err)
+			return out
+		}
+		out = append(out, resp.Nanos)
 	}
 }
