@@ -85,19 +85,21 @@ check: vet lint lint-audit build test test-race bench-module
 audit: lint lint-audit
 	$(GO) run ./cmd/triad-sim -fig check -seed 1
 
+# Seed of figdiff and benchab runs.
+SEED ?= 1
+
 # Simulator byte-identity against another revision: every figure, CSV,
-# the audit and the Fig. 6 trace, diffed (scripts/figdiff.sh). Not part
-# of check: a change may move figures on purpose.
+# the audit and the Fig. 6 trace at SEED, diffed (scripts/figdiff.sh).
+# Not part of check: a change may move figures on purpose.
 figdiff:
-	@test -n "$(REV)" || { echo "usage: make figdiff REV=<git revision>" >&2; exit 2; }
-	bash scripts/figdiff.sh $(REV)
+	@test -n "$(REV)" || { echo "usage: make figdiff REV=<git revision> [SEED=1]" >&2; exit 2; }
+	bash scripts/figdiff.sh $(REV) $(SEED)
 
 # Alternated benchmark runs of the working tree against another
 # revision (scripts/benchab.sh): every run, each side's quartiles and
 # the pairs won. Not part of check: the numbers are noisy.
 WORKLOAD ?= ops_mixed
 PAIRS ?= 10
-SEED ?= 1
 
 benchab:
 	@test -n "$(REV)" || { echo "usage: make benchab REV=<git revision> [WORKLOAD=ops_mixed PAIRS=10 SEED=1]" >&2; exit 2; }

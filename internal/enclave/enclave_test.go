@@ -115,23 +115,9 @@ func TestINCCheckMatchesPaperStatistics(t *testing.T) {
 	// Reproduce §IV-A.1 in miniature: repeated measurements of INC per
 	// 15e6 TSC ticks; after dropping the warm-up outlier the counts are
 	// extremely tight around 632182.
-	sched, p := newTestPlatform(t, SimConfig{Addr: 1})
+	_, p := newTestPlatform(t, SimConfig{Addr: 1})
 	const n = 500
-	var counts []float64
-	var run func()
-	run = func() {
-		p.StartINCCheck(15e6, func(c float64, interrupted bool) {
-			if interrupted {
-				t.Fatal("unexpected interruption")
-			}
-			counts = append(counts, c)
-			if len(counts) < n {
-				run()
-			}
-		})
-	}
-	run()
-	sched.RunUntilIdle()
+	counts := p.MeasureINC(15e6, n)
 	if len(counts) != n {
 		t.Fatalf("got %d measurements", len(counts))
 	}
@@ -154,51 +140,69 @@ func TestINCCheckDetectsTSCScaling(t *testing.T) {
 	// thread sees a ~10% INC deficit. This is the tamper-detection path.
 	tsc := simtime.NewTSC(simtime.NominalTSCHz, 0)
 	sched, p := newTestPlatform(t, SimConfig{Addr: 1, TSC: tsc})
-	var clean, scaled float64
-	p.StartINCCheck(15e6, func(float64, bool) {}) // discard warm-up outlier
-	sched.RunUntilIdle()
-	p.StartINCCheck(15e6, func(c float64, _ bool) { clean = c })
-	sched.RunUntilIdle()
+	clean := p.MeasureINC(15e6, 2)[1] // past the warm-up outlier
 	tsc.SetScale(1.1, sched.Now())
-	p.StartINCCheck(15e6, func(c float64, _ bool) { scaled = c })
-	sched.RunUntilIdle()
+	scaled := p.MeasureINC(15e6, 1)[0]
 	ratio := scaled / clean
 	if math.Abs(ratio-1/1.1) > 0.01 {
 		t.Errorf("scaled/clean INC ratio = %v, want ~%v", ratio, 1/1.1)
 	}
 }
 
+// recordWindows starts a monitor on p that never calls back and returns
+// the log of the windows it judges, with each window's end.
+func recordWindows(p *SimPlatform, enableMem bool) *[]judged {
+	var log []judged
+	NewRateMonitor(p, MonitorConfig{
+		INCTicks:      15e6,
+		INCTol:        math.Inf(1),
+		EnableMem:     enableMem,
+		MemTol:        math.Inf(1),
+		OnDiscrepancy: func(float64) {},
+	}).Start()
+	p.mon.record = func() {
+		inc, mem := p.headCounts()
+		log = append(log, judged{p.mon.end, inc, mem})
+	}
+	return &log
+}
+
+// judged is one judged window: its end and its counts.
+type judged struct {
+	end      simtime.Instant
+	inc, mem float64
+}
+
 func TestINCCheckInterruptedByAEX(t *testing.T) {
 	sched, p := newTestPlatform(t, SimConfig{Addr: 1})
-	var gotInterrupted bool
-	done := false
+	log := recordWindows(p, false)
 	// 15e6 ticks take ~5.17ms; fire an AEX 1ms in.
-	p.StartINCCheck(15e6, func(c float64, interrupted bool) {
-		gotInterrupted = interrupted
-		done = true
-		if c != 0 {
-			t.Errorf("interrupted measurement should report count 0, got %v", c)
-		}
-	})
-	sched.At(simtime.FromDuration(time.Millisecond), p.FireAEX)
-	sched.RunUntilIdle()
-	if !done {
-		t.Fatal("measurement callback never ran")
+	aex := simtime.FromDuration(time.Millisecond)
+	sched.At(aex, p.FireAEX)
+	sched.RunUntil(simtime.FromDuration(20 * time.Millisecond))
+	p.touchMonitor()
+	if len(*log) == 0 {
+		t.Fatal("no window was judged")
 	}
-	if !gotInterrupted {
-		t.Error("measurement should be flagged interrupted")
+	// The interrupted window is never counted: the first count is the
+	// window the AEX began, a whole window long.
+	if got, want := (*log)[0].end, aex.Add(p.mon.span); got != want {
+		t.Errorf("first judged window ended at %v, want %v (the one begun by the AEX)", got, want)
+	}
+	if got := (*log)[0].inc; got > 625000 {
+		t.Errorf("first judged window counted %v; it is the core's first measurement and should carry the warm-up offset", got)
 	}
 }
 
 func TestINCCheckOverlapPanics(t *testing.T) {
 	_, p := newTestPlatform(t, SimConfig{Addr: 1})
-	p.StartINCCheck(1000, func(float64, bool) {})
+	recordWindows(p, false)
 	defer func() {
 		if recover() == nil {
-			t.Error("overlapping INC measurements should panic")
+			t.Error("a second monitor on one monitoring thread should panic")
 		}
 	}()
-	p.StartINCCheck(1000, func(float64, bool) {})
+	recordWindows(p, false)
 }
 
 func TestNewSimPlatformRequiresTSC(t *testing.T) {
@@ -227,7 +231,8 @@ func TestIdealINC(t *testing.T) {
 
 func TestINCModelSampleClampsAtZero(t *testing.T) {
 	m := INCModel{NoiseSigma: 1, WarmupOffset: -1e12}
-	if got := m.sample(100, 0, sim.NewRNG(1)); got != 0 {
-		t.Errorf("sample = %v, want clamp to 0", got)
+	noise, offset := m.draw(true, sim.NewRNG(1))
+	if got := m.count(100, noise, offset); got != 0 {
+		t.Errorf("count = %v, want clamp to 0", got)
 	}
 }

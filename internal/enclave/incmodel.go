@@ -32,16 +32,24 @@ func PaperINCModel() INCModel {
 	}
 }
 
-// sample draws the measured INC count for one measurement given the
-// ideal count, the measurement index (0 = first ever on this core), and
-// the model's randomness source.
-func (m INCModel) sample(ideal float64, index int, rng *sim.RNG) float64 {
-	v := ideal + rng.Gaussian(0, m.NoiseSigma)
-	if index == 0 {
-		v += m.WarmupOffset
+// draw takes one measurement's noise from rng: the Gaussian term, and
+// the offset — the warm-up one for the core's first measurement, else
+// an outlier's with probability OutlierProb, else none.
+func (m INCModel) draw(first bool, rng *sim.RNG) (noise, offset float64) {
+	noise = rng.Gaussian(0, m.NoiseSigma)
+	if first {
+		offset = m.WarmupOffset
 	} else if m.OutlierProb > 0 && rng.Float64() < m.OutlierProb {
-		v += m.OutlierOffset
+		offset = m.OutlierOffset
 	}
+	return noise, offset
+}
+
+// count is the measured INC count of a measurement with the given ideal
+// count and drawn noise.
+func (m INCModel) count(ideal, noise, offset float64) float64 {
+	v := ideal + noise
+	v += offset
 	if v < 0 {
 		v = 0
 	}
@@ -88,9 +96,15 @@ func (m MemModel) IdealMem(ticks float64, guestHz float64) float64 {
 	return ticks / guestHz * m.AccessesPerSec
 }
 
-// sampleMem draws one measured access count.
-func (m MemModel) sampleMem(ideal float64, rng *sim.RNG) float64 {
-	v := ideal * (1 + rng.Gaussian(0, m.NoiseFrac))
+// draw takes one measurement's relative noise from rng.
+func (m MemModel) draw(rng *sim.RNG) float64 {
+	return rng.Gaussian(0, m.NoiseFrac)
+}
+
+// count is the measured access count of a measurement with the given
+// ideal count and drawn noise.
+func (m MemModel) count(ideal, noise float64) float64 {
+	v := ideal * (1 + noise)
 	if v < 0 {
 		v = 0
 	}

@@ -5,8 +5,8 @@ import "math"
 // RateMonitor is the TSC-monitoring thread's logic, shared by the
 // original and hardened protocol nodes: it continuously measures the
 // INC-instruction count per fixed guest-TSC window and (optionally)
-// the frequency-independent memory-access count over the same kind of
-// window, comparing each against a learned baseline.
+// the frequency-independent memory-access count over the same window,
+// comparing each against a learned baseline.
 //
 // Detection logic per §IV-A.1:
 //
@@ -19,17 +19,18 @@ import "math"
 //     (INC moved, memory steady) identifies it, and the monitor
 //     re-baselines INC rather than crying wolf — frequency settings
 //     are discrete and legal for the OS to change.
+//
+// The monitor holds the decision logic; the platform runs the windows
+// (Platform.StartMonitor) and hands each completed one to the judge,
+// judgeINC then judgeMem, in completion order.
 type RateMonitor struct {
 	platform Platform
 
-	incTicks uint64
-	incTol   float64
-	incState baselineState
-
+	ticks      uint64
+	incTol     float64
 	memEnabled bool
-	memTicks   uint64
 	memTol     float64
-	memState   baselineState
+	state      monitorState
 
 	// OnDiscrepancy fires when TSC tampering is concluded; rel is the
 	// relative deviation observed.
@@ -37,14 +38,18 @@ type RateMonitor struct {
 	// onFreqChange fires when an (honest or masking-failed) core
 	// frequency change is identified: INC moved, memory steady.
 	onFreqChange func(rel float64)
-
-	// incDoneFn/memDoneFn are the per-window completion callbacks,
-	// built once at construction so the measurement loop never
-	// allocates a fresh closure per monitoring tick.
-	incDoneFn func(count float64, interrupted bool)
-	memDoneFn func(count float64, interrupted bool)
+	// reset re-baselines the counters; a platform that judges windows
+	// ahead of its timer installs its own (StartMonitor).
+	reset func()
 
 	started bool
+}
+
+// monitorState is everything the judge learns from the counts: one
+// baseline per counter. It is a plain value, so that a platform can run
+// the judge ahead on a copy.
+type monitorState struct {
+	inc, mem baselineState
 }
 
 // baselineLearnWindows is how many post-warm-up windows are averaged
@@ -104,17 +109,17 @@ func (s *baselineState) reset() {
 
 // MonitorConfig configures a RateMonitor.
 type MonitorConfig struct {
-	// INCTicks is the INC window (guest ticks); INCTol the relative
-	// deviation flagged.
+	// INCTicks is the window (guest ticks) of both counters: the memory
+	// monitor counts over the INC window, and the two restart together.
+	// INCTol is the relative INC deviation flagged.
 	INCTicks uint64
 	INCTol   float64
 	// EnableMem turns on the frequency-independent memory monitor.
 	EnableMem bool
-	// MemTicks/MemTol configure it (MemTol must clear the memory
-	// counter's ~1% noise by a wide margin while staying far below any
-	// discrete DVFS step ratio; default 0.08).
-	MemTicks uint64
-	MemTol   float64
+	// MemTol is the relative memory deviation flagged: it must clear the
+	// memory counter's ~1% noise by a wide margin while staying far
+	// below any discrete DVFS step ratio (default 0.08).
+	MemTol float64
 	// OnDiscrepancy is required: called on concluded TSC tampering.
 	OnDiscrepancy func(rel float64)
 	// OnFreqChange is optional: called when a core frequency change is
@@ -124,104 +129,94 @@ type MonitorConfig struct {
 
 // NewRateMonitor creates the monitor. Call Start once.
 func NewRateMonitor(platform Platform, cfg MonitorConfig) *RateMonitor {
-	memTicks := cfg.MemTicks
-	if memTicks == 0 {
-		memTicks = cfg.INCTicks
-	}
 	memTol := cfg.MemTol
 	if memTol <= 0 {
 		memTol = 0.08
 	}
-	m := &RateMonitor{
+	return &RateMonitor{
 		platform:      platform,
-		incTicks:      cfg.INCTicks,
+		ticks:         cfg.INCTicks,
 		incTol:        cfg.INCTol,
 		memEnabled:    cfg.EnableMem,
-		memTicks:      memTicks,
 		memTol:        memTol,
 		onDiscrepancy: cfg.OnDiscrepancy,
 		onFreqChange:  cfg.OnFreqChange,
 	}
-	m.incDoneFn = func(count float64, interrupted bool) {
-		if !interrupted {
-			m.onINC(count)
-		}
-		m.nextINC()
-	}
-	m.memDoneFn = func(count float64, interrupted bool) {
-		if !interrupted {
-			m.onMem(count)
-		}
-		m.nextMem()
-	}
-	return m
 }
 
-// Start launches the measurement loops. Idempotent.
+// Start launches the monitoring loop. Idempotent.
 func (m *RateMonitor) Start() {
 	if m.started {
 		return
 	}
 	m.started = true
-	m.nextINC()
-	if m.memEnabled {
-		m.nextMem()
-	}
+	m.platform.StartMonitor(m)
 }
 
 // Reset re-baselines both counters — call after a deliberate
 // recalibration, when the TSC relationship legitimately changed.
 func (m *RateMonitor) Reset() {
-	m.incState.reset()
-	m.memState.reset()
-}
-
-//triad:hotpath
-func (m *RateMonitor) nextINC() {
-	m.platform.StartINCCheck(m.incTicks, m.incDoneFn)
-}
-
-//triad:hotpath
-func (m *RateMonitor) nextMem() {
-	m.platform.StartMemCheck(m.memTicks, m.memDoneFn)
-}
-
-func (m *RateMonitor) onINC(count float64) {
-	rel, ok := m.incState.observe(count)
-	if !ok {
+	if m.reset != nil {
+		m.reset()
 		return
 	}
-	if !m.incState.strike(rel > m.incTol) {
+	m.state = monitorState{}
+}
+
+// Ticks is the window length in guest ticks.
+func (m *RateMonitor) Ticks() uint64 { return m.ticks }
+
+// MemEnabled reports whether windows count memory accesses too.
+func (m *RateMonitor) MemEnabled() bool { return m.memEnabled }
+
+// Observe judges one completed window: its INC count and, when the
+// memory monitor is on, its memory count. It runs the callbacks the
+// counts call for, INC's before the memory count is judged.
+func (m *RateMonitor) Observe(incCount, memCount float64) {
+	if fn, rel := m.judgeINC(&m.state, incCount); fn != nil {
+		fn(rel)
+	}
+	if !m.memEnabled {
 		return
 	}
+	if fn, rel := m.judgeMem(&m.state, memCount); fn != nil {
+		fn(rel)
+	}
+}
+
+// judgeINC steps s with one INC count and returns the callback the
+// count calls for, with its argument; nil when it calls for none.
+//
+//triad:hotpath
+func (m *RateMonitor) judgeINC(s *monitorState, count float64) (func(rel float64), float64) {
+	rel, ok := s.inc.observe(count)
+	if !ok || !s.inc.strike(rel > m.incTol) {
+		return nil, 0
+	}
+	s.inc.reset()
 	if !m.memEnabled {
 		// INC-only mode (original Triad single-monitor configuration):
 		// a sustained deviation is treated as TSC tampering.
-		m.incState.reset()
-		m.onDiscrepancy(rel)
-		return
+		return m.onDiscrepancy, rel
 	}
 	// Dual mode: a sustained INC shift alone is ambiguous — TSC scaling
 	// or DVFS. Re-baseline INC and report a frequency change; if the
 	// cause was actually TSC tampering, the frequency-independent
 	// memory monitor flags it within its own windows.
-	m.incState.reset()
-	if m.onFreqChange != nil {
-		m.onFreqChange(rel)
-	}
+	return m.onFreqChange, rel
 }
 
-func (m *RateMonitor) onMem(count float64) {
-	rel, ok := m.memState.observe(count)
-	if !ok {
-		return
-	}
-	if !m.memState.strike(rel > m.memTol) {
-		return
+// judgeMem steps s with one memory count, as judgeINC does.
+//
+//triad:hotpath
+func (m *RateMonitor) judgeMem(s *monitorState, count float64) (func(rel float64), float64) {
+	rel, ok := s.mem.observe(count)
+	if !ok || !s.mem.strike(rel > m.memTol) {
+		return nil, 0
 	}
 	// The memory rate is DVFS-independent: a sustained deviation here
 	// is TSC manipulation, full stop.
-	m.memState.reset()
-	m.incState.reset()
-	m.onDiscrepancy(rel)
+	s.mem.reset()
+	s.inc.reset()
+	return m.onDiscrepancy, rel
 }

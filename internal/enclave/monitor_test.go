@@ -24,74 +24,79 @@ func monitorRig(t *testing.T) (*sim.Scheduler, *SimPlatform) {
 
 func TestMemCheckBasics(t *testing.T) {
 	sched, p := monitorRig(t)
-	var count float64
-	p.StartMemCheck(15e6, func(c float64, interrupted bool) {
-		if interrupted {
-			t.Error("unexpected interruption")
-		}
-		count = c
-	})
-	sched.RunUntilIdle()
-	ideal := PaperMemModel().IdealMem(15e6, simtime.NominalTSCHz)
-	if math.Abs(count-ideal)/ideal > 0.05 {
-		t.Errorf("mem count = %v, want ~%v", count, ideal)
+	log := recordWindows(p, true)
+	sched.RunUntil(simtime.FromDuration(20 * time.Millisecond))
+	p.touchMonitor()
+	if len(*log) < 3 {
+		t.Fatalf("%d windows judged in 20ms, want 3", len(*log))
 	}
+	ideal := PaperMemModel().IdealMem(15e6, simtime.NominalTSCHz)
+	for _, w := range *log {
+		if math.Abs(w.mem-ideal)/ideal > 0.05 {
+			t.Errorf("mem count = %v, want ~%v", w.mem, ideal)
+		}
+	}
+}
+
+// windowsAround runs a monitor that never calls back for 20ms, applies
+// change, runs 20ms more and returns the last window judged before and
+// the last after.
+func windowsAround(t *testing.T, change func(*sim.Scheduler, *SimPlatform)) (before, after judged) {
+	t.Helper()
+	sched, p := monitorRig(t)
+	log := recordWindows(p, true)
+	sched.RunUntil(simtime.FromDuration(20 * time.Millisecond))
+	change(sched, p)
+	n := len(*log)
+	sched.RunUntil(simtime.FromDuration(40 * time.Millisecond))
+	p.touchMonitor()
+	if n < 2 || len(*log) < n+2 {
+		t.Fatalf("%d windows judged before the change and %d after", n, len(*log)-n)
+	}
+	return (*log)[n-1], (*log)[len(*log)-1]
 }
 
 func TestMemCheckFrequencyIndependent(t *testing.T) {
 	// Halving the core frequency shifts INC counts but leaves memory
 	// counts untouched — the disambiguator of §IV-A.1.
-	sched, p := monitorRig(t)
-	var incBefore, incAfter, memBefore, memAfter float64
-	p.StartINCCheck(15e6, func(c float64, _ bool) {}) // discard warm-up
-	sched.RunUntilIdle()
-	p.StartINCCheck(15e6, func(c float64, _ bool) { incBefore = c })
-	p.StartMemCheck(15e6, func(c float64, _ bool) { memBefore = c })
-	sched.RunUntilIdle()
-	p.SetCoreFreqHz(simtime.PaperCoreHz / 2)
-	if p.CoreFreqHz() != simtime.PaperCoreHz/2 {
-		t.Fatal("SetCoreFreqHz did not apply")
-	}
-	p.StartINCCheck(15e6, func(c float64, _ bool) { incAfter = c })
-	p.StartMemCheck(15e6, func(c float64, _ bool) { memAfter = c })
-	sched.RunUntilIdle()
-	if r := incAfter / incBefore; math.Abs(r-0.5) > 0.01 {
+	before, after := windowsAround(t, func(_ *sim.Scheduler, p *SimPlatform) {
+		p.SetCoreFreqHz(simtime.PaperCoreHz / 2)
+		if p.CoreFreqHz() != simtime.PaperCoreHz/2 {
+			t.Fatal("SetCoreFreqHz did not apply")
+		}
+	})
+	if r := after.inc / before.inc; math.Abs(r-0.5) > 0.01 {
 		t.Errorf("INC ratio after halving freq = %v, want ~0.5", r)
 	}
-	if r := memAfter / memBefore; math.Abs(r-1) > 0.05 {
+	if r := after.mem / before.mem; math.Abs(r-1) > 0.05 {
 		t.Errorf("mem ratio after halving freq = %v, want ~1", r)
 	}
 }
 
 func TestMemCheckDetectsTSCScaling(t *testing.T) {
-	sched, p := monitorRig(t)
-	var before, after float64
-	p.StartMemCheck(15e6, func(c float64, _ bool) { before = c })
-	sched.RunUntilIdle()
-	p.TSC().SetScale(1.25, sched.Now())
-	p.StartMemCheck(15e6, func(c float64, _ bool) { after = c })
-	sched.RunUntilIdle()
-	if r := after / before; math.Abs(r-1/1.25) > 0.05 {
+	before, after := windowsAround(t, func(sched *sim.Scheduler, p *SimPlatform) {
+		p.TSC().SetScale(1.25, sched.Now())
+	})
+	if r := after.mem / before.mem; math.Abs(r-1/1.25) > 0.05 {
 		t.Errorf("mem ratio under 1.25x TSC scale = %v, want ~0.8", r)
 	}
 }
 
 func TestMemCheckInterruptedAndOverlap(t *testing.T) {
 	sched, p := monitorRig(t)
-	interrupted := false
-	p.StartMemCheck(15e6, func(_ float64, i bool) { interrupted = i })
+	log := recordWindows(p, true)
 	sched.At(simtime.FromDuration(time.Millisecond), p.FireAEX)
-	sched.RunUntilIdle()
-	if !interrupted {
-		t.Error("AEX should interrupt the memory measurement")
+	sched.RunUntil(simtime.FromDuration(6 * time.Millisecond))
+	p.touchMonitor()
+	if len(*log) != 0 {
+		t.Errorf("an AEX 1ms into a 5.2ms window, yet %d windows judged by 6ms", len(*log))
 	}
-	p.StartMemCheck(1000, func(float64, bool) {})
 	defer func() {
 		if recover() == nil {
-			t.Error("overlapping mem measurements should panic")
+			t.Error("a second monitor on one monitoring thread should panic")
 		}
 	}()
-	p.StartMemCheck(1000, func(float64, bool) {})
+	recordWindows(p, true)
 }
 
 func TestSetCoreFreqValidation(t *testing.T) {

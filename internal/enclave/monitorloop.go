@@ -1,0 +1,511 @@
+package enclave
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"triadtime/internal/sim"
+	"triadtime/internal/simtime"
+)
+
+// noiseWindows is how many windows of measurement noise a monitoring
+// loop draws ahead: the furthest it judges ahead of the scheduler, and
+// so the longest it goes without a firing while no window calls back.
+const noiseWindows = 64
+
+// windowNoise is one window's measurement noise, drawn ahead.
+type windowNoise struct {
+	inc, incOff float64 // INC: the Gaussian term, the warm-up or outlier offset
+	mem         float64 // memory: the relative Gaussian term
+	// memAt is the RNG's position before the memory term was drawn.
+	memAt sim.RNGMark
+}
+
+// monitorLoop is a SimPlatform's monitoring thread running a
+// RateMonitor: back-to-back windows, each counting INC and, when the
+// monitor enables it, memory accesses over the same guest ticks.
+//
+// A window's only effects are its noise draws, a step of the judge and,
+// rarely, a monitor callback. Within a TSC generation windows run back
+// to back at a fixed span from the last (re)start, and the platform's
+// RNG is drawn only by window completions, in completion order. So the
+// loop draws the noise of noiseWindows windows ahead, runs the judge
+// over them on a copy of the monitor's state, and sets its one timer at
+// the end of the first window whose counts call back — or of the last
+// window drawn. When the timer fires, the monitor takes the state the
+// copy reached; when something that changes the windows touches the
+// loop first — an AEX, a TSC manipulation, a core-frequency change or a
+// monitor reset — the windows that ended before it in the firing order
+// are judged then, with the same draws and arithmetic. The plan is
+// indexed by completion, not by time, so an AEX only moves the windows'
+// ends: it plans nothing again, unless the window it aborts was one a
+// manipulation had moved.
+//
+// A window's completion sits in the firing order where a timer set at
+// the window's start would fire: at its end, after entries scheduled
+// before its start and before those scheduled after (sim.Key). Among
+// entries scheduled at its start too, its place is its rank. A window
+// begun by a firing or a touch point — a restart, a manipulation, the
+// window after a callback — is ranked: it holds the ranks the scheduler
+// gave out there, one for its INC completion and the next for its
+// memory completion. An entry ranked between the two — one a memory
+// verdict's callback scheduled for the next window's end — sees the
+// first judged and not the second, so a touch point there judges the
+// INC completion alone. An AEX there aborts only the memory window,
+// which never draws its noise: the loop rewinds the RNG to that draw
+// and draws from there again. A TSC manipulation there would part the
+// two counters' windows, which one window cannot hold, and panics.
+//
+// A window begun at the end of one no firing judged holds no rank, but
+// a touch point at its start bounds it from above: the window began
+// before the touch. If another entry due at such a window's end was
+// scheduled at its start with a rank the window's do not order, the
+// order cannot be decided and the loop panics rather than guess; that
+// entry may be another loop's window calling back at the same instant.
+type monitorLoop struct {
+	m     *RateMonitor
+	timer sim.Timer
+	// span is the length of a window begun in the TSC's current
+	// generation.
+	span time.Duration
+
+	// The head is the first window not wholly judged. It runs from start
+	// to end, its end was scheduled at from, and its INC and memory
+	// completions hold ranks in [lo, hi]: exactly lo and hi when ranked,
+	// [0, unranked] when nothing is known. half is set once its INC
+	// completion is judged and its memory one is not.
+	start, end   simtime.Instant
+	from         simtime.Instant
+	lo, hi       uint64
+	ranked, half bool
+	// moved is set once a manipulation moved the head's end; target is
+	// then its guest tick target.
+	moved  bool
+	target uint64
+
+	// noise[next:drawn] is the noise of the head and the windows after.
+	noise       [noiseWindows]windowNoise
+	next, drawn int
+	// ahead is the monitor's state once the windows before the timer's,
+	// and the timer's own unless it calls back, are judged.
+	ahead monitorState
+	// due counts the windows after the head up to the one the timer is
+	// set at; verdict is set when that one calls back.
+	due     int
+	verdict bool
+	// judging is set while a window's callbacks run.
+	judging bool
+
+	// record, when set, runs before the loop moves past the head.
+	record func()
+}
+
+// StartMonitor runs m's windows on the monitoring core (monitorLoop).
+func (p *SimPlatform) StartMonitor(m *RateMonitor) {
+	l := &p.mon
+	if l.m != nil {
+		panic("enclave: a second monitor on one monitoring thread")
+	}
+	l.m = m
+	m.reset = p.resetMonitor
+	l.timer = p.sched.NewTimer(p.fireMonitor)
+	l.span = p.windowSpan(m.ticks)
+	p.beginWindow()
+	p.planMonitor()
+}
+
+// MeasureINC counts n back-to-back INC windows of ticks guest ticks on
+// the monitoring core, with nothing interrupting them, and returns the
+// counts. It draws their noise as the monitoring loop does but runs no
+// events: a count depends on the window's length and the core alone.
+func (p *SimPlatform) MeasureINC(ticks uint64, n int) []float64 {
+	if p.mon.m != nil {
+		panic("enclave: MeasureINC on a core running a monitor")
+	}
+	ideal, _ := p.idealCounts(p.windowSpan(ticks))
+	counts := make([]float64, n)
+	for i := range counts {
+		var w windowNoise
+		p.drawWindow(&w, false)
+		counts[i] = p.incModel.count(ideal, w.inc, w.incOff)
+	}
+	return counts
+}
+
+// windowSpan is the length of a window of ticks begun now: its target
+// is exactly ticks away, so TimeOfReaching puts its end ticks / (scale
+// * hostHz) later, whenever in the generation it begins.
+func (p *SimPlatform) windowSpan(ticks uint64) time.Duration {
+	now := p.sched.Now()
+	span := p.tsc.TimeOfReaching(p.ReadTSC()+ticks, now).Sub(now)
+	if span <= 0 {
+		panic(fmt.Sprintf("enclave: a %d-tick monitoring window lasts %v", ticks, span))
+	}
+	return span
+}
+
+// unranked is the hi of a window whose ranks are unknown.
+const unranked = math.MaxUint64
+
+// beginWindow makes the head a window beginning now, ranked here.
+//
+//triad:hotpath
+func (p *SimPlatform) beginWindow() {
+	l := &p.mon
+	now := p.sched.Now()
+	l.start, l.from, l.end = now, now, now.Add(l.span)
+	l.moved, l.half = false, false
+	p.rankHead()
+}
+
+// rankHead gives the head's completions the next ranks, as setting
+// their timers now would.
+//
+//triad:hotpath
+func (p *SimPlatform) rankHead() {
+	l := &p.mon
+	l.lo = p.sched.Reserve()
+	l.hi = l.lo
+	if l.m.memEnabled {
+		l.hi = p.sched.Reserve()
+	}
+	l.ranked = true
+}
+
+// touchMonitor commits the completions that came before the scheduler's
+// position, ahead of a change to what the later ones count. A head that
+// began here began before the touch, so whatever is scheduled from now
+// on ranks above it.
+//
+//triad:hotpath
+func (p *SimPlatform) touchMonitor() {
+	l := &p.mon
+	if l.m == nil || l.judging {
+		return // a callback's changes are planned for when it returns
+	}
+	pos := p.sched.Position()
+	for p.completesBefore(pos) {
+		p.judgeHead()
+	}
+	if l.from == pos.At && l.hi == unranked {
+		l.hi = p.sched.Reserve()
+	}
+}
+
+// replanMonitor plans again after a change touchMonitor preceded.
+func (p *SimPlatform) replanMonitor() {
+	if l := &p.mon; l.m != nil && !l.judging {
+		p.planMonitor()
+	}
+}
+
+// completesBefore reports whether the head's next completion comes
+// before the entry at pos in the firing order.
+//
+//triad:hotpath
+func (p *SimPlatform) completesBefore(pos sim.Key) bool {
+	l := &p.mon
+	switch {
+	case l.end != pos.At:
+		return l.end < pos.At
+	case l.from != pos.From:
+		return l.from < pos.From
+	case l.half:
+		return l.hi < pos.Seq
+	case l.ranked:
+		return l.lo < pos.Seq
+	case pos.Seq < l.lo:
+		return false
+	case pos.Seq > l.hi:
+		return true
+	}
+	p.undecidable()
+	return false
+}
+
+// undecidable panics on an entry whose place next to the head's
+// completions the loop cannot know.
+func (p *SimPlatform) undecidable() {
+	l := &p.mon
+	if l.ranked {
+		panic(fmt.Sprintf("enclave: an entry due at %v falls between the INC and memory completions of a monitoring window that calls back", l.end))
+	}
+	panic(fmt.Sprintf("enclave: an entry due at %v was scheduled at %v, where a monitoring window no firing judged ended: "+
+		"its order against the next window's completion is undecidable", l.end, l.from))
+}
+
+// restartMonitor discards the window in flight and begins the next.
+//
+//triad:hotpath
+func (p *SimPlatform) restartMonitor() {
+	l := &p.mon
+	if l.m == nil {
+		return
+	}
+	if l.judging {
+		panic("enclave: an AEX from inside a monitor callback")
+	}
+	p.touchMonitor()
+	replan := l.moved // the aborted head's count differed from a whole window's
+	if l.half {
+		// The memory window aborted never draws its noise: what the RNG
+		// gave from there on is the next windows' to draw.
+		p.rng.Rewind(l.noise[l.next].memAt)
+		l.drawn = l.next
+		replan = true
+	}
+	p.beginWindow()
+	if replan {
+		p.planMonitor()
+		return
+	}
+	p.armMonitor()
+}
+
+// onTSCManipulated moves the end of the window in flight to where the
+// manipulation at the given instant has put its tick target. It runs
+// after every manipulation, so a target not yet worked out is the view
+// the latest one replaced, read at start, plus the monitor's ticks.
+func (p *SimPlatform) onTSCManipulated(at simtime.Instant) {
+	l := &p.mon
+	if l.m == nil {
+		return
+	}
+	if l.judging {
+		panic("enclave: a TSC manipulation from inside a monitor callback")
+	}
+	p.touchMonitor()
+	if l.half {
+		panic(fmt.Sprintf("enclave: a TSC manipulation at %v falls between the INC and memory completions of a monitoring window", at))
+	}
+	if !l.moved {
+		l.target = p.tsc.ReadPriorAt(l.start) + l.m.ticks
+		l.moved = true
+	}
+	l.end = p.tsc.TimeOfReaching(l.target, at)
+	l.from = p.sched.Now()
+	p.rankHead()
+	l.span = p.windowSpan(l.m.ticks)
+	p.planMonitor()
+}
+
+// resetMonitor re-baselines the monitor (RateMonitor.Reset).
+func (p *SimPlatform) resetMonitor() {
+	p.touchMonitor()
+	p.mon.m.state = monitorState{}
+	p.replanMonitor()
+}
+
+// idealCounts are the noise-free counts of a window lasting elapsed:
+// elapsed seconds times the INC rate (core frequency over cycles per
+// INC) and times the memory access rate.
+//
+//triad:hotpath
+func (p *SimPlatform) idealCounts(elapsed time.Duration) (inc, mem float64) {
+	s := elapsed.Seconds()
+	return s * p.core.FreqHz / p.core.CyclesPerINC, s * p.memModel.AccessesPerSec
+}
+
+// headCounts are the measured counts of the head window.
+//
+//triad:hotpath
+func (p *SimPlatform) headCounts() (inc, mem float64) {
+	l := &p.mon
+	incIdeal, memIdeal := p.idealCounts(l.end.Sub(l.start))
+	n := &l.noise[l.next]
+	return p.incModel.count(incIdeal, n.inc, n.incOff), p.memModel.count(memIdeal, n.mem)
+}
+
+// judgeHead judges the head's next completion, which the plan found
+// calls no callback — of a ranked window's two, the INC one alone —
+// and moves on past a window judged whole.
+//
+//triad:hotpath
+func (p *SimPlatform) judgeHead() {
+	l := &p.mon
+	m := l.m
+	inc, mem := p.headCounts()
+	if !l.half {
+		m.judgeINC(&m.state, inc)
+		if m.memEnabled && l.ranked {
+			l.half = true
+			return
+		}
+	}
+	if m.memEnabled {
+		m.judgeMem(&m.state, mem)
+	}
+	p.advanceHead()
+}
+
+// advanceHead makes the window after the head the head, whose
+// judgement the state ahead holds or a caller made. The new head begins
+// at the old one's end, a place in the firing order it has no rank at.
+//
+//triad:hotpath
+func (p *SimPlatform) advanceHead() {
+	l := &p.mon
+	if l.record != nil {
+		l.record()
+	}
+	l.next++
+	l.due--
+	l.start, l.from = l.end, l.end
+	l.end = l.end.Add(l.span)
+	l.lo, l.hi, l.ranked = 0, unranked, false
+	l.half, l.moved = false, false
+}
+
+// fireMonitor runs at the end of the window the timer was set at: it
+// commits the windows before that one and then that one — with its
+// callbacks, if it calls back — and plans ahead again.
+//
+// Both completions of a window that calls back are judged here, in one
+// firing: nothing comes between them. Only a memory verdict's callback
+// ranks entries between the two completions of a window, the next one,
+// and that verdict re-baselines both counters, so the next window is
+// warm-up to both and calls back in neither.
+//
+//triad:hotpath
+func (p *SimPlatform) fireMonitor() {
+	l := &p.mon
+	for l.due > 0 {
+		p.advanceHead()
+	}
+	if !l.verdict {
+		p.advanceHead()
+	}
+	l.m.state = l.ahead
+	if !l.verdict {
+		p.planMonitor()
+		return
+	}
+	// A timer that only ends the noise drawn (armMonitor) calls nobody
+	// back: its place next to this one does not matter.
+	if k, ok := p.sched.Next(); ok && k.At == l.end && k.From == l.from && k.Seq <= l.hi && k.Seq != unranked {
+		p.undecidable()
+	}
+	m := l.m
+	inc, mem := p.headCounts()
+	// The callbacks run in completion order, and each completion begins
+	// its counter's next window before the following one is judged.
+	l.judging = true
+	if fn, rel := m.judgeINC(&m.state, inc); fn != nil {
+		fn(rel)
+	}
+	lo := p.sched.Reserve()
+	hi := lo
+	if m.memEnabled {
+		if fn, rel := m.judgeMem(&m.state, mem); fn != nil {
+			fn(rel)
+		}
+		hi = p.sched.Reserve()
+	}
+	l.judging = false
+	p.advanceHead()
+	l.lo, l.hi, l.ranked = lo, hi, true
+	p.planMonitor()
+}
+
+// planMonitor runs the judge ahead from the head on a copy of the
+// monitor's state, over the noise drawn, and sets the timer at the end
+// of the first window that calls back, or of the last one drawn.
+//
+//triad:hotpath
+func (p *SimPlatform) planMonitor() {
+	l := &p.mon
+	p.drawMonitorNoise()
+	l.ahead = l.m.state
+	j := p.judgeAhead(&l.ahead, l.drawn)
+	l.verdict = j < l.drawn
+	if !l.verdict {
+		l.due = l.drawn - 1
+	} else {
+		// Judged through the window that calls back: judge again, up to
+		// it.
+		l.due = j
+		l.ahead = l.m.state
+		p.judgeAhead(&l.ahead, j)
+	}
+	p.armMonitor()
+}
+
+// judgeAhead judges up to n windows from the head on s, and returns
+// the index of the first whose counts call back, or n.
+//
+//triad:hotpath
+func (p *SimPlatform) judgeAhead(s *monitorState, n int) int {
+	l := &p.mon
+	m := l.m
+	incIdeal, memIdeal := p.idealCounts(l.end.Sub(l.start))
+	incSpan, memSpan := p.idealCounts(l.span)
+	for j := 0; j < n; j++ {
+		if j == 1 {
+			incIdeal, memIdeal = incSpan, memSpan
+		}
+		w := &l.noise[j]
+		if j > 0 || !l.half {
+			if fn, _ := m.judgeINC(s, p.incModel.count(incIdeal, w.inc, w.incOff)); fn != nil {
+				return j
+			}
+		}
+		if !m.memEnabled {
+			continue
+		}
+		if fn, _ := m.judgeMem(s, p.memModel.count(memIdeal, w.mem)); fn != nil {
+			return j
+		}
+	}
+	return n
+}
+
+// armMonitor sets the timer at the completion of the window due
+// windows after the head: the head's own key, or one whose end and
+// scheduling instant follow from the span. A timer that only ends the
+// noise drawn calls nobody back, so where it fires among the entries
+// its key ties with does not matter: it goes after all of them, out of
+// the way of a callback's tie check. (A half-judged head is never due:
+// it is warm-up, see fireMonitor, and its touch planned afresh.)
+//
+//triad:hotpath
+func (p *SimPlatform) armMonitor() {
+	l := &p.mon
+	k := sim.Key{At: l.end, From: l.from, Seq: l.lo}
+	if l.due > 0 {
+		k.From = l.end.Add(time.Duration(l.due-1) * l.span)
+		k.At = k.From.Add(l.span)
+		k.Seq = 0
+	}
+	if !l.verdict {
+		k.Seq = math.MaxUint64
+	}
+	l.timer.SetKey(k)
+}
+
+// drawMonitorNoise moves the noise not yet judged to the front of the
+// buffer and draws windows to fill the rest.
+//
+//triad:hotpath
+func (p *SimPlatform) drawMonitorNoise() {
+	l := &p.mon
+	l.drawn = copy(l.noise[:], l.noise[l.next:l.drawn])
+	l.next = 0
+	for ; l.drawn < noiseWindows; l.drawn++ {
+		p.drawWindow(&l.noise[l.drawn], l.m.memEnabled)
+	}
+}
+
+// drawWindow draws one window's noise in the order its completions
+// draw it: INC's Gaussian term, then — past the core's first
+// measurement — its outlier roll, then the memory counter's term.
+//
+//triad:hotpath
+func (p *SimPlatform) drawWindow(n *windowNoise, mem bool) {
+	n.inc, n.incOff = p.incModel.draw(!p.drewINC, p.rng)
+	p.drewINC = true
+	if mem {
+		n.memAt = p.rng.Mark()
+		n.mem = p.memModel.draw(p.rng)
+	}
+}

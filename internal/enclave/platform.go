@@ -65,19 +65,12 @@ type Platform interface {
 	// There is exactly one handler; later calls replace it.
 	SetMessageHandler(fn func(from simnet.Addr, payload []byte))
 
-	// StartINCCheck runs the monitoring loop until the guest TSC
-	// advances by ticks, then reports the number of loop iterations
-	// ("INC instructions") executed. An AEX ends the measurement at
-	// once with interrupted=true, and starting one while another is in
-	// flight panics, on both platforms.
-	StartINCCheck(ticks uint64, done func(count float64, interrupted bool))
-
-	// StartMemCheck is the frequency-independent twin of StartINCCheck:
-	// it counts memory accesses (whose rate is set by the memory
-	// subsystem, not the core's DVFS state) over the same kind of
-	// guest-TSC window. The paper's §IV-A.1 answer to RQ A.1: coupling
-	// the accurate-but-frequency-dependent INC monitor with a less
-	// accurate but frequency-independent monitor locks an attacker out
-	// of masking TSC scaling with a matching core-frequency change.
-	StartMemCheck(ticks uint64, done func(count float64, interrupted bool))
+	// StartMonitor runs m on the monitoring thread: back-to-back
+	// windows of m.Ticks() guest ticks, each counting loop iterations
+	// ("INC instructions") and, when m.MemEnabled(), memory accesses
+	// (whose rate is set by the memory subsystem, not the core's DVFS
+	// state: the paper's §IV-A.1 answer to RQ A.1), judged by m in
+	// completion order. An AEX discards the window in flight and the
+	// next starts at once. One monitor per platform: a second panics.
+	StartMonitor(m *RateMonitor)
 }

@@ -22,13 +22,15 @@ type SimPlatform struct {
 	bootHz   float64
 	incModel INCModel
 	memModel MemModel
-	incIndex int
+	// drewINC records that the core's first INC measurement, the warm-up
+	// one, has had its noise drawn.
+	drewINC bool
 
 	aexHandler func()
 	msgHandler func(from simnet.Addr, payload []byte)
 
-	// The monitoring thread's two measurement loops.
-	inc, mem window
+	// mon is the monitoring thread, once a monitor runs on it.
+	mon monitorLoop
 
 	// AEX bookkeeping for Figure 1's CDFs and Figure 6b's counts.
 	aexCount  int
@@ -39,100 +41,6 @@ type SimPlatform struct {
 }
 
 var _ Platform = (*SimPlatform)(nil)
-
-// window is one of the monitoring thread's measurement loops: INC
-// counting or memory-access counting. A measurement runs until the guest
-// TSC reaches an absolute target, so mid-window manipulation (a jump or
-// rescale) moves its completion time — exactly how the real monitoring
-// loop reacts. One re-armable timer carries every window of the run.
-//
-// Back-to-back windows repeat two pure computations, which the window
-// memoises. Each memo holds the last key and the value the un-memoised
-// formula gave for it, and a different key goes back to the formula, so
-// a hit returns the very float a recomputation would.
-type window struct {
-	timer sim.Timer
-	done  func(count float64, interrupted bool) // nil when none is in flight
-	start simtime.Instant
-	ticks uint64
-	// target is the guest TSC value that ends the measurement: the value
-	// at start plus ticks. Only a manipulation makes it matter, so it is
-	// worked out when the first one lands (targetOK).
-	target   uint64
-	targetOK bool
-
-	// Length memo. At start the target is exactly ticks away, so
-	// TimeOfReaching puts it ticks / (scale * hostHz) later: a function
-	// of ticks and of the TSC's guest view, which is fixed for a
-	// generation.
-	spanOK    bool
-	spanTicks uint64
-	spanGen   uint64
-	span      time.Duration
-
-	// Ideal-count memo: elapsed seconds * rate / per.
-	idealOK      bool
-	idealElapsed time.Duration
-	idealRate    float64
-	idealPer     float64
-	ideal        float64
-}
-
-// begin starts a measurement of ticks guest ticks.
-//
-//triad:hotpath
-func (w *window) begin(p *SimPlatform, ticks uint64, done func(count float64, interrupted bool)) {
-	w.done = done
-	w.start = p.sched.Now()
-	w.ticks = ticks
-	w.targetOK = false
-	if gen := p.tsc.Generation(); !w.spanOK || w.spanTicks != ticks || w.spanGen != gen {
-		w.span = p.tsc.TimeOfReaching(p.ReadTSC()+ticks, w.start).Sub(w.start)
-		w.spanOK, w.spanTicks, w.spanGen = true, ticks, gen
-	}
-	w.timer.Set(w.start.Add(w.span))
-}
-
-// end closes the measurement whose timer just fired and returns its
-// completion callback with the noise-free count of a loop executing
-// rate/per iterations per second of the real time the window spanned.
-//
-//triad:hotpath
-func (w *window) end(now simtime.Instant, rate, per float64) (done func(count float64, interrupted bool), ideal float64) {
-	done, w.done = w.done, nil
-	elapsed := now.Sub(w.start)
-	if !w.idealOK || w.idealElapsed != elapsed || w.idealRate != rate || w.idealPer != per {
-		w.ideal = elapsed.Seconds() * rate / per
-		w.idealOK, w.idealElapsed, w.idealRate, w.idealPer = true, elapsed, rate, per
-	}
-	return done, w.ideal
-}
-
-// abort interrupts the measurement in flight, if any.
-func (w *window) abort() {
-	if w.done == nil {
-		return
-	}
-	done := w.done
-	w.done = nil
-	w.timer.Stop()
-	done(0, true)
-}
-
-// retarget moves the completion of the measurement in flight, if any,
-// to where a manipulation at the given instant has put its tick target.
-// It runs after every manipulation, so a target not yet worked out is
-// the view the latest one replaced, read at start, plus ticks.
-func (w *window) retarget(tsc *simtime.TSC, at simtime.Instant) {
-	if w.done == nil {
-		return
-	}
-	if !w.targetOK {
-		w.target = tsc.ReadPriorAt(w.start) + w.ticks
-		w.targetOK = true
-	}
-	w.timer.Set(tsc.TimeOfReaching(w.target, at))
-}
 
 // SimConfig configures a simulated enclave.
 type SimConfig struct {
@@ -194,24 +102,15 @@ func NewSimPlatform(sched *sim.Scheduler, rng *sim.RNG, net *simnet.Network, cfg
 		memModel:  memModel,
 		recordGap: cfg.RecordAEXGaps,
 	}
-	p.inc.timer = sched.NewTimer(p.finishINC)
-	p.mem.timer = sched.NewTimer(p.finishMem)
 	net.Register(cfg.Addr, func(pkt simnet.Packet) {
 		if p.msgHandler != nil {
 			p.msgHandler(pkt.From, pkt.Payload)
 		}
 	})
-	// Mid-window TSC manipulation moves the instant an in-flight
-	// measurement's tick target is reached.
+	// Mid-window TSC manipulation moves the instant the window in
+	// flight reaches its tick target.
 	cfg.TSC.Observe(p.onTSCManipulated)
 	return p
-}
-
-// onTSCManipulated reschedules in-flight measurement completions after
-// a guest-TSC jump or rescale.
-func (p *SimPlatform) onTSCManipulated(at simtime.Instant) {
-	p.inc.retarget(p.tsc, at)
-	p.mem.retarget(p.tsc, at)
 }
 
 // Addr reports the platform's network address.
@@ -250,49 +149,6 @@ func (p *SimPlatform) SetMessageHandler(fn func(from simnet.Addr, payload []byte
 	p.msgHandler = fn
 }
 
-// StartINCCheck runs one monitoring-loop measurement: count iterations
-// until the guest TSC advances by ticks. An AEX during the window
-// aborts it with interrupted=true (the count is then meaningless and
-// reported as 0). The executed iteration count reflects the *real*
-// time the window spans, which is what makes the loop a detector: any
-// manipulation that bends guest-ticks-per-real-second shifts the count.
-//
-//triad:hotpath
-func (p *SimPlatform) StartINCCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	if p.inc.done != nil {
-		panic("enclave: overlapping INC measurements on one monitoring thread")
-	}
-	p.inc.begin(p, ticks, done)
-}
-
-//triad:hotpath
-func (p *SimPlatform) finishINC() {
-	done, ideal := p.inc.end(p.sched.Now(), p.core.FreqHz, p.core.CyclesPerINC)
-	count := p.incModel.sample(ideal, p.incIndex, p.rng)
-	p.incIndex++
-	done(count, false)
-}
-
-// StartMemCheck runs one memory-access measurement over ticks guest
-// ticks. Its count depends on the memory subsystem's rate and the real
-// time the window spans — but not the core frequency, which is what
-// lets it catch TSC-scaling masked by a matching DVFS change.
-//
-//triad:hotpath
-func (p *SimPlatform) StartMemCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	if p.mem.done != nil {
-		panic("enclave: overlapping memory measurements on one monitoring thread")
-	}
-	p.mem.begin(p, ticks, done)
-}
-
-//triad:hotpath
-func (p *SimPlatform) finishMem() {
-	// Dividing by one is exact, so this is elapsed * AccessesPerSec.
-	done, ideal := p.mem.end(p.sched.Now(), p.memModel.AccessesPerSec, 1)
-	done(p.memModel.sampleMem(ideal, p.rng), false)
-}
-
 // SetCoreFreqHz models the attacker (who owns the OS frequency
 // governor) switching the monitoring core to another DVFS operating
 // point. Intel exposes only discrete pre-determined frequencies; the
@@ -301,7 +157,9 @@ func (p *SimPlatform) SetCoreFreqHz(hz float64) {
 	if hz <= 0 {
 		panic("enclave: non-positive core frequency")
 	}
+	p.touchMonitor()
 	p.core.FreqHz = hz
+	p.replanMonitor()
 }
 
 // CoreFreqHz reports the monitoring core's current frequency.
@@ -309,8 +167,8 @@ func (p *SimPlatform) CoreFreqHz() float64 { return p.core.FreqHz }
 
 // FireAEX delivers an Asynchronous Enclave Exit to this enclave's
 // monitoring core: interrupt injectors and machine-wide OS interrupt
-// processes call this. It aborts any in-flight INC or memory
-// measurement, records the inter-AEX gap, and then invokes the
+// processes call this. It records the inter-AEX gap, discards the
+// monitoring window in flight and starts the next, and then invokes the
 // AEX-Notify handler.
 func (p *SimPlatform) FireAEX() {
 	now := p.sched.Now()
@@ -321,8 +179,7 @@ func (p *SimPlatform) FireAEX() {
 	p.sawAEX = true
 	p.lastAEXAt = now
 
-	p.inc.abort()
-	p.mem.abort()
+	p.restartMonitor()
 	if p.aexHandler != nil {
 		p.aexHandler()
 	}

@@ -1,7 +1,10 @@
 package enclave
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,10 +16,11 @@ import (
 // monitoredCores builds n platforms on one scheduler, each running a
 // RateMonitor over the paper's 15e6-tick window — the monitoring load of
 // an n-node cluster with nothing else going on.
-func monitoredCores(n int, enableMem bool) *sim.Scheduler {
+func monitoredCores(n int, enableMem bool) (*sim.Scheduler, []*SimPlatform) {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(7)
 	net := simnet.New(sched, rng.Fork(0), simnet.Link{Base: time.Millisecond})
+	var ps []*SimPlatform
 	for i := 0; i < n; i++ {
 		p := NewSimPlatform(sched, rng.Fork(uint64(i+1)), net, SimConfig{
 			Addr: simnet.Addr(i + 1),
@@ -28,13 +32,15 @@ func monitoredCores(n int, enableMem bool) *sim.Scheduler {
 			EnableMem:     enableMem,
 			OnDiscrepancy: func(float64) {},
 		}).Start()
+		ps = append(ps, p)
 	}
-	return sched
+	return sched, ps
 }
 
 // TestMonitorWindowZeroAllocSteadyState is the allocation gate CI runs
-// on the monitoring loop: finishing a window, judging its count and
-// starting the next must not allocate, with or without the memory
+// on the monitoring loop: judging windows ahead, judging them when the
+// timer fires or an AEX or a core-frequency change touches the loop,
+// and planning again must not allocate, with or without the memory
 // monitor beside the INC one.
 func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
@@ -42,133 +48,590 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 		enableMem bool
 	}{{"INC", false}, {"INC+Mem", true}} {
 		t.Run(tc.name, func(t *testing.T) {
-			sched := monitoredCores(1, tc.enableMem)
-			for i := 0; i < 64; i++ { // past warm-up and baseline learning
-				sched.Step()
+			sched, ps := monitoredCores(1, tc.enableMem)
+			p := ps[0]
+			sched.RunUntil(simtime.FromSeconds(1)) // past warm-up and baseline learning
+			if allocs := testing.AllocsPerRun(100, func() { sched.Step() }); allocs != 0 {
+				t.Errorf("a timer firing of the monitoring loop allocates %.1f objects, want 0", allocs)
 			}
-			if allocs := testing.AllocsPerRun(1000, func() { sched.Step() }); allocs != 0 {
-				t.Errorf("a monitoring window allocates %.1f objects, want 0", allocs)
+			hz := []float64{simtime.PaperCoreHz, simtime.PaperCoreHz * 1.001}
+			i := 0
+			touch := func() {
+				sched.RunUntil(sched.Now().Add(7 * time.Millisecond))
+				p.FireAEX()
+				p.SetCoreFreqHz(hz[i%2])
+				i++
+			}
+			if allocs := testing.AllocsPerRun(100, touch); allocs != 0 {
+				t.Errorf("judging and planning at touch points allocates %.1f objects, want 0", allocs)
 			}
 		})
 	}
 }
 
-// BenchmarkMonitorWindow times one monitoring window end to end — timer
-// fire, count, baseline comparison, next window armed — on a hardened
-// three-node cluster's worth of cores (six interleaved window chains),
-// with a few far-off events standing in for the cluster's other pending
-// work.
+// BenchmarkMonitorWindow times the monitoring loop per simulated window
+// on a hardened three-node cluster's worth of cores, with a few far-off
+// events standing in for the cluster's other pending work: everything a
+// window costs, whether it is judged ahead or when the timer fires.
 func BenchmarkMonitorWindow(b *testing.B) {
-	sched := monitoredCores(3, true)
+	const cores = 3
+	sched, ps := monitoredCores(cores, true)
 	for i := 0; i < 8; i++ {
 		sched.At(simtime.FromDuration(1000*time.Hour), func() {})
 	}
-	for i := 0; i < 64; i++ {
-		sched.Step()
-	}
+	span := ps[0].mon.span
+	sched.RunUntil(simtime.FromDuration(64 * span))
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sched.Step()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/window")
+	sched.RunUntil(sched.Now().Add(time.Duration(b.N) * span))
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cores*b.N), "ns/window")
 }
 
-// TestWindowMemosMatchFormulas drives INC and memory windows through a
-// random script of everything that can change a window's length or
-// count — rescales and jumps of the guest TSC (between windows and in
-// the middle of one), core frequency changes, AEX interruptions and a
-// changing window size — and requires every completion instant and
-// every count to equal, bit for bit, what the un-memoised formulas give:
-// TimeOfReaching for the end, elapsed seconds times rate for the count.
-// The noise models are zeroed so that the reported count is the ideal
-// one.
-func TestWindowMemosMatchFormulas(t *testing.T) {
-	for trial := int64(0); trial < 20; trial++ {
-		rnd := rand.New(rand.NewSource(trial + 1))
-		sched := sim.NewScheduler()
-		rng := sim.NewRNG(uint64(trial))
-		net := simnet.New(sched, rng.Fork(0), simnet.Link{Base: time.Millisecond})
-		tsc := simtime.NewTSC(simtime.NominalTSCHz, 7e9)
-		core := simtime.PaperCore()
-		memModel := MemModel{AccessesPerSec: 1.2e8}
-		p := NewSimPlatform(sched, rng, net, SimConfig{
-			Addr:     1,
-			TSC:      tsc,
-			Core:     core,
-			INCModel: INCModel{OutlierOffset: 1}, // non-zero, so kept; adds no noise
-			MemModel: memModel,
+// The eager reference: the monitoring loop as the simulator ran it
+// before windows were judged ahead — two re-armable timers per core, one
+// per counter, and every window a firing that draws its noise, computes
+// its count and judges it with the RateMonitor logic of the time. The
+// window length and the ideal count come straight from the formulas
+// (TimeOfReaching, elapsed seconds times rate) on every window.
+
+type eagerCore struct {
+	sched    *sim.Scheduler
+	rng      *sim.RNG
+	tsc      *simtime.TSC
+	core     simtime.Core
+	incModel INCModel
+	memModel MemModel
+	incIndex int
+	inc, mem eagerWindow
+
+	// The monitor.
+	ticks              uint64
+	incTol, memTol     float64
+	memEnabled         bool
+	incState, memState baselineState
+	onDiscrepancy      func(rel float64)
+	onFreqChange       func(rel float64)
+
+	counted func(counter string, count float64)
+	aborted func(counter string, start simtime.Instant)
+}
+
+type eagerWindow struct {
+	timer    sim.Timer
+	done     func(count float64, interrupted bool)
+	start    simtime.Instant
+	endAt    simtime.Instant
+	ticks    uint64
+	target   uint64
+	targetOK bool
+}
+
+func (w *eagerWindow) begin(c *eagerCore, ticks uint64, done func(float64, bool)) {
+	w.done = done
+	w.start = c.sched.Now()
+	w.ticks = ticks
+	w.targetOK = false
+	w.endAt = c.tsc.TimeOfReaching(c.tsc.ReadAt(w.start)+ticks, w.start)
+	w.timer.Set(w.endAt)
+}
+
+func (w *eagerWindow) end(now simtime.Instant, rate, per float64) (func(float64, bool), float64) {
+	done := w.done
+	w.done = nil
+	return done, now.Sub(w.start).Seconds() * rate / per
+}
+
+func (w *eagerWindow) abort(c *eagerCore, counter string) {
+	if w.done == nil {
+		return
+	}
+	done := w.done
+	w.done = nil
+	w.timer.Stop()
+	c.aborted(counter, w.start)
+	done(0, true)
+}
+
+func (w *eagerWindow) retarget(tsc *simtime.TSC, at simtime.Instant) {
+	if w.done == nil {
+		return
+	}
+	if !w.targetOK {
+		w.target = tsc.ReadPriorAt(w.start) + w.ticks
+		w.targetOK = true
+	}
+	w.endAt = tsc.TimeOfReaching(w.target, at)
+	w.timer.Set(w.endAt)
+}
+
+func newEagerCore(sched *sim.Scheduler, rng *sim.RNG, tsc *simtime.TSC, cfg MonitorConfig) *eagerCore {
+	c := &eagerCore{
+		sched: sched, rng: rng, tsc: tsc,
+		core:     simtime.PaperCore(),
+		incModel: PaperINCModel(), memModel: PaperMemModel(),
+		ticks: cfg.INCTicks, incTol: cfg.INCTol, memTol: cfg.MemTol, memEnabled: cfg.EnableMem,
+		onDiscrepancy: cfg.OnDiscrepancy, onFreqChange: cfg.OnFreqChange,
+	}
+	if c.memTol <= 0 {
+		c.memTol = 0.08
+	}
+	c.inc.timer = sched.NewTimer(c.finishINC)
+	c.mem.timer = sched.NewTimer(c.finishMem)
+	tsc.Observe(func(at simtime.Instant) {
+		c.inc.retarget(c.tsc, at)
+		c.mem.retarget(c.tsc, at)
+	})
+	return c
+}
+
+func (c *eagerCore) start() {
+	c.nextINC()
+	if c.memEnabled {
+		c.nextMem()
+	}
+}
+
+func (c *eagerCore) nextINC() {
+	c.inc.begin(c, c.ticks, func(count float64, interrupted bool) {
+		if !interrupted {
+			c.onINC(count)
+		}
+		c.nextINC()
+	})
+}
+
+func (c *eagerCore) nextMem() {
+	c.mem.begin(c, c.ticks, func(count float64, interrupted bool) {
+		if !interrupted {
+			c.onMem(count)
+		}
+		c.nextMem()
+	})
+}
+
+func (c *eagerCore) finishINC() {
+	done, ideal := c.inc.end(c.sched.Now(), c.core.FreqHz, c.core.CyclesPerINC)
+	m := c.incModel
+	v := ideal + c.rng.Gaussian(0, m.NoiseSigma)
+	if c.incIndex == 0 {
+		v += m.WarmupOffset
+	} else if m.OutlierProb > 0 && c.rng.Float64() < m.OutlierProb {
+		v += m.OutlierOffset
+	}
+	if v < 0 {
+		v = 0
+	}
+	c.incIndex++
+	c.counted("inc", v)
+	done(v, false)
+}
+
+func (c *eagerCore) finishMem() {
+	done, ideal := c.mem.end(c.sched.Now(), c.memModel.AccessesPerSec, 1)
+	v := ideal * (1 + c.rng.Gaussian(0, c.memModel.NoiseFrac))
+	if v < 0 {
+		v = 0
+	}
+	c.counted("mem", v)
+	done(v, false)
+}
+
+func (c *eagerCore) onINC(count float64) {
+	rel, ok := c.incState.observe(count)
+	if !ok || !c.incState.strike(rel > c.incTol) {
+		return
+	}
+	c.incState.reset()
+	if !c.memEnabled {
+		c.onDiscrepancy(rel)
+		return
+	}
+	if c.onFreqChange != nil {
+		c.onFreqChange(rel)
+	}
+}
+
+func (c *eagerCore) onMem(count float64) {
+	rel, ok := c.memState.observe(count)
+	if !ok || !c.memState.strike(rel > c.memTol) {
+		return
+	}
+	c.memState.reset()
+	c.incState.reset()
+	c.onDiscrepancy(rel)
+}
+
+func (c *eagerCore) fireAEX() {
+	c.inc.abort(c, "inc")
+	c.mem.abort(c, "mem")
+}
+
+func (c *eagerCore) reset() {
+	c.incState.reset()
+	c.memState.reset()
+}
+
+// The script both sides run. Its steps are worked out on the eager side
+// and replayed on the lazy one, so the two schedulers hold the very same
+// entries: the same instants, scheduled at the same instants, in the
+// same order.
+
+type scriptStep struct {
+	action int     // what the step does (see act)
+	arg    float64 // its parameter
+	next   simtime.Instant
+}
+
+const (
+	actAEX = iota
+	actScale
+	actJump
+	actFreq
+	actReset
+	actCount
+)
+
+// oracleSide is one of the two worlds under comparison.
+type oracleSide struct {
+	sched *sim.Scheduler
+	rng   *sim.RNG
+	tsc   *simtime.TSC
+	// effects logs script steps, verdicts and aborts in execution order;
+	// counts logs every count with its instant.
+	effects, counts []string
+	// aex, freq and reset apply a script step to the side's monitor;
+	// state reports what its judge has learnt.
+	aex   func()
+	freq  func(hz float64)
+	reset func()
+	state func() (inc, mem baselineState)
+	// ties counts the ties the callbacks planned.
+	ties int
+}
+
+func (s *oracleSide) logf(list *[]string, format string, args ...any) {
+	logAt(list, s.sched.Now(), format, args...)
+}
+
+func logAt(list *[]string, at simtime.Instant, format string, args ...any) {
+	*list = append(*list, fmt.Sprintf("%v: ", at)+fmt.Sprintf(format, args...))
+}
+
+func (s *oracleSide) act(st scriptStep) {
+	s.logf(&s.effects, "step %d %v", st.action, st.arg)
+	switch st.action {
+	case actAEX:
+		s.aex()
+	case actScale:
+		s.tsc.SetScale(st.arg, s.sched.Now())
+	case actJump:
+		s.tsc.Jump(int64(st.arg), s.sched.Now())
+	case actFreq:
+		s.freq(st.arg)
+	case actReset:
+		s.reset()
+	}
+	inc, mem := s.state()
+	s.logf(&s.effects, "state %+v %+v", inc, mem)
+}
+
+// monitorConfig makes the callbacks log their verdicts and react as an
+// engine does: a discrepancy resets the monitor at once. Every verdict
+// also plans a reset or, every other time, an AEX at exactly the next
+// window's end — a tie the window's ranks decide. A memory verdict's
+// lands between that window's INC and memory completions.
+func (s *oracleSide) monitorConfig(enableMem bool) MonitorConfig {
+	cfg := MonitorConfig{INCTicks: 15e6, INCTol: 0.005, EnableMem: enableMem}
+	tie := func() {
+		now := s.sched.Now()
+		span := s.tsc.TimeOfReaching(s.tsc.ReadAt(now)+cfg.INCTicks, now).Sub(now)
+		aex := s.ties%2 == 1
+		s.ties++
+		s.sched.At(now.Add(span), func() {
+			if aex {
+				s.logf(&s.effects, "tied AEX")
+				s.aex()
+				return
+			}
+			s.logf(&s.effects, "tied reset")
+			s.reset()
 		})
+	}
+	cfg.OnDiscrepancy = func(rel float64) {
+		s.logf(&s.effects, "discrepancy %v", rel)
+		s.reset()
+		tie()
+	}
+	cfg.OnFreqChange = func(rel float64) {
+		s.logf(&s.effects, "freq change %v", rel)
+		tie()
+	}
+	return cfg
+}
 
-		// One chain per window kind. Each records where the formulas put
-		// the end of the window in flight; a manipulation moves it.
-		type chain struct {
-			start   func(ticks uint64, done func(float64, bool))
-			ideal   func(elapsed time.Duration) float64
-			ticks   uint64
-			began   simtime.Instant
-			target  uint64
-			wantEnd simtime.Instant
-			windows int
+// oracleRun runs one trial of the script on both sides and returns
+// them, after the run, for comparison.
+func oracleRun(trial int64, enableMem bool) (eager, lazy *oracleSide, eagerCore *eagerCore, lazyPlatform *SimPlatform) {
+	const runFor = 3 * time.Second
+	newSide := func() *oracleSide {
+		s := &oracleSide{sched: sim.NewScheduler(), rng: sim.NewRNG(uint64(trial)), tsc: simtime.NewTSC(simtime.NominalTSCHz, 7e9)}
+		return s
+	}
+
+	// The eager side works the script out as it goes.
+	eager = newSide()
+	c := newEagerCore(eager.sched, eager.rng, eager.tsc, eager.monitorConfig(enableMem))
+	c.counted = func(counter string, count float64) { eager.logf(&eager.counts, "%s %v", counter, count) }
+	c.aborted = func(counter string, start simtime.Instant) {
+		eager.logf(&eager.effects, "abort %s from %v", counter, start)
+	}
+	eager.aex, eager.freq, eager.reset = c.fireAEX, func(hz float64) { c.core.FreqHz = hz }, c.reset
+	eager.state = func() (inc, mem baselineState) { return c.incState, c.memState }
+	rnd := rand.New(rand.NewSource(trial))
+	var script []scriptStep
+	var step func()
+	step = func() {
+		st := scriptStep{action: rnd.Intn(actCount)}
+		switch st.action {
+		case actScale:
+			st.arg = []float64{1, 0.8, 1.1, 1.25}[rnd.Intn(4)]
+		case actJump:
+			st.arg = float64(rnd.Intn(20e6) - 10e6)
+		case actFreq:
+			st.arg = []float64{2800e6, 3500e6, 4200e6}[rnd.Intn(3)]
 		}
-		inc := &chain{start: p.StartINCCheck, ideal: func(elapsed time.Duration) float64 {
-			return elapsed.Seconds() * p.CoreFreqHz() / core.CyclesPerINC
-		}}
-		mem := &chain{start: p.StartMemCheck, ideal: func(elapsed time.Duration) float64 {
-			return elapsed.Seconds() * memModel.AccessesPerSec
-		}}
-		var begin func(c *chain)
-		begin = func(c *chain) {
-			if rnd.Intn(8) == 0 || c.ticks == 0 {
-				c.ticks = uint64(1e6 + rnd.Intn(3)*7e6)
+		eager.act(st)
+		// The next step: at a random offset — now and then past the
+		// windows drawn ahead, so that the loop's timer fires — or tied
+		// with the end of the window in flight, or of the one after it.
+		now := eager.sched.Now()
+		span := eager.tsc.TimeOfReaching(eager.tsc.ReadAt(now)+c.ticks, now).Sub(now)
+		switch r := rnd.Intn(4); {
+		case r == 0:
+			st.next = c.inc.endAt
+		case r == 1 && c.inc.endAt > now:
+			st.next = c.inc.endAt.Add(span)
+		case r == 2 && rnd.Intn(2) == 0:
+			st.next = now.Add(time.Duration(rnd.Intn(800e6)))
+		default:
+			st.next = now.Add(time.Duration(rnd.Intn(40e6)))
+		}
+		script = append(script, st)
+		eager.sched.At(st.next, step)
+	}
+	eager.sched.At(simtime.FromDuration(3*time.Millisecond), step)
+	c.start()
+	eager.sched.RunUntil(simtime.FromDuration(runFor))
+
+	// The lazy side replays it.
+	lazy = newSide()
+	net := simnet.New(lazy.sched, sim.NewRNG(0), simnet.Link{Base: time.Millisecond})
+	p := NewSimPlatform(lazy.sched, lazy.rng, net, SimConfig{Addr: 1, TSC: lazy.tsc})
+	m := NewRateMonitor(p, lazy.monitorConfig(enableMem))
+	p.mon.record = func() {
+		inc, mem := p.headCounts()
+		logAt(&lazy.counts, p.mon.end, "inc %v", inc)
+		if enableMem {
+			logAt(&lazy.counts, p.mon.end, "mem %v", mem)
+		}
+	}
+	lazy.aex = func() {
+		p.touchMonitor()
+		if l := &p.mon; l.half {
+			// Between the head's completions: its INC count is in, and the
+			// INC window aborted is the one its completion began.
+			inc, _ := p.headCounts()
+			logAt(&lazy.counts, l.end, "inc %v", inc)
+			lazy.logf(&lazy.effects, "abort inc from %v", l.end)
+		} else {
+			lazy.logf(&lazy.effects, "abort inc from %v", l.start)
+		}
+		if enableMem {
+			lazy.logf(&lazy.effects, "abort mem from %v", p.mon.start)
+		}
+		p.FireAEX()
+	}
+	lazy.freq, lazy.reset = p.SetCoreFreqHz, m.Reset
+	lazy.state = func() (inc, mem baselineState) {
+		p.touchMonitor()
+		return m.state.inc, m.state.mem
+	}
+	i := 0
+	var replay func()
+	replay = func() {
+		st := script[i]
+		i++
+		lazy.act(st)
+		lazy.sched.At(st.next, replay)
+	}
+	lazy.sched.At(simtime.FromDuration(3*time.Millisecond), replay)
+	m.Start()
+	lazy.sched.RunUntil(simtime.FromDuration(runFor))
+	p.touchMonitor()
+	return eager, lazy, c, p
+}
+
+// TestLazyWindowsMatchEagerOracle runs seeded random scripts of AEXs,
+// TSC jumps and rescales, core-frequency changes and monitor resets —
+// many of them due at exactly a window's end, scheduled before or after
+// the window began — against the monitoring loop and against the eager
+// reference above, and requires the same counts in the same order, the
+// same verdicts at the same instants and in the same place among the
+// script's steps, the same aborted windows, the same learnt baselines
+// after every step, and the RNG left where the eager side left it. Its
+// callbacks plan resets and AEXs tied with the next window's end, some
+// between that window's INC and memory completions.
+func TestLazyWindowsMatchEagerOracle(t *testing.T) {
+	for _, enableMem := range []bool{false, true} {
+		for trial := int64(1); trial <= 12; trial++ {
+			eager, lazy, c, p := oracleRun(trial, enableMem)
+			name := fmt.Sprintf("mem=%v trial %d", enableMem, trial)
+			if len(eager.counts) < 200 {
+				t.Fatalf("%s: only %d counts", name, len(eager.counts))
 			}
-			c.began = sched.Now()
-			c.target = tsc.ReadAt(c.began) + c.ticks
-			c.wantEnd = tsc.TimeOfReaching(c.target, c.began)
-			c.start(c.ticks, func(count float64, interrupted bool) {
-				if !interrupted {
-					c.windows++
-					if sched.Now() != c.wantEnd {
-						t.Fatalf("trial %d: window ended at %v, TimeOfReaching says %v", trial, sched.Now(), c.wantEnd)
-					}
-					if want := c.ideal(sched.Now().Sub(c.began)); count != want {
-						t.Fatalf("trial %d: window counted %v, the formula gives %v", trial, count, want)
-					}
+			compareLogs(t, name+" counts", eager.counts, lazy.counts)
+			compareLogs(t, name+" effects", eager.effects, lazy.effects)
+			// The noise the lazy side drew ahead is what the eager RNG
+			// draws next.
+			for j := p.mon.next; j < p.mon.drawn; j++ {
+				w := p.mon.noise[j]
+				inc := c.rng.Gaussian(0, c.incModel.NoiseSigma)
+				off := 0.0
+				if c.incModel.OutlierProb > 0 && c.rng.Float64() < c.incModel.OutlierProb {
+					off = c.incModel.OutlierOffset
 				}
-				begin(c)
-			})
-		}
-		begin(inc)
-		begin(mem)
-		moved := func() {
-			now := sched.Now()
-			inc.wantEnd = tsc.TimeOfReaching(inc.target, now)
-			mem.wantEnd = tsc.TimeOfReaching(mem.target, now)
-		}
-
-		var disturb func()
-		disturb = func() {
-			switch rnd.Intn(5) {
-			case 0:
-				tsc.SetScale(0.5+rnd.Float64(), sched.Now())
-				moved()
-			case 1:
-				tsc.Jump(int64(rnd.Intn(20e6))-10e6, sched.Now())
-				moved()
-			case 2:
-				p.SetCoreFreqHz([]float64{2800e6, 3500e6, 4200e6}[rnd.Intn(3)])
-			case 3:
-				p.FireAEX()
-			case 4:
-				tsc.SetScale(1, sched.Now()) // back to the honest rate
-				moved()
+				mem := 0.0
+				if enableMem {
+					mem = c.rng.Gaussian(0, c.memModel.NoiseFrac)
+				}
+				if want := (windowNoise{inc, off, mem, w.memAt}); w != want {
+					t.Fatalf("%s: noise drawn ahead %d is %+v, the eager RNG draws %+v", name, j-p.mon.next, w, want)
+				}
 			}
-			sched.After(simtime.FromDuration(time.Duration(rnd.Intn(20e6))), disturb)
+			if eager.rng.Uint64() != lazy.rng.Uint64() {
+				t.Fatalf("%s: the RNG streams part after the run", name)
+			}
 		}
-		sched.After(simtime.FromDuration(3*time.Millisecond), disturb)
-		sched.RunUntil(simtime.FromSeconds(2))
-		if inc.windows < 100 || mem.windows < 100 {
-			t.Fatalf("trial %d: only %d INC and %d memory windows completed", trial, inc.windows, mem.windows)
+	}
+}
+
+func compareLogs(t *testing.T, name string, want, got []string) {
+	t.Helper()
+	for i := 0; i < len(want) || i < len(got); i++ {
+		var w, g string
+		if i < len(want) {
+			w = want[i]
 		}
+		if i < len(got) {
+			g = got[i]
+		}
+		if w != g {
+			t.Fatalf("%s: entry %d of %d/%d: eager %q, lazy %q", name, i, len(want), len(got), w, g)
+		}
+	}
+}
+
+// TestLazyWindowsPanicOnUndecidableTies builds the ties the lazy loop
+// cannot order and requires a panic naming them rather than a guess: an
+// entry scheduled at the end of a window no firing judged, due at the
+// next window's end; two loops with aligned windows calling back at the
+// same window end, each such an entry to the other; and a TSC
+// manipulation between the INC and memory completions of one window.
+// A tie with a timer that calls nobody back is decided, and must not
+// panic.
+func TestLazyWindowsPanicOnUndecidableTies(t *testing.T) {
+	expectPanic := func(t *testing.T, want string, run func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Fatalf("got %v, want a panic saying %q", r, want)
+			}
+		}()
+		run()
+	}
+	t.Run("unranked", func(t *testing.T) {
+		sched, ps := monitoredCores(1, false)
+		p := ps[0]
+		span := p.mon.span
+		end := p.mon.end.Add(3 * span) // a quiet window's end
+		// An entry fires there after the window's completion, which is
+		// no touch point, and schedules an AEX at the next window's end.
+		sched.At(simtime.FromDuration(time.Millisecond), func() {
+			sched.At(end, func() { sched.At(end.Add(span), p.FireAEX) })
+		})
+		expectPanic(t, "undecidable", func() { sched.RunUntil(end.Add(2 * span)) })
+	})
+	// alignedVerdicts runs two loops whose windows start together and
+	// changes the core frequency of the chosen ones inside the 63rd
+	// window, so that it and the 64th deviate: a verdict at the end of
+	// the 64th, where a quiet loop's first timer is due. It returns the
+	// verdict counts and a run up to two windows past that end.
+	alignedVerdicts := func(t *testing.T, change ...int) ([]int, func()) {
+		sched, ps := monitoredCores(2, false)
+		span := ps[0].mon.span
+		if ps[1].mon.span != span || ps[1].mon.end != ps[0].mon.end {
+			t.Fatal("the two loops' windows are not aligned")
+		}
+		end := ps[0].mon.end.Add((noiseWindows - 1) * span)
+		if k, _ := sched.Next(); k != (sim.Key{At: end, From: end.Add(-span), Seq: unranked}) {
+			t.Fatalf("the first firing is %+v, want the quiet timers at the 64th window's end %v", k, end)
+		}
+		verdicts := make([]int, len(ps))
+		for i, p := range ps {
+			i := i
+			p.mon.m.onDiscrepancy = func(float64) {
+				if now := sched.Now(); now != end {
+					t.Errorf("loop %d called back at %v, want %v", i, now, end)
+				}
+				verdicts[i]++
+			}
+		}
+		for _, i := range change {
+			p := ps[i]
+			sched.At(end.Add(-3*span/2), func() { p.SetCoreFreqHz(1.01 * simtime.PaperCoreHz) })
+		}
+		return verdicts, func() { sched.RunUntil(end.Add(2 * span)) }
+	}
+	t.Run("quiet timer", func(t *testing.T) {
+		verdicts, run := alignedVerdicts(t, 1)
+		run()
+		if verdicts[0] != 0 || verdicts[1] != 1 {
+			t.Errorf("verdicts %v, want [0 1]", verdicts)
+		}
+	})
+	t.Run("two verdicts", func(t *testing.T) {
+		_, run := alignedVerdicts(t, 0, 1)
+		expectPanic(t, "undecidable", run)
+	})
+	t.Run("manipulation between", func(t *testing.T) {
+		sched, ps := monitoredCores(1, true)
+		p := ps[0]
+		// A memory verdict's callback rescales the TSC at the next
+		// window's end: after the INC completion began that window,
+		// before the memory one did.
+		p.mon.m.onDiscrepancy = func(float64) {
+			sched.At(sched.Now().Add(p.mon.span), func() { p.TSC().SetScale(1, sched.Now()) })
+		}
+		sched.RunUntil(simtime.FromSeconds(1))
+		p.TSC().SetScale(1.25, sched.Now())
+		expectPanic(t, "between the INC and memory", func() { sched.RunUntil(simtime.FromSeconds(2)) })
+	})
+}
+
+// TestMonitorTimerFiresRarely: a quiet monitoring loop fires its timer
+// once per noiseWindows windows, not once per window.
+func TestMonitorTimerFiresRarely(t *testing.T) {
+	sched, ps := monitoredCores(1, true)
+	steps := 0
+	for sched.Now() < simtime.FromSeconds(10) && sched.Step() {
+		steps++
+	}
+	windows := int(simtime.FromSeconds(10).Sub(simtime.Epoch) / ps[0].mon.span)
+	if max := windows/noiseWindows + 2; steps > max {
+		t.Errorf("%d firings for %d windows, want at most %d", steps, windows, max)
+	}
+	if math.IsNaN(ps[0].mon.m.state.inc.baseline) || ps[0].mon.m.state.inc.baseline == 0 {
+		t.Error("no baseline learnt")
 	}
 }

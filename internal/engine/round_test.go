@@ -43,8 +43,7 @@ func (p *fakePlatform) AfterTicks(ticks uint64, fn func()) enclave.CancelFunc {
 }
 func (p *fakePlatform) SetAEXHandler(fn func())                        { p.onAEX = fn }
 func (p *fakePlatform) SetMessageHandler(fn func(simnet.Addr, []byte)) { p.onMsg = fn }
-func (p *fakePlatform) StartINCCheck(uint64, func(float64, bool))      {}
-func (p *fakePlatform) StartMemCheck(uint64, func(float64, bool))      {}
+func (p *fakePlatform) StartMonitor(*enclave.RateMonitor)              {}
 func (p *fakePlatform) armed() (n int) {
 	for _, t := range p.timers {
 		if !t.dead {

@@ -201,27 +201,13 @@ func RunINCTable(seed uint64, n int) (*INCResult, error) {
 		Nodes:             1,
 		DisableMachineAEX: true,
 		Tweak: func(_ int, cfg *core.Config) {
-			cfg.DisableMonitor = true // the experiment drives INC manually
+			cfg.DisableMonitor = true // the experiment measures INC directly
 		},
 	})
 	if err != nil {
 		return nil, err
 	}
-	platform := c.Platforms[0]
-	counts := make([]float64, 0, n)
-	var runOne func()
-	runOne = func() {
-		platform.StartINCCheck(15_000_000, func(count float64, interrupted bool) {
-			if !interrupted {
-				counts = append(counts, count)
-			}
-			if len(counts) < n {
-				runOne()
-			}
-		})
-	}
-	runOne()
-	c.Sched.RunUntilIdle()
+	counts := c.Platforms[0].MeasureINC(15_000_000, n)
 
 	res := &INCResult{Raw: stats.Summarize(counts)}
 	med := stats.Median(counts)

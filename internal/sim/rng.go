@@ -10,19 +10,37 @@ import (
 // models (network jitter, AEX gaps, INC noise) draw from RNGs forked off
 // one experiment seed, so a run is reproducible bit-for-bit.
 type RNG struct {
-	r *rand.Rand
+	r   *rand.Rand
+	src *rand.PCG // r's whole state
+}
+
+// newPCG returns a generator on a PCG source seeded with seed1, seed2.
+func newPCG(seed1, seed2 uint64) *RNG {
+	src := rand.NewPCG(seed1, seed2)
+	return &RNG{r: rand.New(src), src: src}
 }
 
 // NewRNG returns a deterministic generator for the given seed.
 func NewRNG(seed uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))}
+	return newPCG(seed, seed^0x9e3779b97f4a7c15)
 }
 
 // Fork derives an independent generator from this one, labelled by id so
 // that adding a consumer does not perturb the streams of existing ones.
 func (g *RNG) Fork(id uint64) *RNG {
-	return &RNG{r: rand.New(rand.NewPCG(g.r.Uint64()^id, g.r.Uint64()+id))}
+	return newPCG(g.r.Uint64()^id, g.r.Uint64()+id)
 }
+
+// RNGMark is a position in an RNG's stream.
+type RNGMark struct{ pcg rand.PCG }
+
+// Mark reports the stream's position: the draws after it are the ones
+// a Rewind to it replays.
+func (g *RNG) Mark() RNGMark { return RNGMark{*g.src} }
+
+// Rewind moves the stream back to m, a Mark of this generator: the
+// draws made since are made again, as if they had not been.
+func (g *RNG) Rewind(m RNGMark) { *g.src = m.pcg }
 
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 { return g.r.Float64() }

@@ -138,3 +138,19 @@ func TestRNGFloat64AndIntNRanges(t *testing.T) {
 		t.Errorf("NormFloat64 mean = %v, want ~0", w/10000)
 	}
 }
+
+// TestRNGRewindReplays: the draws after a Mark come again, in order and
+// of whatever kind, after a Rewind to it.
+func TestRNGRewindReplays(t *testing.T) {
+	g := NewRNG(9)
+	g.Gaussian(0, 1)
+	m := g.Mark()
+	want := []float64{g.Gaussian(0, 1), g.Float64(), g.Gaussian(0, 1)}
+	g.Rewind(m)
+	got := []float64{g.Gaussian(0, 1), g.Float64(), g.Gaussian(0, 1)}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("draw %d after the rewind is %v, want %v", i, got[i], want[i])
+		}
+	}
+}

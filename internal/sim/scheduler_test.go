@@ -3,6 +3,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -925,6 +926,36 @@ func TestTimerSetStopPending(t *testing.T) {
 		}
 	}()
 	tm.Set(after(time.Second))
+}
+
+// TestTimerSetKey: a timer set with SetKey fires where an entry
+// scheduled at the key's From with its Seq would — after entries at the
+// same instant scheduled earlier, before those scheduled later, and by
+// Seq among those scheduled at From — and Position and Next report the
+// keys the run has reached and will reach.
+func TestTimerSetKey(t *testing.T) {
+	s := NewScheduler()
+	var order []string
+	at := after(10 * time.Second)
+	s.At(at, func() { order = append(order, "early") }) // scheduled at 0
+	s.RunUntil(after(5 * time.Second))
+	if want := (Key{At: after(5 * time.Second), From: maxInstant, Seq: math.MaxUint64}); s.Position() != want {
+		t.Errorf("Position after RunUntil = %+v, want %+v", s.Position(), want)
+	}
+	seq := s.Reserve() // the rank of a call made at 5s
+	s.At(at, func() { order = append(order, "later") })
+	s.RunUntil(after(6 * time.Second))
+	s.At(at, func() { order = append(order, "latest") })
+	tm := s.NewTimer(func() { order = append(order, "timer") })
+	tm.SetKey(Key{At: at, From: after(5 * time.Second), Seq: seq})
+	if k, _ := s.Next(); k.Seq != 0 || k.At != at {
+		t.Errorf("Next = %+v, want the event scheduled at 0", k)
+	}
+	s.RunUntil(at)
+	want := []string{"early", "timer", "later", "latest"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Errorf("order = %v, want %v", order, want)
+	}
 }
 
 // TestTimerRearmFromOwnCallback pins the re-arm idiom and what a

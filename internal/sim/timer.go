@@ -3,20 +3,21 @@ package sim
 import "triadtime/internal/simtime"
 
 // Timer is a re-armable scheduled callback held by its owner, for a
-// process that fires back to back for a whole run, as a monitoring
-// window does. Where a chain of one-shot events takes a slot, a
-// generation and a handle per firing, a timer is built once and only its
-// (at, seq) key changes. It lives as long as its scheduler does: make
-// one per recurring process, not one per firing. Armed timers are
-// searched on every Step, so a process that fires rarely next to ones
-// that fire all the time is better left on one-shot events, where it
-// does not deepen the timer heap the busy ones sift through.
+// process that fires again and again for a whole run, such as a node's
+// monitoring loop or a synthetic AEX generator. Where a chain of one-shot
+// events takes a slot, a generation and a handle per firing, a timer is
+// built once and only its key changes. It lives as long as its scheduler
+// does: make one per recurring process, not one per firing. Armed timers
+// are searched on every Step, so a process that fires rarely next to ones
+// that fire all the time is better left on one-shot events, where it does
+// not deepen the timer heap the busy ones sift through.
 //
 // A timer fires exactly where the one-shot event scheduled by the same
 // call at the same moment would have: Set draws seq from the
 // scheduler's one counter, just as At does, and Stop, like Cancel,
-// draws none. Like Event, a Timer is a small handle: copies refer to
-// the same timer.
+// draws none. SetKey instead arms it at a place in the firing order a
+// process that runs ahead of the scheduler worked out itself. Like
+// Event, a Timer is a small handle: copies refer to the same timer.
 type Timer struct {
 	s   *Scheduler
 	idx uint32 // the timer's slot
@@ -37,12 +38,22 @@ func (s *Scheduler) NewTimer(fn func()) Timer {
 //triad:hotpath
 func (t Timer) Set(at simtime.Instant) {
 	s := t.s
-	s.checkNotPast(at)
+	t.SetKey(Key{At: at, From: s.now, Seq: s.Reserve()})
+}
+
+// SetKey arms the timer at key k, replacing any earlier setting: it
+// fires where an entry scheduled at k.From with rank k.Seq for k.At
+// would. k.At must not be in the past. A k.Seq from Reserve is the
+// timer's alone; among entries that share a whole key the order is
+// left undefined.
+//
+//triad:hotpath
+func (t Timer) SetKey(k Key) {
+	s := t.s
+	s.checkNotPast(k.At)
 	sl := &s.slots[t.idx]
-	later := at >= sl.at // a fresh seq is the largest: equal at sorts later too
-	sl.at = at
-	sl.seq = s.seq
-	s.seq++
+	later := !keyLess(k.At, k.From, k.Seq, sl.at, sl.from, sl.seq)
+	sl.at, sl.from, sl.seq = k.At, k.From, k.Seq
 	switch {
 	case sl.pos < 0:
 		s.push(&s.timers, t.idx)
@@ -74,7 +85,8 @@ func (t Timer) Stop() {
 // left in place while it runs: as the least key of a heap whose
 // newcomers all sort later, it keeps the heap valid, and a Set from the
 // callback then costs one sift-down from the root instead of a removal
-// and an insertion. To everything outside this package the timer is
+// and an insertion. (A lower key from SetKey leaves it least all the
+// same.) To everything outside this package the timer is
 // idle throughout.
 //
 //triad:hotpath

@@ -79,12 +79,16 @@ type Platform struct {
 	stopOnce sync.Once
 
 	// Owned by the loop goroutine.
-	sched      *sim.Scheduler
-	inc, mem   window
+	sched *sim.Scheduler
+	// window ends the monitoring window in flight, of monitor's ticks.
+	window     sim.Timer
+	monitor    *enclave.RateMonitor
 	aexHandler func()
 	msgHandler func(from simnet.Addr, payload []byte)
 	aexCount   int
-	incIndex   int
+	// warm records that the core's first INC window, the warm-up one,
+	// has been counted.
+	warm bool
 }
 
 var (
@@ -124,17 +128,7 @@ func New(cfg Config) (*Platform, error) {
 		loopDone: make(chan struct{}),
 		sched:    sim.NewScheduler(),
 	}
-	p.inc.timer = p.sched.NewTimer(func() {
-		count := enclave.IdealINC(simtime.PaperCore(), float64(p.inc.ticks), p.tscHz)
-		if p.incIndex == 0 {
-			count += enclave.PaperINCModel().WarmupOffset
-		}
-		p.incIndex++
-		p.inc.close(count, false)
-	})
-	p.mem.timer = p.sched.NewTimer(func() {
-		p.mem.close(enclave.PaperMemModel().IdealMem(float64(p.mem.ticks), p.tscHz), false)
-	})
+	p.window = p.sched.NewTimer(p.endWindow)
 	if period := cfg.AEXPeriod; period > 0 {
 		var gen sim.Timer
 		gen = p.sched.NewTimer(func() {
@@ -283,52 +277,44 @@ func (p *Platform) SetMessageHandler(fn func(from simnet.Addr, payload []byte)) 
 	p.msgHandler = fn
 }
 
-// window is one of the monitoring thread's measurement loops on the
-// live clock. Its timer completes it; an AEX closes it at once.
-type window struct {
-	timer sim.Timer
-	ticks uint64
-	done  func(count float64, interrupted bool) // nil when none is in flight
-}
-
-func (p *Platform) measure(w *window, ticks uint64, done func(count float64, interrupted bool)) {
-	if w.done != nil {
-		panic("transport: overlapping measurements on one monitoring thread")
+// StartMonitor runs m's windows on the live clock: a timer ends each
+// after the wall time its ticks span, and m judges the counts modelled
+// for it. An AEX discards the window in flight and begins the next.
+// A second monitor panics, as on the simulated platform.
+func (p *Platform) StartMonitor(m *enclave.RateMonitor) {
+	if p.monitor != nil {
+		panic("transport: a second monitor on one monitoring thread")
 	}
-	w.ticks, w.done = ticks, done
-	w.timer.Set(p.due(ticks))
+	p.monitor = m
+	p.window.Set(p.due(m.Ticks()))
 }
 
-// close ends the measurement in flight, if any.
-func (w *window) close(count float64, interrupted bool) {
-	if done := w.done; done != nil {
-		w.done = nil
-		w.timer.Stop()
-		done(count, interrupted)
+// endWindow judges the window that just ended and begins the next.
+func (p *Platform) endWindow() {
+	p.monitor.Observe(p.windowCounts(p.monitor.Ticks()))
+	p.window.Set(p.due(p.monitor.Ticks()))
+}
+
+// windowCounts models the counts of a whole window of ticks guest
+// ticks: the paper core's INC count, with the warm-up offset on the
+// core's first window, and the memory access count.
+func (p *Platform) windowCounts(ticks uint64) (inc, mem float64) {
+	inc = enclave.IdealINC(simtime.PaperCore(), float64(ticks), p.tscHz)
+	if !p.warm {
+		inc += enclave.PaperINCModel().WarmupOffset
+		p.warm = true
 	}
+	return inc, enclave.PaperMemModel().IdealMem(float64(ticks), p.tscHz)
 }
 
-// StartINCCheck models one monitoring-loop measurement: it completes
-// after the wall time the tick window spans, reporting the modelled
-// iteration count, or at once with interrupted=true if an AEX lands
-// first. Overlapping measurements panic, as on the simulated platform.
-func (p *Platform) StartINCCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	p.measure(&p.inc, ticks, done)
-}
-
-// StartMemCheck models one memory-access monitoring measurement,
-// mirroring StartINCCheck with the frequency-independent counter.
-func (p *Platform) StartMemCheck(ticks uint64, done func(count float64, interrupted bool)) {
-	p.measure(&p.mem, ticks, done)
-}
-
-// fireAEX delivers one AEX on the loop: it aborts any in-flight
-// measurement, then invokes the AEX-Notify handler, and only then
+// fireAEX delivers one AEX on the loop: it discards the monitoring
+// window in flight and begins the next, then invokes the AEX-Notify handler, and only then
 // retires the pending count its raiser took.
 func (p *Platform) fireAEX() {
 	p.aexCount++
-	p.inc.close(0, true)
-	p.mem.close(0, true)
+	if p.monitor != nil {
+		p.window.Set(p.due(p.monitor.Ticks()))
+	}
 	if p.aexHandler != nil {
 		p.aexHandler()
 	}

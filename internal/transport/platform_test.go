@@ -156,103 +156,120 @@ func TestSyntheticAEXGenerator(t *testing.T) {
 	}
 }
 
+// startMonitor starts a monitor judging windows of ticks on p's loop
+// and returns the channel its discrepancy verdicts arrive on. A negative
+// tolerance makes every window past the baseline deviate, so the
+// seventh window concludes one: warm-up, four learning windows, two
+// strikes.
+func startMonitor(p *Platform, ticks uint64, enableMem bool) <-chan float64 {
+	verdicts := make(chan float64, 16)
+	p.Do(func() {
+		enclavepkg.NewRateMonitor(p, enclavepkg.MonitorConfig{
+			INCTicks:      ticks,
+			INCTol:        -1,
+			EnableMem:     enableMem,
+			OnDiscrepancy: func(rel float64) { verdicts <- rel },
+		}).Start()
+	})
+	return verdicts
+}
+
 func TestINCCheckLive(t *testing.T) {
-	p, err := New(Config{Conn: listen(t)})
-	if err != nil {
-		t.Fatal(err)
+	newPlatform := func() *Platform {
+		p, err := New(Config{Conn: listen(t)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { p.Close() })
+		return p
 	}
-	defer p.Close()
-	type result struct {
-		count       float64
-		interrupted bool
+	// The modelled counts: the warm-up offset on the core's first
+	// window, then the steady count.
+	p := newPlatform()
+	var first, second float64
+	p.Do(func() {
+		first, _ = p.windowCounts(15e6)
+		second, _ = p.windowCounts(15e6)
+	})
+	if want := simtime.PaperINCPer15MTicks + enclavepkg.PaperINCModel().WarmupOffset; math.Abs(first-want) > 1 {
+		t.Errorf("first count = %v, want %v", first, want)
 	}
-	results := make(chan result, 1)
-	start := func() {
-		p.Do(func() { p.StartINCCheck(15e6, func(c float64, i bool) { results <- result{c, i} }) })
+	if math.Abs(second-simtime.PaperINCPer15MTicks) > 1 {
+		t.Errorf("steady count = %v", second)
 	}
-	// 15e6 ticks at 2.9GHz ≈ 5.2ms of wall time.
-	start()
+	// The loop, on a fresh core: 15e6 ticks at 2.9GHz ≈ 5.2ms of wall
+	// time per window, each judged as it ends, so the seventh ends a
+	// verdict. The loop's first window is the core's warm-up one: the
+	// judge discards it, and the four that make the baseline and the two
+	// deviating from it are steady, so they match it exactly.
+	p = newPlatform()
+	began := time.Now()
+	verdicts := startMonitor(p, 15e6, false)
 	select {
-	case r := <-results:
-		if r.interrupted {
-			t.Fatal("unexpected interruption")
+	case rel := <-verdicts:
+		if rel != 0 {
+			t.Errorf("steady windows deviate by %v from their baseline", rel)
 		}
-		// First measurement carries the warm-up offset.
-		want := simtime.PaperINCPer15MTicks + enclavepkg.PaperINCModel().WarmupOffset
-		if math.Abs(r.count-want) > 1 {
-			t.Errorf("count = %v, want %v", r.count, want)
+		if d := time.Since(began); d < 7*5*time.Millisecond {
+			t.Errorf("seven windows judged in %v, want their wall time", d)
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("INC check never completed")
+	case <-time.After(5 * time.Second):
+		t.Fatal("the monitor never judged seven windows")
 	}
-	// Second measurement: steady state.
-	start()
-	r := <-results
-	if math.Abs(r.count-simtime.PaperINCPer15MTicks) > 1 {
-		t.Errorf("steady count = %v", r.count)
+	var warm bool
+	p.Do(func() { warm = p.warm })
+	if !warm {
+		t.Error("the loop's windows never took the core's warm-up one")
 	}
 }
 
-// checkInterruptedByAEX: an AEX aborts an in-flight monitoring window
-// at once with interrupted=true, as on the simulated platform, instead
-// of the window running to its end first.
-func checkInterruptedByAEX(t *testing.T, start func(p *Platform) func(uint64, func(float64, bool))) {
+// checkInterruptedByAEX: an AEX discards the monitoring window in
+// flight and begins the next at once, as on the simulated platform,
+// instead of the window running to its end first.
+func checkInterruptedByAEX(t *testing.T, enableMem bool) {
 	p, err := New(Config{Conn: listen(t), TSCHz: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	results := make(chan bool, 1)
-	began := time.Now()
-	p.Do(func() {
-		start(p)(3e6, func(_ float64, interrupted bool) { results <- interrupted }) // a 3s window
-	})
+	startMonitor(p, 3e6, enableMem) // 3s windows
+	var due simtime.Instant
+	p.Do(func() { due, _ = p.sched.NextAt() })
 	time.Sleep(20 * time.Millisecond)
 	p.InjectAEX()
-	select {
-	case interrupted := <-results:
-		if !interrupted {
-			t.Error("AEX inside the window should interrupt the measurement")
-		}
-		if d := time.Since(began); d > 500*time.Millisecond {
-			t.Errorf("interruption reported after %v; want it at the AEX, not at the window end", d)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("measurement never completed")
+	var now, next simtime.Instant
+	p.Do(func() { now = p.now(); next, _ = p.sched.NextAt() })
+	if next <= due || next < now.Add(3*time.Second-time.Millisecond) {
+		t.Errorf("after an AEX at %v the window ends at %v, first due at %v; want a whole window from the AEX", now, next, due)
 	}
 }
 
-func TestINCCheckInterruptedByAEX(t *testing.T) {
-	checkInterruptedByAEX(t, func(p *Platform) func(uint64, func(float64, bool)) { return p.StartINCCheck })
-}
+func TestINCCheckInterruptedByAEX(t *testing.T) { checkInterruptedByAEX(t, false) }
 
-func TestMemCheckInterruptedByAEX(t *testing.T) {
-	checkInterruptedByAEX(t, func(p *Platform) func(uint64, func(float64, bool)) { return p.StartMemCheck })
-}
+func TestMemCheckInterruptedByAEX(t *testing.T) { checkInterruptedByAEX(t, true) }
 
-// TestOverlappingWindowsPanic: one monitoring thread runs one
-// measurement of each kind at a time, on both platforms.
+// TestOverlappingWindowsPanic: one monitoring thread runs one monitor,
+// on both platforms.
 func TestOverlappingWindowsPanic(t *testing.T) {
 	p, err := New(Config{Conn: listen(t), TSCHz: 1e6})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	startMonitor(p, 1e6, true)
 	panicked := false
 	p.Do(func() {
-		p.StartINCCheck(1e6, func(float64, bool) {})
-		p.StartMemCheck(1e6, func(float64, bool) {}) // the other kind may overlap
 		defer func() { panicked = recover() != nil }()
-		p.StartINCCheck(1e6, func(float64, bool) {})
+		enclavepkg.NewRateMonitor(p, enclavepkg.MonitorConfig{INCTicks: 1e6}).Start()
 	})
 	if !panicked {
-		t.Error("overlapping INC measurements did not panic")
+		t.Error("a second monitor did not panic")
 	}
 }
 
 // TestHandlerCallsSurviveFullQueue: Platform methods called on the loop
 // act directly. A burst of datagrams that fills the loop's work queue
-// while a handler runs must not block the handler's own StartINCCheck,
+// while a handler runs must not block the handler's own StartMonitor,
 // AfterTicks or SetMessageHandler, and Close must still return.
 func TestHandlerCallsSurviveFullQueue(t *testing.T) {
 	conn := listen(t)
@@ -272,7 +289,7 @@ func TestHandlerCallsSurviveFullQueue(t *testing.T) {
 			_, _ = sender.WriteTo([]byte("burst"), conn.LocalAddr())
 		}
 		time.Sleep(100 * time.Millisecond) // the reader queues the burst
-		p.StartINCCheck(15e6, func(float64, bool) {})
+		enclavepkg.NewRateMonitor(p, enclavepkg.MonitorConfig{INCTicks: 15e6, OnDiscrepancy: func(float64) {}}).Start()
 		p.AfterTicks(1e6, func() {})
 		p.SetMessageHandler(handler)
 	})
@@ -305,8 +322,7 @@ func TestGoroutinesIndependentOfTimers(t *testing.T) {
 		for i := 1; i <= 100; i++ {
 			p.AfterTicks(uint64(i)*1e6, func() {}) // 1ms .. 100ms
 		}
-		p.StartINCCheck(1e9, func(float64, bool) {})
-		p.StartMemCheck(1e9, func(float64, bool) {})
+		enclavepkg.NewRateMonitor(p, enclavepkg.MonitorConfig{INCTicks: 1e9, EnableMem: true}).Start()
 	})
 	deadline := time.Now().Add(2 * time.Second)
 	for {

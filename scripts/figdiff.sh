@@ -4,16 +4,17 @@
 # the working tree, runs the same figure set on both, and diffs
 # everything they print and write. Exits 1 on any difference.
 #
-#   bash scripts/figdiff.sh REV        (or: make figdiff REV=...)
+#   bash scripts/figdiff.sh REV [SEED]   (or: make figdiff REV=... [SEED=7])
 #
-# Compared per side: `-fig all -seed 1 -out DIR` (stdout and all CSVs),
-# `-fig check -seed 1` (stdout and exit status) and `-fig 6 -trace FILE`
-# (stdout and the JSONL trace). stderr carries only runner timing and
+# Compared per side, at SEED (default 1): `-fig all -seed SEED -out DIR`
+# (stdout and all CSVs), `-fig check -seed SEED` (stdout and exit status)
+# and `-fig 6 -seed SEED -trace FILE` (stdout and the JSONL trace). stderr carries only runner timing and
 # is not compared. Everything is built and written in a temporary
 # directory, removed on exit.
 set -euo pipefail
 
-rev=${1:?usage: figdiff.sh REV}
+rev=${1:?usage: figdiff.sh REV [SEED]}
+seed=${2:-1}
 root=$(git rev-parse --show-toplevel)
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -27,11 +28,11 @@ run() ( # side; relative paths, because stdout names the files written
 	bin="$tmp/bin/$1"
 	mkdir -p "$tmp/$1/out"
 	cd "$tmp/$1"
-	"$bin" -fig all -seed 1 -out out >all.txt 2>/dev/null
+	"$bin" -fig all -seed "$seed" -out out >all.txt 2>/dev/null
 	status=0
-	"$bin" -fig check -seed 1 >check.txt 2>/dev/null || status=$?
+	"$bin" -fig check -seed "$seed" >check.txt 2>/dev/null || status=$?
 	echo "exit status $status" >>check.txt
-	"$bin" -fig 6 -trace fig6.jsonl >fig6.txt 2>/dev/null
+	"$bin" -fig 6 -seed "$seed" -trace fig6.jsonl >fig6.txt 2>/dev/null
 )
 run base &
 base=$!
@@ -39,8 +40,8 @@ run head
 wait "$base"
 
 if diff -r "$tmp/base" "$tmp/head"; then
-	echo "figdiff: identical to $rev ($(ls "$tmp/head/out" | wc -l) CSVs, check, fig 6 trace)"
+	echo "figdiff: identical to $rev at seed $seed ($(ls "$tmp/head/out" | wc -l) CSVs, check, fig 6 trace)"
 else
-	echo "figdiff: outputs differ from $rev" >&2
+	echo "figdiff: outputs differ from $rev at seed $seed" >&2
 	exit 1
 fi
