@@ -160,11 +160,33 @@ func recordWindows(p *SimPlatform, enableMem bool) *[]judged {
 		MemTol:        math.Inf(1),
 		OnDiscrepancy: func(float64) {},
 	}).Start()
-	p.mon.record = func() {
-		inc, mem := p.headCounts()
-		log = append(log, judged{p.mon.end, inc, mem})
-	}
+	onPass(p, func(end simtime.Instant, inc, mem float64) {
+		log = append(log, judged{end, inc, mem})
+	})
 	return &log
+}
+
+// onPass has fn see every window the loop moves past, with its end and
+// counts. In a quiet block it draws the block's noise again from the
+// mark, as a replan does, and puts the buffer back as it was: the loop
+// must not find there what a test wrote.
+func onPass(p *SimPlatform, fn func(end simtime.Instant, inc, mem float64)) {
+	l := &p.mon
+	l.record = func(n int) {
+		if l.quiet {
+			kept := l.noise
+			p.redrawBlock()
+			defer func() { l.noise = kept }()
+		}
+		for k := 0; k < n; k++ {
+			end, elapsed := l.end, l.end.Sub(l.start)
+			if k > 0 {
+				end, elapsed = l.end.Add(time.Duration(k)*l.span), l.span
+			}
+			inc, mem := p.counts(elapsed, &l.noise[l.next+k])
+			fn(end, inc, mem)
+		}
+	}
 }
 
 // judged is one judged window: its end and its counts.

@@ -97,6 +97,14 @@ func (s *baselineState) strike(deviant bool) (conclude bool) {
 	return s.strikes >= 2
 }
 
+// passQuiet steps the state over n windows whose counts lie within
+// tolerance of the learnt baseline: observe counts each, and strike
+// finds none deviant.
+func (s *baselineState) passQuiet(n int) {
+	s.measured += n
+	s.strikes = 0
+}
+
 // reset forgets the baseline entirely: the next window is discarded as
 // warm-up (it may straddle whatever transition caused the reset) and
 // the following windows are re-learned into a new baseline.

@@ -42,6 +42,19 @@ type windowNoise struct {
 // ends: it plans nothing again, unless the window it aborts was one a
 // manipulation had moved.
 //
+// Once every counter has a learnt baseline, nearly every window is
+// quiet: its counts cannot leave tolerance, so its judgement is
+// measured++, strikes = 0. From a whole head, the loop bounds each
+// counter's standard-normal draw so that a window under both bounds
+// cannot deviate, whatever its outlier roll, and scans the next
+// noiseWindows windows' draws off the RNG without storing them. If all
+// clear their bounds, the block's plan is arithmetic and its firing
+// moves the head past it with one multiply; the block keeps only the
+// RNG's mark at its start, and whatever needs a noise value — a replan
+// inside it, an AEX between a window's completions — draws the block
+// again from there. Otherwise the RNG goes back to the mark and the
+// windows take the exact path above.
+//
 // A window's completion sits in the firing order where a timer set at
 // the window's start would fire: at its end, after entries scheduled
 // before its start and before those scheduled after (sim.Key). Among
@@ -87,6 +100,16 @@ type monitorLoop struct {
 	// noise[next:drawn] is the noise of the head and the windows after.
 	noise       [noiseWindows]windowNoise
 	next, drawn int
+	// quiet is set while noise[:drawn] is a quiet block (planQuiet):
+	// windows whose draws clear the bounds, each judged measured++,
+	// strikes = 0 on every counter. Their noise is not stored: mark is
+	// the RNG's position before the block's first draw, and redrawBlock
+	// draws it into the buffer again when a value is needed.
+	quiet bool
+	mark  sim.RNGMark
+	// quietBlocks and fallbacks count the blocks planned quiet and the
+	// scans that met a draw their bounds did not clear.
+	quietBlocks, fallbacks int
 	// ahead is the monitor's state once the windows before the timer's,
 	// and the timer's own unless it calls back, are judged.
 	ahead monitorState
@@ -97,8 +120,9 @@ type monitorLoop struct {
 	// judging is set while a window's callbacks run.
 	judging bool
 
-	// record, when set, runs before the loop moves past the head.
-	record func()
+	// record, when set, runs before the loop moves past the head and
+	// the n-1 windows after it.
+	record func(n int)
 }
 
 // StartMonitor runs m's windows on the monitoring core (monitorLoop).
@@ -251,6 +275,9 @@ func (p *SimPlatform) restartMonitor() {
 	if l.half {
 		// The memory window aborted never draws its noise: what the RNG
 		// gave from there on is the next windows' to draw.
+		if l.quiet {
+			p.redrawBlock()
+		}
 		p.rng.Rewind(l.noise[l.next].memAt)
 		l.drawn = l.next
 		replan = true
@@ -307,13 +334,21 @@ func (p *SimPlatform) idealCounts(elapsed time.Duration) (inc, mem float64) {
 	return s * p.core.FreqHz / p.core.CyclesPerINC, s * p.memModel.AccessesPerSec
 }
 
-// headCounts are the measured counts of the head window.
+// headCounts are the measured counts of the head window, whose noise
+// the buffer holds.
 //
 //triad:hotpath
 func (p *SimPlatform) headCounts() (inc, mem float64) {
 	l := &p.mon
-	incIdeal, memIdeal := p.idealCounts(l.end.Sub(l.start))
-	n := &l.noise[l.next]
+	return p.counts(l.end.Sub(l.start), &l.noise[l.next])
+}
+
+// counts are the measured counts of a window lasting elapsed with noise
+// n.
+//
+//triad:hotpath
+func (p *SimPlatform) counts(elapsed time.Duration, n *windowNoise) (inc, mem float64) {
+	incIdeal, memIdeal := p.idealCounts(elapsed)
 	return p.incModel.count(incIdeal, n.inc, n.incOff), p.memModel.count(memIdeal, n.mem)
 }
 
@@ -325,7 +360,13 @@ func (p *SimPlatform) headCounts() (inc, mem float64) {
 func (p *SimPlatform) judgeHead() {
 	l := &p.mon
 	m := l.m
-	inc, mem := p.headCounts()
+	// A quiet window's counts lie within tolerance of the learnt
+	// baselines, so judging the baselines themselves steps the judge as
+	// its counts would: measured++, strikes = 0.
+	inc, mem := m.state.inc.baseline, m.state.mem.baseline
+	if !l.quiet {
+		inc, mem = p.headCounts()
+	}
 	if !l.half {
 		m.judgeINC(&m.state, inc)
 		if m.memEnabled && l.ranked {
@@ -336,23 +377,27 @@ func (p *SimPlatform) judgeHead() {
 	if m.memEnabled {
 		m.judgeMem(&m.state, mem)
 	}
-	p.advanceHead()
+	p.advanceHead(1)
 }
 
-// advanceHead makes the window after the head the head, whose
-// judgement the state ahead holds or a caller made. The new head begins
-// at the old one's end, a place in the firing order it has no rank at.
+// advanceHead moves the head n windows on, past windows whose
+// judgement the state ahead holds or a caller made: the windows after
+// the head are whole spans, so the new head begins (n-1) spans after
+// the old one's end, a place in the firing order it has no rank at.
 //
 //triad:hotpath
-func (p *SimPlatform) advanceHead() {
+func (p *SimPlatform) advanceHead(n int) {
 	l := &p.mon
-	if l.record != nil {
-		l.record()
+	if n == 0 {
+		return
 	}
-	l.next++
-	l.due--
-	l.start, l.from = l.end, l.end
-	l.end = l.end.Add(l.span)
+	if l.record != nil {
+		l.record(n)
+	}
+	l.next += n
+	l.due -= n
+	l.start = l.end.Add(time.Duration(n-1) * l.span)
+	l.from, l.end = l.start, l.start.Add(l.span)
 	l.lo, l.hi, l.ranked = 0, unranked, false
 	l.half, l.moved = false, false
 }
@@ -370,12 +415,11 @@ func (p *SimPlatform) advanceHead() {
 //triad:hotpath
 func (p *SimPlatform) fireMonitor() {
 	l := &p.mon
-	for l.due > 0 {
-		p.advanceHead()
-	}
+	n := l.due
 	if !l.verdict {
-		p.advanceHead()
+		n++
 	}
+	p.advanceHead(n)
 	l.m.state = l.ahead
 	if !l.verdict {
 		p.planMonitor()
@@ -403,18 +447,30 @@ func (p *SimPlatform) fireMonitor() {
 		hi = p.sched.Reserve()
 	}
 	l.judging = false
-	p.advanceHead()
+	p.advanceHead(1)
 	l.lo, l.hi, l.ranked = lo, hi, true
 	p.planMonitor()
 }
 
-// planMonitor runs the judge ahead from the head on a copy of the
-// monitor's state, over the noise drawn, and sets the timer at the end
-// of the first window that calls back, or of the last one drawn.
+// planMonitor plans the windows from the head and sets the timer: at
+// the end of a quiet block (planQuiet) when it can, else — running the
+// judge ahead from the head on a copy of the monitor's state, over the
+// noise drawn — at the end of the first window that calls back, or of
+// the last one drawn.
 //
 //triad:hotpath
 func (p *SimPlatform) planMonitor() {
 	l := &p.mon
+	if l.quiet && l.next < l.drawn {
+		p.redrawBlock() // what is left of it goes the exact path
+	}
+	l.quiet = false
+	l.drawn = copy(l.noise[:], l.noise[l.next:l.drawn])
+	l.next = 0
+	if l.drawn == 0 && p.planQuiet() {
+		p.armMonitor()
+		return
+	}
 	p.drawMonitorNoise()
 	l.ahead = l.m.state
 	j := p.judgeAhead(&l.ahead, l.drawn)
@@ -483,14 +539,119 @@ func (p *SimPlatform) armMonitor() {
 	l.timer.SetKey(k)
 }
 
-// drawMonitorNoise moves the noise not yet judged to the front of the
-// buffer and draws windows to fill the rest.
+// quietMargin is the share of a baseline the quiet bounds give up, so
+// that no rounding in a count or in its judgement can flip a decision
+// a bound made: those errors are a few ulps of the count, ~1e-16 of it.
+const quietMargin = 1e-9
+
+// planQuiet plans the next noiseWindows windows as a quiet block when
+// the head is a whole window, the core's warm-up measurement is drawn,
+// every counter has a learnt baseline and every normal draw of theirs
+// clears its bound (quietBounds). The scan steps the RNG through the
+// windows' draws and stores nothing; the plan is arithmetic. When a
+// draw does not clear its bound, the RNG goes back to the block's mark
+// and the exact path draws and judges the windows.
+//
+//triad:hotpath
+func (p *SimPlatform) planQuiet() bool {
+	l := &p.mon
+	m := l.m
+	if l.half || l.moved || !p.drewINC {
+		return false
+	}
+	xINC, xMem := p.quietBounds()
+	if !(xINC > 0) || m.memEnabled && !(xMem > 0) {
+		return false
+	}
+	l.mark = p.rng.Mark()
+	if !p.scanQuiet(xINC, xMem) {
+		p.rng.Rewind(l.mark)
+		l.fallbacks++
+		return false
+	}
+	l.quiet = true
+	l.quietBlocks++
+	l.drawn = noiseWindows
+	l.ahead = m.state
+	l.ahead.inc.passQuiet(noiseWindows)
+	if m.memEnabled {
+		l.ahead.mem.passQuiet(noiseWindows)
+	}
+	l.due, l.verdict = noiseWindows-1, false
+	return true
+}
+
+// quietBounds are the largest magnitudes of a whole window's
+// standard-normal INC and memory draws z for which its counts stay
+// within tolerance of the learnt baselines b, whatever its outlier
+// roll; 0 for a counter without a baseline. An INC count misses b by at
+// most |ideal-b| + NoiseSigma·|z| + |OutlierOffset|, a memory count by
+// |ideal-b| + ideal·NoiseFrac·|z|; clamping a count at 0 only brings it
+// nearer b. Each bound gives up quietMargin of b.
+//
+//triad:hotpath
+func (p *SimPlatform) quietBounds() (xINC, xMem float64) {
+	l := &p.mon
+	m := l.m
+	incIdeal, memIdeal := p.idealCounts(l.span)
+	if b := m.state.inc.baseline; b > 0 {
+		off := 0.0
+		if p.incModel.OutlierProb > 0 {
+			off = math.Abs(p.incModel.OutlierOffset)
+		}
+		xINC = (m.incTol*b - math.Abs(incIdeal-b) - off - quietMargin*b) / math.Abs(p.incModel.NoiseSigma)
+	}
+	if b := m.state.mem.baseline; b > 0 {
+		xMem = (m.memTol*b - math.Abs(memIdeal-b) - quietMargin*b) / math.Abs(memIdeal*p.memModel.NoiseFrac)
+	}
+	return xINC, xMem
+}
+
+// scanQuiet steps the RNG through noiseWindows windows' draws in
+// drawWindow's order — the INC normal, the outlier roll's one Uint64,
+// the memory normal — storing nothing, and reports whether every normal
+// stays under its bound.
+//
+//triad:hotpath
+func (p *SimPlatform) scanQuiet(xINC, xMem float64) bool {
+	rng := p.rng
+	roll := p.incModel.OutlierProb > 0
+	mem := p.mon.m.memEnabled
+	for i := 0; i < noiseWindows; i++ {
+		if math.Abs(rng.NormFloat64()) >= xINC {
+			return false
+		}
+		if roll {
+			rng.Uint64()
+		}
+		if mem && math.Abs(rng.NormFloat64()) >= xMem {
+			return false
+		}
+	}
+	return true
+}
+
+// redrawBlock draws the quiet block's noise again, from its mark, into
+// the buffer, and checks that the RNG ends where the scan left it.
+//
+//triad:hotpath
+func (p *SimPlatform) redrawBlock() {
+	l := &p.mon
+	end := p.rng.Mark()
+	p.rng.Rewind(l.mark)
+	for j := 0; j < l.drawn; j++ {
+		p.drawWindow(&l.noise[j], l.m.memEnabled)
+	}
+	if p.rng.Mark() != end {
+		panic("enclave: a quiet block drawn again from its mark ends elsewhere than its scan")
+	}
+}
+
+// drawMonitorNoise draws windows to fill the buffer.
 //
 //triad:hotpath
 func (p *SimPlatform) drawMonitorNoise() {
 	l := &p.mon
-	l.drawn = copy(l.noise[:], l.noise[l.next:l.drawn])
-	l.next = 0
 	for ; l.drawn < noiseWindows; l.drawn++ {
 		p.drawWindow(&l.noise[l.drawn], l.m.memEnabled)
 	}

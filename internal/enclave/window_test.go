@@ -38,10 +38,12 @@ func monitoredCores(n int, enableMem bool) (*sim.Scheduler, []*SimPlatform) {
 }
 
 // TestMonitorWindowZeroAllocSteadyState is the allocation gate CI runs
-// on the monitoring loop: judging windows ahead, judging them when the
-// timer fires or an AEX or a core-frequency change touches the loop,
-// and planning again must not allocate, with or without the memory
-// monitor beside the INC one.
+// on the monitoring loop: a quiet block's firing (moving the head past
+// the block at once) and its scan, judging windows at touch points (an
+// AEX, a core-frequency change), drawing a quiet block's noise again
+// from its mark when a DVFS change replans it, and — with the memory
+// monitor — the RNG rewind of an AEX between a window's INC and memory
+// completions, must not allocate.
 func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -50,9 +52,14 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sched, ps := monitoredCores(1, tc.enableMem)
 			p := ps[0]
+			l := &p.mon
 			sched.RunUntil(simtime.FromSeconds(1)) // past warm-up and baseline learning
+			quiet := l.quietBlocks
 			if allocs := testing.AllocsPerRun(100, func() { sched.Step() }); allocs != 0 {
 				t.Errorf("a timer firing of the monitoring loop allocates %.1f objects, want 0", allocs)
+			}
+			if l.quietBlocks-quiet < 100 {
+				t.Errorf("%d of 101 firings planned a quiet block", l.quietBlocks-quiet)
 			}
 			hz := []float64{simtime.PaperCoreHz, simtime.PaperCoreHz * 1.001}
 			i := 0
@@ -64,6 +71,49 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 			}
 			if allocs := testing.AllocsPerRun(100, touch); allocs != 0 {
 				t.Errorf("judging and planning at touch points allocates %.1f objects, want 0", allocs)
+			}
+			// A DVFS change inside a quiet block: the exact path takes
+			// what is left of it, drawn again from the mark.
+			redraws := 0
+			redraw := func() {
+				sched.RunUntil(sched.Now().Add(time.Duration(noiseWindows+1) * l.span))
+				if l.quiet && l.next < l.drawn {
+					redraws++
+				}
+				p.SetCoreFreqHz(hz[i%2])
+				i++
+			}
+			if allocs := testing.AllocsPerRun(20, redraw); allocs != 0 {
+				t.Errorf("drawing a quiet block again at a DVFS change allocates %.1f objects, want 0", allocs)
+			}
+			if redraws < 20 {
+				t.Errorf("%d of 21 DVFS changes met a quiet block", redraws)
+			}
+			if !tc.enableMem {
+				return
+			}
+			// A TSC rescale the memory monitor catches, whose callback
+			// plans an AEX at the next window's end: between that
+			// window's INC and memory completions.
+			halves := 0
+			aex := func() {
+				if p.touchMonitor(); l.half {
+					halves++
+				}
+				p.FireAEX()
+			}
+			l.m.onDiscrepancy = func(float64) { sched.At(sched.Now().Add(l.span), aex) }
+			scale := []float64{1.25, 1}
+			between := func() {
+				p.TSC().SetScale(scale[i%2], sched.Now())
+				i++
+				sched.RunUntil(sched.Now().Add(20 * l.span))
+			}
+			if allocs := testing.AllocsPerRun(20, between); allocs != 0 {
+				t.Errorf("an AEX between a window's completions allocates %.1f objects, want 0", allocs)
+			}
+			if halves < 20 {
+				t.Errorf("%d AEXs between completions in 21 rescales", halves)
 			}
 		})
 	}
@@ -85,6 +135,46 @@ func BenchmarkMonitorWindow(b *testing.B) {
 	b.ResetTimer()
 	sched.RunUntil(sched.Now().Add(time.Duration(b.N) * span))
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cores*b.N), "ns/window")
+}
+
+// BenchmarkMonitorVerdictWindow times the monitoring loop per window
+// on a hardened core whose TSC an attacker scales by 1.1, raising the
+// core's frequency to match so that the INC count stays put — the
+// DVFS-masked scaling only the memory monitor catches — and back, every
+// four blocks: besides quiet blocks, plans meet a verdict, a reset and
+// a re-learn. It runs at least one such cycle, whatever b.N.
+func BenchmarkMonitorVerdictWindow(b *testing.B) {
+	sched, ps := monitoredCores(1, true)
+	p := ps[0]
+	l := &p.mon
+	verdicts, windows := 0, 0
+	l.m.onDiscrepancy = func(float64) { verdicts++ }
+	l.record = func(n int) { windows += n }
+	masked := false
+	var toggle sim.Timer
+	toggle = sched.NewTimer(func() {
+		masked = !masked
+		scale := 1.0
+		if masked {
+			scale = 1.1
+		}
+		p.TSC().SetScale(scale, sched.Now())
+		p.SetCoreFreqHz(scale * simtime.PaperCoreHz)
+		toggle.Set(sched.Now().Add(4 * noiseWindows * l.span))
+	})
+	toggle.Set(simtime.FromDuration(4 * noiseWindows * l.span))
+	sched.RunUntil(simtime.FromDuration(16 * noiseWindows * l.span))
+	if verdicts == 0 {
+		b.Fatal("the masked scaling drew no verdict")
+	}
+	verdicts, windows = 0, 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for windows < b.N || verdicts < 2 {
+		sched.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows), "ns/window")
+	b.ReportMetric(float64(verdicts)*1000/float64(windows), "verdicts/kwindow")
 }
 
 // The eager reference: the monitoring loop as the simulator ran it
@@ -164,11 +254,11 @@ func (w *eagerWindow) retarget(tsc *simtime.TSC, at simtime.Instant) {
 	w.timer.Set(w.endAt)
 }
 
-func newEagerCore(sched *sim.Scheduler, rng *sim.RNG, tsc *simtime.TSC, cfg MonitorConfig) *eagerCore {
+func newEagerCore(sched *sim.Scheduler, rng *sim.RNG, tsc *simtime.TSC, model INCModel, cfg MonitorConfig) *eagerCore {
 	c := &eagerCore{
 		sched: sched, rng: rng, tsc: tsc,
 		core:     simtime.PaperCore(),
-		incModel: PaperINCModel(), memModel: PaperMemModel(),
+		incModel: model, memModel: PaperMemModel(),
 		ticks: cfg.INCTicks, incTol: cfg.INCTol, memTol: cfg.MemTol, memEnabled: cfg.EnableMem,
 		onDiscrepancy: cfg.OnDiscrepancy, onFreqChange: cfg.OnFreqChange,
 	}
@@ -340,8 +430,8 @@ func (s *oracleSide) act(st scriptStep) {
 // also plans a reset or, every other time, an AEX at exactly the next
 // window's end — a tie the window's ranks decide. A memory verdict's
 // lands between that window's INC and memory completions.
-func (s *oracleSide) monitorConfig(enableMem bool) MonitorConfig {
-	cfg := MonitorConfig{INCTicks: 15e6, INCTol: 0.005, EnableMem: enableMem}
+func (s *oracleSide) monitorConfig(incTol float64, enableMem bool) MonitorConfig {
+	cfg := MonitorConfig{INCTicks: 15e6, INCTol: incTol, EnableMem: enableMem}
 	tie := func() {
 		now := s.sched.Now()
 		span := s.tsc.TimeOfReaching(s.tsc.ReadAt(now)+cfg.INCTicks, now).Sub(now)
@@ -369,10 +459,39 @@ func (s *oracleSide) monitorConfig(enableMem bool) MonitorConfig {
 	return cfg
 }
 
+// oracleVariant is the INC noise model and tolerance a trial runs
+// with, and how long it runs.
+type oracleVariant struct {
+	model  INCModel
+	incTol float64
+	runFor time.Duration
+}
+
+// paperVariant is the paper's model and the engine's 0.5 % tolerance:
+// every window of a steady baseline is quiet by hundreds of sigmas.
+func paperVariant(int64) oracleVariant {
+	return oracleVariant{PaperINCModel(), 0.005, 3 * time.Second}
+}
+
+// tightVariant puts the INC tolerance at the outlier offset plus one to
+// four sigmas of noise (by trial) at the paper's core frequency, and
+// makes one window in ten an outlier. At that frequency the quiet bound
+// is a few sigmas, so scans fall back mid-block, and outliers deviate
+// or not by their Gaussian term; the script's DVFS steps move the
+// tolerance to where every outlier deviates (2.8 GHz) or none does and
+// every block is quiet (4.2 GHz). A quiet block needs 64 windows
+// without a replan, which the script's gaps give rarely, so the trials
+// run longer.
+func tightVariant(trial int64) oracleVariant {
+	m := PaperINCModel()
+	m.OutlierProb = 0.1
+	k := float64(1 + trial%4)
+	return oracleVariant{m, (math.Abs(m.OutlierOffset) + k*m.NoiseSigma) / simtime.PaperINCPer15MTicks, 10 * time.Second}
+}
+
 // oracleRun runs one trial of the script on both sides and returns
 // them, after the run, for comparison.
-func oracleRun(trial int64, enableMem bool) (eager, lazy *oracleSide, eagerCore *eagerCore, lazyPlatform *SimPlatform) {
-	const runFor = 3 * time.Second
+func oracleRun(trial int64, enableMem bool, v oracleVariant) (eager, lazy *oracleSide, eagerCore *eagerCore, lazyPlatform *SimPlatform) {
 	newSide := func() *oracleSide {
 		s := &oracleSide{sched: sim.NewScheduler(), rng: sim.NewRNG(uint64(trial)), tsc: simtime.NewTSC(simtime.NominalTSCHz, 7e9)}
 		return s
@@ -380,7 +499,7 @@ func oracleRun(trial int64, enableMem bool) (eager, lazy *oracleSide, eagerCore 
 
 	// The eager side works the script out as it goes.
 	eager = newSide()
-	c := newEagerCore(eager.sched, eager.rng, eager.tsc, eager.monitorConfig(enableMem))
+	c := newEagerCore(eager.sched, eager.rng, eager.tsc, v.model, eager.monitorConfig(v.incTol, enableMem))
 	c.counted = func(counter string, count float64) { eager.logf(&eager.counts, "%s %v", counter, count) }
 	c.aborted = func(counter string, start simtime.Instant) {
 		eager.logf(&eager.effects, "abort %s from %v", counter, start)
@@ -421,20 +540,19 @@ func oracleRun(trial int64, enableMem bool) (eager, lazy *oracleSide, eagerCore 
 	}
 	eager.sched.At(simtime.FromDuration(3*time.Millisecond), step)
 	c.start()
-	eager.sched.RunUntil(simtime.FromDuration(runFor))
+	eager.sched.RunUntil(simtime.FromDuration(v.runFor))
 
 	// The lazy side replays it.
 	lazy = newSide()
 	net := simnet.New(lazy.sched, sim.NewRNG(0), simnet.Link{Base: time.Millisecond})
-	p := NewSimPlatform(lazy.sched, lazy.rng, net, SimConfig{Addr: 1, TSC: lazy.tsc})
-	m := NewRateMonitor(p, lazy.monitorConfig(enableMem))
-	p.mon.record = func() {
-		inc, mem := p.headCounts()
-		logAt(&lazy.counts, p.mon.end, "inc %v", inc)
+	p := NewSimPlatform(lazy.sched, lazy.rng, net, SimConfig{Addr: 1, TSC: lazy.tsc, INCModel: v.model})
+	m := NewRateMonitor(p, lazy.monitorConfig(v.incTol, enableMem))
+	onPass(p, func(end simtime.Instant, inc, mem float64) {
+		logAt(&lazy.counts, end, "inc %v", inc)
 		if enableMem {
-			logAt(&lazy.counts, p.mon.end, "mem %v", mem)
+			logAt(&lazy.counts, end, "mem %v", mem)
 		}
-	}
+	})
 	lazy.aex = func() {
 		p.touchMonitor()
 		if l := &p.mon; l.half {
@@ -466,7 +584,7 @@ func oracleRun(trial int64, enableMem bool) (eager, lazy *oracleSide, eagerCore 
 	}
 	lazy.sched.At(simtime.FromDuration(3*time.Millisecond), replay)
 	m.Start()
-	lazy.sched.RunUntil(simtime.FromDuration(runFor))
+	lazy.sched.RunUntil(simtime.FromDuration(v.runFor))
 	p.touchMonitor()
 	return eager, lazy, c, p
 }
@@ -480,39 +598,68 @@ func oracleRun(trial int64, enableMem bool) (eager, lazy *oracleSide, eagerCore 
 // script's steps, the same aborted windows, the same learnt baselines
 // after every step, and the RNG left where the eager side left it. Its
 // callbacks plan resets and AEXs tied with the next window's end, some
-// between that window's INC and memory completions.
+// between that window's INC and memory completions. It runs at the
+// paper's tolerance, where steady blocks are quiet, and at a tight one
+// (tightVariant), where scans fall back and outliers deviate; quiet
+// blocks must be taken in both, and scans must fall back in the tight.
 func TestLazyWindowsMatchEagerOracle(t *testing.T) {
-	for _, enableMem := range []bool{false, true} {
-		for trial := int64(1); trial <= 12; trial++ {
-			eager, lazy, c, p := oracleRun(trial, enableMem)
-			name := fmt.Sprintf("mem=%v trial %d", enableMem, trial)
-			if len(eager.counts) < 200 {
-				t.Fatalf("%s: only %d counts", name, len(eager.counts))
-			}
-			compareLogs(t, name+" counts", eager.counts, lazy.counts)
-			compareLogs(t, name+" effects", eager.effects, lazy.effects)
-			// The noise the lazy side drew ahead is what the eager RNG
-			// draws next.
-			for j := p.mon.next; j < p.mon.drawn; j++ {
-				w := p.mon.noise[j]
-				inc := c.rng.Gaussian(0, c.incModel.NoiseSigma)
-				off := 0.0
-				if c.incModel.OutlierProb > 0 && c.rng.Float64() < c.incModel.OutlierProb {
-					off = c.incModel.OutlierOffset
-				}
-				mem := 0.0
-				if enableMem {
-					mem = c.rng.Gaussian(0, c.memModel.NoiseFrac)
-				}
-				if want := (windowNoise{inc, off, mem, w.memAt}); w != want {
-					t.Fatalf("%s: noise drawn ahead %d is %+v, the eager RNG draws %+v", name, j-p.mon.next, w, want)
+	for _, tc := range []struct {
+		name    string
+		variant func(trial int64) oracleVariant
+	}{{"paper", paperVariant}, {"tight", tightVariant}} {
+		t.Run(tc.name, func(t *testing.T) {
+			quiet, fallbacks := 0, 0
+			for _, enableMem := range []bool{false, true} {
+				for trial := int64(1); trial <= 12; trial++ {
+					p := checkOracle(t, fmt.Sprintf("mem=%v trial %d", enableMem, trial), trial, enableMem, tc.variant(trial))
+					quiet += p.mon.quietBlocks
+					fallbacks += p.mon.fallbacks
 				}
 			}
-			if eager.rng.Uint64() != lazy.rng.Uint64() {
-				t.Fatalf("%s: the RNG streams part after the run", name)
+			t.Logf("%d quiet blocks, %d scans fell back", quiet, fallbacks)
+			if quiet == 0 {
+				t.Error("no block was planned quiet")
 			}
+			if tc.name == "tight" && fallbacks == 0 {
+				t.Error("no scan fell back")
+			}
+		})
+	}
+}
+
+// checkOracle runs one oracle trial and compares its two sides.
+func checkOracle(t *testing.T, name string, trial int64, enableMem bool, v oracleVariant) *SimPlatform {
+	t.Helper()
+	eager, lazy, c, p := oracleRun(trial, enableMem, v)
+	if len(eager.counts) < 200 {
+		t.Fatalf("%s: only %d counts", name, len(eager.counts))
+	}
+	compareLogs(t, name+" counts", eager.counts, lazy.counts)
+	compareLogs(t, name+" effects", eager.effects, lazy.effects)
+	// The noise the lazy side drew ahead is what the eager RNG draws
+	// next.
+	if p.mon.quiet {
+		p.redrawBlock()
+	}
+	for j := p.mon.next; j < p.mon.drawn; j++ {
+		w := p.mon.noise[j]
+		inc := c.rng.Gaussian(0, c.incModel.NoiseSigma)
+		off := 0.0
+		if c.incModel.OutlierProb > 0 && c.rng.Float64() < c.incModel.OutlierProb {
+			off = c.incModel.OutlierOffset
+		}
+		mem := 0.0
+		if enableMem {
+			mem = c.rng.Gaussian(0, c.memModel.NoiseFrac)
+		}
+		if want := (windowNoise{inc, off, mem, w.memAt}); w != want {
+			t.Fatalf("%s: noise drawn ahead %d is %+v, the eager RNG draws %+v", name, j-p.mon.next, w, want)
 		}
 	}
+	if eager.rng.Uint64() != lazy.rng.Uint64() {
+		t.Fatalf("%s: the RNG streams part after the run", name)
+	}
+	return p
 }
 
 func compareLogs(t *testing.T, name string, want, got []string) {

@@ -11,7 +11,10 @@
 // of clocks.
 package marzullo
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Interval is one clock's confidence interval [Lo, Hi] (inclusive), in
 // nanoseconds of reference time.
@@ -40,18 +43,40 @@ func (iv Interval) Midpoint() int64 {
 	return int64(uint64(iv.Lo) + (uint64(iv.Hi)-uint64(iv.Lo))/2)
 }
 
+// edge is an interval's opening (delta +1) at Lo or its closing (delta
+// -1) after Hi.
+type edge struct {
+	at    int64
+	delta int
+}
+
+// compareEdges orders edges by instant, opens before closes at the same
+// instant: intervals are closed, so touching endpoints count as
+// overlap. Edges it calls equal are equal, so the sort's result is one.
+func compareEdges(a, b edge) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return b.delta - a.delta
+}
+
+// stackEdges is how many edges Intersect sorts without a heap buffer:
+// the intervals of 32 clocks.
+const stackEdges = 64
+
 // Intersect finds the interval covered by the maximum number of input
 // intervals and that count. Invalid (empty) intervals are ignored. With
-// no valid inputs it returns count 0.
+// no valid inputs it returns count 0. Up to 32 intervals it allocates
+// nothing.
 //
 // Ties are resolved toward the earliest such interval, matching the
 // original algorithm's sweep order.
 func Intersect(intervals []Interval) (Interval, int) {
-	type edge struct {
-		at    int64
-		delta int // +1 = interval opens, -1 = interval closes (after at)
+	var buf [stackEdges]edge
+	edges := buf[:0]
+	if 2*len(intervals) > stackEdges {
+		edges = make([]edge, 0, 2*len(intervals))
 	}
-	edges := make([]edge, 0, 2*len(intervals))
 	for _, iv := range intervals {
 		if !iv.Valid() {
 			continue
@@ -61,14 +86,7 @@ func Intersect(intervals []Interval) (Interval, int) {
 	if len(edges) == 0 {
 		return Interval{}, 0
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].at != edges[j].at {
-			return edges[i].at < edges[j].at
-		}
-		// Opens before closes at the same point: intervals are closed,
-		// so touching endpoints count as overlap.
-		return edges[i].delta > edges[j].delta
-	})
+	slices.SortFunc(edges, compareEdges)
 	best, bestCount := Interval{}, 0
 	count := 0
 	for i, e := range edges {

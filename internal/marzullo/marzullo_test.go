@@ -2,6 +2,7 @@ package marzullo
 
 import (
 	"math/rand/v2"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -157,6 +158,71 @@ func TestIntersectProperties(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
+	}
+}
+
+// intersectSortSlice is Intersect as it was written with sort.Slice,
+// the reference its allocation-free sort must match.
+func intersectSortSlice(intervals []Interval) (Interval, int) {
+	var edges []edge
+	for _, iv := range intervals {
+		if iv.Valid() {
+			edges = append(edges, edge{at: iv.Lo, delta: +1}, edge{at: iv.Hi, delta: -1})
+		}
+	}
+	if len(edges) == 0 {
+		return Interval{}, 0
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta > edges[j].delta
+	})
+	best, bestCount, count := Interval{}, 0, 0
+	for i, e := range edges {
+		count += e.delta
+		if count > bestCount {
+			bestCount, best.Lo, best.Hi = count, e.at, e.at
+			if i+1 < len(edges) {
+				best.Hi = edges[i+1].at
+			}
+		}
+	}
+	return best, bestCount
+}
+
+// TestIntersectMatchesSortSlice: on random intervals over a narrow range
+// — many shared and touching endpoints, some invalid intervals, and
+// inputs past the stack buffer — Intersect returns what the sort.Slice
+// version returned.
+func TestIntersectMatchesSortSlice(t *testing.T) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	for trial := 0; trial < 5000; trial++ {
+		ivs := make([]Interval, rng.IntN(3*stackEdges/2))
+		for i := range ivs {
+			lo := int64(rng.IntN(20))
+			ivs[i] = Interval{Lo: lo, Hi: lo + int64(rng.IntN(8)) - 1}
+		}
+		gotIv, gotN := Intersect(ivs)
+		wantIv, wantN := intersectSortSlice(ivs)
+		if gotIv != wantIv || gotN != wantN {
+			t.Fatalf("%v: Intersect gives %+v/%d, the sort.Slice version %+v/%d", ivs, gotIv, gotN, wantIv, wantN)
+		}
+	}
+}
+
+// TestIntersectZeroAlloc: up to stackEdges/2 intervals, Intersect sorts
+// on the stack.
+func TestIntersectZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	ivs := make([]Interval, stackEdges/2)
+	for i := range ivs {
+		lo := int64(rng.IntN(1000))
+		ivs[i] = Interval{Lo: lo, Hi: lo + int64(rng.IntN(200))}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { Intersect(ivs) }); allocs != 0 {
+		t.Errorf("Intersect of %d intervals allocates %.1f objects, want 0", len(ivs), allocs)
 	}
 }
 
