@@ -47,13 +47,21 @@ type windowNoise struct {
 // measured++, strikes = 0. From a whole head, the loop bounds each
 // counter's standard-normal draw so that a window under both bounds
 // cannot deviate, whatever its outlier roll, and scans the next
-// noiseWindows windows' draws off the RNG without storing them. If all
-// clear their bounds, the block's plan is arithmetic and its firing
-// moves the head past it with one multiply; the block keeps only the
-// RNG's mark at its start, and whatever needs a noise value — a replan
-// inside it, an AEX between a window's completions — draws the block
-// again from there. Otherwise the RNG goes back to the mark and the
-// windows take the exact path above.
+// noiseWindows windows' draws off the RNG without storing them. While
+// both bounds exceed sim.MaxFastNormal, the largest magnitude the
+// ziggurat's fast branch returns, a window whose normals all take that
+// branch clears them by construction: sim.RNG.SkipFastWindows passes
+// such windows by LCG jump-ahead, computing only their normals' states
+// and outputs, and the scan draws only the windows in between. If all
+// clear their bounds, the block's plan is arithmetic: its firing moves
+// the head past it with one multiply, and a touch point inside it
+// commits the windows that ended strictly before it in one step. The
+// block keeps only the RNG's mark at its start. A replan inside it
+// scans again from the head — back to the mark, past the windows
+// committed — and may find the rest quiet again; an AEX between a
+// window's completions draws the block again from the mark. Otherwise
+// the RNG goes back to the mark and the windows take the exact path
+// above.
 //
 // A window's completion sits in the firing order where a timer set at
 // the window's start would fire: at its end, after entries scheduled
@@ -103,8 +111,9 @@ type monitorLoop struct {
 	// quiet is set while noise[:drawn] is a quiet block (planQuiet):
 	// windows whose draws clear the bounds, each judged measured++,
 	// strikes = 0 on every counter. Their noise is not stored: mark is
-	// the RNG's position before the block's first draw, and redrawBlock
-	// draws it into the buffer again when a value is needed.
+	// the RNG's position before the block's first draw, where a replan
+	// scans from again and redrawBlock draws the block into the buffer
+	// when a value is needed.
 	quiet bool
 	mark  sim.RNGMark
 	// quietBlocks and fallbacks count the blocks planned quiet and the
@@ -209,12 +218,34 @@ func (p *SimPlatform) touchMonitor() {
 		return // a callback's changes are planned for when it returns
 	}
 	pos := p.sched.Position()
+	if l.quiet && !l.half && l.end < pos.At {
+		p.commitQuiet(pos.At)
+	}
 	for p.completesBefore(pos) {
 		p.judgeHead()
 	}
 	if l.from == pos.At && l.hi == unranked {
 		l.hi = p.sched.Reserve()
 	}
+}
+
+// commitQuiet commits, in one step, the quiet block's windows from a
+// whole head on that end strictly before at: each is judged measured++,
+// strikes = 0 on every counter. Their ends are the head's plus whole
+// spans, and the timer's window ends at or after at, so they are all
+// the block's. A window ending at at itself is left to
+// completesBefore, which its ranks decide.
+//
+//triad:hotpath
+func (p *SimPlatform) commitQuiet(at simtime.Instant) {
+	l := &p.mon
+	m := l.m
+	n := int((at.Sub(l.end)-1)/l.span) + 1
+	m.state.inc.passQuiet(n)
+	if m.memEnabled {
+		m.state.mem.passQuiet(n)
+	}
+	p.advanceHead(n)
 }
 
 // replanMonitor plans again after a change touchMonitor preceded.
@@ -456,13 +487,18 @@ func (p *SimPlatform) fireMonitor() {
 // the end of a quiet block (planQuiet) when it can, else — running the
 // judge ahead from the head on a copy of the monitor's state, over the
 // noise drawn — at the end of the first window that calls back, or of
-// the last one drawn.
+// the last one drawn. A quiet block it replans inside is scanned again
+// from the head: the RNG goes back to the block's mark and passes the
+// windows the block committed, and what is left of the block is
+// planned like any other windows from there.
 //
 //triad:hotpath
 func (p *SimPlatform) planMonitor() {
 	l := &p.mon
 	if l.quiet && l.next < l.drawn {
-		p.redrawBlock() // what is left of it goes the exact path
+		p.rng.Rewind(l.mark)
+		p.scanQuiet(l.next, math.Inf(1), math.Inf(1))
+		l.drawn = l.next
 	}
 	l.quiet = false
 	l.drawn = copy(l.noise[:], l.noise[l.next:l.drawn])
@@ -564,7 +600,7 @@ func (p *SimPlatform) planQuiet() bool {
 		return false
 	}
 	l.mark = p.rng.Mark()
-	if !p.scanQuiet(xINC, xMem) {
+	if !p.scanQuiet(noiseWindows, xINC, xMem) {
 		p.rng.Rewind(l.mark)
 		l.fallbacks++
 		return false
@@ -607,17 +643,26 @@ func (p *SimPlatform) quietBounds() (xINC, xMem float64) {
 	return xINC, xMem
 }
 
-// scanQuiet steps the RNG through noiseWindows windows' draws in
-// drawWindow's order — the INC normal, the outlier roll's one Uint64,
-// the memory normal — storing nothing, and reports whether every normal
-// stays under its bound.
+// scanQuiet steps the RNG through n windows' draws in drawWindow's
+// order — the INC normal, the outlier roll's one Uint64, the memory
+// normal — storing nothing, and reports whether every normal stays
+// under its bound. When both bounds exceed sim.MaxFastNormal, every
+// normal the ziggurat's fast branch takes clears them by construction:
+// RNG.SkipFastWindows then passes the windows up to the next one with a
+// slow-branch normal at once, and only that one is drawn here.
 //
 //triad:hotpath
-func (p *SimPlatform) scanQuiet(xINC, xMem float64) bool {
+func (p *SimPlatform) scanQuiet(n int, xINC, xMem float64) bool {
 	rng := p.rng
 	roll := p.incModel.OutlierProb > 0
 	mem := p.mon.m.memEnabled
-	for i := 0; i < noiseWindows; i++ {
+	skip := xINC > sim.MaxFastNormal && (!mem || xMem > sim.MaxFastNormal)
+	for i := 0; i < n; i++ {
+		if skip {
+			if i += rng.SkipFastWindows(n-i, roll, mem); i == n {
+				break
+			}
+		}
 		if math.Abs(rng.NormFloat64()) >= xINC {
 			return false
 		}

@@ -40,9 +40,9 @@ func monitoredCores(n int, enableMem bool) (*sim.Scheduler, []*SimPlatform) {
 // TestMonitorWindowZeroAllocSteadyState is the allocation gate CI runs
 // on the monitoring loop: a quiet block's firing (moving the head past
 // the block at once) and its scan, judging windows at touch points (an
-// AEX, a core-frequency change), drawing a quiet block's noise again
-// from its mark when a DVFS change replans it, and — with the memory
-// monitor — the RNG rewind of an AEX between a window's INC and memory
+// AEX, a core-frequency change), scanning a quiet block again from its
+// mark when a DVFS change replans it, and — with the memory monitor —
+// the RNG rewind of an AEX between a window's INC and memory
 // completions, must not allocate.
 func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
@@ -72,8 +72,8 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, touch); allocs != 0 {
 				t.Errorf("judging and planning at touch points allocates %.1f objects, want 0", allocs)
 			}
-			// A DVFS change inside a quiet block: the exact path takes
-			// what is left of it, drawn again from the mark.
+			// A DVFS change inside a quiet block: what is left of it is
+			// scanned again from the mark, past the windows committed.
 			redraws := 0
 			redraw := func() {
 				sched.RunUntil(sched.Now().Add(time.Duration(noiseWindows+1) * l.span))
@@ -84,7 +84,7 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 				i++
 			}
 			if allocs := testing.AllocsPerRun(20, redraw); allocs != 0 {
-				t.Errorf("drawing a quiet block again at a DVFS change allocates %.1f objects, want 0", allocs)
+				t.Errorf("scanning a quiet block again at a DVFS change allocates %.1f objects, want 0", allocs)
 			}
 			if redraws < 20 {
 				t.Errorf("%d of 21 DVFS changes met a quiet block", redraws)
@@ -395,8 +395,9 @@ type oracleSide struct {
 	freq  func(hz float64)
 	reset func()
 	state func() (inc, mem baselineState)
-	// ties counts the ties the callbacks planned.
-	ties int
+	// ties counts the ties the callbacks planned; commits, the script's
+	// AEXs that committed more than one window of a quiet block at once.
+	ties, commits int
 }
 
 func (s *oracleSide) logf(list *[]string, format string, args ...any) {
@@ -508,9 +509,15 @@ func oracleRun(trial int64, enableMem bool, v oracleVariant) (eager, lazy *oracl
 	eager.state = func() (inc, mem baselineState) { return c.incState, c.memState }
 	rnd := rand.New(rand.NewSource(trial))
 	var script []scriptStep
+	// aexRun counts down a run of AEXs many windows apart, which land
+	// inside quiet blocks: an AEX replans nothing there.
+	aexRun := 0
 	var step func()
 	step = func() {
 		st := scriptStep{action: rnd.Intn(actCount)}
+		if aexRun > 0 {
+			st.action = actAEX
+		}
 		switch st.action {
 		case actScale:
 			st.arg = []float64{1, 0.8, 1.1, 1.25}[rnd.Intn(4)]
@@ -525,7 +532,13 @@ func oracleRun(trial int64, enableMem bool, v oracleVariant) (eager, lazy *oracl
 		// with the end of the window in flight, or of the one after it.
 		now := eager.sched.Now()
 		span := eager.tsc.TimeOfReaching(eager.tsc.ReadAt(now)+c.ticks, now).Sub(now)
+		if aexRun == 0 && rnd.Intn(8) == 0 {
+			aexRun = 2 + rnd.Intn(6)
+		}
 		switch r := rnd.Intn(4); {
+		case aexRun > 0:
+			aexRun--
+			st.next = now.Add(time.Duration(2+rnd.Intn(40))*span + time.Duration(rnd.Int63n(int64(span))))
 		case r == 0:
 			st.next = c.inc.endAt
 		case r == 1 && c.inc.endAt > now:
@@ -554,8 +567,13 @@ func oracleRun(trial int64, enableMem bool, v oracleVariant) (eager, lazy *oracl
 		}
 	})
 	lazy.aex = func() {
+		l := &p.mon
+		next, quiet := l.next, l.quiet
 		p.touchMonitor()
-		if l := &p.mon; l.half {
+		if quiet && l.next-next > 1 {
+			lazy.commits++
+		}
+		if l.half {
 			// Between the head's completions: its INC count is in, and the
 			// INC window aborted is the one its completion began.
 			inc, _ := p.headCounts()
@@ -598,27 +616,33 @@ func oracleRun(trial int64, enableMem bool, v oracleVariant) (eager, lazy *oracl
 // script's steps, the same aborted windows, the same learnt baselines
 // after every step, and the RNG left where the eager side left it. Its
 // callbacks plan resets and AEXs tied with the next window's end, some
-// between that window's INC and memory completions. It runs at the
-// paper's tolerance, where steady blocks are quiet, and at a tight one
-// (tightVariant), where scans fall back and outliers deviate; quiet
-// blocks must be taken in both, and scans must fall back in the tight.
+// between that window's INC and memory completions, and its runs of
+// AEXs many windows apart commit quiet blocks' windows in one step. It
+// runs at the paper's tolerance, where steady blocks are quiet, and at
+// a tight one (tightVariant), where scans fall back and outliers
+// deviate; quiet blocks and one-step commits must be taken in both,
+// and scans must fall back in the tight.
 func TestLazyWindowsMatchEagerOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		variant func(trial int64) oracleVariant
 	}{{"paper", paperVariant}, {"tight", tightVariant}} {
 		t.Run(tc.name, func(t *testing.T) {
-			quiet, fallbacks := 0, 0
+			quiet, fallbacks, commits := 0, 0, 0
 			for _, enableMem := range []bool{false, true} {
 				for trial := int64(1); trial <= 12; trial++ {
-					p := checkOracle(t, fmt.Sprintf("mem=%v trial %d", enableMem, trial), trial, enableMem, tc.variant(trial))
+					p, lazy := checkOracle(t, fmt.Sprintf("mem=%v trial %d", enableMem, trial), trial, enableMem, tc.variant(trial))
 					quiet += p.mon.quietBlocks
 					fallbacks += p.mon.fallbacks
+					commits += lazy.commits
 				}
 			}
-			t.Logf("%d quiet blocks, %d scans fell back", quiet, fallbacks)
+			t.Logf("%d quiet blocks, %d scans fell back, %d AEXs committed quiet windows in one step", quiet, fallbacks, commits)
 			if quiet == 0 {
 				t.Error("no block was planned quiet")
+			}
+			if commits == 0 {
+				t.Error("no AEX committed a quiet block's windows in one step")
 			}
 			if tc.name == "tight" && fallbacks == 0 {
 				t.Error("no scan fell back")
@@ -628,7 +652,7 @@ func TestLazyWindowsMatchEagerOracle(t *testing.T) {
 }
 
 // checkOracle runs one oracle trial and compares its two sides.
-func checkOracle(t *testing.T, name string, trial int64, enableMem bool, v oracleVariant) *SimPlatform {
+func checkOracle(t *testing.T, name string, trial int64, enableMem bool, v oracleVariant) (*SimPlatform, *oracleSide) {
 	t.Helper()
 	eager, lazy, c, p := oracleRun(trial, enableMem, v)
 	if len(eager.counts) < 200 {
@@ -659,7 +683,7 @@ func checkOracle(t *testing.T, name string, trial int64, enableMem bool, v oracl
 	if eager.rng.Uint64() != lazy.rng.Uint64() {
 		t.Fatalf("%s: the RNG streams part after the run", name)
 	}
-	return p
+	return p, lazy
 }
 
 func compareLogs(t *testing.T, name string, want, got []string) {

@@ -52,6 +52,10 @@ func (n *Node) Counters() Counters {
 	return c
 }
 
+// TAReferences reports the Time Authority references the node adopted,
+// Counters().TAReferences, without copying the other counters.
+func (n *Node) TAReferences() int { return n.e.counters.TAReferences }
+
 // TimeJumps returns the forward jumps (ns) taken when adopting peer
 // timestamps; the 50–70ms jumps of Figure 3a and ~35ms jumps of
 // Figure 6a show up here. The slice is a copy.

@@ -398,7 +398,7 @@ func (c *Cluster) sampleOnce() {
 				State:        n.State(),
 			})
 		}
-		c.TACounts[i].Add(metrics.CountPoint{RefSeconds: refSec, Count: n.Counters().TAReferences})
+		c.TACounts[i].Add(metrics.CountPoint{RefSeconds: refSec, Count: n.TAReferences()})
 		c.AEXCounts[i].Add(metrics.CountPoint{RefSeconds: refSec, Count: c.Platforms[i].AEXCount()})
 	}
 }

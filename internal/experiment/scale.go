@@ -119,7 +119,7 @@ func runClusterScaleOne(seed uint64, n int, churn float64, duration time.Duratio
 			}
 		}
 		row.MinAvailability = math.Min(row.MinAvailability, c.Availability(i))
-		taSum += float64(c.Nodes[i].Counters().TAReferences)
+		taSum += float64(c.Nodes[i].TAReferences())
 	}
 	row.TARefsPerNode = taSum / float64(n-1)
 	c.ReleaseProbes()

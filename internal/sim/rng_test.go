@@ -224,3 +224,177 @@ func TestRNGMatchesMathRandV2(t *testing.T) {
 		}
 	}
 }
+
+// TestLCGJumpsMatchSteps: a jump of k steps lands where k steps do, a
+// step back undoes a step, and a state's output is what the step to it
+// returns.
+func TestLCGJumpsMatchSteps(t *testing.T) {
+	g := NewRNG(11)
+	for i := 0; i < 1000; i++ {
+		s := pcg{g.Uint64(), g.Uint64()}
+		p := s
+		if got, want := s.jump(&jumps[1]).output(), p.Uint64(); got != want {
+			t.Fatalf("the output after a step from %v is %#x, Uint64 returns %#x", s, got, want)
+		}
+		p = s
+		for k := range jumps {
+			if got := s.jump(&jumps[k]); got != p {
+				t.Fatalf("a %d-step jump from %v lands at %v, %d steps at %v", k, s, got, k, p)
+			}
+			p.Uint64()
+		}
+		p = s
+		p.Uint64()
+		if got := p.jump(&stepBack); got != s {
+			t.Fatalf("a step back from %v lands at %v, want %v", p, got, s)
+		}
+	}
+}
+
+// TestFastNormalsWithinMaxFastNormal: every value NormFloat64's fast
+// branch can return is at most MaxFastNormal in magnitude. A fast draw
+// is float64(j)·wn[i] for |j| < kn[i]; float64(j) is exact and the
+// product by a positive wn[i] rounds monotonically, so the magnitude
+// grows with |j| and each strip's largest is at |j| = kn[i]-1. The
+// check runs over every strip, both signs, and the last 4096 values of
+// |j| below each strip's bound, where it checks the monotony too.
+func TestFastNormalsWithinMaxFastNormal(t *testing.T) {
+	attained := false
+	for i := range kn {
+		if kn[i] == 0 {
+			if fastNormal(uint64(i) << 32) {
+				t.Fatalf("strip %d has no fast draws, but fastNormal takes j = 0", i)
+			}
+			continue
+		}
+		prev := math.Inf(-1)
+		for a := int64(kn[i]) - 4096; a < int64(kn[i]); a++ {
+			if a < 0 {
+				continue
+			}
+			for _, j := range []int64{a, -a} {
+				u := uint64(i)<<32 | uint64(uint32(int32(j)))
+				if !fastNormal(u) {
+					t.Fatalf("strip %d, j = %d: not taken by the fast branch", i, j)
+				}
+				x := math.Abs(float64(int32(j)) * float64(wn[i]))
+				if x > MaxFastNormal {
+					t.Fatalf("strip %d, j = %d: |x| = %v exceeds MaxFastNormal %v", i, j, x, MaxFastNormal)
+				}
+				attained = attained || x == MaxFastNormal
+			}
+			x := float64(a) * float64(wn[i])
+			if x < prev {
+				t.Fatalf("strip %d: |x| falls from %v to %v at |j| = %d", i, prev, x, a)
+			}
+			prev = x
+		}
+		for _, j := range []int64{int64(kn[i]), -int64(kn[i])} {
+			if fastNormal(uint64(i)<<32 | uint64(uint32(int32(j)))) {
+				t.Fatalf("strip %d, j = %d: at the bound, taken by the fast branch", i, j)
+			}
+		}
+	}
+	if !attained {
+		t.Errorf("no fast draw reaches MaxFastNormal %v: it is not the maximum", MaxFastNormal)
+	}
+}
+
+// windowLayouts are the draw layouts of a monitoring window: an INC
+// normal, an outlier roll's Uint64 or not, a memory normal or not.
+var windowLayouts = []struct{ roll, second bool }{{false, false}, {true, false}, {false, true}, {true, true}}
+
+// slowDraws counts the normals drawn in the ziggurat's slow branch, by
+// where it went: the base strip's tail or another strip's wedge.
+type slowDraws struct{ wedge, tail int }
+
+// checkSkipFastWindows passes n windows of a layout on one generator
+// by SkipFastWindows, drawing itself each window it stops before, and
+// on a copy draw by draw, and requires the same windows passed, normals
+// within MaxFastNormal in the windows skipped and a slow one in each
+// window it stopped before, and the same state after every skip.
+func checkSkipFastWindows(t *testing.T, seed1, seed2 uint64, n int, roll, second bool, slow *slowDraws) {
+	t.Helper()
+	g, ref := newPCG(seed1, seed2), newPCG(seed1, seed2)
+	// draw draws one window on ref and reports whether a normal in it
+	// took the slow branch.
+	draw := func() (slowNormal bool) {
+		normal := func() {
+			peek := ref.pcg
+			u := peek.Uint64()
+			if x := ref.NormFloat64(); fastNormal(u) {
+				if math.Abs(x) > MaxFastNormal {
+					t.Fatalf("a fast-branch draw %v exceeds MaxFastNormal %v", x, MaxFastNormal)
+				}
+				return
+			}
+			slowNormal = true
+			if u>>32&0x7f == 0 {
+				slow.tail++
+			} else {
+				slow.wedge++
+			}
+		}
+		normal()
+		if roll {
+			ref.Uint64()
+		}
+		if second {
+			normal()
+		}
+		return slowNormal
+	}
+	for w := 0; w < n; {
+		k := g.SkipFastWindows(n-w, roll, second)
+		for i := 0; i < k; i++ {
+			if draw() {
+				t.Fatalf("seeds %d, %d, layout roll=%v second=%v: window %d has a slow-branch normal, but was skipped", seed1, seed2, roll, second, w+i)
+			}
+		}
+		if w += k; g.pcg != ref.pcg {
+			t.Fatalf("seeds %d, %d, layout roll=%v second=%v: after %d windows the skip is at %v, serial draws at %v", seed1, seed2, roll, second, w, g.pcg, ref.pcg)
+		}
+		if w == n {
+			return
+		}
+		if !draw() {
+			t.Fatalf("seeds %d, %d, layout roll=%v second=%v: the skip stopped before window %d, whose normals are fast", seed1, seed2, roll, second, w)
+		}
+		g.NormFloat64()
+		if roll {
+			g.Uint64()
+		}
+		if second {
+			g.NormFloat64()
+		}
+		w++
+	}
+}
+
+// TestSkipFastWindowsMatchesSerial runs checkSkipFastWindows over every
+// window layout and 200 seeds, 64 to 2047 windows each: enough normals
+// that slow-branch draws of both kinds, wedge and tail, stop the skip.
+func TestSkipFastWindowsMatchesSerial(t *testing.T) {
+	var slow slowDraws
+	for _, l := range windowLayouts {
+		for seed := uint64(1); seed <= 200; seed++ {
+			checkSkipFastWindows(t, seed, seed*0x9e3779b97f4a7c15, 64+int(seed*977%1984), l.roll, l.second, &slow)
+		}
+	}
+	t.Logf("%d wedge and %d tail draws", slow.wedge, slow.tail)
+	if slow.wedge == 0 || slow.tail == 0 {
+		t.Errorf("%d wedge and %d tail draws: the seeds reach both kinds of slow draw", slow.wedge, slow.tail)
+	}
+}
+
+// FuzzSkipFastWindows is checkSkipFastWindows on any seeds, window
+// count and layout.
+func FuzzSkipFastWindows(f *testing.F) {
+	f.Add(uint64(1), uint64(2), uint16(64), uint8(3))
+	f.Add(uint64(7), uint64(0), uint16(1000), uint8(1))
+	f.Fuzz(func(t *testing.T, seed1, seed2 uint64, n uint16, layout uint8) {
+		var slow slowDraws
+		l := windowLayouts[layout%4]
+		checkSkipFastWindows(t, seed1, seed2, int(n%4096), l.roll, l.second, &slow)
+	})
+}

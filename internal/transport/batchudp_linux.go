@@ -76,6 +76,11 @@ type batchSys struct {
 	// size.
 	ctrl []gsoCmsg
 
+	// dirty is how many leading headers may differ from a receive's
+	// wiring: those the kernel filled on the last receive, and those a
+	// send addressed and sized since.
+	dirty int
+
 	recvFn, sendFn   func(fd uintptr) bool
 	res              int
 	errno            syscall.Errno
@@ -98,8 +103,30 @@ func (s *batchSys) init(b *Batch) {
 		s.ctrl[i].hdr.Type = udpSegment
 		s.ctrl[i].hdr.SetLen(syscall.CmsgLen(2))
 	}
+	s.dirty = n
 	s.recvFn = s.rawRecv
 	s.sendFn = s.rawSend
+}
+
+// rewire gives each dirty header one whole payload buffer, a full-size
+// name buffer and no control message, as a receive needs: a send may
+// have shortened the iovecs, named destinations and regrouped headers
+// into GSO runs, and a receive leaves the kernel's name lengths.
+//
+//triad:hotpath
+func (s *batchSys) rewire(b *Batch) {
+	hdrs := s.hdrs[:s.dirty]
+	for i := range hdrs {
+		s.iovs[i].SetLen(cap(b.bufs[i]))
+		h := &hdrs[i].hdr
+		h.Iov = &s.iovs[i]
+		h.Iovlen = 1
+		h.Name = (*byte)(unsafe.Pointer(&s.names[i]))
+		h.Namelen = syscall.SizeofSockaddrInet6
+		h.Control = nil
+		h.Controllen = 0
+	}
+	s.dirty = 0
 }
 
 // rawRecv is the netpoller read callback: false on EAGAIN re-arms the
@@ -184,17 +211,7 @@ func (c *BatchConn) EnableGSO(segSize int) error {
 //triad:hotpath
 func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 	s := &b.sys
-	for i := range s.hdrs {
-		s.iovs[i].SetLen(cap(b.bufs[i]))
-		// Re-wire one iovec per header: a GSO send may have regrouped
-		// this Batch's headers into multi-slot runs.
-		s.hdrs[i].hdr.Iov = &s.iovs[i]
-		s.hdrs[i].hdr.Iovlen = 1
-		s.hdrs[i].hdr.Name = (*byte)(unsafe.Pointer(&s.names[i]))
-		s.hdrs[i].hdr.Namelen = syscall.SizeofSockaddrInet6
-		s.hdrs[i].hdr.Control = nil
-		s.hdrs[i].hdr.Controllen = 0
-	}
+	s.rewire(b)
 	if err := c.rc.Read(s.recvFn); err != nil {
 		return 0, err
 	}
@@ -202,6 +219,7 @@ func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 		return 0, s.errno
 	}
 	n := s.res
+	s.dirty = n
 	for i := 0; i < n; i++ {
 		b.lens[i] = int(s.hdrs[i].len)
 		b.addrs[i] = decodeRawSockaddr(&s.names[i])
@@ -222,6 +240,7 @@ func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 //triad:hotpath
 func (c *BatchConn) SendBatch(b *Batch, n int) (int, error) {
 	s := &b.sys
+	s.dirty = max(s.dirty, n)
 	for i := 0; i < n; i++ {
 		s.iovs[i].SetLen(b.lens[i])
 	}

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"runtime"
@@ -435,4 +436,87 @@ func TestSendBatchSkipsUnsendableSlot(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRecvBatchAfterShortReceiveAndGSOSend: one Batch serves a
+// one-datagram receive, a GSO send of short datagrams, another
+// one-datagram receive and a receive of a full batch. Each receive
+// must see every datagram whole, at its own slot and with its source,
+// whatever the send or the receive before left in the Batch's headers:
+// the send shortened the payload buffers and grouped slots into one
+// segmented header, and a receive leaves the kernel's name lengths.
+func TestRecvBatchAfterShortReceiveAndGSOSend(t *testing.T) {
+	if !BatchSyscalls {
+		t.Skip("GSO rides the batched linux path")
+	}
+	const n, size, short = 8, 64, 10
+	server, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer server.Close()
+	peer, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer peer.Close()
+	sbc, err := NewBatchConn(server)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, ok := DatagramConn(sbc).(interface{ EnableGSO(int) error })
+	if !ok {
+		t.Fatal("BatchConn lost its EnableGSO method")
+	}
+	if err := g.EnableGSO(size); err != nil {
+		t.Skipf("kernel without UDP_SEGMENT: %v", err)
+	}
+	peerAddr, _ := SockaddrFromUDP(peer.LocalAddr().(*net.UDPAddr))
+	b := NewBatch(n, size)
+
+	// recv has the peer send k full-size datagrams, the i-th filled
+	// with i+tag, and receives them into b.
+	dst := server.LocalAddr().(*net.UDPAddr)
+	server.SetReadDeadline(time.Now().Add(5 * time.Second))
+	recv := func(k, tag int) {
+		t.Helper()
+		full := func(i int) []byte { return bytes.Repeat([]byte{byte(i + tag)}, size) }
+		for i := 0; i < k; i++ {
+			if _, err := peer.WriteToUDP(full(i), dst); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for got := 0; got < k; {
+			m, err := sbc.RecvBatch(b)
+			if err != nil {
+				t.Fatalf("receive of %d, after %d: %v", k, got, err)
+			}
+			for i := 0; i < m; i++ {
+				if want := full(got + i); !bytes.Equal(b.Payload(i), want) {
+					t.Fatalf("receive of %d: datagram %d is % x, want % x", k, got+i, b.Payload(i), want)
+				}
+				if b.Addr(i) != peerAddr {
+					t.Fatalf("receive of %d: datagram %d from %v, want %v", k, got+i, b.Addr(i), peerAddr)
+				}
+			}
+			got += m
+		}
+	}
+
+	recv(1, 10)
+	for i := 0; i < n; i++ {
+		b.Set(i, len(append(b.Buffer(i), bytes.Repeat([]byte{byte(i)}, short)...)), peerAddr)
+	}
+	if sent, err := sbc.SendBatch(b, n); err != nil || sent != n {
+		t.Fatalf("SendBatch sent %d err %v", sent, err)
+	}
+	peer.SetReadDeadline(time.Now().Add(5 * time.Second))
+	buf := make([]byte, size)
+	for i := 0; i < n; i++ {
+		if k, err := peer.Read(buf); err != nil || k != short || buf[0] != byte(i) {
+			t.Fatalf("sent datagram %d: len %d first %d err %v", i, k, buf[0], err)
+		}
+	}
+	recv(1, 20)
+	recv(n, 30)
 }
