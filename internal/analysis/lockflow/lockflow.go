@@ -4,8 +4,10 @@
 // Sendmmsg, WriteTo). Channel sends can block indefinitely against a
 // full or undrained channel, TrustedNow fans into the protocol engine
 // (and in live bindings marshals through the platform's dispatch
-// queue), and a socket write parks in the kernel whenever the send
-// buffer is full — holding a shard or sealer lock across any of them
+// queue), and a socket write against a full send buffer parks its
+// goroutine in the netpoller until POLLOUT (the batched path never
+// blocks in the kernel; the lock stays held all the same) — holding a
+// shard or sealer lock across any of them
 // turns backpressure into a server-wide stall, the availability
 // failure mode the serving layer's admission control exists to
 // prevent.
@@ -182,10 +184,11 @@ func inspectExpr(pass *analysis.Pass, e ast.Expr, held map[string]bool) {
 	})
 }
 
-// blockingSends are method names that transmit datagrams and can park
-// in the kernel against a full socket buffer: the batched syscall
-// paths (SendBatch, and the raw Sendmmsg should one ever be called
-// directly) and the stdlib per-datagram write (WriteTo).
+// blockingSends are method names that transmit datagrams and, against
+// a full socket buffer, park the calling goroutine in the netpoller
+// until the socket is writable again: the batched syscall paths
+// (SendBatch, and the raw Sendmmsg should one ever be called directly)
+// and the stdlib per-datagram write (WriteTo).
 var blockingSends = map[string]bool{
 	"SendBatch": true,
 	"Sendmmsg":  true,

@@ -10,7 +10,7 @@ type clock interface {
 }
 
 // batch mirrors the transport layer's batched-send surface: methods
-// that park in the kernel against a full socket buffer.
+// that park the caller in the netpoller against a full socket buffer.
 type batch interface {
 	SendBatch(n int) (int, error)
 	Sendmmsg(n int) (int, error)

@@ -5,7 +5,11 @@
 // a received batch without paying one syscall per client. Raw syscall
 // numbers are used directly (the frozen stdlib syscall package predates
 // sendmmsg), integrated with the runtime netpoller through
-// syscall.RawConn — no new dependencies.
+// syscall.RawConn — no new dependencies. Every recvmmsg/sendmmsg is
+// made non-blocking per call (MSG_DONTWAIT) and issued raw: an empty
+// receive queue or a full send buffer returns EAGAIN at once, and the
+// goroutine then waits in the netpoller for POLLIN/POLLOUT, never in
+// the kernel.
 
 package transport
 
@@ -141,10 +145,19 @@ func (s *batchSys) rawSend(fd uintptr) bool {
 
 // mmsg issues one recvmmsg/sendmmsg over hdrs[from:to], retrying a
 // call a signal interrupted before it moved anything.
+//
+// The call is a RawSyscall6, outside the runtime's blocking-syscall
+// protocol: MSG_DONTWAIT makes it non-blocking whatever the fd's
+// O_NONBLOCK state (a dup through UDPConn.File clears that flag), so
+// it never parks its thread and there is no P to hand off. Through
+// Syscall6 the first call of every burst would wake sysmon out of its
+// deep sleep, and a call spanning a sysmon tick could lose its P to
+// another M. The price: a GC stop-the-world waits for at most one
+// call, which moves at most one Batch (256 datagrams).
 func (s *batchSys) mmsg(trap, fd uintptr, from, to int) bool {
 	for {
-		n, _, errno := syscall.Syscall6(trap, fd,
-			uintptr(unsafe.Pointer(&s.hdrs[from])), uintptr(to-from), 0, 0, 0)
+		n, _, errno := syscall.RawSyscall6(trap, fd,
+			uintptr(unsafe.Pointer(&s.hdrs[from])), uintptr(to-from), syscall.MSG_DONTWAIT, 0, 0)
 		switch errno {
 		case syscall.EINTR:
 			continue
