@@ -234,6 +234,13 @@ func (s *LiveServer) newReceiver(c net.PacketConn, key []byte, senderID uint32, 
 	if g, ok := r.conn.(interface{ EnableGSO(int) error }); ok {
 		_ = g.EnableGSO(s.maxResp)
 	}
+	// Best-effort UDP GRO: a client's GSO burst crosses the kernel as one
+	// message and RecvBatch splits it into datagrams, each still checked,
+	// opened and counted on its own by serveBatch. Kernels and builds
+	// without it receive one message per datagram.
+	if g, ok := r.conn.(interface{ EnableGRO() error }); ok {
+		_ = g.EnableGRO()
+	}
 	return r, nil
 }
 

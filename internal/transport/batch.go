@@ -88,9 +88,11 @@ func (b *Batch) Addr(i int) Sockaddr { return b.addrs[i] }
 // DatagramConn is a UDP socket driven in batches. RecvBatch blocks for
 // at least one datagram (honoring the socket's read deadline) and
 // SendBatch transmits slots [0,n). On Linux both map to one
-// recvmmsg/sendmmsg syscall per call (BatchConn); everywhere — and for
-// arbitrary net.PacketConn values — PacketBatchConn degrades to one
-// datagram per syscall with identical semantics. Implementations are
+// recvmmsg/sendmmsg syscall per call (BatchConn; with GRO, a receive
+// that hands out datagrams the last recvmmsg brought makes none);
+// everywhere — and for arbitrary net.PacketConn values —
+// PacketBatchConn degrades to one datagram per syscall with identical
+// semantics. Implementations are
 // safe for one receiver goroutine plus concurrent sender goroutines,
 // each using its own Batch.
 type DatagramConn interface {
@@ -106,8 +108,10 @@ type DatagramConn interface {
 // hundred small datagrams, and a socket's only reader may block: a
 // serving goroutine waits out the commit vault's anchor fsync, 40–165
 // ms on the benchmark host, during which 1 MiB held about 120 ms of a
-// 20k req/s mixed stream — less when senders segment their bursts with
-// GSO, whose segments cost the receive buffer more per datagram.
+// 20k req/s mixed stream. A queued 78-byte request costs the buffer 832
+// bytes, and 910 as a segment of a peer's GSO burst — unless the socket
+// has UDP GRO (BatchConn.EnableGRO): a coalesced burst of 20 is one
+// buffer of 2.4 KB, 120 bytes a request.
 func NewDatagramConn(conn net.PacketConn) (DatagramConn, error) {
 	uc, ok := conn.(*net.UDPConn)
 	if !ok {

@@ -7,7 +7,10 @@
 
 package transport
 
-import "net"
+import (
+	"errors"
+	"net"
+)
 
 // BatchSyscalls reports that this build moves one datagram per kernel
 // crossing.
@@ -29,6 +32,12 @@ type BatchConn struct {
 // deadlines).
 func NewBatchConn(conn *net.UDPConn) (*BatchConn, error) {
 	return &BatchConn{conn: conn}, nil
+}
+
+// EnableGRO reports that this build has no UDP receive offload: each
+// datagram is read on its own, as without it.
+func (c *BatchConn) EnableGRO() error {
+	return errors.New("transport: UDP GRO needs the batched linux/amd64 build")
 }
 
 // RecvBatch receives one datagram into slot 0. (ReadFromUDP allocates

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"syscall"
 	"unsafe"
 )
@@ -29,19 +30,37 @@ const sysSENDMMSG = 307
 // control message is split by the kernel into datagrams of that segment
 // size — the per-datagram cost of the loopback/driver TX path (~2.4µs
 // here) collapses to the per-segment cost (~0.3µs). The constants
-// predate the frozen syscall package.
+// predate the frozen syscall package. UDP_GRO is the receive-side
+// counterpart: the kernel queues a same-flow run of equal-size
+// datagrams (a peer's GSO send, a NIC's GRO aggregate) as one message
+// and reports the segment size in a UDP_GRO control message.
 const (
 	solUDP     = 17  // SOL_UDP
 	udpSegment = 103 // UDP_SEGMENT
-	gsoMaxSegs = 64  // kernel UDP_MAX_SEGMENTS floor across GSO-capable kernels
+	udpGRO     = 104 // UDP_GRO
+	gsoMaxSegs = 64  // kernel UDP_MAX_SEGMENTS floor across GSO-capable kernels, and its UDP GRO cap
 )
 
 // gsoCmsg is one UDP_SEGMENT control message as sendmsg reads it: a
-// cmsghdr and the uint16 segment size, padded to CMSG_SPACE(2).
+// cmsghdr and the uint16 segment size, padded to CMSG_SPACE(2). The
+// same 24 bytes are CMSG_SPACE(4), room for the int a UDP_GRO receive
+// writes.
 type gsoCmsg struct {
 	hdr syscall.Cmsghdr
 	seg uint16
 	_   [6]byte
+}
+
+// groSize reports the segment size of a UDP_GRO control message that a
+// receive left in c, controllen bytes long, or 0 if there is none: the
+// message is one datagram.
+//
+//triad:hotpath
+func (c *gsoCmsg) groSize(controllen uint64) int {
+	if controllen < uint64(syscall.CmsgLen(4)) || c.hdr.Level != solUDP || c.hdr.Type != udpGRO {
+		return 0
+	}
+	return int(*(*int32)(unsafe.Pointer(&c.seg)))
 }
 
 // errGSOSegmentSize is returned when a slot exceeds the socket's GSO
@@ -85,10 +104,14 @@ type batchSys struct {
 	// send addressed and sized since.
 	dirty int
 
-	recvFn, sendFn   func(fd uintptr) bool
-	res              int
-	errno            syscall.Errno
-	sendFrom, sendTo int
+	// gro is the receive side under UDP_GRO, built on the Batch's first
+	// receive from a socket with GRO enabled.
+	gro *groRecv
+
+	recvFn, sendFn, groFn func(fd uintptr) bool
+	res                   int
+	errno                 syscall.Errno
+	sendFrom, sendTo      int
 }
 
 func (s *batchSys) init(b *Batch) {
@@ -110,6 +133,7 @@ func (s *batchSys) init(b *Batch) {
 	s.dirty = n
 	s.recvFn = s.rawRecv
 	s.sendFn = s.rawSend
+	s.groFn = s.rawRecvGRO
 }
 
 // rewire gives each dirty header one whole payload buffer, a full-size
@@ -136,15 +160,22 @@ func (s *batchSys) rewire(b *Batch) {
 // rawRecv is the netpoller read callback: false on EAGAIN re-arms the
 // poller, anything else completes the call with res/errno set.
 func (s *batchSys) rawRecv(fd uintptr) bool {
-	return s.mmsg(syscall.SYS_RECVMMSG, fd, 0, len(s.hdrs))
+	return s.mmsg(syscall.SYS_RECVMMSG, fd, s.hdrs, syscall.MSG_DONTWAIT)
 }
 
 func (s *batchSys) rawSend(fd uintptr) bool {
-	return s.mmsg(sysSENDMMSG, fd, s.sendFrom, s.sendTo)
+	return s.mmsg(sysSENDMMSG, fd, s.hdrs[s.sendFrom:s.sendTo], syscall.MSG_DONTWAIT)
 }
 
-// mmsg issues one recvmmsg/sendmmsg over hdrs[from:to], retrying a
-// call a signal interrupted before it moved anything.
+// rawRecvGRO receives into the GRO headers. MSG_TRUNC makes the kernel
+// report each message's full length, so a tail cut off by a too-short
+// buffer is seen and counted rather than lost silently.
+func (s *batchSys) rawRecvGRO(fd uintptr) bool {
+	return s.mmsg(syscall.SYS_RECVMMSG, fd, s.gro.hdrs, syscall.MSG_DONTWAIT|syscall.MSG_TRUNC)
+}
+
+// mmsg issues one recvmmsg/sendmmsg over hdrs, retrying a call a
+// signal interrupted before it moved anything.
 //
 // The call is a RawSyscall6, outside the runtime's blocking-syscall
 // protocol: MSG_DONTWAIT makes it non-blocking whatever the fd's
@@ -153,11 +184,12 @@ func (s *batchSys) rawSend(fd uintptr) bool {
 // Syscall6 the first call of every burst would wake sysmon out of its
 // deep sleep, and a call spanning a sysmon tick could lose its P to
 // another M. The price: a GC stop-the-world waits for at most one
-// call, which moves at most one Batch (256 datagrams).
-func (s *batchSys) mmsg(trap, fd uintptr, from, to int) bool {
+// call, which moves at most one Batch: 256 messages, under GRO of up to
+// gsoMaxSegs datagrams each.
+func (s *batchSys) mmsg(trap, fd uintptr, hdrs []mmsghdr, flags uintptr) bool {
 	for {
 		n, _, errno := syscall.RawSyscall6(trap, fd,
-			uintptr(unsafe.Pointer(&s.hdrs[from])), uintptr(to-from), syscall.MSG_DONTWAIT, 0, 0)
+			uintptr(unsafe.Pointer(&hdrs[0])), uintptr(len(hdrs)), flags, 0, 0)
 		switch errno {
 		case syscall.EINTR:
 			continue
@@ -178,6 +210,7 @@ type BatchConn struct {
 	conn   *net.UDPConn
 	rc     syscall.RawConn
 	gsoSeg int
+	gro    bool
 }
 
 // NewBatchConn wraps conn. The caller keeps ownership (Close,
@@ -217,13 +250,42 @@ func (c *BatchConn) EnableGSO(segSize int) error {
 	return nil
 }
 
+// EnableGRO turns on UDP receive offload: the kernel then queues a
+// same-flow run of equal-size datagrams — a peer's GSO send, a NIC's
+// GRO aggregate — as one message, and RecvBatch splits it back into
+// datagrams in user space, one slot each, so a run costs one dequeue
+// and one copy-out instead of one per datagram. A caller sees the same
+// datagrams, slots and lengths as without it, and RecvBatch's
+// carry-over. Call before the socket is shared; fails on
+// kernels without UDP_GRO, and receiving then stays one message per
+// datagram.
+func (c *BatchConn) EnableGRO() error {
+	var serr error
+	if err := c.rc.Control(func(fd uintptr) {
+		serr = syscall.SetsockoptInt(int(fd), solUDP, udpGRO, 1)
+	}); err != nil {
+		return err
+	}
+	if serr != nil {
+		return fmt.Errorf("transport: set UDP_GRO: %w", serr)
+	}
+	c.gro = true
+	return nil
+}
+
 // RecvBatch fills b with as many queued datagrams as one recvmmsg
 // returns, blocking (via the netpoller, honoring the socket's read
-// deadline) until at least one arrives.
+// deadline) until at least one arrives. With GRO enabled one call
+// returns at most b.Size() datagrams however many the recvmmsg
+// brought; the rest are returned by the next calls without a syscall,
+// and so even once the read deadline has passed.
 //
 //triad:hotpath
 func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 	s := &b.sys
+	if c.gro {
+		return c.recvGRO(b)
+	}
 	s.rewire(b)
 	if err := c.rc.Read(s.recvFn); err != nil {
 		return 0, err
@@ -238,6 +300,173 @@ func (c *BatchConn) RecvBatch(b *Batch) (int, error) {
 		b.addrs[i] = decodeRawSockaddr(&s.names[i])
 	}
 	return n, nil
+}
+
+// recvGRO is RecvBatch under UDP_GRO: it hands out the datagrams the
+// last recvmmsg brought and receives again once all are out.
+//
+//triad:hotpath
+func (c *BatchConn) recvGRO(b *Batch) (int, error) {
+	s := &b.sys
+	if s.gro == nil {
+		s.gro = newGRORecv(b)
+	}
+	g := s.gro
+	if g.next == g.filled {
+		g.rewire()
+		if err := c.rc.Read(s.groFn); err != nil {
+			return 0, err
+		}
+		if s.errno != 0 {
+			return 0, s.errno
+		}
+		g.filled, g.next, g.seg = s.res, 0, 0
+	}
+	return g.split(b), nil
+}
+
+// groMax bounds a GRO message: no UDP datagram, coalesced or not, is
+// longer, so a slot size above groMax/gsoMaxSegs needs no more.
+const groMax = 1 << 16
+
+// groHeadSlots is how many slots' worth of a GRO message land in its
+// header's head, the rest in its tail. Single datagrams touch only the
+// packed heads, and so does a run of up to groHeadSlots datagrams, the
+// shape of a light client's burst.
+const groHeadSlots = 8
+
+// groRecv is a Batch's receive side under UDP_GRO: one header per slot,
+// each scattering its message into a head and a tail, so that a
+// coalesced run of gsoMaxSegs datagrams of the slot size arrives whole.
+// The heads are packed, and a tail's pages are touched only by a run
+// longer than a head. The buffers are one anonymous mapping outside the
+// Go heap, unmapped when the Batch is collected: on the heap their
+// untouched megabytes would still raise the collector's target, and
+// with it the garbage a process keeps. Every datagram is copied out into
+// a slot of its own, so the Batch's slots stay its own buffers for
+// Buffer/Set/SendBatch.
+type groRecv struct {
+	hdrs         []mmsghdr
+	iovs         []syscall.Iovec // header h's head and tail: iovs[2h], iovs[2h+1]
+	names        []syscall.RawSockaddrInet6
+	ctrl         []gsoCmsg
+	heads, tails []byte
+	// slot is the Batch's slot size; head and tail are the bytes per
+	// header of heads and tails.
+	slot, head, tail int
+
+	// filled is how many headers the last recvmmsg filled; the next
+	// datagram to hand out is segment seg of message next.
+	filled, next, seg int
+}
+
+func newGRORecv(b *Batch) *groRecv {
+	n, slot := len(b.bufs), cap(b.bufs[0])
+	region := min(gsoMaxSegs*slot, groMax)
+	head := min(groHeadSlots*slot, region)
+	tail := region - head
+	buf, err := syscall.Mmap(-1, 0, n*region, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANON)
+	if err == nil {
+		runtime.AddCleanup(b, func(buf []byte) { _ = syscall.Munmap(buf) }, buf)
+	} else {
+		buf = make([]byte, n*region)
+	}
+	g := &groRecv{
+		hdrs:  make([]mmsghdr, n),
+		iovs:  make([]syscall.Iovec, 2*n),
+		names: make([]syscall.RawSockaddrInet6, n),
+		ctrl:  make([]gsoCmsg, n),
+		heads: buf[:n*head],
+		tails: buf[n*head:],
+		slot:  slot,
+		head:  head,
+		tail:  tail,
+	}
+	for h := range g.hdrs {
+		hd := &g.hdrs[h].hdr
+		g.iovs[2*h].Base = &g.heads[h*head]
+		g.iovs[2*h].SetLen(head)
+		hd.Iov = &g.iovs[2*h]
+		hd.Iovlen = 1
+		if tail > 0 {
+			g.iovs[2*h+1].Base = &g.tails[h*tail]
+			g.iovs[2*h+1].SetLen(tail)
+			hd.Iovlen = 2
+		}
+		hd.Name = (*byte)(unsafe.Pointer(&g.names[h]))
+		hd.Control = (*byte)(unsafe.Pointer(&g.ctrl[h]))
+	}
+	g.filled, g.next = n, n // every header needs its lengths
+	return g
+}
+
+// rewire restores the name and control lengths of the headers the last
+// recvmmsg filled: the kernel overwrote them with what it wrote.
+//
+//triad:hotpath
+func (g *groRecv) rewire() {
+	for h := range g.hdrs[:g.filled] {
+		g.hdrs[h].hdr.Namelen = syscall.SizeofSockaddrInet6
+		g.hdrs[h].hdr.Controllen = uint64(unsafe.Sizeof(g.ctrl[h]))
+	}
+}
+
+// split copies datagrams out of the received messages into b's slots,
+// in arrival order, until the slots or the messages run out, and
+// reports how many it filled. A message's datagrams are its segments:
+// each the UDP_GRO segment size long but a shorter last one (the run
+// shape GSO sends), or the whole message when it carries no UDP_GRO
+// control message. A datagram that did not arrive whole — longer than a
+// slot, or cut off the end of a message longer than its head and tail
+// — gets a slot of what arrived of it and reads as the slot's full
+// size, as the plain path reads a datagram the kernel cut to the slot:
+// its reader counts it like any datagram too long for it.
+//
+//triad:hotpath
+func (g *groRecv) split(b *Batch) int {
+	n := 0
+	for ; g.next < g.filled; g.next, g.seg = g.next+1, 0 {
+		h := g.next
+		total := int(g.hdrs[h].len) // MSG_TRUNC: the full length
+		arrived := min(total, g.head+g.tail)
+		seg, segs := g.ctrl[h].groSize(g.hdrs[h].hdr.Controllen), 1
+		if seg > 0 && seg < total {
+			segs = (total + seg - 1) / seg
+		} else {
+			seg = total
+		}
+		from := decodeRawSockaddr(&g.names[h])
+		for ; g.seg < segs; g.seg++ {
+			if n == len(b.bufs) {
+				return n
+			}
+			off := g.seg * seg
+			l := min(seg, total-off)
+			g.read(b.bufs[n][:min(l, g.slot)], h, off, arrived)
+			if l > g.slot || off+l > arrived {
+				l = g.slot
+			}
+			b.lens[n], b.addrs[n] = l, from
+			n++
+		}
+	}
+	return n
+}
+
+// read copies message h's bytes from off on into dst, stopping at end
+// (where what arrived of the message ends).
+//
+//triad:hotpath
+func (g *groRecv) read(dst []byte, h, off, end int) {
+	end = min(end, off+len(dst))
+	if off < end && off < g.head {
+		c := copy(dst, g.heads[h*g.head+off:h*g.head+min(end, g.head)])
+		dst, off = dst[c:], off+c
+	}
+	if off < end {
+		t := h*g.tail - g.head
+		copy(dst, g.tails[t+off:t+end])
+	}
 }
 
 // SendBatch transmits slots [0,n) — one sendmmsg per kernel crossing,
