@@ -2,7 +2,9 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -91,6 +93,14 @@ func (r *rig) startAll() {
 
 func (r *rig) run(d time.Duration) {
 	r.sched.RunUntil(r.sched.Now().Add(d))
+}
+
+// recordJumps collects node i's forward jumps (ns) on peer untaints,
+// from Events.PeerUntaint.
+func (r *rig) recordJumps(i int) *[]int64 {
+	var jumps []int64
+	r.engines[i].Events().PeerUntaint = func(_ uint32, jump int64) { jumps = append(jumps, jump) }
+	return &jumps
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -266,6 +276,7 @@ func TestPeerUntaintAdoptsHigherTimestamp(t *testing.T) {
 	r.startAll()
 	r.run(30 * time.Second)
 	victim, donor := r.nodes[0], r.engines[1]
+	jumps := r.recordJumps(0)
 	// Push the donor's clock 50ms into the future.
 	donor.ShiftReference(50 * int64(time.Millisecond))
 	r.platforms[0].FireAEX()
@@ -273,11 +284,10 @@ func TestPeerUntaintAdoptsHigherTimestamp(t *testing.T) {
 	if victim.State() != StateOK {
 		t.Fatalf("victim state = %v", victim.State())
 	}
-	jumps := victim.TimeJumps()
-	if len(jumps) != 1 {
-		t.Fatalf("jumps = %v, want exactly one", jumps)
+	if len(*jumps) != 1 {
+		t.Fatalf("jumps = %v, want exactly one", *jumps)
 	}
-	if jump := time.Duration(jumps[0]); jump < 45*time.Millisecond || jump > 55*time.Millisecond {
+	if jump := time.Duration((*jumps)[0]); jump < 45*time.Millisecond || jump > 55*time.Millisecond {
 		t.Errorf("jump = %v, want ~50ms (adopted the faster clock)", jump)
 	}
 	// The victim's clock now leads reference time by ~50ms.
@@ -293,6 +303,7 @@ func TestPeerUntaintKeepsLocalWhenPeerBehind(t *testing.T) {
 	r.startAll()
 	r.run(30 * time.Second)
 	victim, donor := r.nodes[0], r.engines[1]
+	jumps := r.recordJumps(0)
 	donor.ShiftReference(-50 * int64(time.Millisecond)) // donor behind
 	before, _ := victim.ClockReading()
 	r.platforms[0].FireAEX()
@@ -300,9 +311,8 @@ func TestPeerUntaintKeepsLocalWhenPeerBehind(t *testing.T) {
 	if victim.State() != StateOK {
 		t.Fatalf("victim state = %v", victim.State())
 	}
-	jumps := victim.TimeJumps()
-	if len(jumps) != 1 || jumps[0] != 0 {
-		t.Errorf("jumps = %v, want [0] (kept local, minimal bump)", jumps)
+	if len(*jumps) != 1 || (*jumps)[0] != 0 {
+		t.Errorf("jumps = %v, want [0] (kept local, minimal bump)", *jumps)
 	}
 	after, _ := victim.ClockReading()
 	if after < before {
@@ -594,6 +604,75 @@ func TestHonestDVFSDoesNotDisruptService(t *testing.T) {
 	}
 	if r.nodes[0].Counters().TAReferences != taRefs {
 		t.Error("honest DVFS should not cost TA roundtrips")
+	}
+}
+
+// TestAlignedMonitorTiesFollowTheRule drives the monitoring loop's
+// equal-instant ties on a cluster whose platforms start together, so
+// that their monitoring windows are aligned. Nodes 0 and 1 take the
+// same DVFS-masked TSC scaling at the same instant, which their memory
+// monitors catch at one window end; node 2 takes an AEX at one of its
+// window ends, scheduled at the end of the window before. At an instant
+// window completions come first, and platforms in the order they
+// started, so the run completes, the two verdicts land together with
+// node 0's first, and two runs give the same state timelines and
+// counters.
+func TestAlignedMonitorTiesFollowTheRule(t *testing.T) {
+	run := func() string {
+		r := newRig(t, 3, simnet.Link{Base: 100 * time.Microsecond}, func(_ int, cfg *Config) {
+			cfg.EnableMemMonitor = true
+		})
+		var log strings.Builder
+		verdicts := make([][]simtime.Instant, len(r.engines))
+		for i, e := range r.engines {
+			i := i
+			e.Events().StateChanged = func(old, s State) { fmt.Fprintf(&log, "%v node %d %v -> %v\n", r.sched.Now(), i, old, s) }
+			e.Events().Discrepancy = func(rel float64) {
+				fmt.Fprintf(&log, "%v node %d discrepancy %v\n", r.sched.Now(), i, rel)
+				verdicts[i] = append(verdicts[i], r.sched.Now())
+			}
+		}
+		// Every monitor starts at the epoch, and no AEX or manipulation
+		// moves a window before the ones below: window k ends at k spans.
+		var span time.Duration
+		for i, p := range r.platforms {
+			s := p.TSC().TimeOfReaching(p.TSC().ReadAt(simtime.Epoch)+engine.DefaultMonitorTicks, simtime.Epoch).Sub(simtime.Epoch)
+			if i > 0 && s != span {
+				t.Fatalf("platform %d's windows last %v, platform 0's %v: not aligned", i, s, span)
+			}
+			span = s
+		}
+		end := func(k int) simtime.Instant { return simtime.FromDuration(time.Duration(k) * span) }
+		k := int(30*time.Second/span) + 1
+		// The masking attack of TestDVFSMaskedScalingNeedsMemMonitor,
+		// nine tenths into a window: it moves that window's memory count
+		// by 2.5 %, inside tolerance, and the next windows' by 25 %.
+		r.sched.At(end(k).Add(9*span/10), func() {
+			for _, p := range r.platforms[:2] {
+				p.TSC().SetScale(0.8, r.sched.Now())
+				p.SetCoreFreqHz(2800e6)
+			}
+		})
+		r.sched.At(end(k+2), func() { r.sched.At(end(k+3), r.platforms[2].FireAEX) })
+		r.startAll()
+		r.run(60 * time.Second)
+		if len(verdicts[0]) == 0 || len(verdicts[1]) == 0 || verdicts[0][0] != verdicts[1][0] {
+			t.Fatalf("verdicts %v, want nodes 0 and 1 at one window end", verdicts)
+		}
+		if i, j := strings.Index(log.String(), "node 0 discrepancy"), strings.Index(log.String(), "node 1 discrepancy"); i > j {
+			t.Error("node 1's verdict came before node 0's")
+		}
+		if n := r.platforms[2].AEXCount(); n != 1 {
+			t.Errorf("node 2 took %d AEXs, want 1", n)
+		}
+		for i, n := range r.nodes {
+			fmt.Fprintf(&log, "node %d: %v %+v\n", i, n.State(), n.Counters())
+		}
+		return log.String()
+	}
+	first := run()
+	if second := run(); second != first {
+		t.Errorf("two runs differ:\n%s\nagainst\n%s", first, second)
 	}
 }
 

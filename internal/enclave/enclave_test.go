@@ -189,6 +189,21 @@ func onPass(p *SimPlatform, fn func(end simtime.Instant, inc, mem float64)) {
 	}
 }
 
+// redrawBlock draws the quiet block's noise again, from its mark, into
+// the buffer, for a test that needs its values, and checks that the RNG
+// ends where the scan left it.
+func (p *SimPlatform) redrawBlock() {
+	l := &p.mon
+	end := p.rng.Mark()
+	p.rng.Rewind(l.mark)
+	for j := 0; j < l.drawn; j++ {
+		p.drawWindow(&l.noise[j], l.m.memEnabled)
+	}
+	if p.rng.Mark() != end {
+		panic("enclave: a quiet block drawn again from its mark ends elsewhere than its scan")
+	}
+}
+
 // judged is one judged window: its end and its counts.
 type judged struct {
 	end      simtime.Instant

@@ -18,8 +18,6 @@ const noiseWindows = 64
 type windowNoise struct {
 	inc, incOff float64 // INC: the Gaussian term, the warm-up or outlier offset
 	mem         float64 // memory: the relative Gaussian term
-	// memAt is the RNG's position before the memory term was drawn.
-	memAt sim.RNGMark
 }
 
 // monitorLoop is a SimPlatform's monitoring thread running a
@@ -36,11 +34,10 @@ type windowNoise struct {
 // window drawn. When the timer fires, the monitor takes the state the
 // copy reached; when something that changes the windows touches the
 // loop first — an AEX, a TSC manipulation, a core-frequency change or a
-// monitor reset — the windows that ended before it in the firing order
-// are judged then, with the same draws and arithmetic. The plan is
-// indexed by completion, not by time, so an AEX only moves the windows'
-// ends: it plans nothing again, unless the window it aborts was one a
-// manipulation had moved.
+// monitor reset — the windows that ended by then are judged then, with
+// the same draws and arithmetic. The plan is indexed by completion, not
+// by time, so an AEX only moves the windows' ends: it plans nothing
+// again, unless the window it aborts was one a manipulation had moved.
 //
 // Once every counter has a learnt baseline, nearly every window is
 // quiet: its counts cannot leave tolerance, so its judgement is
@@ -55,35 +52,24 @@ type windowNoise struct {
 // and outputs, and the scan draws only the windows in between. If all
 // clear their bounds, the block's plan is arithmetic: its firing moves
 // the head past it with one multiply, and a touch point inside it
-// commits the windows that ended strictly before it in one step. The
-// block keeps only the RNG's mark at its start. A replan inside it
-// scans again from the head — back to the mark, past the windows
-// committed — and may find the rest quiet again; an AEX between a
-// window's completions draws the block again from the mark. Otherwise
-// the RNG goes back to the mark and the windows take the exact path
-// above.
+// commits the windows that ended by then in one step. The block keeps
+// only the RNG's mark at its start. A replan inside it scans again from
+// the head — back to the mark, past the windows committed — and may
+// find the rest quiet again. Otherwise the RNG goes back to the mark
+// and the windows take the exact path above.
 //
-// A window's completion sits in the firing order where a timer set at
-// the window's start would fire: at its end, after entries scheduled
-// before its start and before those scheduled after (sim.Key). Among
-// entries scheduled at its start too, its place is its rank. A window
-// begun by a firing or a touch point — a restart, a manipulation, the
-// window after a callback — is ranked: it holds the ranks the scheduler
-// gave out there, one for its INC completion and the next for its
-// memory completion. An entry ranked between the two — one a memory
-// verdict's callback scheduled for the next window's end — sees the
-// first judged and not the second, so a touch point there judges the
-// INC completion alone. An AEX there aborts only the memory window,
-// which never draws its noise: the loop rewinds the RNG to that draw
-// and draws from there again. A TSC manipulation there would part the
-// two counters' windows, which one window cannot hold, and panics.
-//
-// A window begun at the end of one no firing judged holds no rank, but
-// a touch point at its start bounds it from above: the window began
-// before the touch. If another entry due at such a window's end was
-// scheduled at its start with a rank the window's do not order, the
-// order cannot be decided and the loop panics rather than guess; that
-// entry may be another loop's window calling back at the same instant.
+// One rule places a window in the firing order: at any instant,
+// monitoring-window completions come before every other entry — INC
+// before memory, and one platform's before another's in the order their
+// loops started (sim.Timer.SetFirst). So a touch point at a window's
+// end sees that window judged; an entry a callback schedules for the
+// next window's end comes after that window's completions; and nothing
+// falls between a window's two completions. A TSC manipulation that
+// puts the TSC at or past the head's tick target completes the head
+// there and then, inside the manipulation. A touch point from another
+// loop's callback at the instant this loop's timer is due is the one
+// place the two loops meet: the timer's window is judged there first,
+// callbacks and all.
 type monitorLoop struct {
 	m     *RateMonitor
 	timer sim.Timer
@@ -91,15 +77,9 @@ type monitorLoop struct {
 	// generation.
 	span time.Duration
 
-	// The head is the first window not wholly judged. It runs from start
-	// to end, its end was scheduled at from, and its INC and memory
-	// completions hold ranks in [lo, hi]: exactly lo and hi when ranked,
-	// [0, unranked] when nothing is known. half is set once its INC
-	// completion is judged and its memory one is not.
-	start, end   simtime.Instant
-	from         simtime.Instant
-	lo, hi       uint64
-	ranked, half bool
+	// The head is the first window not judged. It runs from start to
+	// end.
+	start, end simtime.Instant
 	// moved is set once a manipulation moved the head's end; target is
 	// then its guest tick target.
 	moved  bool
@@ -112,8 +92,7 @@ type monitorLoop struct {
 	// windows whose draws clear the bounds, each judged measured++,
 	// strikes = 0 on every counter. Their noise is not stored: mark is
 	// the RNG's position before the block's first draw, where a replan
-	// scans from again and redrawBlock draws the block into the buffer
-	// when a value is needed.
+	// scans from again.
 	quiet bool
 	mark  sim.RNGMark
 	// quietBlocks and fallbacks count the blocks planned quiet and the
@@ -178,38 +157,21 @@ func (p *SimPlatform) windowSpan(ticks uint64) time.Duration {
 	return span
 }
 
-// unranked is the hi of a window whose ranks are unknown.
-const unranked = math.MaxUint64
-
-// beginWindow makes the head a window beginning now, ranked here.
+// beginWindow makes the head a window beginning now.
 //
 //triad:hotpath
 func (p *SimPlatform) beginWindow() {
 	l := &p.mon
-	now := p.sched.Now()
-	l.start, l.from, l.end = now, now, now.Add(l.span)
-	l.moved, l.half = false, false
-	p.rankHead()
+	l.start = p.sched.Now()
+	l.end = l.start.Add(l.span)
+	l.moved = false
 }
 
-// rankHead gives the head's completions the next ranks, as setting
-// their timers now would.
-//
-//triad:hotpath
-func (p *SimPlatform) rankHead() {
-	l := &p.mon
-	l.lo = p.sched.Reserve()
-	l.hi = l.lo
-	if l.m.memEnabled {
-		l.hi = p.sched.Reserve()
-	}
-	l.ranked = true
-}
-
-// touchMonitor commits the completions that came before the scheduler's
-// position, ahead of a change to what the later ones count. A head that
-// began here began before the touch, so whatever is scheduled from now
-// on ranks above it.
+// touchMonitor judges the windows that end by now, ahead of a change to
+// what later ones count: their completions came before the touch. The
+// timer's window is among them only when the touch comes from another
+// loop's callback at the instant the timer is due; the timer fires here
+// then.
 //
 //triad:hotpath
 func (p *SimPlatform) touchMonitor() {
@@ -217,30 +179,30 @@ func (p *SimPlatform) touchMonitor() {
 	if l.m == nil || l.judging {
 		return // a callback's changes are planned for when it returns
 	}
-	pos := p.sched.Position()
-	if l.quiet && !l.half && l.end < pos.At {
-		p.commitQuiet(pos.At)
+	now := p.sched.Now()
+	if p.timerAt() == now {
+		p.fireMonitor()
+		return
 	}
-	for p.completesBefore(pos) {
+	if l.quiet && l.end <= now {
+		p.commitQuiet(now)
+	}
+	for l.end <= now {
 		p.judgeHead()
-	}
-	if l.from == pos.At && l.hi == unranked {
-		l.hi = p.sched.Reserve()
 	}
 }
 
 // commitQuiet commits, in one step, the quiet block's windows from a
-// whole head on that end strictly before at: each is judged measured++,
+// whole head on that end at or before at: each is judged measured++,
 // strikes = 0 on every counter. Their ends are the head's plus whole
-// spans, and the timer's window ends at or after at, so they are all
-// the block's. A window ending at at itself is left to
-// completesBefore, which its ranks decide.
+// spans, and the timer's window ends after at, so they are all the
+// block's.
 //
 //triad:hotpath
 func (p *SimPlatform) commitQuiet(at simtime.Instant) {
 	l := &p.mon
 	m := l.m
-	n := int((at.Sub(l.end)-1)/l.span) + 1
+	n := int(at.Sub(l.end)/l.span) + 1
 	m.state.inc.passQuiet(n)
 	if m.memEnabled {
 		m.state.mem.passQuiet(n)
@@ -253,41 +215,6 @@ func (p *SimPlatform) replanMonitor() {
 	if l := &p.mon; l.m != nil && !l.judging {
 		p.planMonitor()
 	}
-}
-
-// completesBefore reports whether the head's next completion comes
-// before the entry at pos in the firing order.
-//
-//triad:hotpath
-func (p *SimPlatform) completesBefore(pos sim.Key) bool {
-	l := &p.mon
-	switch {
-	case l.end != pos.At:
-		return l.end < pos.At
-	case l.from != pos.From:
-		return l.from < pos.From
-	case l.half:
-		return l.hi < pos.Seq
-	case l.ranked:
-		return l.lo < pos.Seq
-	case pos.Seq < l.lo:
-		return false
-	case pos.Seq > l.hi:
-		return true
-	}
-	p.undecidable()
-	return false
-}
-
-// undecidable panics on an entry whose place next to the head's
-// completions the loop cannot know.
-func (p *SimPlatform) undecidable() {
-	l := &p.mon
-	if l.ranked {
-		panic(fmt.Sprintf("enclave: an entry due at %v falls between the INC and memory completions of a monitoring window that calls back", l.end))
-	}
-	panic(fmt.Sprintf("enclave: an entry due at %v was scheduled at %v, where a monitoring window no firing judged ended: "+
-		"its order against the next window's completion is undecidable", l.end, l.from))
 }
 
 // restartMonitor discards the window in flight and begins the next.
@@ -303,16 +230,6 @@ func (p *SimPlatform) restartMonitor() {
 	}
 	p.touchMonitor()
 	replan := l.moved // the aborted head's count differed from a whole window's
-	if l.half {
-		// The memory window aborted never draws its noise: what the RNG
-		// gave from there on is the next windows' to draw.
-		if l.quiet {
-			p.redrawBlock()
-		}
-		p.rng.Rewind(l.noise[l.next].memAt)
-		l.drawn = l.next
-		replan = true
-	}
 	p.beginWindow()
 	if replan {
 		p.planMonitor()
@@ -324,7 +241,9 @@ func (p *SimPlatform) restartMonitor() {
 // onTSCManipulated moves the end of the window in flight to where the
 // manipulation at the given instant has put its tick target. It runs
 // after every manipulation, so a target not yet worked out is the view
-// the latest one replaced, read at start, plus the monitor's ticks.
+// the latest one replaced, read at start, plus the monitor's ticks. A
+// target the manipulation put the TSC at or past completes the window
+// there and then, inside the manipulation.
 func (p *SimPlatform) onTSCManipulated(at simtime.Instant) {
 	l := &p.mon
 	if l.m == nil {
@@ -334,18 +253,14 @@ func (p *SimPlatform) onTSCManipulated(at simtime.Instant) {
 		panic("enclave: a TSC manipulation from inside a monitor callback")
 	}
 	p.touchMonitor()
-	if l.half {
-		panic(fmt.Sprintf("enclave: a TSC manipulation at %v falls between the INC and memory completions of a monitoring window", at))
-	}
 	if !l.moved {
 		l.target = p.tsc.ReadPriorAt(l.start) + l.m.ticks
 		l.moved = true
 	}
 	l.end = p.tsc.TimeOfReaching(l.target, at)
-	l.from = p.sched.Now()
-	p.rankHead()
 	l.span = p.windowSpan(l.m.ticks)
 	p.planMonitor()
+	p.touchMonitor()
 }
 
 // resetMonitor re-baselines the monitor (RateMonitor.Reset).
@@ -383,9 +298,8 @@ func (p *SimPlatform) counts(elapsed time.Duration, n *windowNoise) (inc, mem fl
 	return p.incModel.count(incIdeal, n.inc, n.incOff), p.memModel.count(memIdeal, n.mem)
 }
 
-// judgeHead judges the head's next completion, which the plan found
-// calls no callback — of a ranked window's two, the INC one alone —
-// and moves on past a window judged whole.
+// judgeHead judges the head, which the plan found calls no callback,
+// and moves on past it.
 //
 //triad:hotpath
 func (p *SimPlatform) judgeHead() {
@@ -398,13 +312,7 @@ func (p *SimPlatform) judgeHead() {
 	if !l.quiet {
 		inc, mem = p.headCounts()
 	}
-	if !l.half {
-		m.judgeINC(&m.state, inc)
-		if m.memEnabled && l.ranked {
-			l.half = true
-			return
-		}
-	}
+	m.judgeINC(&m.state, inc)
 	if m.memEnabled {
 		m.judgeMem(&m.state, mem)
 	}
@@ -414,7 +322,7 @@ func (p *SimPlatform) judgeHead() {
 // advanceHead moves the head n windows on, past windows whose
 // judgement the state ahead holds or a caller made: the windows after
 // the head are whole spans, so the new head begins (n-1) spans after
-// the old one's end, a place in the firing order it has no rank at.
+// the old one's end.
 //
 //triad:hotpath
 func (p *SimPlatform) advanceHead(n int) {
@@ -428,20 +336,13 @@ func (p *SimPlatform) advanceHead(n int) {
 	l.next += n
 	l.due -= n
 	l.start = l.end.Add(time.Duration(n-1) * l.span)
-	l.from, l.end = l.start, l.start.Add(l.span)
-	l.lo, l.hi, l.ranked = 0, unranked, false
-	l.half, l.moved = false, false
+	l.end = l.start.Add(l.span)
+	l.moved = false
 }
 
 // fireMonitor runs at the end of the window the timer was set at: it
 // commits the windows before that one and then that one — with its
 // callbacks, if it calls back — and plans ahead again.
-//
-// Both completions of a window that calls back are judged here, in one
-// firing: nothing comes between them. Only a memory verdict's callback
-// ranks entries between the two completions of a window, the next one,
-// and that verdict re-baselines both counters, so the next window is
-// warm-up to both and calls back in neither.
 //
 //triad:hotpath
 func (p *SimPlatform) fireMonitor() {
@@ -456,30 +357,10 @@ func (p *SimPlatform) fireMonitor() {
 		p.planMonitor()
 		return
 	}
-	// A timer that only ends the noise drawn (armMonitor) calls nobody
-	// back: its place next to this one does not matter.
-	if k, ok := p.sched.Next(); ok && k.At == l.end && k.From == l.from && k.Seq <= l.hi && k.Seq != unranked {
-		p.undecidable()
-	}
-	m := l.m
-	inc, mem := p.headCounts()
-	// The callbacks run in completion order, and each completion begins
-	// its counter's next window before the following one is judged.
 	l.judging = true
-	if fn, rel := m.judgeINC(&m.state, inc); fn != nil {
-		fn(rel)
-	}
-	lo := p.sched.Reserve()
-	hi := lo
-	if m.memEnabled {
-		if fn, rel := m.judgeMem(&m.state, mem); fn != nil {
-			fn(rel)
-		}
-		hi = p.sched.Reserve()
-	}
+	l.m.Observe(p.headCounts())
 	l.judging = false
 	p.advanceHead(1)
-	l.lo, l.hi, l.ranked = lo, hi, true
 	p.planMonitor()
 }
 
@@ -537,10 +418,8 @@ func (p *SimPlatform) judgeAhead(s *monitorState, n int) int {
 			incIdeal, memIdeal = incSpan, memSpan
 		}
 		w := &l.noise[j]
-		if j > 0 || !l.half {
-			if fn, _ := m.judgeINC(s, p.incModel.count(incIdeal, w.inc, w.incOff)); fn != nil {
-				return j
-			}
+		if fn, _ := m.judgeINC(s, p.incModel.count(incIdeal, w.inc, w.incOff)); fn != nil {
+			return j
 		}
 		if !m.memEnabled {
 			continue
@@ -552,27 +431,21 @@ func (p *SimPlatform) judgeAhead(s *monitorState, n int) int {
 	return n
 }
 
-// armMonitor sets the timer at the completion of the window due
-// windows after the head: the head's own key, or one whose end and
-// scheduling instant follow from the span. A timer that only ends the
-// noise drawn calls nobody back, so where it fires among the entries
-// its key ties with does not matter: it goes after all of them, out of
-// the way of a callback's tie check. (A half-judged head is never due:
-// it is warm-up, see fireMonitor, and its touch planned afresh.)
+// armMonitor sets the timer at the end of the window due windows after
+// the head, ahead of every other entry there.
 //
 //triad:hotpath
 func (p *SimPlatform) armMonitor() {
+	p.mon.timer.SetFirst(p.timerAt())
+}
+
+// timerAt is the end of the window due windows after the head, where
+// the timer is set: the windows after the head are whole spans.
+//
+//triad:hotpath
+func (p *SimPlatform) timerAt() simtime.Instant {
 	l := &p.mon
-	k := sim.Key{At: l.end, From: l.from, Seq: l.lo}
-	if l.due > 0 {
-		k.From = l.end.Add(time.Duration(l.due-1) * l.span)
-		k.At = k.From.Add(l.span)
-		k.Seq = 0
-	}
-	if !l.verdict {
-		k.Seq = math.MaxUint64
-	}
-	l.timer.SetKey(k)
+	return l.end.Add(time.Duration(l.due) * l.span)
 }
 
 // quietMargin is the share of a baseline the quiet bounds give up, so
@@ -592,7 +465,7 @@ const quietMargin = 1e-9
 func (p *SimPlatform) planQuiet() bool {
 	l := &p.mon
 	m := l.m
-	if l.half || l.moved || !p.drewINC {
+	if l.moved || !p.drewINC {
 		return false
 	}
 	xINC, xMem := p.quietBounds()
@@ -676,22 +549,6 @@ func (p *SimPlatform) scanQuiet(n int, xINC, xMem float64) bool {
 	return true
 }
 
-// redrawBlock draws the quiet block's noise again, from its mark, into
-// the buffer, and checks that the RNG ends where the scan left it.
-//
-//triad:hotpath
-func (p *SimPlatform) redrawBlock() {
-	l := &p.mon
-	end := p.rng.Mark()
-	p.rng.Rewind(l.mark)
-	for j := 0; j < l.drawn; j++ {
-		p.drawWindow(&l.noise[j], l.m.memEnabled)
-	}
-	if p.rng.Mark() != end {
-		panic("enclave: a quiet block drawn again from its mark ends elsewhere than its scan")
-	}
-}
-
 // drawMonitorNoise draws windows to fill the buffer.
 //
 //triad:hotpath
@@ -711,7 +568,6 @@ func (p *SimPlatform) drawWindow(n *windowNoise, mem bool) {
 	n.inc, n.incOff = p.incModel.draw(!p.drewINC, p.rng)
 	p.drewINC = true
 	if mem {
-		n.memAt = p.rng.Mark()
 		n.mem = p.memModel.draw(p.rng)
 	}
 }

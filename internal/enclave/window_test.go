@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"time"
 
@@ -42,8 +41,8 @@ func monitoredCores(n int, enableMem bool) (*sim.Scheduler, []*SimPlatform) {
 // the block at once) and its scan, judging windows at touch points (an
 // AEX, a core-frequency change), scanning a quiet block again from its
 // mark when a DVFS change replans it, and — with the memory monitor —
-// the RNG rewind of an AEX between a window's INC and memory
-// completions, must not allocate.
+// an AEX at a window's end, after that window's completions, must not
+// allocate.
 func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -93,12 +92,12 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 				return
 			}
 			// A TSC rescale the memory monitor catches, whose callback
-			// plans an AEX at the next window's end: between that
-			// window's INC and memory completions.
-			halves := 0
+			// plans an AEX at the next window's end: after that
+			// window's completions, which the AEX sees judged.
+			atEnd := 0
 			aex := func() {
-				if p.touchMonitor(); l.half {
-					halves++
+				if p.touchMonitor(); l.start == sched.Now() {
+					atEnd++
 				}
 				p.FireAEX()
 			}
@@ -110,10 +109,10 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 				sched.RunUntil(sched.Now().Add(20 * l.span))
 			}
 			if allocs := testing.AllocsPerRun(20, between); allocs != 0 {
-				t.Errorf("an AEX between a window's completions allocates %.1f objects, want 0", allocs)
+				t.Errorf("an AEX at a window's end allocates %.1f objects, want 0", allocs)
 			}
-			if halves < 20 {
-				t.Errorf("%d AEXs between completions in 21 rescales", halves)
+			if atEnd < 20 {
+				t.Errorf("%d AEXs at a window's end in 21 rescales", atEnd)
 			}
 		})
 	}
@@ -182,7 +181,9 @@ func BenchmarkMonitorVerdictWindow(b *testing.B) {
 // per counter, and every window a firing that draws its noise, computes
 // its count and judges it with the RateMonitor logic of the time. The
 // window length and the ideal count come straight from the formulas
-// (TimeOfReaching, elapsed seconds times rate) on every window.
+// (TimeOfReaching, elapsed seconds times rate) on every window. The
+// timers are armed with SetFirst, INC's made first: at any instant the
+// completions come before every other entry, INC before memory.
 
 type eagerCore struct {
 	sched    *sim.Scheduler
@@ -222,7 +223,7 @@ func (w *eagerWindow) begin(c *eagerCore, ticks uint64, done func(float64, bool)
 	w.ticks = ticks
 	w.targetOK = false
 	w.endAt = c.tsc.TimeOfReaching(c.tsc.ReadAt(w.start)+ticks, w.start)
-	w.timer.Set(w.endAt)
+	w.timer.SetFirst(w.endAt)
 }
 
 func (w *eagerWindow) end(now simtime.Instant, rate, per float64) (func(float64, bool), float64) {
@@ -242,7 +243,10 @@ func (w *eagerWindow) abort(c *eagerCore, counter string) {
 	done(0, true)
 }
 
-func (w *eagerWindow) retarget(tsc *simtime.TSC, at simtime.Instant) {
+// retarget moves the window's end to where the manipulation at at has
+// put its tick target. A target the manipulation put the TSC at or past
+// completes the window there and then, inside the manipulation.
+func (w *eagerWindow) retarget(tsc *simtime.TSC, at simtime.Instant, finish func()) {
 	if w.done == nil {
 		return
 	}
@@ -251,7 +255,12 @@ func (w *eagerWindow) retarget(tsc *simtime.TSC, at simtime.Instant) {
 		w.targetOK = true
 	}
 	w.endAt = tsc.TimeOfReaching(w.target, at)
-	w.timer.Set(w.endAt)
+	if w.endAt == at {
+		w.timer.Stop()
+		finish()
+		return
+	}
+	w.timer.SetFirst(w.endAt)
 }
 
 func newEagerCore(sched *sim.Scheduler, rng *sim.RNG, tsc *simtime.TSC, model INCModel, cfg MonitorConfig) *eagerCore {
@@ -268,8 +277,8 @@ func newEagerCore(sched *sim.Scheduler, rng *sim.RNG, tsc *simtime.TSC, model IN
 	c.inc.timer = sched.NewTimer(c.finishINC)
 	c.mem.timer = sched.NewTimer(c.finishMem)
 	tsc.Observe(func(at simtime.Instant) {
-		c.inc.retarget(c.tsc, at)
-		c.mem.retarget(c.tsc, at)
+		c.inc.retarget(c.tsc, at, c.finishINC)
+		c.mem.retarget(c.tsc, at, c.finishMem)
 	})
 	return c
 }
@@ -429,8 +438,8 @@ func (s *oracleSide) act(st scriptStep) {
 // monitorConfig makes the callbacks log their verdicts and react as an
 // engine does: a discrepancy resets the monitor at once. Every verdict
 // also plans a reset or, every other time, an AEX at exactly the next
-// window's end — a tie the window's ranks decide. A memory verdict's
-// lands between that window's INC and memory completions.
+// window's end — a tie the rule decides: that window's completions
+// come first.
 func (s *oracleSide) monitorConfig(incTol float64, enableMem bool) MonitorConfig {
 	cfg := MonitorConfig{INCTicks: 15e6, INCTol: incTol, EnableMem: enableMem}
 	tie := func() {
@@ -573,15 +582,7 @@ func oracleRun(trial int64, enableMem bool, v oracleVariant) (eager, lazy *oracl
 		if quiet && l.next-next > 1 {
 			lazy.commits++
 		}
-		if l.half {
-			// Between the head's completions: its INC count is in, and the
-			// INC window aborted is the one its completion began.
-			inc, _ := p.headCounts()
-			logAt(&lazy.counts, l.end, "inc %v", inc)
-			lazy.logf(&lazy.effects, "abort inc from %v", l.end)
-		} else {
-			lazy.logf(&lazy.effects, "abort inc from %v", l.start)
-		}
+		lazy.logf(&lazy.effects, "abort inc from %v", l.start)
 		if enableMem {
 			lazy.logf(&lazy.effects, "abort mem from %v", p.mon.start)
 		}
@@ -614,10 +615,12 @@ func oracleRun(trial int64, enableMem bool, v oracleVariant) (eager, lazy *oracl
 // reference above, and requires the same counts in the same order, the
 // same verdicts at the same instants and in the same place among the
 // script's steps, the same aborted windows, the same learnt baselines
-// after every step, and the RNG left where the eager side left it. Its
-// callbacks plan resets and AEXs tied with the next window's end, some
-// between that window's INC and memory completions, and its runs of
-// AEXs many windows apart commit quiet blocks' windows in one step. It
+// after every step, and the RNG left where the eager side left it. Both
+// sides follow the one rule — window completions first at an instant —
+// so a script step or a callback's entry tied with a window's end comes
+// after that window's completions. Its callbacks plan resets and AEXs
+// tied with the next window's end, and its runs of AEXs many windows
+// apart commit quiet blocks' windows in one step. It
 // runs at the paper's tolerance, where steady blocks are quiet, and at
 // a tight one (tightVariant), where scans fall back and outliers
 // deviate; quiet blocks and one-step commits must be taken in both,
@@ -676,7 +679,7 @@ func checkOracle(t *testing.T, name string, trial int64, enableMem bool, v oracl
 		if enableMem {
 			mem = c.rng.Gaussian(0, c.memModel.NoiseFrac)
 		}
-		if want := (windowNoise{inc, off, mem, w.memAt}); w != want {
+		if want := (windowNoise{inc, off, mem}); w != want {
 			t.Fatalf("%s: noise drawn ahead %d is %+v, the eager RNG draws %+v", name, j-p.mon.next, w, want)
 		}
 	}
@@ -702,91 +705,113 @@ func compareLogs(t *testing.T, name string, want, got []string) {
 	}
 }
 
-// TestLazyWindowsPanicOnUndecidableTies builds the ties the lazy loop
-// cannot order and requires a panic naming them rather than a guess: an
-// entry scheduled at the end of a window no firing judged, due at the
-// next window's end; two loops with aligned windows calling back at the
-// same window end, each such an entry to the other; and a TSC
-// manipulation between the INC and memory completions of one window.
-// A tie with a timer that calls nobody back is decided, and must not
-// panic.
-func TestLazyWindowsPanicOnUndecidableTies(t *testing.T) {
-	expectPanic := func(t *testing.T, want string, run func()) {
-		t.Helper()
-		defer func() {
-			r := recover()
-			if r == nil || !strings.Contains(fmt.Sprint(r), want) {
-				t.Fatalf("got %v, want a panic saying %q", r, want)
-			}
-		}()
-		run()
-	}
+// TestLazyWindowsOrderFormerTies runs the ties the monitoring loop once
+// could not order, or ordered between a window's two completions, and
+// requires the order of the rule — at an instant, window completions
+// first, INC before memory, platforms in the order their loops started:
+// an AEX due at the end of a window no firing judged, scheduled at that
+// window's start, sees the window judged; two loops with aligned
+// windows call back at one window end, the first started first; and a
+// TSC manipulation a memory verdict's callback plans for the next
+// window's end comes after that window's completions. A tie with a
+// timer that calls nobody back is ordered too.
+func TestLazyWindowsOrderFormerTies(t *testing.T) {
 	t.Run("unranked", func(t *testing.T) {
 		sched, ps := monitoredCores(1, false)
 		p := ps[0]
+		var judged []simtime.Instant
+		onPass(p, func(end simtime.Instant, _, _ float64) { judged = append(judged, end) })
 		span := p.mon.span
 		end := p.mon.end.Add(3 * span) // a quiet window's end
 		// An entry fires there after the window's completion, which is
 		// no touch point, and schedules an AEX at the next window's end.
+		sawJudged := false
 		sched.At(simtime.FromDuration(time.Millisecond), func() {
-			sched.At(end, func() { sched.At(end.Add(span), p.FireAEX) })
+			sched.At(end, func() {
+				sched.At(end.Add(span), func() {
+					p.touchMonitor()
+					sawJudged = len(judged) > 0 && judged[len(judged)-1] == end.Add(span)
+					p.FireAEX()
+				})
+			})
 		})
-		expectPanic(t, "undecidable", func() { sched.RunUntil(end.Add(2 * span)) })
+		sched.RunUntil(end.Add(2 * span))
+		if !sawJudged {
+			t.Errorf("the AEX at %v did not see the window ending there judged", end.Add(span))
+		}
 	})
 	// alignedVerdicts runs two loops whose windows start together and
 	// changes the core frequency of the chosen ones inside the 63rd
 	// window, so that it and the 64th deviate: a verdict at the end of
 	// the 64th, where a quiet loop's first timer is due. It returns the
-	// verdict counts and a run up to two windows past that end.
-	alignedVerdicts := func(t *testing.T, change ...int) ([]int, func()) {
+	// loops that called back, in order, and a run up to two windows past
+	// that end.
+	alignedVerdicts := func(t *testing.T, change ...int) (*[]int, func()) {
 		sched, ps := monitoredCores(2, false)
 		span := ps[0].mon.span
 		if ps[1].mon.span != span || ps[1].mon.end != ps[0].mon.end {
 			t.Fatal("the two loops' windows are not aligned")
 		}
 		end := ps[0].mon.end.Add((noiseWindows - 1) * span)
-		if k, _ := sched.Next(); k != (sim.Key{At: end, From: end.Add(-span), Seq: unranked}) {
-			t.Fatalf("the first firing is %+v, want the quiet timers at the 64th window's end %v", k, end)
+		if at, _ := sched.NextAt(); at != end {
+			t.Fatalf("the first firing is at %v, want the quiet timers at the 64th window's end %v", at, end)
 		}
-		verdicts := make([]int, len(ps))
+		var called []int
 		for i, p := range ps {
 			i := i
 			p.mon.m.onDiscrepancy = func(float64) {
 				if now := sched.Now(); now != end {
 					t.Errorf("loop %d called back at %v, want %v", i, now, end)
 				}
-				verdicts[i]++
+				called = append(called, i)
 			}
 		}
 		for _, i := range change {
 			p := ps[i]
 			sched.At(end.Add(-3*span/2), func() { p.SetCoreFreqHz(1.01 * simtime.PaperCoreHz) })
 		}
-		return verdicts, func() { sched.RunUntil(end.Add(2 * span)) }
+		return &called, func() { sched.RunUntil(end.Add(2 * span)) }
 	}
 	t.Run("quiet timer", func(t *testing.T) {
-		verdicts, run := alignedVerdicts(t, 1)
+		called, run := alignedVerdicts(t, 1)
 		run()
-		if verdicts[0] != 0 || verdicts[1] != 1 {
-			t.Errorf("verdicts %v, want [0 1]", verdicts)
+		if fmt.Sprint(*called) != "[1]" {
+			t.Errorf("loops %v called back, want [1]", *called)
 		}
 	})
 	t.Run("two verdicts", func(t *testing.T) {
-		_, run := alignedVerdicts(t, 0, 1)
-		expectPanic(t, "undecidable", run)
+		called, run := alignedVerdicts(t, 1, 0)
+		run()
+		if fmt.Sprint(*called) != "[0 1]" {
+			t.Errorf("loops %v called back, want [0 1]: the first started first", *called)
+		}
 	})
 	t.Run("manipulation between", func(t *testing.T) {
 		sched, ps := monitoredCores(1, true)
 		p := ps[0]
-		// A memory verdict's callback rescales the TSC at the next
-		// window's end: after the INC completion began that window,
-		// before the memory one did.
+		judged := map[simtime.Instant]bool{}
+		onPass(p, func(end simtime.Instant, _, _ float64) { judged[end] = true })
+		// A memory verdict's callback rescales the TSC back at the next
+		// window's end. Had the rescale come first, it would have moved
+		// that end later; it comes after both completions, so the window
+		// ends there, whole.
+		var ats []simtime.Instant
 		p.mon.m.onDiscrepancy = func(float64) {
-			sched.At(sched.Now().Add(p.mon.span), func() { p.TSC().SetScale(1, sched.Now()) })
+			at := sched.Now().Add(p.mon.span)
+			ats = append(ats, at)
+			sched.At(at, func() { p.TSC().SetScale(1, sched.Now()) })
 		}
 		sched.RunUntil(simtime.FromSeconds(1))
 		p.TSC().SetScale(1.25, sched.Now())
-		expectPanic(t, "between the INC and memory", func() { sched.RunUntil(simtime.FromSeconds(2)) })
+		sched.RunUntil(simtime.FromSeconds(2))
+		if len(ats) == 0 {
+			t.Fatal("the rescale drew no memory verdict")
+		}
+		for _, at := range ats {
+			if !judged[at] {
+				t.Errorf("no window ended at the rescale at %v", at)
+			}
+		}
 	})
 }
 

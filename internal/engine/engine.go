@@ -91,8 +91,7 @@ type Engine struct {
 	sealBuf []byte
 	openBuf []byte
 
-	counters  Counters
-	timeJumps []int64
+	counters Counters
 }
 
 // New creates an engine bound to the platform running the given
@@ -275,7 +274,6 @@ func (e *Engine) AdoptPeerReference(from uint32, refNanos int64, refTSC uint64, 
 	e.refTSC = refTSC
 	e.publish()
 	e.counters.PeerUntaints++
-	e.timeJumps = append(e.timeJumps, jumpNanos)
 	e.events.peerUntaint(from, jumpNanos)
 	e.setState(StateOK)
 }

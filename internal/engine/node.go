@@ -56,15 +56,6 @@ func (n *Node) Counters() Counters {
 // Counters().TAReferences, without copying the other counters.
 func (n *Node) TAReferences() int { return n.e.counters.TAReferences }
 
-// TimeJumps returns the forward jumps (ns) taken when adopting peer
-// timestamps; the 50–70ms jumps of Figure 3a and ~35ms jumps of
-// Figure 6a show up here. The slice is a copy.
-func (n *Node) TimeJumps() []int64 {
-	cp := make([]int64, len(n.e.timeJumps))
-	copy(cp, n.e.timeJumps)
-	return cp
-}
-
 // TrustedNow serves one trusted timestamp (nanoseconds on the Time
 // Authority's timeline). It fails with ErrUnavailable while the node
 // is tainted or calibrating. Served timestamps are strictly monotonic.

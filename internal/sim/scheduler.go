@@ -40,11 +40,10 @@ func (e Event) At() simtime.Instant {
 // one timer. A timer keeps its slot for good: it is never released, so
 // gen stays unused and fn is written once.
 type slot struct {
-	at   simtime.Instant
-	from simtime.Instant // when it was scheduled: the first tie-breaker
-	seq  uint64          // schedule order: the second
-	fn   func()
-	gen  uint32 // bumped on release; invalidates outstanding handles
+	at  simtime.Instant
+	seq uint64 // tie-breaker: schedule order at equal instants
+	fn  func()
+	gen uint32 // bumped on release; invalidates outstanding handles
 	// pos locates the slot: its index in the far or timer heap when
 	// ≥ 0, idle while free (event) or disarmed (timer), and bucketPos(b)
 	// while the event waits in calendar bucket b.
@@ -83,7 +82,7 @@ const (
 func bucketOf(at simtime.Instant) int64 { return int64(at) >> bucketShift }
 
 // heapArity is the fan-out of the far and timer heaps. A 4-ary heap
-// halves the tree depth of a binary heap; with cheap key
+// halves the tree depth of a binary heap; with cheap (at, seq)
 // comparisons the extra per-level compares are better than the extra
 // levels, and the node's children share a cache line.
 const heapArity = 4
@@ -95,16 +94,16 @@ const heapArity = 4
 // It holds two kinds of pending work. One-shot events (At/After) live in
 // a calendar queue: a window of bucketCount fixed-width buckets that
 // starts at the cursor bucket, each bucket a ring of slots sorted by
-// Key, with a bitmap of the non-empty ones. An event due at or
+// (at, seq), with a bitmap of the non-empty ones. An event due at or
 // after the window's end waits in the far heap, an index-addressed
 // min-heap, and moves into its bucket once the cursor has advanced far
 // enough for the window to cover it. Timers (NewTimer) are owner-held
 // and re-armable; the armed ones live in a second, small min-heap of
 // their own. Every entry sits in the one slot array, freed event slots
 // are recycled through an intrusive free list, and every entry draws
-// seq from the one counter below at the moment it is scheduled (or
-// carries one Reserve drew), so Key is a single total order over
-// everything pending.
+// seq from the one counter below at the moment it is scheduled (a timer
+// armed with SetFirst holds a fixed one below them all), so (at, seq) is
+// a single total order over everything pending.
 //
 // The least one-shot event is the head of the first non-empty bucket
 // from the cursor on, by construction: the window's buckets cover
@@ -139,13 +138,10 @@ type Scheduler struct {
 	// while it stood for it.
 	first  int64
 	head   uint32
-	far    []uint32 // one-shot events past the window: slot indices, min-heap on Key
-	timers []uint32 // armed timers: slot indices, min-heap on Key
+	far    []uint32 // one-shot events past the window: slot indices, min-heap on (at, seq)
+	timers []uint32 // armed timers: slot indices, min-heap on (at, seq)
 	free   int32    // head of the free-slot list, -1 when empty
-	seq    uint64   // shared by one-shot events and timers
-	// last is the key of the entry fired last, or the mark a drained
-	// RunUntil leaves (see Position).
-	last Key
+	seq    uint64   // shared by one-shot events and timers, from seqBase on
 	// firing marks that the root of the timer heap is a timer whose
 	// callback is running; see fireTimer.
 	firing bool
@@ -161,9 +157,15 @@ type Scheduler struct {
 // farHead is first while the memo stands for the far heap's root.
 const farHead = math.MaxInt64
 
+// seqBase is the first seq At and Set draw. The seqs below it are the
+// fixed ranks of timers armed with SetFirst, each its own slot index, so
+// at one instant those timers fire before every other entry, in the
+// order they were made.
+const seqBase = 1 << 32
+
 // NewScheduler returns a scheduler positioned at the epoch.
 func NewScheduler() *Scheduler {
-	return &Scheduler{free: -1, first: -1}
+	return &Scheduler{free: -1, first: -1, seq: seqBase}
 }
 
 // Now reports the current simulated reference time.
@@ -184,65 +186,17 @@ func (s *Scheduler) Pending() int {
 // timer, and false when nothing is pending. A real-time loop that maps
 // the timeline onto a wall clock sleeps until then.
 func (s *Scheduler) NextAt() (simtime.Instant, bool) {
-	k, ok := s.Next()
-	return k.At, ok
-}
-
-// Next reports the key of the next pending firing, event or timer, and
-// false when nothing is pending. A timer whose callback is running is
-// not pending.
-func (s *Scheduler) Next() (Key, bool) {
 	if s.firing {
 		s.settleFiring() // the root timer is idle while its callback runs
 	}
 	ev, ok := s.nextEvent()
 	switch {
 	case len(s.timers) > 0 && (!ok || s.less(s.timers[0], ev)):
-		return s.key(s.timers[0]), true
+		return s.slots[s.timers[0]].at, true
 	case ok:
-		return s.key(ev), true
+		return s.slots[ev].at, true
 	}
-	return Key{}, false
-}
-
-// Key is an entry's place in the firing order. Entries fire by At; at
-// one instant by From, the instant they were scheduled; and then by
-// Seq, the rank of the scheduling call among all of them. At and Set
-// schedule from the current instant with the next Seq, so for their
-// entries Seq alone breaks every tie. From matters for a timer set with
-// SetKey to the place a scheduling call made earlier would have taken.
-type Key struct {
-	At, From simtime.Instant
-	Seq      uint64
-}
-
-func keyLess(at, from simtime.Instant, seq uint64, oAt, oFrom simtime.Instant, oSeq uint64) bool {
-	if at != oAt {
-		return at < oAt
-	}
-	if from != oFrom {
-		return from < oFrom
-	}
-	return seq < oSeq
-}
-
-func (s *Scheduler) key(idx uint32) Key {
-	sl := &s.slots[idx]
-	return Key{At: sl.at, From: sl.from, Seq: sl.seq}
-}
-
-// Position reports how far the run has got: the key of the entry whose
-// callback is running or, between steps, of the one fired last. After
-// a RunUntil that was not halted it is a key after every entry due by
-// the deadline. Whatever was pending with a lesser key has fired.
-func (s *Scheduler) Position() Key { return s.last }
-
-// Reserve takes the next Seq, the rank a scheduling call made now would
-// get, for a key to be given to SetKey later.
-func (s *Scheduler) Reserve() uint64 {
-	seq := s.seq
-	s.seq++
-	return seq
+	return simtime.Epoch, false
 }
 
 // checkNotPast panics on scheduling in the past: it is always a
@@ -263,7 +217,6 @@ func (s *Scheduler) At(at simtime.Instant, fn func()) Event {
 	idx := s.alloc()
 	sl := &s.slots[idx]
 	sl.at = at
-	sl.from = s.now
 	sl.seq = s.seq
 	sl.fn = fn
 	s.seq++
@@ -316,7 +269,7 @@ func (s *Scheduler) Step() bool {
 // maxInstant is the deadline of an unbounded run.
 const maxInstant = simtime.Instant(math.MaxInt64)
 
-// stepUntil fires the least Key entry of the calendar and the
+// stepUntil fires the least (at, seq) entry of the calendar and the
 // timer heap unless it is due after deadline, and reports whether it
 // fired.
 //
@@ -332,7 +285,6 @@ func (s *Scheduler) stepUntil(deadline simtime.Instant) bool {
 			return false
 		}
 		s.now = t.at
-		s.last = Key{At: t.at, From: t.from, Seq: t.seq}
 		s.fireTimer(t.fn)
 		return true
 	}
@@ -348,7 +300,6 @@ func (s *Scheduler) stepUntil(deadline simtime.Instant) bool {
 		s.slide(bucketOf(sl.at))
 	}
 	s.now = sl.at
-	s.last = Key{At: sl.at, From: sl.from, Seq: sl.seq}
 	fn := sl.fn
 	s.release(ev) // before fn: the callback may reschedule into this slot
 	fn()
@@ -363,9 +314,8 @@ func (s *Scheduler) RunUntil(deadline simtime.Instant) {
 	s.halted = false
 	for !s.halted && s.stepUntil(deadline) {
 	}
-	if !s.halted && s.now <= deadline {
+	if !s.halted && s.now < deadline {
 		s.now = deadline
-		s.last = Key{At: deadline, From: maxInstant, Seq: math.MaxUint64}
 	}
 }
 
@@ -404,11 +354,15 @@ func (s *Scheduler) release(idx uint32) {
 	s.free = int32(idx)
 }
 
-// less orders slots by Key: a strict total order, so the firing
-// sequence is independent of where entries sit.
+// less orders slots by firing time, then seq: a strict total order, so
+// the firing sequence is independent of where entries sit.
 func (s *Scheduler) less(a, b uint32) bool {
 	sa, sb := &s.slots[a], &s.slots[b]
-	return keyLess(sa.at, sa.from, sa.seq, sb.at, sb.from, sb.seq)
+	return keyLess(sa.at, sa.seq, sb.at, sb.seq)
+}
+
+func keyLess(at simtime.Instant, seq uint64, oAt simtime.Instant, oSeq uint64) bool {
+	return at < oAt || (at == oAt && seq < oSeq)
 }
 
 // nextEvent returns the least pending one-shot event without moving
@@ -491,7 +445,7 @@ func (s *Scheduler) place(idx uint32) {
 	s.link(b, idx)
 }
 
-// link inserts idx into absolute bucket abs's ring at its Key
+// link inserts idx into absolute bucket abs's ring at its (at, seq)
 // place. The search runs back from the tail: a new event carries the
 // largest seq yet, so among equal instants it goes last.
 //
@@ -618,7 +572,7 @@ func (s *Scheduler) siftDown(h []uint32, i int) {
 	slots := s.slots
 	n := len(h)
 	idx := h[i]
-	at, from, seq := slots[idx].at, slots[idx].from, slots[idx].seq
+	at, seq := slots[idx].at, slots[idx].seq
 	for {
 		first := heapArity*i + 1
 		if first >= n {
@@ -631,15 +585,14 @@ func (s *Scheduler) siftDown(h []uint32, i int) {
 		// The least child, its key kept in hand rather than re-read
 		// through the slot array for every comparison.
 		min := first
-		m := &slots[h[first]]
-		minAt, minFrom, minSeq := m.at, m.from, m.seq
+		minAt, minSeq := slots[h[first]].at, slots[h[first]].seq
 		for c := first + 1; c < last; c++ {
 			sc := &slots[h[c]]
-			if keyLess(sc.at, sc.from, sc.seq, minAt, minFrom, minSeq) {
-				min, minAt, minFrom, minSeq = c, sc.at, sc.from, sc.seq
+			if keyLess(sc.at, sc.seq, minAt, minSeq) {
+				min, minAt, minSeq = c, sc.at, sc.seq
 			}
 		}
-		if keyLess(at, from, seq, minAt, minFrom, minSeq) {
+		if keyLess(at, seq, minAt, minSeq) {
 			break
 		}
 		h[i] = h[min]

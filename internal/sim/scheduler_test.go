@@ -3,7 +3,6 @@ package sim
 import (
 	"container/heap"
 	"fmt"
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -928,33 +927,46 @@ func TestTimerSetStopPending(t *testing.T) {
 	tm.Set(after(time.Second))
 }
 
-// TestTimerSetKey: a timer set with SetKey fires where an entry
-// scheduled at the key's From with its Seq would — after entries at the
-// same instant scheduled earlier, before those scheduled later, and by
-// Seq among those scheduled at From — and Position and Next report the
-// keys the run has reached and will reach.
-func TestTimerSetKey(t *testing.T) {
+// TestTimerSetFirst: a timer armed with SetFirst fires at its instant
+// before every entry At and Set schedule there, those scheduled before
+// it was armed too, and among such timers in the order they were made.
+// Armed at the current instant from another timer's callback, it fires
+// next, and the timer whose callback armed it stays idle.
+func TestTimerSetFirst(t *testing.T) {
 	s := NewScheduler()
 	var order []string
+	log := func(name string) func() { return func() { order = append(order, name) } }
 	at := after(10 * time.Second)
-	s.At(at, func() { order = append(order, "early") }) // scheduled at 0
-	s.RunUntil(after(5 * time.Second))
-	if want := (Key{At: after(5 * time.Second), From: maxInstant, Seq: math.MaxUint64}); s.Position() != want {
-		t.Errorf("Position after RunUntil = %+v, want %+v", s.Position(), want)
-	}
-	seq := s.Reserve() // the rank of a call made at 5s
-	s.At(at, func() { order = append(order, "later") })
-	s.RunUntil(after(6 * time.Second))
-	s.At(at, func() { order = append(order, "latest") })
-	tm := s.NewTimer(func() { order = append(order, "timer") })
-	tm.SetKey(Key{At: at, From: after(5 * time.Second), Seq: seq})
-	if k, _ := s.Next(); k.Seq != 0 || k.At != at {
-		t.Errorf("Next = %+v, want the event scheduled at 0", k)
-	}
+	s.At(at, log("event")) // scheduled before every timer below
+	plain := s.NewTimer(log("plain"))
+	plain.Set(at)
+	made1, made2 := s.NewTimer(log("made1")), s.NewTimer(log("made2"))
+	made2.SetFirst(at)
+	made1.SetFirst(at)
+	s.At(at, log("later event"))
 	s.RunUntil(at)
-	want := []string{"early", "timer", "later", "latest"}
-	if fmt.Sprint(order) != fmt.Sprint(want) {
+	if want := "[made1 made2 event plain later event]"; fmt.Sprint(order) != want {
 		t.Errorf("order = %v, want %v", order, want)
+	}
+
+	order = nil
+	at2 := after(20 * time.Second)
+	var arming Timer
+	arming = s.NewTimer(func() {
+		order = append(order, "arming")
+		made2.SetFirst(s.Now())
+		if s.Pending() != 2 { // the event and made2
+			t.Errorf("Pending inside the callback = %d, want 2", s.Pending())
+		}
+	})
+	arming.Set(at2)
+	s.At(at2, log("event"))
+	s.RunUntilIdle()
+	if want := "[arming made2 event]"; fmt.Sprint(order) != want {
+		t.Errorf("order = %v, want %v", order, want)
+	}
+	if s.Pending() != 0 {
+		t.Errorf("Pending = %d at the end, want 0", s.Pending())
 	}
 }
 

@@ -15,9 +15,9 @@ import "triadtime/internal/simtime"
 // A timer fires exactly where the one-shot event scheduled by the same
 // call at the same moment would have: Set draws seq from the
 // scheduler's one counter, just as At does, and Stop, like Cancel,
-// draws none. SetKey instead arms it at a place in the firing order a
-// process that runs ahead of the scheduler worked out itself. Like
-// Event, a Timer is a small handle: copies refer to the same timer.
+// draws none. SetFirst instead puts it ahead of everything At and Set
+// schedule at its instant. Like Event, a Timer is a small handle: copies
+// refer to the same timer.
 type Timer struct {
 	s   *Scheduler
 	idx uint32 // the timer's slot
@@ -38,22 +38,37 @@ func (s *Scheduler) NewTimer(fn func()) Timer {
 //triad:hotpath
 func (t Timer) Set(at simtime.Instant) {
 	s := t.s
-	t.SetKey(Key{At: at, From: s.now, Seq: s.Reserve()})
+	t.arm(at, s.seq)
+	s.seq++
 }
 
-// SetKey arms the timer at key k, replacing any earlier setting: it
-// fires where an entry scheduled at k.From with rank k.Seq for k.At
-// would. k.At must not be in the past. A k.Seq from Reserve is the
-// timer's alone; among entries that share a whole key the order is
-// left undefined.
+// SetFirst arms the timer as Set does, but at a fixed rank below every
+// seq At and Set draw (seqBase): at its instant it fires before every
+// entry they schedule, whenever they were scheduled. Among timers armed
+// with SetFirst at one instant, the one made first fires first. It is
+// for a process that must come first at an instant, such as a
+// monitoring window's completion.
 //
 //triad:hotpath
-func (t Timer) SetKey(k Key) {
+func (t Timer) SetFirst(at simtime.Instant) {
+	t.arm(at, uint64(t.idx))
+}
+
+// arm sets the timer's key to (at, seq) and files it in the timer heap.
+//
+//triad:hotpath
+func (t Timer) arm(at simtime.Instant, seq uint64) {
 	s := t.s
-	s.checkNotPast(k.At)
+	s.checkNotPast(at)
 	sl := &s.slots[t.idx]
-	later := !keyLess(k.At, k.From, k.Seq, sl.at, sl.from, sl.seq)
-	sl.at, sl.from, sl.seq = k.At, k.From, k.Seq
+	if s.firing && sl.pos != 0 && keyLess(at, seq, s.slots[s.timers[0]].at, s.slots[s.timers[0]].seq) {
+		// A timer armed ahead of the one whose callback is running
+		// would take its place at the root: take the firing one out
+		// first.
+		s.settleFiring()
+	}
+	later := !keyLess(at, seq, sl.at, sl.seq)
+	sl.at, sl.seq = at, seq
 	switch {
 	case sl.pos < 0:
 		s.push(&s.timers, t.idx)
@@ -85,9 +100,9 @@ func (t Timer) Stop() {
 // left in place while it runs: as the least key of a heap whose
 // newcomers all sort later, it keeps the heap valid, and a Set from the
 // callback then costs one sift-down from the root instead of a removal
-// and an insertion. (A lower key from SetKey leaves it least all the
-// same.) To everything outside this package the timer is
-// idle throughout.
+// and an insertion. (A lower key from SetFirst leaves it least all
+// the same; another timer armed below it first takes it out.) To
+// everything outside this package the timer is idle throughout.
 //
 //triad:hotpath
 func (s *Scheduler) fireTimer(fn func()) {
