@@ -68,11 +68,15 @@ fuzz-smoke:
 # runs by name: four simulation passes (seconds) compared with the
 # bytes in benchmark/golden.json — the only gate that catches a
 # behaviour change in core/resilient/quorum before the next benchmark
-# run's GUARD line does.
+# run's GUARD line does. Beside it, by name as well, the gate for the
+# monitor's quiet gaps, which match the eager loop in law, not in
+# stream: TestQuietGapMatchesEagerLaw (10000 seeds a side, -short skips
+# it).
 bench-module:
 	$(GO) -C benchmark vet ./...
 	$(GO) -C benchmark test -short ./...
 	$(GO) -C benchmark test -run '^TestSimDigestIsStable$$' ./...
+	$(GO) test -count=1 -run '^TestQuietGapMatchesEagerLaw$$' ./internal/enclave
 
 # Full pre-merge gate: vet, lint, the suppression budget, build,
 # tests, the race detector, and the benchmark module.
@@ -85,14 +89,15 @@ check: vet lint lint-audit build test test-race bench-module
 audit: lint lint-audit
 	$(GO) run ./cmd/triad-sim -fig check -seed 1
 
-# Seed of figdiff and benchab runs.
+# Seed of figdiff and benchab runs; figdiff takes several (SEED="1 7").
 SEED ?= 1
 
 # Simulator byte-identity against another revision: every figure, CSV,
-# the audit and the Fig. 6 trace at SEED, diffed (scripts/figdiff.sh).
-# Not part of check: a change may move figures on purpose.
+# the audit and the Fig. 6 trace at each SEED, diffed, with each side
+# built once (scripts/figdiff.sh). Not part of check: a change may move
+# figures on purpose.
 figdiff:
-	@test -n "$(REV)" || { echo "usage: make figdiff REV=<git revision> [SEED=1]" >&2; exit 2; }
+	@test -n "$(REV)" || { echo "usage: make figdiff REV=<git revision> [SEED=\"1 7\"]" >&2; exit 2; }
 	bash scripts/figdiff.sh $(REV) $(SEED)
 
 # Alternated benchmark runs of the working tree against another

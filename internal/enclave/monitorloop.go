@@ -10,8 +10,9 @@ import (
 )
 
 // noiseWindows is how many windows of measurement noise a monitoring
-// loop draws ahead: the furthest it judges ahead of the scheduler, and
-// so the longest it goes without a firing while no window calls back.
+// loop's exact path draws ahead: the furthest it judges ahead of the
+// scheduler there, and so the longest it goes without a firing while no
+// window calls back.
 const noiseWindows = 64
 
 // windowNoise is one window's measurement noise, drawn ahead.
@@ -27,36 +28,35 @@ type windowNoise struct {
 // A window's only effects are its noise draws, a step of the judge and,
 // rarely, a monitor callback. Within a TSC generation windows run back
 // to back at a fixed span from the last (re)start, and the platform's
-// RNG is drawn only by window completions, in completion order. So the
-// loop draws the noise of noiseWindows windows ahead, runs the judge
-// over them on a copy of the monitor's state, and sets its one timer at
-// the end of the first window whose counts call back — or of the last
-// window drawn. When the timer fires, the monitor takes the state the
-// copy reached; when something that changes the windows touches the
-// loop first — an AEX, a TSC manipulation, a core-frequency change or a
-// monitor reset — the windows that ended by then are judged then, with
-// the same draws and arithmetic. The plan is indexed by completion, not
-// by time, so an AEX only moves the windows' ends: it plans nothing
-// again, unless the window it aborts was one a manipulation had moved.
+// RNG is drawn only by the loop. So the loop's exact path draws the
+// noise of noiseWindows windows ahead, in completion order, runs the
+// judge over them on a copy of the monitor's state, and sets its one
+// timer at the end of the first window whose counts call back — or of
+// the last window drawn. When the timer fires, the monitor takes the
+// state the copy reached; when something that changes the windows
+// touches the loop first — an AEX, a TSC manipulation, a core-frequency
+// change or a monitor reset — the windows that ended by then are judged
+// then, with the same draws and arithmetic. The plan is indexed by
+// completion, not by time, so an AEX only moves the windows' ends: it
+// plans nothing again, unless the window it aborts was one a
+// manipulation had moved.
 //
 // Once every counter has a learnt baseline, nearly every window is
 // quiet: its counts cannot leave tolerance, so its judgement is
 // measured++, strikes = 0. From a whole head, the loop bounds each
 // counter's standard-normal draw so that a window under both bounds
-// cannot deviate, whatever its outlier roll, and scans the next
-// noiseWindows windows' draws off the RNG without storing them. While
-// both bounds exceed sim.MaxFastNormal, the largest magnitude the
-// ziggurat's fast branch returns, a window whose normals all take that
-// branch clears them by construction: sim.RNG.SkipFastWindows passes
-// such windows by LCG jump-ahead, computing only their normals' states
-// and outputs, and the scan draws only the windows in between. If all
-// clear their bounds, the block's plan is arithmetic: its firing moves
-// the head past it with one multiply, and a touch point inside it
-// commits the windows that ended by then in one step. The block keeps
-// only the RNG's mark at its start. A replan inside it scans again from
-// the head — back to the mark, past the windows committed — and may
-// find the rest quiet again. Otherwise the RNG goes back to the mark
-// and the windows take the exact path above.
+// cannot deviate, whatever its outlier roll (quietBounds). Windows'
+// draws are independent, so the number of quiet windows before the
+// first whose normals cross a bound is geometric: the loop draws it
+// with one uniform (planQuiet), a gap, and sets its timer at the end of
+// that crossing window — or leaves it unarmed when that end lies past
+// the range of simulated time. The gap's windows draw no noise: the
+// firing, or a touch point before it, commits those that ended in one
+// step. At the firing the loop draws the crossing window's noise from
+// its law conditioned on the crossing (drawCrossing) and judges it
+// exactly, callbacks and all. The law is memoryless, so a replan inside
+// a gap draws a fresh gap from the head: nothing is rewound. Like the
+// plan above, a gap counts completions, so an AEX plans nothing again.
 //
 // One rule places a window in the firing order: at any instant,
 // monitoring-window completions come before every other entry — INC
@@ -88,21 +88,20 @@ type monitorLoop struct {
 	// noise[next:drawn] is the noise of the head and the windows after.
 	noise       [noiseWindows]windowNoise
 	next, drawn int
-	// quiet is set while noise[:drawn] is a quiet block (planQuiet):
-	// windows whose draws clear the bounds, each judged measured++,
-	// strikes = 0 on every counter. Their noise is not stored: mark is
-	// the RNG's position before the block's first draw, where a replan
-	// scans from again.
+	// quiet is set while the windows before the timer's are a quiet
+	// gap (planQuiet): each judged measured++, strikes = 0 on every
+	// counter, none with noise drawn. The timer's window is the gap's
+	// crossing one, whose noise the firing draws.
 	quiet bool
-	mark  sim.RNGMark
-	// quietBlocks and fallbacks count the blocks planned quiet and the
-	// scans that met a draw their bounds did not clear.
-	quietBlocks, fallbacks int
+	// exact sends every window down the exact path, drawn as the eager
+	// two-timer loop drew them: a test hook that turns gaps off.
+	exact bool
 	// ahead is the monitor's state once the windows before the timer's,
 	// and the timer's own unless it calls back, are judged.
 	ahead monitorState
 	// due counts the windows after the head up to the one the timer is
-	// set at; verdict is set when that one calls back.
+	// set at — math.MaxInt for a gap without a crossing — and verdict is
+	// set when that one calls back.
 	due     int
 	verdict bool
 	// judging is set while a window's callbacks run.
@@ -180,29 +179,26 @@ func (p *SimPlatform) touchMonitor() {
 		return // a callback's changes are planned for when it returns
 	}
 	now := p.sched.Now()
-	if p.timerAt() == now {
+	if at, ok := p.timerAt(); ok && at == now {
 		p.fireMonitor()
 		return
 	}
 	if l.quiet && l.end <= now {
-		p.commitQuiet(now)
+		p.passQuiet(int(now.Sub(l.end)/l.span) + 1)
 	}
 	for l.end <= now {
 		p.judgeHead()
 	}
 }
 
-// commitQuiet commits, in one step, the quiet block's windows from a
-// whole head on that end at or before at: each is judged measured++,
-// strikes = 0 on every counter. Their ends are the head's plus whole
-// spans, and the timer's window ends after at, so they are all the
-// block's.
+// passQuiet commits, in one step, n windows of a quiet gap from a whole
+// head: each is judged measured++, strikes = 0 on every counter. A
+// touch point commits the gap's windows that end by then; the timer's
+// window, the crossing one, ends later.
 //
 //triad:hotpath
-func (p *SimPlatform) commitQuiet(at simtime.Instant) {
-	l := &p.mon
-	m := l.m
-	n := int(at.Sub(l.end)/l.span) + 1
+func (p *SimPlatform) passQuiet(n int) {
+	m := p.mon.m
 	m.state.inc.passQuiet(n)
 	if m.memEnabled {
 		m.state.mem.passQuiet(n)
@@ -303,15 +299,8 @@ func (p *SimPlatform) counts(elapsed time.Duration, n *windowNoise) (inc, mem fl
 //
 //triad:hotpath
 func (p *SimPlatform) judgeHead() {
-	l := &p.mon
-	m := l.m
-	// A quiet window's counts lie within tolerance of the learnt
-	// baselines, so judging the baselines themselves steps the judge as
-	// its counts would: measured++, strikes = 0.
-	inc, mem := m.state.inc.baseline, m.state.mem.baseline
-	if !l.quiet {
-		inc, mem = p.headCounts()
-	}
+	m := p.mon.m
+	inc, mem := p.headCounts()
 	m.judgeINC(&m.state, inc)
 	if m.memEnabled {
 		m.judgeMem(&m.state, mem)
@@ -342,20 +331,28 @@ func (p *SimPlatform) advanceHead(n int) {
 
 // fireMonitor runs at the end of the window the timer was set at: it
 // commits the windows before that one and then that one — with its
-// callbacks, if it calls back — and plans ahead again.
+// callbacks, if it calls back — and plans ahead again. At the end of a
+// quiet gap, that window is the crossing one: its noise is drawn here.
 //
 //triad:hotpath
 func (p *SimPlatform) fireMonitor() {
 	l := &p.mon
-	n := l.due
-	if !l.verdict {
-		n++
-	}
-	p.advanceHead(n)
-	l.m.state = l.ahead
-	if !l.verdict {
-		p.planMonitor()
-		return
+	if l.quiet {
+		p.passQuiet(l.due)
+		l.quiet = false
+		l.next, l.drawn = 0, 1
+		p.drawCrossing(&l.noise[0])
+	} else {
+		n := l.due
+		if !l.verdict {
+			n++
+		}
+		p.advanceHead(n)
+		l.m.state = l.ahead
+		if !l.verdict {
+			p.planMonitor()
+			return
+		}
 	}
 	l.judging = true
 	l.m.Observe(p.headCounts())
@@ -365,23 +362,20 @@ func (p *SimPlatform) fireMonitor() {
 }
 
 // planMonitor plans the windows from the head and sets the timer: at
-// the end of a quiet block (planQuiet) when it can, else — running the
-// judge ahead from the head on a copy of the monitor's state, over the
-// noise drawn — at the end of the first window that calls back, or of
-// the last one drawn. A quiet block it replans inside is scanned again
-// from the head: the RNG goes back to the block's mark and passes the
-// windows the block committed, and what is left of the block is
-// planned like any other windows from there.
+// the end of a quiet gap's crossing window (planQuiet) when it can,
+// else — running the judge ahead from the head on a copy of the
+// monitor's state, over the noise drawn — at the end of the first
+// window that calls back, or of the last one drawn. A gap it replans
+// inside is dropped: the windows are independent, so a fresh gap from
+// the head has the law the rest of the old one had.
 //
 //triad:hotpath
 func (p *SimPlatform) planMonitor() {
 	l := &p.mon
-	if l.quiet && l.next < l.drawn {
-		p.rng.Rewind(l.mark)
-		p.scanQuiet(l.next, math.Inf(1), math.Inf(1))
-		l.drawn = l.next
+	if l.quiet {
+		l.quiet = false
+		l.next, l.drawn = 0, 0
 	}
-	l.quiet = false
 	l.drawn = copy(l.noise[:], l.noise[l.next:l.drawn])
 	l.next = 0
 	if l.drawn == 0 && p.planQuiet() {
@@ -432,20 +426,37 @@ func (p *SimPlatform) judgeAhead(s *monitorState, n int) int {
 }
 
 // armMonitor sets the timer at the end of the window due windows after
-// the head, ahead of every other entry there.
+// the head, ahead of every other entry there, or stops it when that end
+// lies past the range of simulated time.
 //
 //triad:hotpath
 func (p *SimPlatform) armMonitor() {
-	p.mon.timer.SetFirst(p.timerAt())
+	if at, ok := p.timerAt(); ok {
+		p.mon.timer.SetFirst(at)
+	} else {
+		p.mon.timer.Stop()
+	}
 }
 
 // timerAt is the end of the window due windows after the head, where
-// the timer is set: the windows after the head are whole spans.
+// the timer is set: the windows after the head are whole spans. It
+// reports false when that end lies past the last instant.
 //
 //triad:hotpath
-func (p *SimPlatform) timerAt() simtime.Instant {
+func (p *SimPlatform) timerAt() (simtime.Instant, bool) {
 	l := &p.mon
-	return l.end.Add(time.Duration(l.due) * l.span)
+	if l.due > p.maxDue() {
+		return 0, false
+	}
+	return l.end.Add(time.Duration(l.due) * l.span), true
+}
+
+// maxDue is the most windows after the head whose end is an instant.
+//
+//triad:hotpath
+func (p *SimPlatform) maxDue() int {
+	l := &p.mon
+	return int((math.MaxInt64 - int64(l.end)) / int64(l.span))
 }
 
 // quietMargin is the share of a baseline the quiet bounds give up, so
@@ -453,41 +464,62 @@ func (p *SimPlatform) timerAt() simtime.Instant {
 // a bound made: those errors are a few ulps of the count, ~1e-16 of it.
 const quietMargin = 1e-9
 
-// planQuiet plans the next noiseWindows windows as a quiet block when
-// the head is a whole window, the core's warm-up measurement is drawn,
-// every counter has a learnt baseline and every normal draw of theirs
-// clears its bound (quietBounds). The scan steps the RNG through the
-// windows' draws and stores nothing; the plan is arithmetic. When a
-// draw does not clear its bound, the RNG goes back to the block's mark
-// and the exact path draws and judges the windows.
+// maxCrossing is the largest chance of a crossing (quietLaw) a gap is
+// planned at: a gap pays only when most windows are quiet, and under
+// it every bound exceeds 0.67, where drawCrossing's rejection loops
+// accept more than half their tries.
+const maxCrossing = 0.5
+
+// planQuiet plans a quiet gap from the head when the head is a whole
+// window, the core's warm-up measurement is drawn and every counter has
+// a learnt baseline: it draws the number of quiet windows before the
+// first whose normals cross a bound — geometric, each window crossing
+// with the chance pc quietLaw gives — and sets the timer's window at
+// that crossing one. When pc is 0, or the crossing window would end
+// past the last instant, due is math.MaxInt: the timer stays unarmed
+// and only touch points commit the gap's windows.
 //
 //triad:hotpath
 func (p *SimPlatform) planQuiet() bool {
 	l := &p.mon
-	m := l.m
-	if l.moved || !p.drewINC {
+	if l.exact || l.moved || !p.drewINC {
 		return false
 	}
-	xINC, xMem := p.quietBounds()
-	if !(xINC > 0) || m.memEnabled && !(xMem > 0) {
+	_, _, _, pc, ok := p.quietLaw()
+	if !ok || pc >= maxCrossing {
 		return false
 	}
-	l.mark = p.rng.Mark()
-	if !p.scanQuiet(noiseWindows, xINC, xMem) {
-		p.rng.Rewind(l.mark)
-		l.fallbacks++
-		return false
+	l.quiet, l.due = true, math.MaxInt
+	if pc > 0 {
+		// 1-Float64 is in (0, 1], so the gap is finite and at least 0.
+		gap := math.Floor(math.Log(1-p.rng.Float64()) / math.Log1p(-pc))
+		if gap <= float64(p.maxDue()) {
+			l.due = int(gap)
+		}
 	}
-	l.quiet = true
-	l.quietBlocks++
-	l.drawn = noiseWindows
-	l.ahead = m.state
-	l.ahead.inc.passQuiet(noiseWindows)
-	if m.memEnabled {
-		l.ahead.mem.passQuiet(noiseWindows)
-	}
-	l.due, l.verdict = noiseWindows-1, false
 	return true
+}
+
+// quietLaw is the law of a whole window's normals against the quiet
+// bounds: the bounds (quietBounds), the chance a = 2Q(xINC) that the
+// INC normal crosses its bound and the chance pc = a + (1-a)·2Q(xMem)
+// that one of the window's normals does (the memory term 0 without a
+// memory counter), Q the standard normal's tail. ok is false while a
+// counter has no learnt baseline.
+//
+//triad:hotpath
+func (p *SimPlatform) quietLaw() (xINC, xMem, a, pc float64, ok bool) {
+	mem := p.mon.m.memEnabled
+	xINC, xMem = p.quietBounds()
+	if !(xINC > 0) || mem && !(xMem > 0) {
+		return 0, 0, 0, 0, false
+	}
+	a = math.Erfc(xINC / math.Sqrt2)
+	pc = a
+	if mem {
+		pc += (1 - a) * math.Erfc(xMem/math.Sqrt2)
+	}
+	return xINC, xMem, a, pc, true
 }
 
 // quietBounds are the largest magnitudes of a whole window's
@@ -516,37 +548,57 @@ func (p *SimPlatform) quietBounds() (xINC, xMem float64) {
 	return xINC, xMem
 }
 
-// scanQuiet steps the RNG through n windows' draws in drawWindow's
-// order — the INC normal, the outlier roll's one Uint64, the memory
-// normal — storing nothing, and reports whether every normal stays
-// under its bound. When both bounds exceed sim.MaxFastNormal, every
-// normal the ziggurat's fast branch takes clears them by construction:
-// RNG.SkipFastWindows then passes the windows up to the next one with a
-// slow-branch normal at once, and only that one is drawn here.
-//
-//triad:hotpath
-func (p *SimPlatform) scanQuiet(n int, xINC, xMem float64) bool {
+// drawCrossing draws the noise of a gap's crossing window: its normals'
+// law given that one crosses its bound (quietLaw). With chance a/pc the
+// INC normal crosses and the memory one is unconditioned; otherwise the
+// INC normal stays under its bound and the memory one crosses. The
+// outlier roll, which the bounds allow for, is drawn as drawWindow
+// draws it.
+func (p *SimPlatform) drawCrossing(n *windowNoise) {
 	rng := p.rng
-	roll := p.incModel.OutlierProb > 0
 	mem := p.mon.m.memEnabled
-	skip := xINC > sim.MaxFastNormal && (!mem || xMem > sim.MaxFastNormal)
-	for i := 0; i < n; i++ {
-		if skip {
-			if i += rng.SkipFastWindows(n-i, roll, mem); i == n {
-				break
+	xINC, xMem, a, pc, _ := p.quietLaw()
+	var zINC, zMem float64
+	if !mem || rng.Float64()*pc < a {
+		zINC = tailNormal(rng, xINC)
+		if mem {
+			zMem = rng.NormFloat64()
+		}
+	} else {
+		zINC = bodyNormal(rng, xINC)
+		zMem = tailNormal(rng, xMem)
+	}
+	m := p.incModel
+	n.inc, n.incOff = m.NoiseSigma*zINC, 0
+	if m.OutlierProb > 0 && rng.Float64() < m.OutlierProb {
+		n.incOff = m.OutlierOffset
+	}
+	n.mem = p.memModel.NoiseFrac * zMem
+}
+
+// tailNormal draws a standard normal given |z| >= x, for x > 0:
+// Marsaglia's tail method (Technometrics 6, 1964) for z >= x, and a
+// uniform sign.
+func tailNormal(rng *sim.RNG, x float64) float64 {
+	for {
+		// 1-Float64 is in (0, 1], so the log is finite.
+		z := math.Sqrt(x*x - 2*math.Log(1-rng.Float64()))
+		if rng.Float64()*z < x {
+			if rng.Uint64()&1 == 0 {
+				return -z
 			}
-		}
-		if math.Abs(rng.NormFloat64()) >= xINC {
-			return false
-		}
-		if roll {
-			rng.Uint64()
-		}
-		if mem && math.Abs(rng.NormFloat64()) >= xMem {
-			return false
+			return z
 		}
 	}
-	return true
+}
+
+// bodyNormal draws a standard normal given |z| < x, by rejection.
+func bodyNormal(rng *sim.RNG, x float64) float64 {
+	for {
+		if z := rng.NormFloat64(); math.Abs(z) < x {
+			return z
+		}
+	}
 }
 
 // drawMonitorNoise draws windows to fill the buffer.

@@ -45,8 +45,8 @@ const (
 // cheapMul is DXSM's multiplier.
 const cheapMul = 0xda942042e4dd58b5
 
-// Uint64 steps the state and returns its output, as rand.PCG.Uint64.
-// (It spells out output, which would put it over the inlining budget.)
+// Uint64 steps the state and returns its DXSM output, as
+// rand.PCG.Uint64.
 func (p *pcg) Uint64() uint64 {
 	hi, lo := bits.Mul64(p.lo, mulLo)
 	hi += p.hi*mulLo + p.lo*mulHi
@@ -59,65 +59,6 @@ func (p *pcg) Uint64() uint64 {
 	hi ^= hi >> 48
 	hi *= lo | 1
 	return hi
-}
-
-// output is the DXSM output of the state.
-func (p pcg) output() uint64 {
-	hi := p.hi
-	hi ^= hi >> 32
-	hi *= cheapMul
-	hi ^= hi >> 48
-	hi *= p.lo | 1
-	return hi
-}
-
-// lcgJump is k steps of the LCG in one: s ↦ a·s + c mod 2¹²⁸, with
-// a = mulᵏ and c = inc·(mulᵏ⁻¹ + … + mul + 1).
-type lcgJump struct{ a, c pcg }
-
-// jumps[k] is k steps, for a window of up to three draws; stepBack is
-// one step back, k = -1: the multiplier is odd, so it has an inverse
-// mod 2¹²⁸.
-var jumps, stepBack = func() (js [4]lcgJump, back lcgJump) {
-	step := lcgJump{a: pcg{mulHi, mulLo}, c: pcg{incHi, incLo}}
-	js[0] = lcgJump{a: pcg{0, 1}}
-	for k := 1; k < len(js); k++ {
-		// k steps are one step after k-1: a·(a'·s + c') + c.
-		js[k] = lcgJump{a: mul128(step.a, js[k-1].a), c: add128(mul128(step.a, js[k-1].c), step.c)}
-	}
-	// Newton's iteration doubles the correct low bits of an inverse,
-	// and an odd a is its own inverse mod 8: six rounds pass 128 bits.
-	inv := step.a
-	for range 6 {
-		inv = mul128(inv, add128(pcg{0, 2}, neg128(mul128(step.a, inv))))
-	}
-	// s = a⁻¹·(s' − c).
-	return js, lcgJump{a: inv, c: neg128(mul128(inv, step.c))}
-}()
-
-// mul128, add128 and neg128 are products, sums and negations mod 2¹²⁸.
-func mul128(x, y pcg) pcg {
-	hi, lo := bits.Mul64(x.lo, y.lo)
-	return pcg{hi + x.hi*y.lo + x.lo*y.hi, lo}
-}
-
-func add128(x, y pcg) pcg {
-	lo, c := bits.Add64(x.lo, y.lo, 0)
-	hi, _ := bits.Add64(x.hi, y.hi, c)
-	return pcg{hi, lo}
-}
-
-func neg128(x pcg) pcg { return add128(pcg{^x.hi, ^x.lo}, pcg{0, 1}) }
-
-// jump returns the state j's steps on from p.
-//
-//triad:hotpath
-func (p pcg) jump(j *lcgJump) pcg {
-	hi, lo := bits.Mul64(p.lo, j.a.lo)
-	hi += p.hi*j.a.lo + p.lo*j.a.hi
-	lo, c := bits.Add64(lo, j.c.lo, 0)
-	hi, _ = bits.Add64(hi, j.c.hi, c)
-	return pcg{hi, lo}
 }
 
 // newPCG returns a generator on a PCG state seeded with seed1, seed2.
@@ -137,17 +78,6 @@ func NewRNG(seed uint64) *RNG {
 func (g *RNG) Fork(id uint64) *RNG {
 	return newPCG(g.Uint64()^id, g.Uint64()+id)
 }
-
-// RNGMark is a position in an RNG's stream.
-type RNGMark struct{ pcg pcg }
-
-// Mark reports the stream's position: the draws after it are the ones
-// a Rewind to it replays.
-func (g *RNG) Mark() RNGMark { return RNGMark{g.pcg} }
-
-// Rewind moves the stream back to m, a Mark of this generator: the
-// draws made since are made again, as if they had not been.
-func (g *RNG) Rewind(m RNGMark) { g.pcg = m.pcg }
 
 // Float64 returns a uniform sample in [0, 1).
 func (g *RNG) Float64() float64 {
@@ -214,57 +144,6 @@ func (g *RNG) normSlow(u uint64) float64 {
 		}
 		u = g.pcg.Uint64()
 	}
-}
-
-// MaxFastNormal is the largest magnitude NormFloat64's fast branch
-// returns: (kn[i]-1)·wn[i] at its largest over the strips. A draw
-// beyond it took the slow branch.
-var MaxFastNormal = func() float64 {
-	m := 0.0
-	for i, k := range kn {
-		if k > 0 {
-			m = max(m, float64(k-1)*float64(wn[i]))
-		}
-	}
-	return m
-}()
-
-// SkipFastWindows passes up to n windows of draws laid out as a
-// NormFloat64, then a Uint64 when roll is set, then a second
-// NormFloat64 when second is set, and returns how many it passed. It
-// stops before the first window with a normal the ziggurat's fast
-// branch does not take, so every normal it passes is at most
-// MaxFastNormal in magnitude. It leaves the stream where drawing the
-// windows passed would, but computes only the normals' states and
-// outputs: each normal's state is the same one's in the window before
-// plus a whole window of steps in one LCG jump, so a window's two
-// normals are two chains of multiplies that do not wait on each other.
-//
-//triad:hotpath
-func (g *RNG) SkipFastWindows(n int, roll, second bool) int {
-	d := 1 // draws per window
-	if roll {
-		d++
-	}
-	if second {
-		d++
-	}
-	win := &jumps[d]
-	x := g.pcg.jump(&jumps[1]) // the window's first normal
-	w := 0
-	if second {
-		y := x.jump(&jumps[d-1]) // and its second, its last draw
-		for ; w < n && fastNormal(x.output()) && fastNormal(y.output()); w++ {
-			x, y = x.jump(win), y.jump(win)
-		}
-	} else {
-		for ; w < n && fastNormal(x.output()); w++ {
-			x = x.jump(win)
-		}
-	}
-	// x is the first draw of the window stopped before, or of the next.
-	g.pcg = x.jump(&stepBack)
-	return w
 }
 
 // Gaussian returns a normal sample with the given mean and stddev.
