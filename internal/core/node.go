@@ -33,12 +33,11 @@ func assemble(platform enclave.Platform, cfg Config) (*engine.Engine, *policy, e
 	}
 	pol := &policy{cfg: cfg}
 	eng, err := engine.New(platform, cfg.Config, engine.Policies{
-		Calibration:      pol,
-		Recovery:         pol,
-		Filter:           engine.AdoptIfAhead{},
-		MemMonitor:       cfg.EnableMemMonitor,
-		MemTolerance:     cfg.MemTolerance,
-		FreqChangeEvents: true,
+		Calibration:  pol,
+		Recovery:     pol,
+		Filter:       engine.AdoptIfAhead{},
+		MemMonitor:   cfg.EnableMemMonitor,
+		MemTolerance: cfg.MemTolerance,
 		// Multi-authority nodes keep the quorum's own window.
 		Quorum: engine.QuorumConfig{ErrBudget: cfg.QuorumErrBudget},
 	})

@@ -36,6 +36,16 @@ func monitoredCores(n int, enableMem bool) (*sim.Scheduler, []*SimPlatform) {
 	return sched, ps
 }
 
+// narrowTolerances sets p's monitor tolerances a few sigmas wide, so
+// that quiet gaps end in crossing windows within hundreds of windows
+// (at the paper's tolerances no gap is ever armed), and plans again.
+func narrowTolerances(p *SimPlatform) {
+	m := p.mon.m
+	m.incTol = (math.Abs(p.incModel.OutlierOffset) + 4*p.incModel.NoiseSigma) / simtime.PaperINCPer15MTicks
+	m.memTol = 0.035
+	p.replanMonitor()
+}
+
 // TestMonitorWindowZeroAllocSteadyState is the allocation gate CI runs
 // on the monitoring loop: judging windows at touch points (an AEX, a
 // core-frequency change) that commit a quiet gap's windows and plan a
@@ -67,12 +77,9 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 			if allocs := testing.AllocsPerRun(100, touch); allocs != 0 {
 				t.Errorf("judging and planning at touch points allocates %.1f objects, want 0", allocs)
 			}
-			// Tolerances a few sigmas wide: gaps end in crossing windows
-			// within hundreds of windows.
 			p.SetCoreFreqHz(simtime.PaperCoreHz)
 			incTol, memTol := l.m.incTol, l.m.memTol
-			l.m.incTol, l.m.memTol = (math.Abs(p.incModel.OutlierOffset)+4*p.incModel.NoiseSigma)/simtime.PaperINCPer15MTicks, 0.035
-			p.replanMonitor()
+			narrowTolerances(p)
 			crossings := 0
 			fire := func() {
 				if l.quiet {
@@ -136,20 +143,43 @@ func TestMonitorWindowZeroAllocSteadyState(t *testing.T) {
 // BenchmarkMonitorWindow times the monitoring loop per simulated window
 // on a hardened three-node cluster's worth of cores, with a few far-off
 // events standing in for the cluster's other pending work: everything a
-// window costs, whether it is judged ahead, when the timer fires or in
-// a quiet gap.
+// window costs, whether it is judged ahead, in a quiet gap or as the
+// gap's crossing window. The tolerances are a few sigmas wide
+// (narrowTolerances): at the paper's, no gap is ever armed and the
+// loop would time nothing. It runs at least one crossing, whatever b.N.
 func BenchmarkMonitorWindow(b *testing.B) {
 	const cores = 3
 	sched, ps := monitoredCores(cores, true)
 	for i := 0; i < 8; i++ {
 		sched.At(simtime.FromDuration(1000*time.Hour), func() {})
 	}
-	span := ps[0].mon.span
-	sched.RunUntil(simtime.FromDuration(64 * span))
+	windows, gaps, crossings := 0, 0, 0
+	for _, p := range ps {
+		l := &p.mon
+		narrowTolerances(p)
+		l.record = func(n int) {
+			windows += n
+			switch {
+			case l.quiet:
+				gaps++
+			case l.next == 0 && l.drawn == 1:
+				// The one window drawCrossing drew.
+				crossings++
+			}
+		}
+	}
+	sched.RunUntil(simtime.FromSeconds(10))
+	if gaps == 0 || crossings == 0 {
+		b.Fatalf("%d windows committed %d gaps and drew %d crossings", windows, gaps, crossings)
+	}
+	windows, crossings = 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
-	sched.RunUntil(sched.Now().Add(time.Duration(b.N) * span))
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cores*b.N), "ns/window")
+	for windows < cores*b.N || crossings == 0 {
+		sched.Step()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows), "ns/window")
+	b.ReportMetric(float64(crossings)*1000/float64(windows), "crossings/kwindow")
 }
 
 // BenchmarkMonitorVerdictWindow times the monitoring loop per window

@@ -1,9 +1,9 @@
 package engine
 
 // Counters are the engine's cumulative protocol counters. One struct
-// covers both variants so metrics, the live runtime, and the
-// experiment harness read original and hardened nodes uniformly;
-// hardening-only counters simply stay zero on original nodes.
+// covers every protocol line so metrics, the live runtime, and the
+// experiment harness read all nodes uniformly; a counter a line never
+// moves simply stays zero on its nodes.
 type Counters struct {
 	// TAReferences counts adopted Time Authority references (both
 	// reference and full calibrations) — Figure 2b's metric.
@@ -16,8 +16,9 @@ type Counters struct {
 	// RejectedPeers counts peer timestamps the hardened chimer filter
 	// refused.
 	RejectedPeers int
-	// RTTRejections counts Time Authority exchanges the hardened
-	// roundtrip bound discarded.
+	// RTTRejections counts Time Authority answers discarded as
+	// over-delayed: by the hardened roundtrip bound, or by the NTP
+	// discipline's clock filter (not the minimum delay of its register).
 	RTTRejections int
 	// Probes counts hardened in-TCB deadline self-checks;
 	// ProbeFailures counts those that found the local clock

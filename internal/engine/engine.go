@@ -10,10 +10,11 @@
 // Variant behaviour — what to ask the authorities for and what to make
 // of the readings, how to recover from a taint, which peer timestamps
 // to believe, whether to gossip — is injected through the small
-// interfaces in policy.go. A protocol variant is a Policies value plus
+// interfaces in policy.go. A protocol line is a Policies value plus
 // a Config that embeds this package's and adds its own knobs:
 // internal/core is the paper's original protocol, internal/resilient
-// the Section V hardened one. Both constructors return the one Node
+// the Section V hardened one, internal/ntpdisc the NTP-style discipline
+// (which adds no knobs). Every constructor returns the one Node
 // handle; the engine fires one set of observation hooks (Events) and
 // keeps one set of Counters, so the live runtime, the lab, and the
 // experiment harness observe any variant through the same surface.
@@ -219,6 +220,13 @@ func (e *Engine) TicksForSeconds(sec float64) uint64 {
 	return uint64(sec * e.platform.BootTSCHz())
 }
 
+// DurationFor is TicksFor's inverse: the wall duration of a span of
+// guest ticks by the boot-time frequency hint. Used only to age short
+// spans, never for trusted time.
+func (e *Engine) DurationFor(ticks uint64) time.Duration {
+	return time.Duration(float64(ticks) / e.platform.BootTSCHz() * 1e9)
+}
+
 // SendSealed seals msg under this node's wire identity and sends it.
 // The sealed bytes live in the engine's scratch buffer, which the next
 // SendSealed reuses; transports must be done with the payload when Send
@@ -395,13 +403,9 @@ func (e *Engine) startMonitor() {
 		EnableMem:     e.pol.MemMonitor,
 		MemTol:        e.pol.MemTolerance,
 		OnDiscrepancy: e.onDiscrepancy,
-	}
-	if e.pol.FreqChangeEvents {
-		mc.OnFreqChange = func(rel float64) {
-			// A core-frequency change is legal OS behaviour; the INC
-			// baseline re-learns. Surface it for observability only.
-			e.events.freqChange(rel)
-		}
+		// A core-frequency change is legal OS behaviour; the INC
+		// baseline re-learns. Surface it for observability only.
+		OnFreqChange: e.events.freqChange,
 	}
 	e.monitor = enclave.NewRateMonitor(e.platform, mc)
 	e.monitor.Start()

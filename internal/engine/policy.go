@@ -3,14 +3,16 @@ package engine
 import "triadtime/internal/wire"
 
 // The engine calls out to small policy interfaces at exactly the
-// decision points where the original protocol (internal/core) and the
-// Section V hardened variant (internal/resilient) diverge. A protocol
-// variant is an assembly of these policies over one engine; everything
-// else — clock state, state machine, datagram dispatch, every
-// request/response exchange (sequence numbers, deadlines, AEX-epoch
-// stamping, RTT midpoint, response routing: Round for the Time
-// Authority, Gather for the peers), rate monitoring, counters — is
-// engine-owned and identical across variants. A policy never sees a
+// decision points where its protocol lines diverge: the original
+// protocol (internal/core), the Section V hardened variant
+// (internal/resilient) and the NTP-style discipline the paper
+// recommends (internal/ntpdisc). A protocol line is an assembly of
+// these policies over one engine; everything else — clock state, state
+// machine, datagram dispatch, every request/response exchange
+// (sequence numbers, deadlines, AEX-epoch stamping, RTT midpoint,
+// response routing: Round for the Time Authority, Gather for the
+// peers), rate monitoring, tick-budget conversion, counters — is
+// engine-owned and identical across lines. A policy never sees a
 // response datagram: it begins an exchange with Engine.BeginRound or
 // Engine.GatherPeers and gets the outcome in the close handler it
 // passed.
@@ -18,7 +20,8 @@ import "triadtime/internal/wire"
 // CalibrationPolicy drives full (rate + reference) calibration with
 // the Time Authority. The original protocol regresses TSC increments
 // over requested-sleep roundtrips; the hardened variant takes two
-// RTT-bounded exchanges across a long window.
+// RTT-bounded exchanges across a long window; the NTP discipline polls
+// and installs a filtered rate and anchor after every answer.
 type CalibrationPolicy interface {
 	// Start begins (or restarts) a full calibration. The engine has
 	// already set StateFullCalib; the policy must cancel its own stale
@@ -91,10 +94,6 @@ type Policies struct {
 	// default on the hardened one.
 	MemMonitor   bool
 	MemTolerance float64
-	// FreqChangeEvents wires the monitor's DVFS-reclassification
-	// callback to Events.FreqChange (the original protocol surfaces
-	// it; the hardened variant historically does not).
-	FreqChangeEvents bool
 
 	// Quorum tunes multi-authority operation, which New assembles
 	// around Calibration and Recovery when Config.Authorities has two

@@ -76,15 +76,13 @@ func RunDriftQuality(seed uint64, duration time.Duration) ([]DriftQualityRow, er
 	if err != nil {
 		return nil, err
 	}
-	ntpClient, err := ntpdisc.NewClient(newPlatform(3, 12), ntpdisc.Config{
-		Key: ClusterKey(), Addr: 3, Authority: TAAddr,
-	})
+	ntpNode, err := ntpdisc.NewNode(newPlatform(3, 12), engine.Config{Key: ClusterKey(), Addr: 3, Authority: TAAddr})
 	if err != nil {
 		return nil, err
 	}
 	triadNode.Start()
 	hardenedNode.Start()
-	ntpClient.Start()
+	ntpNode.Start()
 
 	// Sample all three clocks once per simulated second after a
 	// settling period.
@@ -98,7 +96,7 @@ func RunDriftQuality(seed uint64, duration time.Duration) ([]DriftQualityRow, er
 	probes := []*probe{
 		{read: triadNode.ClockReading},
 		{read: hardenedNode.ClockReading},
-		{read: ntpClient.Now},
+		{read: ntpNode.ClockReading},
 	}
 	var tick func()
 	tick = func() {

@@ -5,22 +5,32 @@
 // measured over long 2^τ-second windows, τ ∈ [4,17], versus Triad's
 // effective ~110ppm from ≤1s measurement windows).
 //
-// The client polls the Time Authority periodically, pushes each
+// The node polls its one Time Authority periodically, pushes each
 // (offset, delay) sample through an NTP-like clock filter (an 8-stage
 // shift register selecting the minimum-delay sample, which suppresses
-// delay spikes — including attacker-injected ones), and disciplines a
-// local clock in frequency and phase with NTP's clamps: ±500ppm
-// frequency envelope, 128ms step threshold.
+// delay spikes — including attacker-injected ones), and disciplines
+// the clock in frequency and phase with NTP's clamps: ±500ppm
+// frequency envelope, 128ms step threshold, and a poll interval that
+// adapts between 16s and 1024s.
+//
+// This package is a policy bundle on internal/engine, the third
+// protocol line beside internal/core and internal/resilient. The
+// engine owns the clock, the state machine, datagram dispatch, every
+// exchange, rate monitoring and counters; ntpdisc contributes the poll
+// schedule and the discipline, which installs each rate and anchor
+// through Engine.CompleteCalibration. What the line gains from the
+// engine is the Triad state machine: an AEX taints the node, and the
+// next poll's answer re-anchors it.
 package ntpdisc
 
 import (
+	"errors"
 	"fmt"
-	"math"
 	"time"
 
 	"triadtime/internal/enclave"
+	"triadtime/internal/engine"
 	"triadtime/internal/simnet"
-	"triadtime/internal/wire"
 )
 
 // NTP-standard constants the discipline respects.
@@ -33,316 +43,201 @@ const (
 	// StandardDriftPPM is the standard allowed residual drift-rate the
 	// paper quotes: 15ppm (1.3s/day).
 	StandardDriftPPM = 15
+	// MinPoll and MaxPoll bound the adaptive poll interval (NTP: 2^4 =
+	// 16s up to 2^17 ≈ 36h).
+	MinPoll = 16 * time.Second
+	MaxPoll = 1024 * time.Second
+	// phaseGain is the fraction of the filtered offset corrected per
+	// poll; freqGain scales frequency corrections.
+	phaseGain = 0.5
+	freqGain  = 0.3
 	// filterDepth is the clock-filter shift register size.
 	filterDepth = 8
 )
 
-// Config parameterizes the discipline.
-type Config struct {
-	// Key is the cluster's pre-shared AES-256 key.
-	Key []byte
-	// Addr is this client's wire identity.
-	Addr simnet.Addr
-	// Authority is the Time Authority's address.
-	Authority simnet.Addr
-	// MinPoll and MaxPoll bound the adaptive poll interval
-	// (NTP: 2^4=16s up to 2^17≈36h). Defaults: 16s and 1024s.
-	MinPoll time.Duration
-	MaxPoll time.Duration
-	// PhaseGain is the fraction of the filtered offset corrected per
-	// poll. Default: 0.5.
-	PhaseGain float64
-	// FreqGain scales frequency corrections. Default: 0.3.
-	FreqGain float64
+// NewNode creates an NTP-discipline node on the platform: the shared
+// protocol engine running this package's policies against the one
+// configured Time Authority. Call Start to begin.
+func NewNode(platform enclave.Platform, cfg engine.Config) (*engine.Node, error) {
+	eng, _, err := assemble(platform, cfg)
+	if err != nil {
+		return nil, err
+	}
+	return eng.Node(), nil
 }
 
-func (c Config) withDefaults() (Config, error) {
-	if len(c.Key) != wire.KeySize {
-		return c, fmt.Errorf("ntpdisc: key must be %d bytes", wire.KeySize)
+// assemble builds the engine and the policy it runs; tests keep both to
+// inject faults and read the discipline.
+func assemble(platform enclave.Platform, cfg engine.Config) (*engine.Engine, *policy, error) {
+	if len(cfg.Authorities) > 1 {
+		return nil, nil, errors.New("ntpdisc: one time authority only")
 	}
-	if c.Addr == c.Authority {
-		return c, fmt.Errorf("ntpdisc: client address equals authority address")
+	pol := &policy{}
+	eng, err := engine.New(platform, cfg, engine.Policies{
+		Calibration: pol,
+		Recovery:    pol,
+		// No peer is ever gathered: the line recovers from its
+		// authority alone.
+		Filter: engine.AdoptIfAhead{},
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("ntpdisc: %w", err)
 	}
-	if c.MinPoll <= 0 {
-		c.MinPoll = 16 * time.Second
-	}
-	if c.MaxPoll < c.MinPoll {
-		c.MaxPoll = 1024 * time.Second
-	}
-	if c.PhaseGain <= 0 || c.PhaseGain > 1 {
-		c.PhaseGain = 0.5
-	}
-	if c.FreqGain <= 0 || c.FreqGain > 1 {
-		c.FreqGain = 0.3
-	}
-	return c, nil
+	return eng, pol, nil
 }
 
 // sample is one poll's measurement.
 type sample struct {
 	offset time.Duration // authority time minus local time at receive
 	delay  time.Duration // roundtrip
-	seq    uint64
 }
 
-// Client is the disciplined clock.
-type Client struct {
-	cfg      Config
-	platform enclave.Platform
-	sealer   *wire.Sealer
-	opener   *wire.Opener
-
-	// Disciplined clock: now = refNanos + (tsc-refTSC)/rate * 1e9.
-	refNanos int64
-	refTSC   uint64
-	rate     float64 // ticks per second, bootHz adjusted by corrPPM
-	corrPPM  float64
-	synced   bool
-
+// policy is the discipline: the poll schedule, the clock filter and the
+// frequency and phase corrections. It implements
+// engine.CalibrationPolicy and engine.RecoveryPolicy.
+type policy struct {
+	corrPPM    float64 // accumulated frequency correction
 	poll       time.Duration
 	stableRuns int
+	filter     []sample
 
-	filter []sample
+	round *engine.Round      // the poll in flight; its deadline is the retry
+	next  enclave.CancelFunc // the poll armed one interval after an answer
 
-	pendingSeq uint64
-	sentTSC    uint64
-	timer      enclave.CancelFunc
-
-	polls, steps, slews, spikes int
-	lastOffset                  time.Duration
-	started                     bool
-
-	// Per-endpoint datagram scratch, as in the Triad engine: polls
-	// reseal into sealBuf, responses decrypt into openBuf.
-	sealBuf []byte
-	openBuf []byte
+	steps int // answers that stepped the clock
 }
 
-// NewClient creates a discipline client on the platform. Call Start.
-// The client installs itself as the platform's message handler; it is
-// a standalone time client, not a Triad cluster member.
-func NewClient(platform enclave.Platform, cfg Config) (*Client, error) {
-	cfg, err := cfg.withDefaults()
-	if err != nil {
-		return nil, err
-	}
-	sealer, err := wire.NewSealer(cfg.Key, uint32(cfg.Addr))
-	if err != nil {
-		return nil, fmt.Errorf("ntpdisc: %w", err)
-	}
-	opener, err := wire.NewOpener(cfg.Key)
-	if err != nil {
-		return nil, fmt.Errorf("ntpdisc: %w", err)
-	}
-	c := &Client{
-		cfg:      cfg,
-		platform: platform,
-		sealer:   sealer,
-		opener:   opener,
-		rate:     platform.BootTSCHz(),
-		poll:     cfg.MinPoll,
-		sealBuf:  make([]byte, 0, wire.SealedSize),
-		openBuf:  make([]byte, 0, wire.MarshaledSize),
-	}
-	platform.SetMessageHandler(c.onDatagram)
-	return c, nil
+// rate is the clock rate the discipline runs: ticks per authority
+// second, the engine's ticks per honest second adjusted by the
+// frequency correction. A positive correction means the authority ran
+// ahead: the clock runs slow, so it has fewer ticks per authority
+// second than the hint says.
+func (p *policy) rate(e *engine.Engine) float64 {
+	return float64(e.TicksFor(time.Second)) * (1 - p.corrPPM*1e-6)
 }
 
-// Start begins polling. Idempotent.
-func (c *Client) Start() {
-	if c.started {
-		return
-	}
-	c.started = true
-	c.sendPoll()
+// Start begins (or, after a monitor verdict, restarts) the discipline
+// from scratch: the next answer steps the clock onto the authority's
+// timeline.
+func (p *policy) Start(e *engine.Engine) {
+	p.Cancel(e)
+	p.corrPPM, p.poll, p.stableRuns, p.filter = 0, MinPoll, 0, p.filter[:0]
+	p.send(e)
 }
 
-// Synced reports whether the clock has been set at least once.
-func (c *Client) Synced() bool { return c.synced }
+// OnAEX: a poll needs no uninterrupted execution, so the one in flight
+// goes on.
+func (p *policy) OnAEX(*engine.Engine) {}
 
-// Now reads the disciplined clock (authority timeline). ok is false
-// before the first synchronization.
-func (c *Client) Now() (int64, bool) {
-	if !c.synced {
-		return 0, false
-	}
-	return c.now(), true
-}
-
-func (c *Client) now() int64 {
-	tsc := c.platform.ReadTSC()
-	if tsc < c.refTSC {
-		return c.refNanos
-	}
-	return c.refNanos + int64(float64(tsc-c.refTSC)/c.rate*1e9)
-}
-
-// FreqCorrectionPPM reports the accumulated frequency correction.
-func (c *Client) FreqCorrectionPPM() float64 { return c.corrPPM }
-
-// PollInterval reports the current (adaptive) poll interval.
-func (c *Client) PollInterval() time.Duration { return c.poll }
-
-// Stats reports poll/step/slew/spike counters.
-func (c *Client) Stats() (polls, steps, slews, spikes int) {
-	return c.polls, c.steps, c.slews, c.spikes
-}
-
-// LastOffset reports the most recent filtered offset applied.
-func (c *Client) LastOffset() time.Duration { return c.lastOffset }
-
-func (c *Client) ticksFor(d time.Duration) uint64 {
-	return uint64(d.Seconds() * c.platform.BootTSCHz())
-}
-
-// sendPoll issues one authority exchange and schedules the retry/next.
-func (c *Client) sendPoll() {
-	c.polls++
-	c.pendingSeq = uint64(c.polls)
-	c.sentTSC = c.platform.ReadTSC()
-	c.sealBuf = c.sealer.SealAppend(c.sealBuf[:0], wire.Message{
-		Kind: wire.KindTimeRequest,
-		Seq:  c.pendingSeq,
-	})
-	c.platform.Send(c.cfg.Authority, c.sealBuf)
-	// If the response never arrives, poll again after the interval.
-	c.timer = c.platform.AfterTicks(c.ticksFor(c.poll), func() {
-		c.timer = nil
-		c.pendingSeq = 0
-		c.sendPoll()
+// send polls the authority once, sleep-free. The round's deadline is one
+// poll interval: a lost answer is retried one interval after the send.
+func (p *policy) send(e *engine.Engine) {
+	p.round = e.BeginRound([]simnet.Addr{e.Authority()}, 0, p.poll, func(r *engine.Round) {
+		p.round = nil
+		rd, ok := r.First()
+		if !ok {
+			p.send(e)
+			return
+		}
+		p.discipline(e, rd)
+		p.next = e.Platform().AfterTicks(e.TicksFor(p.poll), func() {
+			p.next = nil
+			p.send(e)
+		})
 	})
 }
 
-func (c *Client) onDatagram(_ simnet.Addr, payload []byte) {
-	msg, sender, err := c.opener.OpenInto(c.openBuf, payload)
-	if err != nil || msg.Kind != wire.KindTimeResponse {
+// discipline applies one answer. A node that is not serving — the
+// first answer, or the first since an AEX or a monitor verdict — steps
+// onto the authority's timeline at the roundtrip midpoint; a serving
+// one pushes the sample through the clock filter.
+func (p *policy) discipline(e *engine.Engine, rd engine.Reading) {
+	rate := p.rate(e)
+	rtt := float64(rd.RTTTicks()) / rate * 1e9
+	authority := rd.TimeNanos + int64(rtt/2)
+	if e.State() != engine.StateOK {
+		p.filter = p.filter[:0]
+		p.steps++
+		e.CompleteCalibration(rate, authority, rd.RecvTSC)
 		return
 	}
-	if simnet.Addr(sender) != c.cfg.Authority || msg.Seq != c.pendingSeq {
-		return
-	}
-	if c.timer != nil {
-		c.timer()
-		c.timer = nil
-	}
-	c.pendingSeq = 0
-	recvTSC := c.platform.ReadTSC()
-	rttNanos := float64(recvTSC-c.sentTSC) / c.rate * 1e9
-	delay := time.Duration(rttNanos)
-	var offset time.Duration
-	if c.synced {
-		local := c.now()
-		offset = time.Duration(msg.TimeNanos + int64(rttNanos/2) - local)
-	}
-	if !c.synced {
-		// First exchange: step directly onto the authority timeline.
-		c.refNanos = msg.TimeNanos + int64(rttNanos/2)
-		c.refTSC = recvTSC
-		c.synced = true
-		c.steps++
-	} else {
-		c.applySample(sample{offset: offset, delay: delay, seq: uint64(c.polls)})
-	}
-	// Next poll after the (possibly adapted) interval.
-	c.timer = c.platform.AfterTicks(c.ticksFor(c.poll), func() {
-		c.timer = nil
-		c.sendPoll()
-	})
+	s := sample{offset: time.Duration(authority - e.ClockNow()), delay: time.Duration(rtt)}
+	p.applySample(e, s)
+	p.adaptPoll(s.offset)
 }
 
 // applySample pushes the measurement through the clock filter and, if
 // it survives, disciplines the clock.
-func (c *Client) applySample(s sample) {
-	c.filter = append(c.filter, s)
-	if len(c.filter) > filterDepth {
-		c.filter = c.filter[1:]
+func (p *policy) applySample(e *engine.Engine, s sample) {
+	p.filter = append(p.filter, s)
+	if len(p.filter) > filterDepth {
+		p.filter = p.filter[1:]
 	}
 	// NTP clock filter: only act when the newest sample is the
-	// minimum-delay sample of the register — a delayed (possibly
-	// attacker-held) response never disciplines the clock.
-	best := c.filter[0]
-	for _, f := range c.filter[1:] {
-		if f.delay < best.delay {
-			best = f
+	// minimum-delay sample of the register, ties going to the older —
+	// a delayed (possibly attacker-held) response never disciplines the
+	// clock.
+	for _, f := range p.filter[:len(p.filter)-1] {
+		if f.delay <= s.delay {
+			e.Counters().RTTRejections++
+			return
 		}
-	}
-	if best.seq != s.seq {
-		c.spikes++
-		c.adaptPoll(s.offset)
-		return
 	}
 	offset := s.offset
 	if offset > StepThreshold || offset < -StepThreshold {
 		// Step: re-anchor and restart the filter.
-		c.refNanos = c.now() + int64(offset)
-		c.refTSC = c.platform.ReadTSC()
-		c.filter = nil
-		c.steps++
-		c.adaptPoll(offset)
-		c.lastOffset = offset
+		p.filter = p.filter[:0]
+		p.steps++
+		e.CompleteCalibration(p.rate(e), e.ClockNow()+int64(offset), e.Platform().ReadTSC())
 		return
 	}
 	// Slew. Frequency: the residual offset accumulated over one poll
 	// interval estimates the rate error; correct a fraction of it.
-	offPPM := offset.Seconds() / c.poll.Seconds() * 1e6
-	c.corrPPM += c.cfg.FreqGain * offPPM
-	if c.corrPPM > MaxFreqPPM {
-		c.corrPPM = MaxFreqPPM
-	}
-	if c.corrPPM < -MaxFreqPPM {
-		c.corrPPM = -MaxFreqPPM
-	}
-	// Phase: correct a fraction of the offset now. Rebase so the rate
-	// change does not retroactively bend history.
-	nowNanos := c.now()
-	c.refNanos = nowNanos + int64(c.cfg.PhaseGain*float64(offset))
-	c.refTSC = c.platform.ReadTSC()
-	// A positive offset means the authority is ahead: our clock runs
-	// slow, so its effective rate (ticks per authority second) is
-	// lower than we thought.
-	c.rate = c.platform.BootTSCHz() * (1 - c.corrPPM*1e-6)
-	c.slews++
-	c.lastOffset = offset
-	c.adaptPoll(offset)
+	offPPM := offset.Seconds() / p.poll.Seconds() * 1e6
+	p.corrPPM += freqGain * offPPM
+	p.corrPPM = max(-MaxFreqPPM, min(MaxFreqPPM, p.corrPPM))
+	// Phase: correct a fraction of the offset now. Rebase on the clock
+	// read at the old rate, so the rate change does not retroactively
+	// bend history.
+	now := e.ClockNow()
+	e.CompleteCalibration(p.rate(e), now+int64(phaseGain*float64(offset)), e.Platform().ReadTSC())
 }
 
 // adaptPoll widens the poll interval while the clock is stable and
 // narrows it when offsets grow — NTP's 2^τ adaptation in miniature.
-func (c *Client) adaptPoll(offset time.Duration) {
-	abs := offset
-	if abs < 0 {
-		abs = -abs
-	}
-	switch {
-	case abs < time.Millisecond:
-		c.stableRuns++
-		if c.stableRuns >= 3 && c.poll < c.cfg.MaxPoll {
-			c.poll *= 2
-			if c.poll > c.cfg.MaxPoll {
-				c.poll = c.cfg.MaxPoll
-			}
-			c.stableRuns = 0
+func (p *policy) adaptPoll(offset time.Duration) {
+	switch offset = max(offset, -offset); {
+	case offset < time.Millisecond:
+		p.stableRuns++
+		if p.stableRuns >= 3 && p.poll < MaxPoll {
+			p.poll = min(2*p.poll, MaxPoll)
+			p.stableRuns = 0
 		}
-	case abs > 10*time.Millisecond:
-		c.stableRuns = 0
-		if c.poll > c.cfg.MinPoll {
-			c.poll /= 2
-			if c.poll < c.cfg.MinPoll {
-				c.poll = c.cfg.MinPoll
-			}
-		}
+	case offset > 10*time.Millisecond:
+		p.stableRuns = 0
+		p.poll = max(p.poll/2, MinPoll)
 	default:
-		c.stableRuns = 0
+		p.stableRuns = 0
 	}
 }
 
-// DriftRatePPM estimates the clock's current residual drift rate from
-// the frequency correction trajectory — a convenience for experiments.
-func (c *Client) DriftRatePPM(trueRateHz float64) float64 {
-	if !c.synced {
-		return math.NaN()
+// OnStart: the poll schedule is the line's only steady-state machinery,
+// and Start launched it.
+func (p *policy) OnStart(*engine.Engine) {}
+
+// OnTaint refuses service after an AEX until the next poll's answer
+// re-anchors the clock.
+func (p *policy) OnTaint(e *engine.Engine) { e.SetState(engine.StateTainted) }
+
+// StartRefCalib: the engine calls it only when a peer gather yields
+// nothing, and this line gathers no peers. The next poll re-anchors.
+func (p *policy) StartRefCalib(e *engine.Engine) { e.SetState(engine.StateRefCalib) }
+
+// Cancel stops the poll schedule.
+func (p *policy) Cancel(*engine.Engine) {
+	p.round.Cancel()
+	if p.next != nil {
+		p.next()
+		p.next = nil
 	}
-	// rate is ticks per authority-second the client assumes; the true
-	// rate is what the hardware does. Residual drift is the mismatch.
-	return (trueRateHz - c.rate) / trueRateHz * 1e6
 }

@@ -49,7 +49,7 @@ func (p *policy) askTA(e *engine.Engine, done func(*engine.Round)) *engine.Round
 // overBound reports (and counts) a roundtrip longer than RTTBound: the
 // reading is over-delayed, possibly attacker-held, and unusable.
 func (p *policy) overBound(e *engine.Engine, rd engine.Reading) bool {
-	if float64(rd.RTTTicks()) <= p.cfg.RTTBound.Seconds()*e.Platform().BootTSCHz() {
+	if rd.RTTTicks() <= e.TicksFor(p.cfg.RTTBound) {
 		return false
 	}
 	e.Counters().RTTRejections++

@@ -27,7 +27,7 @@
 //
 //  4. An in-TCB refresh deadline. The original protocol refreshes only
 //     on attacker-controlled AEXs; the hardened node additionally
-//     self-checks every DeadlineTicks of its own TSC, so a
+//     self-checks on a deadline counted in its own TSC ticks, so a
 //     miscalibrated clock cannot run unchecked arbitrarily long in a
 //     low-AEX environment (the amplifier behind Figure 4).
 //
@@ -69,10 +69,10 @@ type Config struct {
 	// to each clock reading when intersecting (own drift since last
 	// sync + peer drift + network). Default: 50ms.
 	ErrBudget time.Duration
-	// DeadlineTicks is the in-TCB self-check period in guest TSC ticks.
-	// Zero defaults to ~2s of ticks via the boot hint at node creation.
-	// Set to a negative sentinel via DisableDeadline instead of zero.
-	DeadlineTicks uint64
+	// Deadline is the in-TCB self-check period, counted in guest TSC
+	// ticks via the boot hint. Default: 2s. DisableDeadline turns it
+	// off.
+	Deadline time.Duration
 	// DisableDeadline turns off the in-TCB refresh deadline (ablation).
 	DisableDeadline bool
 	// DisableChimerFilter makes peer untainting behave like the
@@ -117,6 +117,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ErrBudget <= 0 {
 		c.ErrBudget = DefaultErrBudget
+	}
+	if c.Deadline <= 0 {
+		c.Deadline = DefaultDeadline
 	}
 	return c
 }

@@ -23,9 +23,6 @@ func NewNode(platform enclave.Platform, cfg Config) (*engine.Node, error) {
 // inject faults and read the gossip view.
 func assemble(platform enclave.Platform, cfg Config) (*engine.Engine, *policy, error) {
 	cfg = cfg.withDefaults()
-	if cfg.DeadlineTicks == 0 {
-		cfg.DeadlineTicks = uint64(DefaultDeadline.Seconds() * platform.BootTSCHz())
-	}
 	pol := &policy{cfg: cfg}
 	pols := engine.Policies{
 		Calibration: pol,

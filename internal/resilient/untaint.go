@@ -17,8 +17,7 @@ func (p *policy) freshTS(e *engine.Engine, s engine.PeerSample) int64 {
 	if nowTSC <= s.ArrivalTSC {
 		return s.TS
 	}
-	age := float64(nowTSC-s.ArrivalTSC) / e.Platform().BootTSCHz() * 1e9
-	return s.TS + int64(age)
+	return s.TS + int64(e.DurationFor(nowTSC-s.ArrivalTSC))
 }
 
 // intervalFor builds the consistency interval for a clock reading.
@@ -138,7 +137,7 @@ type probeState struct {
 
 // armDeadline schedules the next in-TCB self-check.
 func (p *policy) armDeadline(e *engine.Engine) {
-	p.deadlineCancel = e.Platform().AfterTicks(p.cfg.DeadlineTicks, func() {
+	p.deadlineCancel = e.Platform().AfterTicks(e.TicksFor(p.cfg.Deadline), func() {
 		p.deadlineCancel = nil
 		p.onDeadline(e)
 		if !p.cfg.DisableDeadline {
