@@ -246,12 +246,7 @@ func BenchmarkTableAvailability(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nAvailability (§IV-A.2):")
-			for _, row := range rows {
-				fmt.Println(" ", row.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("Availability (§IV-A.2):", rows))
 		b.ReportMetric(rows[0].Availability[0]*100, "triadlike_pct")
 		b.ReportMetric(rows[1].Availability[0]*100, "lowaex_pct")
 	}
@@ -279,10 +274,7 @@ func BenchmarkExtAblation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nSection V ablation (F- propagation scenario):")
-			fmt.Print(experiment.ComparisonSummary(results))
-		}
+		printOnce(b, i, experiment.Table("Section V ablation (F- propagation scenario):", results))
 		for _, r := range results {
 			if r.Variant == experiment.VariantOriginal {
 				b.ReportMetric(r.HonestMaxDrift, "original_honest_drift_s")
@@ -305,12 +297,7 @@ func BenchmarkBaselineDriftQuality(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nDrift quality (same TA, same +100ppm crystal):")
-			for _, r := range rows {
-				fmt.Println(" ", r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("Drift quality (same TA, same +100ppm crystal):", rows))
 		b.ReportMetric(rows[0].ResidualPPM, "triad_ppm")
 		b.ReportMetric(rows[2].ResidualPPM, "ntp_ppm")
 	}
@@ -330,10 +317,8 @@ func BenchmarkBaselineT3E(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println()
-			fmt.Print(experiment.BaselineSummary(sweep, drift))
-		}
+		printOnce(b, i, experiment.Table("T3E use-quota vs TPM-delay trade-off (§II-A):", sweep)+
+			experiment.Table("T3E under TPM owner rate configuration (spec envelope ±32.5%):", drift))
 		b.ReportMetric(sweep[len(sweep)-1].Throughput*100, "bigquota_tput_pct")
 	}
 }
@@ -347,12 +332,7 @@ func BenchmarkExtLossResilience(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nPacket-loss resilience (Triad-like scenario):")
-			for _, r := range rows {
-				fmt.Println(" ", r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("Packet-loss resilience (Triad-like scenario):", rows))
 		b.ReportMetric(rows[len(rows)-1].MinAvailability*100, "lossy_avail_pct")
 	}
 }
@@ -383,12 +363,7 @@ func BenchmarkExtQuorumFaults(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nMulti-authority quorum fault suite:")
-			for _, r := range rows {
-				fmt.Println("  " + r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("Multi-authority quorum fault suite:", rows))
 		for _, r := range rows {
 			switch r.Name {
 			case "baseline-1ta-outage":
@@ -412,12 +387,7 @@ func BenchmarkExtDualMonitor(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nDVFS-masked TSC scaling (0.8x TSC + 3500->2800MHz core):")
-			for _, r := range rows {
-				fmt.Println(" ", r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("DVFS-masked TSC scaling (0.8x TSC + 3500->2800MHz core):", rows))
 		b.ReportMetric(rows[0].FinalClockRate, "inconly_rate")
 		b.ReportMetric(rows[1].FinalClockRate, "dual_rate")
 	}
@@ -433,12 +403,7 @@ func BenchmarkExtClusterScale(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nCluster-size sweep under F- (one compromised node):")
-			for _, r := range rows {
-				fmt.Println(" ", r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("Cluster-size sweep under F- (one compromised node):", rows))
 		b.ReportMetric(float64(rows[len(rows)-1].InfectedHonest), "n9_infected")
 	}
 }
@@ -502,12 +467,7 @@ func BenchmarkExtAttackLatency(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nClient-visible service under F- attack:")
-			for _, r := range rows {
-				fmt.Println(" ", r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("Client-visible service under F- attack:", rows))
 		b.ReportMetric(rows[0].CompromisedFirstTry*100, "orig_compromised_pct")
 		b.ReportMetric(rows[1].CompromisedFirstTry*100, "hard_compromised_pct")
 	}
@@ -522,12 +482,7 @@ func BenchmarkExtChimerGossip(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nTrue-chimer gossip under 35% loss (5 hardened nodes):")
-			for _, r := range rows {
-				fmt.Println(" ", r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("True-chimer gossip under 35% loss (5 hardened nodes):", rows))
 		b.ReportMetric(rows[0].TARefsPerNode, "ta_refs_no_gossip")
 		b.ReportMetric(rows[1].TARefsPerNode, "ta_refs_gossip")
 	}
@@ -541,12 +496,7 @@ func BenchmarkTableCalibrationTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if i == 0 {
-			fmt.Println("\nTime to first trusted timestamp:")
-			for _, r := range rows {
-				fmt.Println(" ", r.Summary())
-			}
-		}
+		printOnce(b, i, experiment.Table("Time to first trusted timestamp:", rows))
 		b.ReportMetric(rows[1].P50.Seconds(), "orig_storm_p50_s")
 		b.ReportMetric(rows[3].P50.Seconds(), "hard_storm_p50_s")
 	}

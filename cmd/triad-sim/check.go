@@ -25,7 +25,7 @@ func (r checkRow) ok() bool { return r.measured >= r.lo && r.measured <= r.hi }
 // headline quantities against the paper's shapes — a one-command
 // reproduction audit. It returns an error (non-zero exit) if any
 // quantity falls outside its admitted range.
-func (r figRunner) check(ctx context.Context) error {
+func check(ctx context.Context, r figRunner, _ time.Duration) error {
 	fmt.Fprintln(r.out, "reproduction self-check (fast subset, seed", r.seed, ")")
 	var rows []checkRow
 	add := func(name string, measured, lo, hi float64) {
@@ -56,7 +56,6 @@ func (r figRunner) check(ctx context.Context) error {
 	// values match the calibrated ranges; each builds an independent
 	// simulated cluster whose sealed frames never leave that simulation,
 	// so the repeated sender identities share no observable nonce space.
-	//triad:nolint:noncepart independent simulated clusters; sealed frames never cross simulations
 	fig4, err := experiment.RunFig4(r.seed, 4*time.Minute)
 	if err != nil {
 		return err
@@ -83,7 +82,6 @@ func (r figRunner) check(ctx context.Context) error {
 	add("fig6_honest_infected", infected, 1, 1)
 
 	// Section V: hardened safety under the same attack.
-	//triad:nolint:noncepart independent simulated clusters; sealed frames never cross simulations
 	hardened, err := experiment.RunExtensionVariant(r.seed, experiment.VariantHardened, attack.ModeFMinus, 4*time.Minute)
 	if err != nil {
 		return err
@@ -96,7 +94,6 @@ func (r figRunner) check(ctx context.Context) error {
 	add("ext_hardened_infected", infectedHardened, 0, 0)
 
 	// DVFS masking: dual monitor restores the clock, INC-only does not.
-	//triad:nolint:noncepart independent simulated clusters; sealed frames never cross simulations
 	dvfs, err := experiment.RunDualMonitorAblation(r.seed)
 	if err != nil {
 		return err
@@ -109,7 +106,6 @@ func (r figRunner) check(ctx context.Context) error {
 	// strictly positive, a lying authority must zero the baseline's
 	// correctness without denting the quorum's, and split-brain must be
 	// ridden out in holdover.
-	//triad:nolint:noncepart independent simulated clusters; sealed frames never cross simulations
 	quorum, err := experiment.RunQuorumFaults(ctx, r.seed, 5*time.Minute)
 	if err != nil {
 		return err

@@ -16,8 +16,9 @@
 //	triad-sim -fig all -parallel 8 -cache .simcache
 //	triad-sim -fig 6 -dur 7m
 //
-// Figure ids: 1a, 1b, inc, 2, 3, 4, 5, 6, avail, ext, commit, all
-// (plus the sweep/audit ids listed in -fig's usage text).
+// The figure ids, in -fig all's order, are the entries of the figures
+// table; `triad-sim -h` lists them. -fig check is the reproduction
+// audit, which -fig all does not run.
 package main
 
 import (
@@ -43,37 +44,177 @@ import (
 // or stale -cache entries would replay outdated results.
 const cacheVersion = 5
 
-// allFigures is the -fig all execution order (and flush order).
-var allFigures = []string{"1a", "1b", "inc", "2", "3", "4", "5", "6", "avail", "ext", "ntp", "t3e", "loss", "outage", "quorum", "dvfs", "scale", "gossip", "calib", "latency", "load", "scale1k", "commit"}
+// figure is one -fig id: its default simulated duration, which -dur
+// overrides (zero where the experiment has no single duration and -dur
+// does not apply), and the function that runs it at duration d and
+// renders its text and files. The sweep-style experiments propagate
+// ctx into their worker pools.
+type figure struct {
+	id  string
+	dur time.Duration
+	run func(ctx context.Context, r figRunner, d time.Duration) error
+}
 
-// figures maps figure ids to their generators. Each receives the
-// caller's context, which the sweep-style experiments propagate into
-// their worker pools.
-var figures = map[string]func(figRunner, context.Context) error{
-	"1a":      figRunner.fig1a,
-	"1b":      figRunner.fig1b,
-	"inc":     figRunner.incTable,
-	"2":       figRunner.fig2,
-	"3":       figRunner.fig3,
-	"4":       figRunner.fig4,
-	"5":       figRunner.fig5,
-	"6":       figRunner.fig6,
-	"avail":   figRunner.availability,
-	"ext":     figRunner.extension,
-	"ntp":     figRunner.driftQuality,
-	"t3e":     figRunner.t3e,
-	"loss":    figRunner.loss,
-	"outage":  figRunner.outage,
-	"quorum":  figRunner.quorum,
-	"dvfs":    figRunner.dualMonitor,
-	"scale":   figRunner.scale,
-	"gossip":  figRunner.gossip,
-	"calib":   figRunner.calibTime,
-	"latency": figRunner.latency,
-	"load":    figRunner.load,
-	"scale1k": figRunner.scale1k,
-	"commit":  figRunner.commit,
-	"check":   figRunner.check,
+// figures is every figure in -fig all's execution (and flush) order.
+var figures = []figure{
+	{"1a", 2 * time.Hour, func(_ context.Context, r figRunner, d time.Duration) error {
+		res, err := experiment.RunFig1a(r.seed, d)
+		return r.cdf("fig1a_cdf.csv", res, err)
+	}},
+	{"1b", 24 * time.Hour, func(_ context.Context, r figRunner, d time.Duration) error {
+		res, err := experiment.RunFig1b(r.seed, d)
+		return r.cdf("fig1b_cdf.csv", res, err)
+	}},
+	{"inc", 0, func(_ context.Context, r figRunner, _ time.Duration) error {
+		res, err := experiment.RunINCTable(r.seed, 10000)
+		return r.text(res, err)
+	}},
+	{"2", 30 * time.Minute, drift("fig2", experiment.RunFig2)},
+	{"3", 8 * time.Hour, drift("fig3", experiment.RunFig3)},
+	{"4", 10 * time.Minute, drift("fig4", experiment.RunFig4)},
+	{"5", 10 * time.Minute, drift("fig5", experiment.RunFig5)},
+	{"6", 7 * time.Minute, func(_ context.Context, r figRunner, d time.Duration) error {
+		sc := experiment.Fig6(r.seed, d)
+		var traceBuf bytes.Buffer
+		if r.traceFile != "" {
+			sc.Trace = trace.NewRecorder(nil, &traceBuf)
+		}
+		res, err := experiment.RunFigure(sc)
+		if err == nil && sc.Trace != nil {
+			*r.files = append(*r.files, artifact{Path: r.traceFile, Data: traceBuf.Bytes()})
+			fmt.Fprintf(r.out, "  wrote %d trace events to %s\n", sc.Trace.Count(""), r.traceFile)
+		}
+		return r.figure("fig6", res, err)
+	}},
+	{"avail", 30 * time.Minute, func(ctx context.Context, r figRunner, d time.Duration) error {
+		rows, err := experiment.RunAvailabilityTable(ctx, r.seed, d, 8*time.Hour)
+		return table(r, "Availability (§IV-A.2):", rows, err)
+	}},
+	{"ext", 7 * time.Minute, func(ctx context.Context, r figRunner, d time.Duration) error {
+		rows, err := experiment.RunExtensionComparison(ctx, r.seed, d)
+		return table(r, "Section V extension: protocol variants under the Figure 6 F- scenario", rows, err)
+	}},
+	{"ntp", 2 * time.Hour, func(_ context.Context, r figRunner, d time.Duration) error {
+		rows, err := experiment.RunDriftQuality(r.seed, d)
+		return table(r, "Drift quality vs NTP-style discipline (§IV-A.2 / §V):", rows, err)
+	}},
+	{"t3e", 0, func(_ context.Context, r figRunner, _ time.Duration) error {
+		sweep, err := experiment.RunT3ETradeoff(r.seed, 2000, 10*time.Millisecond)
+		if err != nil {
+			return err
+		}
+		drift, err := experiment.RunT3EOwnerDrift(r.seed)
+		if err != nil {
+			return err
+		}
+		_, err = io.WriteString(r.out, experiment.Table("T3E use-quota vs TPM-delay trade-off (§II-A):", sweep)+
+			experiment.Table("T3E under TPM owner rate configuration (spec envelope ±32.5%):", drift))
+		return err
+	}},
+	{"loss", 10 * time.Minute, func(ctx context.Context, r figRunner, d time.Duration) error {
+		rows, err := experiment.RunLossResilience(ctx, r.seed, d, nil)
+		return table(r, "Packet-loss resilience:", rows, err)
+	}},
+	{"outage", 15 * time.Minute, func(_ context.Context, r figRunner, d time.Duration) error {
+		res, err := experiment.RunTAOutage(r.seed, d, 5*time.Minute, 8*time.Minute)
+		return r.text(res, err)
+	}},
+	{"quorum", 5 * time.Minute, quorum},
+	{"dvfs", 0, func(_ context.Context, r figRunner, _ time.Duration) error {
+		rows, err := experiment.RunDualMonitorAblation(r.seed)
+		return table(r, "DVFS-masked TSC scaling vs monitoring configuration (§IV-A.1):", rows, err)
+	}},
+	{"scale", 5 * time.Minute, func(ctx context.Context, r figRunner, d time.Duration) error {
+		rows, err := experiment.RunClusterScale(ctx, r.seed, r.nodes, r.churn, d)
+		return table(r, "Cluster-size sweep under F- (one compromised node):", rows, err)
+	}},
+	{"gossip", 10 * time.Minute, func(_ context.Context, r figRunner, d time.Duration) error {
+		rows, err := experiment.RunGossipComparison(r.seed, d)
+		return table(r, "True-chimer gossip under 35% loss (5 hardened nodes, §V):", rows, err)
+	}},
+	{"calib", 0, func(ctx context.Context, r figRunner, _ time.Duration) error {
+		rows, err := experiment.RunCalibrationTime(ctx, r.seed*50+300, 10)
+		return table(r, "Time to first trusted timestamp:", rows, err)
+	}},
+	{"latency", 10 * time.Minute, func(_ context.Context, r figRunner, d time.Duration) error {
+		res, err := experiment.RunServingLatency(r.seed, d, 50*time.Millisecond, time.Millisecond)
+		return table(r, "Client-visible serving latency:", []*experiment.LatencyResult{res}, err)
+	}},
+	// The load sweep's 2s-per-point window is fixed (not -dur scaled):
+	// load points cost one simulation event per request, so minutes-long
+	// windows at 64k req/s would be prohibitive, and 2s of steady state
+	// already resolves the throughput plateau and shed shares.
+	{"load", 0, func(ctx context.Context, r figRunner, _ time.Duration) error {
+		res, err := experiment.RunLoadSweep(ctx, r.seed, experiment.LoadConfig{})
+		if err := r.text(res, err); err != nil {
+			return err
+		}
+		return r.writeCSV("load_sweep.csv", func(w io.Writer) error {
+			if _, err := fmt.Fprintln(w, "offered_rps,served_rps,shed_frac,p50_us,p99_us,batches,tokens"); err != nil {
+				return err
+			}
+			for _, p := range res.Points {
+				if _, err := fmt.Fprintf(w, "%d,%.0f,%.4f,%d,%d,%d,%d\n",
+					p.OfferedRPS, p.ServedRPS, p.ShedFrac(),
+					p.P50.Microseconds(), p.P99.Microseconds(), p.Batches, p.Tokens); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}},
+	{"scale1k", 3 * time.Minute, func(ctx context.Context, r figRunner, d time.Duration) error {
+		cfg := experiment.DefaultScale1K(r.seed)
+		cfg.Duration = d
+		res, err := experiment.RunTopology(ctx, cfg)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintln(r.out, "Thousand-node partitioned topology (per-region TAs, WAN matrix, churn, region isolation):")
+		fmt.Fprint(r.out, res.Summary())
+		return r.writeCSV("scale1k_partitions.csv", res.WritePartitionsCSV)
+	}},
+	{"commit", 0, func(ctx context.Context, r figRunner, _ time.Duration) error {
+		rows, err := experiment.RunCommitAttacks(ctx, r.seed)
+		if err := table(r, "Time-locked commitment attack suite (early unlocks, forgery, holdover, rollbacks):", rows, err); err != nil {
+			return err
+		}
+		return r.writeCSV("commit_rows.csv", func(w io.Writer) error {
+			if _, err := fmt.Fprintln(w, "scenario,ops,granted,early,fenced,forged,unavailable,anchor_rollbacks,clock_rollbacks,final_epoch"); err != nil {
+				return err
+			}
+			for _, row := range rows {
+				if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+					row.Name, row.Ops, row.Granted, row.Early, row.Fenced, row.Forged,
+					row.Unavailable, row.AnchorRollbacks, row.ClockRollbacks, row.FinalEpoch); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}},
+}
+
+// audit is -fig check (check.go).
+var audit = figure{"check", 0, check}
+
+// lookup finds id's table entry.
+func lookup(id string) (figure, bool) {
+	for _, f := range append(figures, audit) {
+		if f.id == id {
+			return f, true
+		}
+	}
+	return figure{}, false
+}
+
+// figureIDs lists the table's ids for -fig's usage text.
+func figureIDs() string {
+	ids := make([]string, 0, len(figures)+1)
+	for _, f := range append(figures, audit) {
+		ids = append(ids, f.id)
+	}
+	return strings.Join(ids, ", ")
 }
 
 func main() {
@@ -100,7 +241,7 @@ type figOutput struct {
 
 func run(args []string, out, errOut io.Writer) error {
 	fs := flag.NewFlagSet("triad-sim", flag.ContinueOnError)
-	fig := fs.String("fig", "all", "figure to regenerate: 1a, 1b, inc, 2, 3, 4, 5, 6, avail, ext, commit, all")
+	fig := fs.String("fig", "all", "figure to regenerate: "+figureIDs()+" (the audit), or all")
 	seed := fs.Uint64("seed", 1, "simulation seed (same seed, same run)")
 	outDir := fs.String("out", "", "directory for CSV data series (optional)")
 	dur := fs.Duration("dur", 0, "override the experiment's simulated duration")
@@ -127,14 +268,13 @@ func run(args []string, out, errOut io.Writer) error {
 	runner.SetDefaultWorkers(*parallel)
 	defer runner.SetDefaultWorkers(0)
 
-	ids := []string{*fig}
-	if *fig == "all" {
-		ids = allFigures
-	}
-	for _, id := range ids {
-		if _, ok := figures[id]; !ok {
-			return fmt.Errorf("unknown figure %q", id)
+	figs := figures
+	if *fig != "all" {
+		f, ok := lookup(*fig)
+		if !ok {
+			return fmt.Errorf("unknown figure %q", *fig)
 		}
+		figs = []figure{f}
 	}
 
 	var cache *runner.Cache
@@ -145,16 +285,15 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 	}
 
-	tasks := make([]runner.Task[figOutput], len(ids))
-	for i, id := range ids {
-		id := id
+	tasks := make([]runner.Task[figOutput], len(figs))
+	for i, f := range figs {
 		tasks[i] = runner.Task[figOutput]{
-			Name: "fig " + id,
+			Name: "fig " + f.id,
 			Key: runner.Key{
 				// Everything besides the seed that shapes the output,
 				// including the output paths embedded in the text.
 				Scenario: fmt.Sprintf("triad-sim|v%d|fig=%s|dur=%s|outdir=%s|trace=%s|nodes=%s|churn=%g",
-					cacheVersion, id, *dur, *outDir, *traceFile, *nodesFlag, *churn),
+					cacheVersion, f.id, *dur, *outDir, *traceFile, *nodesFlag, *churn),
 				Seed: *seed,
 			},
 			Run: func(ctx context.Context) (figOutput, error) {
@@ -163,14 +302,17 @@ func run(args []string, out, errOut io.Writer) error {
 				r := figRunner{
 					seed:      *seed,
 					outDir:    *outDir,
-					dur:       *dur,
 					out:       &buf,
 					traceFile: *traceFile,
 					files:     &files,
 					nodes:     nodes,
 					churn:     *churn,
 				}
-				err := figures[id](r, ctx)
+				d := f.dur
+				if *dur != 0 {
+					d = *dur
+				}
+				err := f.run(ctx, r, d)
 				return figOutput{Text: buf.String(), Files: files}, err
 			},
 		}
@@ -191,7 +333,7 @@ func run(args []string, out, errOut io.Writer) error {
 		}
 		if res.Err != nil {
 			if *fig == "all" {
-				firstErr = fmt.Errorf("fig %s: %w", ids[i], res.Err)
+				firstErr = fmt.Errorf("fig %s: %w", figs[i].id, res.Err)
 			} else {
 				firstErr = res.Err
 			}
@@ -211,7 +353,6 @@ func run(args []string, out, errOut io.Writer) error {
 type figRunner struct {
 	seed      uint64
 	outDir    string
-	dur       time.Duration
 	out       io.Writer
 	traceFile string
 	files     *[]artifact
@@ -238,11 +379,24 @@ func parseSizes(s string) ([]int, error) {
 	return sizes, nil
 }
 
-func (r figRunner) duration(def time.Duration) time.Duration {
-	if r.dur != 0 {
-		return r.dur
+// table prints a tabular figure (header, then one line per row) unless
+// the run failed.
+func table[T interface{ Summary() string }](r figRunner, header string, rows []T, err error) error {
+	if err != nil {
+		return err
 	}
-	return def
+	_, err = io.WriteString(r.out, experiment.Table(header, rows))
+	return err
+}
+
+// text prints a result's summary unless the run failed: a one-line
+// summary gets its newline, a multi-line one already ends in it.
+func (r figRunner) text(res interface{ Summary() string }, err error) error {
+	if err != nil {
+		return err
+	}
+	_, err = fmt.Fprintln(r.out, strings.TrimSuffix(res.Summary(), "\n"))
+	return err
 }
 
 func (r figRunner) writeCSV(name string, write func(io.Writer) error) error {
@@ -259,8 +413,10 @@ func (r figRunner) writeCSV(name string, write func(io.Writer) error) error {
 	return nil
 }
 
-func (r figRunner) cdf(name string, res *experiment.CDFResult) error {
-	fmt.Fprintln(r.out, res.Summary())
+func (r figRunner) cdf(name string, res *experiment.CDFResult, err error) error {
+	if err := r.text(res, err); err != nil {
+		return err
+	}
 	if err := r.writeCSV(name, func(w io.Writer) error {
 		if _, err := fmt.Fprintln(w, "gap_seconds,cdf"); err != nil {
 			return err
@@ -280,327 +436,60 @@ func (r figRunner) cdf(name string, res *experiment.CDFResult) error {
 	})
 }
 
-func (r figRunner) figure(base string, res *experiment.FigureResult) error {
-	fmt.Fprint(r.out, res.Summary())
-	if err := r.writeCSV(base+"_drift.csv", func(w io.Writer) error {
-		return metrics.WriteDriftCSV(w, res.Drift)
-	}); err != nil {
-		return err
+// drift is the table entry of a drift/state figure whose files are
+// named after base.
+func drift(base string, run func(uint64, time.Duration) (*experiment.FigureResult, error)) func(context.Context, figRunner, time.Duration) error {
+	return func(_ context.Context, r figRunner, d time.Duration) error {
+		res, err := run(r.seed, d)
+		return r.figure(base, res, err)
 	}
-	if err := r.writeCSV(base+"_ta_refs.csv", func(w io.Writer) error {
-		return metrics.WriteCountCSV(w, res.TACounts)
-	}); err != nil {
-		return err
-	}
-	if err := r.writeCSV(base+"_aex.csv", func(w io.Writer) error {
-		return metrics.WriteCountCSV(w, res.AEXCounts)
-	}); err != nil {
-		return err
-	}
-	if err := r.writeCSV(base+"_counters.csv", func(w io.Writer) error {
-		return metrics.WriteCountersCSV(w, res.Counters)
-	}); err != nil {
-		return err
-	}
-	if err := r.writeCSV(base+"_states.csv", func(w io.Writer) error {
-		if _, err := fmt.Fprintln(w, "node,ref_seconds,state"); err != nil {
-			return err
-		}
-		for i, tl := range res.Timelines {
-			for _, ch := range tl.Changes() {
-				if _, err := fmt.Fprintf(w, "node%d,%.3f,%s\n", i+1, ch.At.Seconds(), ch.State); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}); err != nil {
+}
+
+// figure renders a drift/state figure: its summary, the drift, count,
+// counter and state CSVs, and their gnuplot scripts.
+func (r figRunner) figure(base string, res *experiment.FigureResult, err error) error {
+	if err := r.text(res, err); err != nil {
 		return err
 	}
 	nodes := len(res.Drift)
-	if err := r.writeCSV(base+"_plot.gp", func(w io.Writer) error {
-		return writeDriftPlot(w, base, nodes)
-	}); err != nil {
-		return err
-	}
-	if err := r.writeCSV(base+"_ta_refs_plot.gp", func(w io.Writer) error {
-		return writeCountPlot(w, base, "ta_refs", "TA references received", nodes)
-	}); err != nil {
-		return err
-	}
-	return r.writeCSV(base+"_aex_plot.gp", func(w io.Writer) error {
-		return writeCountPlot(w, base, "aex", "AEX count", nodes)
-	})
-}
-
-func (r figRunner) fig1a(ctx context.Context) error {
-	res, err := experiment.RunFig1a(r.seed, r.duration(2*time.Hour))
-	if err != nil {
-		return err
-	}
-	return r.cdf("fig1a_cdf.csv", res)
-}
-
-func (r figRunner) fig1b(ctx context.Context) error {
-	res, err := experiment.RunFig1b(r.seed, r.duration(24*time.Hour))
-	if err != nil {
-		return err
-	}
-	return r.cdf("fig1b_cdf.csv", res)
-}
-
-func (r figRunner) incTable(ctx context.Context) error {
-	res, err := experiment.RunINCTable(r.seed, 10000)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, res.Summary())
-	return nil
-}
-
-func (r figRunner) fig2(ctx context.Context) error {
-	res, err := experiment.RunFig2(r.seed, r.duration(30*time.Minute))
-	if err != nil {
-		return err
-	}
-	return r.figure("fig2", res)
-}
-
-func (r figRunner) fig3(ctx context.Context) error {
-	res, err := experiment.RunFig3(r.seed, r.duration(8*time.Hour))
-	if err != nil {
-		return err
-	}
-	return r.figure("fig3", res)
-}
-
-func (r figRunner) fig4(ctx context.Context) error {
-	res, err := experiment.RunFig4(r.seed, r.duration(10*time.Minute))
-	if err != nil {
-		return err
-	}
-	return r.figure("fig4", res)
-}
-
-func (r figRunner) fig5(ctx context.Context) error {
-	res, err := experiment.RunFig5(r.seed, r.duration(10*time.Minute))
-	if err != nil {
-		return err
-	}
-	return r.figure("fig5", res)
-}
-
-func (r figRunner) fig6(ctx context.Context) error {
-	var rec *trace.Recorder
-	var traceBuf bytes.Buffer
-	if r.traceFile != "" {
-		rec = trace.NewRecorder(nil, &traceBuf)
-	}
-	res, err := experiment.RunFig6Traced(r.seed, r.duration(7*time.Minute), rec)
-	if err != nil {
-		return err
-	}
-	if rec != nil {
-		*r.files = append(*r.files, artifact{Path: r.traceFile, Data: traceBuf.Bytes()})
-		fmt.Fprintf(r.out, "  wrote %d trace events to %s\n", rec.Count(""), r.traceFile)
-	}
-	return r.figure("fig6", res)
-}
-
-func (r figRunner) availability(ctx context.Context) error {
-	rows, err := experiment.RunAvailabilityTable(ctx, r.seed, r.duration(30*time.Minute), 8*time.Hour)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Availability (§IV-A.2):")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
-	}
-	return nil
-}
-
-func (r figRunner) extension(ctx context.Context) error {
-	results, err := experiment.RunExtensionComparison(ctx, r.seed, r.duration(7*time.Minute))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Section V extension: protocol variants under the Figure 6 F- scenario")
-	fmt.Fprint(r.out, experiment.ComparisonSummary(results))
-	return nil
-}
-
-func (r figRunner) driftQuality(ctx context.Context) error {
-	rows, err := experiment.RunDriftQuality(r.seed, r.duration(2*time.Hour))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Drift quality vs NTP-style discipline (§IV-A.2 / §V):")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
-	}
-	return nil
-}
-
-func (r figRunner) t3e(ctx context.Context) error {
-	sweep, err := experiment.RunT3ETradeoff(r.seed, 2000, 10*time.Millisecond)
-	if err != nil {
-		return err
-	}
-	drift, err := experiment.RunT3EOwnerDrift(r.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(r.out, experiment.BaselineSummary(sweep, drift))
-	return nil
-}
-
-func (r figRunner) loss(ctx context.Context) error {
-	rows, err := experiment.RunLossResilience(ctx, r.seed, r.duration(10*time.Minute), nil)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Packet-loss resilience:")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
-	}
-	return nil
-}
-
-func (r figRunner) dualMonitor(ctx context.Context) error {
-	rows, err := experiment.RunDualMonitorAblation(r.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "DVFS-masked TSC scaling vs monitoring configuration (§IV-A.1):")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
-	}
-	return nil
-}
-
-func (r figRunner) scale(ctx context.Context) error {
-	rows, err := experiment.RunClusterScale(ctx, r.seed, r.nodes, r.churn, r.duration(5*time.Minute))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Cluster-size sweep under F- (one compromised node):")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
-	}
-	return nil
-}
-
-func (r figRunner) scale1k(ctx context.Context) error {
-	cfg := experiment.DefaultScale1K(r.seed)
-	if r.dur != 0 {
-		cfg.Duration = r.dur
-	}
-	res, err := experiment.RunTopology(ctx, cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Thousand-node partitioned topology (per-region TAs, WAN matrix, churn, region isolation):")
-	fmt.Fprint(r.out, res.Summary())
-	return r.writeCSV("scale1k_partitions.csv", res.WritePartitionsCSV)
-}
-
-func (r figRunner) calibTime(ctx context.Context) error {
-	rows, err := experiment.RunCalibrationTime(ctx, r.seed*50+300, 10)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Time to first trusted timestamp:")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
-	}
-	return nil
-}
-
-func (r figRunner) latency(ctx context.Context) error {
-	res, err := experiment.RunServingLatency(r.seed, r.duration(10*time.Minute), 50*time.Millisecond, time.Millisecond)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "Client-visible serving latency:")
-	fmt.Fprintln(r.out, " ", res.Summary())
-	return nil
-}
-
-func (r figRunner) load(ctx context.Context) error {
-	// The sweep's 2s-per-point window is fixed (not -dur scaled): load
-	// points cost one simulation event per request, so minutes-long
-	// windows at 64k req/s would be prohibitive, and 2s of steady state
-	// already resolves the throughput plateau and shed shares.
-	res, err := experiment.RunLoadSweep(ctx, r.seed, experiment.LoadConfig{})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(r.out, res.Summary())
-	return r.writeCSV("load_sweep.csv", func(w io.Writer) error {
-		if _, err := fmt.Fprintln(w, "offered_rps,served_rps,shed_frac,p50_us,p99_us,batches,tokens"); err != nil {
-			return err
-		}
-		for _, p := range res.Points {
-			if _, err := fmt.Fprintf(w, "%d,%.0f,%.4f,%d,%d,%d,%d\n",
-				p.OfferedRPS, p.ServedRPS, p.ShedFrac(),
-				p.P50.Microseconds(), p.P99.Microseconds(), p.Batches, p.Tokens); err != nil {
+	for _, f := range []struct {
+		name  string
+		write func(io.Writer) error
+	}{
+		{"_drift.csv", func(w io.Writer) error { return metrics.WriteDriftCSV(w, res.Drift) }},
+		{"_ta_refs.csv", func(w io.Writer) error { return metrics.WriteCountCSV(w, res.TACounts) }},
+		{"_aex.csv", func(w io.Writer) error { return metrics.WriteCountCSV(w, res.AEXCounts) }},
+		{"_counters.csv", func(w io.Writer) error { return metrics.WriteCountersCSV(w, res.Counters) }},
+		{"_states.csv", func(w io.Writer) error {
+			if _, err := fmt.Fprintln(w, "node,ref_seconds,state"); err != nil {
 				return err
 			}
-		}
-		return nil
-	})
-}
-
-func (r figRunner) gossip(ctx context.Context) error {
-	rows, err := experiment.RunGossipComparison(r.seed, r.duration(10*time.Minute))
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, "True-chimer gossip under 35% loss (5 hardened nodes, §V):")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
-	}
-	return nil
-}
-
-func (r figRunner) outage(ctx context.Context) error {
-	res, err := experiment.RunTAOutage(r.seed, r.duration(15*time.Minute), 5*time.Minute, 8*time.Minute)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(r.out, res.Summary())
-	return nil
-}
-
-func (r figRunner) commit(ctx context.Context) error {
-	rows, err := experiment.RunCommitAttacks(ctx, r.seed)
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(r.out, experiment.CommitAttackSummary(rows))
-	return r.writeCSV("commit_rows.csv", func(w io.Writer) error {
-		if _, err := fmt.Fprintln(w, "scenario,ops,granted,early,fenced,forged,unavailable,anchor_rollbacks,clock_rollbacks,final_epoch"); err != nil {
+			for i, tl := range res.Timelines {
+				for _, ch := range tl.Changes() {
+					if _, err := fmt.Fprintf(w, "node%d,%.3f,%s\n", i+1, ch.At.Seconds(), ch.State); err != nil {
+						return err
+					}
+				}
+			}
+			return nil
+		}},
+		{"_plot.gp", func(w io.Writer) error { return writeDriftPlot(w, base, nodes) }},
+		{"_ta_refs_plot.gp", func(w io.Writer) error { return writeCountPlot(w, base, "ta_refs", "TA references received", nodes) }},
+		{"_aex_plot.gp", func(w io.Writer) error { return writeCountPlot(w, base, "aex", "AEX count", nodes) }},
+	} {
+		if err := r.writeCSV(base+f.name, f.write); err != nil {
 			return err
 		}
-		for _, row := range rows {
-			if _, err := fmt.Fprintf(w, "%s,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				row.Name, row.Ops, row.Granted, row.Early, row.Fenced, row.Forged,
-				row.Unavailable, row.AnchorRollbacks, row.ClockRollbacks, row.FinalEpoch); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	}
+	return nil
 }
 
-func (r figRunner) quorum(ctx context.Context) error {
-	rows, err := experiment.RunQuorumFaults(ctx, r.seed, r.duration(5*time.Minute))
-	if err != nil {
+// quorum renders the multi-authority fault suite and its lying-authority
+// attack figure.
+func quorum(ctx context.Context, r figRunner, d time.Duration) error {
+	rows, err := experiment.RunQuorumFaults(ctx, r.seed, d)
+	if err := table(r, "Multi-authority quorum fault suite (Marzullo consensus over N TAs):", rows, err); err != nil {
 		return err
-	}
-	fmt.Fprintln(r.out, "Multi-authority quorum fault suite (Marzullo consensus over N TAs):")
-	for _, row := range rows {
-		fmt.Fprintln(r.out, " ", row.Summary())
 	}
 	if err := r.writeCSV("quorum_rows.csv", func(w io.Writer) error {
 		if _, err := fmt.Fprintln(w, "scenario,authorities,availability,correct_availability,quorum_accepts,quorum_no_majority,false_tickers,holdovers"); err != nil {
@@ -617,8 +506,7 @@ func (r figRunner) quorum(ctx context.Context) error {
 	}); err != nil {
 		return err
 	}
-	//triad:nolint:noncepart independent simulated clusters; sealed frames never cross simulations
-	fig, err := experiment.RunQuorumAttackFigure(r.seed, r.duration(5*time.Minute))
+	fig, err := experiment.RunQuorumAttackFigure(r.seed, d)
 	if err != nil {
 		return err
 	}

@@ -101,28 +101,16 @@ func TestRunAllFigureRunnersSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covers every runner at reduced durations")
 	}
-	// Cheap passes over every runner the -fig flag accepts (durations
-	// shrunk where the flag allows).
-	cases := [][]string{
-		{"-fig", "1b", "-dur", "1h"},
-		{"-fig", "3", "-dur", "10m"},
-		{"-fig", "4", "-dur", "3m"},
-		{"-fig", "5", "-dur", "3m"},
-		{"-fig", "6", "-dur", "3m"},
-		{"-fig", "avail", "-dur", "5m"},
-		{"-fig", "ntp", "-dur", "30m"},
-		{"-fig", "t3e"},
-		{"-fig", "loss", "-dur", "3m"},
-		{"-fig", "outage", "-dur", "10m"},
-		{"-fig", "quorum", "-dur", "3m"},
-		{"-fig", "dvfs"},
-		{"-fig", "scale", "-dur", "3m"},
-		{"-fig", "gossip", "-dur", "3m"},
-		{"-fig", "calib"},
-		{"-fig", "latency", "-dur", "3m"},
-		{"-fig", "load"},
-	}
-	for _, args := range cases {
+	// Every table id, the audit included, at -dur 2m unless listed
+	// here; ids whose table duration is zero ignore -dur and run at
+	// their fixed, already short size.
+	dur := map[string]string{"scale1k": "10s"} // 1000 nodes: 6 s at 2m
+	for _, f := range append(figures, audit) {
+		d := "2m"
+		if v, ok := dur[f.id]; ok {
+			d = v
+		}
+		args := []string{"-fig", f.id, "-dur", d}
 		var b strings.Builder
 		if err := run(args, &b, io.Discard); err != nil {
 			t.Errorf("%v: %v\n%s", args, err, b.String())

@@ -19,24 +19,21 @@ import (
 // is exactly the dispatch path under measurement.
 func benchCluster(b *testing.B, hardened bool) *experiment.Cluster {
 	b.Helper()
-	c, err := experiment.NewCluster(experiment.ClusterConfig{
-		Seed:              11,
-		Hardened:          hardened,
-		DisableMachineAEX: true,
-		Tweak: func(_ int, cfg *core.Config) {
-			cfg.DisableMonitor = true
-		},
-		HardenedTweak: func(_ int, cfg *resilient.Config) {
+	protocol := experiment.Original(func(cfg *core.Config) { cfg.DisableMonitor = true })
+	if hardened {
+		protocol = experiment.Hardened(func(cfg *resilient.Config) {
 			cfg.DisableMonitor = true
 			cfg.DisableDeadline = true
 			cfg.CalibWindow = time.Second
-		},
+		})
+	}
+	c, err := experiment.Run(experiment.Scenario{
+		ClusterConfig: experiment.ClusterConfig{Seed: 11, DisableMachineAEX: true, Protocol: protocol},
+		Duration:      30 * time.Second,
 	})
 	if err != nil {
 		b.Fatal(err)
 	}
-	c.Start()
-	c.RunFor(30 * time.Second)
 	for i, n := range c.Nodes {
 		if n.State() != core.StateOK {
 			b.Fatalf("node %d not calibrated: %v", i+1, n.State())

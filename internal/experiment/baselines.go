@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"triadtime/internal/authority"
@@ -46,7 +45,7 @@ func (r DriftQualityRow) Summary() string {
 func RunDriftQuality(seed uint64, duration time.Duration) ([]DriftQualityRow, error) {
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(seed)
-	network := simnet.New(sched, rng.Fork(1), defaultExperimentLink())
+	network := simnet.New(sched, rng.Fork(1), simnet.DefaultLink())
 	if _, err := authority.NewSimBinding(sched, network, ClusterKey(), TAAddr); err != nil {
 		return nil, err
 	}
@@ -231,6 +230,11 @@ type T3EDriftRow struct {
 	ServedDriftFrac float64
 }
 
+// Summary renders the row.
+func (r T3EDriftRow) Summary() string {
+	return fmt.Sprintf("tpm_rate %+6.1f%%  served drift %+6.1f%%", r.TPMRateFrac*100, r.ServedDriftFrac*100)
+}
+
 // RunT3EOwnerDrift measures served-time drift under TPM owner rate
 // configuration.
 func RunT3EOwnerDrift(seed uint64) ([]T3EDriftRow, error) {
@@ -256,19 +260,4 @@ func RunT3EOwnerDrift(seed uint64) ([]T3EDriftRow, error) {
 		})
 	}
 	return rows, nil
-}
-
-// BaselineSummary renders the T3E sweep and drift rows together.
-func BaselineSummary(sweep []T3ERow, drift []T3EDriftRow) string {
-	var b strings.Builder
-	b.WriteString("T3E use-quota vs TPM-delay trade-off (§II-A):\n")
-	for _, r := range sweep {
-		b.WriteString("  " + r.Summary() + "\n")
-	}
-	b.WriteString("T3E under TPM owner rate configuration (spec envelope ±32.5%):\n")
-	for _, r := range drift {
-		fmt.Fprintf(&b, "  tpm_rate %+6.1f%%  served drift %+6.1f%%\n",
-			r.TPMRateFrac*100, r.ServedDriftFrac*100)
-	}
-	return b.String()
 }

@@ -84,7 +84,7 @@ func TestT3EOwnerDrift(t *testing.T) {
 	if rows[0].TPMRateFrac != -t3e.MaxTPMDriftFrac {
 		t.Error("first row should be the -32.5% envelope")
 	}
-	sum := BaselineSummary(nil, rows)
+	sum := Table("T3E drift", rows)
 	if !strings.Contains(sum, "32.5") {
 		t.Errorf("summary missing envelope note:\n%s", sum)
 	}

@@ -41,21 +41,21 @@ func RunCalibrationTime(ctx context.Context, baseSeed uint64, trials int) ([]Cal
 		trials = 10
 	}
 	type combo struct {
-		hardened bool
-		env      Env
+		variant Variant
+		env     Env
 	}
 	combos := []combo{
-		{false, EnvNone}, {false, EnvTriadLike},
-		{true, EnvNone}, {true, EnvTriadLike},
+		{VariantOriginal, EnvNone}, {VariantOriginal, EnvTriadLike},
+		{VariantHardened, EnvNone}, {VariantHardened, EnvTriadLike},
 	}
 	var tasks []runner.Task[float64]
 	for _, cb := range combos {
 		for trial := 0; trial < trials; trial++ {
 			cb, seed := cb, baseSeed+uint64(trial)
 			tasks = append(tasks, runner.Task[float64]{
-				Name: fmt.Sprintf("calib hardened=%v env=%d seed=%d", cb.hardened, cb.env, seed),
+				Name: fmt.Sprintf("calib %s env=%d seed=%d", cb.variant, cb.env, seed),
 				Run: func(context.Context) (float64, error) {
-					d, err := timeToFirstOK(seed, cb.hardened, cb.env)
+					d, err := timeToFirstOK(seed, cb.variant.protocol(), cb.env)
 					if err != nil {
 						return 0, err
 					}
@@ -73,16 +73,12 @@ func RunCalibrationTime(ctx context.Context, baseSeed uint64, trials int) ([]Cal
 	for ci, cb := range combos {
 		samples := samplesByTask[ci*trials : (ci+1)*trials]
 		cdf := stats.NewCDF(samples)
-		name := "original"
-		if cb.hardened {
-			name = "hardened"
-		}
 		envName := "low-AEX"
 		if cb.env == EnvTriadLike {
 			envName = "Triad-like"
 		}
 		rows = append(rows, CalibTimeRow{
-			Protocol: name,
+			Protocol: cb.variant.String(),
 			Env:      envName,
 			P50:      time.Duration(cdf.Quantile(0.5) * float64(time.Second)),
 			P95:      time.Duration(cdf.Quantile(0.95) * float64(time.Second)),
@@ -93,19 +89,15 @@ func RunCalibrationTime(ctx context.Context, baseSeed uint64, trials int) ([]Cal
 }
 
 // timeToFirstOK runs a single node until it first reaches StateOK.
-func timeToFirstOK(seed uint64, hardened bool, env Env) (time.Duration, error) {
+func timeToFirstOK(seed uint64, protocol Protocol, env Env) (time.Duration, error) {
 	var firstOK time.Duration = -1
-	cfg := ClusterConfig{
-		Seed:     seed,
-		Nodes:    1,
-		Hardened: hardened,
-	}
-	c, err := NewCluster(cfg)
+	c, err := Run(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed, Nodes: 1, Protocol: protocol},
+		Env:           []Env{env},
+	})
 	if err != nil {
 		return 0, err
 	}
-	c.SetEnv(0, env)
-	c.Start()
 	deadline := 10 * time.Minute
 	step := 50 * time.Millisecond
 	for elapsed := time.Duration(0); elapsed < deadline; elapsed += step {

@@ -107,7 +107,7 @@ func TestChaosMonotonicityAndRecovery(t *testing.T) {
 // TestChaosHardenedCluster runs the same adversarial network against
 // the hardened protocol.
 func TestChaosHardenedCluster(t *testing.T) {
-	c, err := NewCluster(ClusterConfig{Seed: 5, Hardened: true})
+	c, err := NewCluster(ClusterConfig{Seed: 5, Protocol: Hardened(nil)})
 	if err != nil {
 		t.Fatal(err)
 	}

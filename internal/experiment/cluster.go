@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"triadtime/internal/aex"
+	"triadtime/internal/attack"
 	"triadtime/internal/authority"
 	"triadtime/internal/core"
 	"triadtime/internal/enclave"
@@ -56,8 +57,11 @@ type ClusterConfig struct {
 	Seed uint64
 	// Nodes is the cluster size. Default: 3, as in the paper.
 	Nodes int
-	// Link is the network model. Default: the experiments' LAN model
-	// (see defaultExperimentLink).
+	// Link is the network model. Default: simnet.DefaultLink, which
+	// reproduces the paper's effective calibration noise: O(100ppm)
+	// drift rates arise purely from lognormal delay jitter over the ≤1s
+	// regression windows (paper §IV-A.2 measures ~110ppm typical,
+	// 210ppm worst).
 	Link *simnet.Link
 	// MachineWideAEX enables the residual OS interrupt process that
 	// hits all monitoring cores simultaneously (the paper's Figure 1b
@@ -69,16 +73,11 @@ type ClusterConfig struct {
 	// MonitorTicks overrides the nodes' INC monitoring window (long
 	// experiments use a larger window to bound simulation event count).
 	MonitorTicks uint64
-	// Tweak adjusts each node's configuration before creation.
-	Tweak func(i int, cfg *core.Config)
+	// Protocol builds every node. Default: Original(nil), the paper's
+	// protocol.
+	Protocol Protocol
 	// RecordAEXGaps enables per-node inter-AEX gap recording.
 	RecordAEXGaps bool
-	// Hardened builds hardened (internal/resilient) participants instead
-	// of the original protocol (the Section V extension experiments).
-	Hardened bool
-	// HardenedTweak adjusts each hardened node's configuration (e.g.
-	// for ablations). Only used when Hardened is set.
-	HardenedTweak func(i int, cfg *resilient.Config)
 	// Trace, when set, receives every node's protocol events as
 	// structured records (JSONL if the recorder has a sink).
 	Trace *trace.Recorder
@@ -91,9 +90,6 @@ type ClusterConfig struct {
 	// run lying (fixed-offset or drifting) authorities. Returning nil
 	// keeps the honest reference clock.
 	AuthorityClocks func(i int, ref authority.Clock) authority.Clock
-	// QuorumMinAgree overrides the quorum agreement rule on every node
-	// (0 = strict majority of configured authorities).
-	QuorumMinAgree int
 	// Streaming replaces the retained per-node sample series (Drift,
 	// TACounts, AEXCounts, FCalibs) with pooled fixed-memory probes —
 	// the thousand-node mode. Timelines survive (state transitions are
@@ -102,19 +98,112 @@ type ClusterConfig struct {
 	// way, so a streaming run's dynamics are byte-identical to a
 	// retained run of the same seed.
 	Streaming bool
-	// StreamCorrectTol is the streaming probes' correctness tolerance
-	// (default CorrectDriftTolerance); StreamInfectTol the signed-drift
-	// infection threshold (default 1s, the scale sweep's detector).
-	StreamCorrectTol time.Duration
-	StreamInfectTol  time.Duration
 }
 
-// defaultExperimentLink reproduces the paper's effective calibration
-// noise: O(100ppm) drift rates arise purely from lognormal delay jitter
-// over the ≤1s regression windows (paper §IV-A.2 measures ~110ppm
-// typical, 210ppm worst).
-func defaultExperimentLink() simnet.Link {
-	return simnet.DefaultLink()
+// streamInfectTol is the streaming probes' signed-drift infection
+// threshold in seconds: the scale sweep's detector. Their correctness
+// tolerance is CorrectDriftTolerance.
+const streamInfectTol = 1.0
+
+// Protocol builds one node on its platform from the engine
+// configuration the rig prepared for it (key, addresses, authorities,
+// monitor window, instrumentation): the protocol line the node runs.
+// ntpdisc.NewNode is one as it stands; Original and Hardened adapt the
+// paper's and the §V line.
+type Protocol func(enclave.Platform, engine.Config) (*engine.Node, error)
+
+// Original is the paper's protocol (internal/core), adjusted by tweak
+// when it is not nil. The paper's effective drift rates come from few,
+// short measurements; two samples per sleep value matches its
+// "repeated and independent short interactions".
+func Original(tweak func(*core.Config)) Protocol {
+	return func(p enclave.Platform, shared engine.Config) (*engine.Node, error) {
+		cfg := core.Config{Config: shared, CalibSamplesPerSleep: 2}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		return core.NewNode(p, cfg)
+	}
+}
+
+// Hardened is the Section V protocol (internal/resilient), adjusted by
+// tweak (for ablations) when it is not nil.
+func Hardened(tweak func(*resilient.Config)) Protocol {
+	return func(p enclave.Platform, shared engine.Config) (*engine.Node, error) {
+		cfg := resilient.Config{Config: shared}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		return resilient.NewNode(p, cfg)
+	}
+}
+
+// Scenario is one experiment as data: the rig, each node's initial
+// interrupt environment, the changes made to it during set-up or at
+// given instants (attacks, environment switches, faults, workloads),
+// and how long it runs. Run builds and runs it.
+type Scenario struct {
+	ClusterConfig
+	// Name labels the run's results (FigureResult.Name).
+	Name string
+	// Env holds node i's initial interrupt environment at Env[i]; nodes
+	// past its end take its last entry, so one entry covers the whole
+	// cluster. Empty leaves every node with no per-node interrupts
+	// (EnvNone).
+	Env []Env
+	// Steps are applied in order after the environments are installed.
+	Steps []Step
+	// Duration is how long Run runs the cluster. Zero only starts it.
+	Duration time.Duration
+}
+
+// Step is one change to a scenario's rig. A step at zero runs during
+// set-up, before the cluster starts; a later one runs at that reference
+// time.
+type Step struct {
+	At time.Duration
+	Do func(c *Cluster)
+}
+
+// DelayAttack is the set-up step that runs the paper's calibration
+// delay attack (§III-C) in mode against node victim's Time Authority
+// traffic.
+func DelayAttack(victim int, mode attack.Mode) Step {
+	return Step{Do: func(c *Cluster) {
+		c.Net.AttachMiddlebox(attack.NewDelay(attack.DelayConfig{
+			Victim:    c.Nodes[victim].Addr(),
+			Authority: TAAddr,
+			Mode:      mode,
+		}))
+	}}
+}
+
+// Run builds the scenario's cluster, installs its environments, applies
+// or schedules its steps, starts it and runs it for the scenario's
+// duration. The cluster is returned for its reducer to read out; it may
+// be run further.
+func Run(sc Scenario) (*Cluster, error) {
+	c, err := NewCluster(sc.ClusterConfig)
+	if err != nil {
+		return nil, err
+	}
+	if len(sc.Env) > 0 {
+		for i := range c.Nodes {
+			c.SetEnv(i, sc.Env[min(i, len(sc.Env)-1)])
+		}
+	}
+	for _, st := range sc.Steps {
+		if st.At == 0 {
+			st.Do(c)
+			continue
+		}
+		c.At(st.At, func() { st.Do(c) })
+	}
+	c.Start()
+	if sc.Duration > 0 {
+		c.RunFor(sc.Duration)
+	}
+	return c, nil
 }
 
 // Cluster is a fully wired experiment: scheduler, network, Time
@@ -158,12 +247,15 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.SampleEvery == 0 {
 		cfg.SampleEvery = time.Second
 	}
-	link := defaultExperimentLink()
+	link := simnet.DefaultLink()
 	if cfg.Link != nil {
 		link = *cfg.Link
 	}
 	if cfg.Authorities == 0 {
 		cfg.Authorities = 1
+	}
+	if cfg.Protocol == nil {
+		cfg.Protocol = Original(nil)
 	}
 	sched := sim.NewScheduler()
 	rng := sim.NewRNG(cfg.Seed)
@@ -180,14 +272,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.sampleFn = func() {
 		c.sampleOnce()
 		c.scheduleSample()
-	}
-	correctTol := CorrectDriftTolerance.Seconds()
-	if cfg.StreamCorrectTol != 0 {
-		correctTol = cfg.StreamCorrectTol.Seconds()
-	}
-	infectTol := 1.0
-	if cfg.StreamInfectTol != 0 {
-		infectTol = cfg.StreamInfectTol.Seconds()
 	}
 	// The extra authorities consume no RNG forks, so a single-authority
 	// run stays byte-identical to the pre-quorum rig.
@@ -267,26 +351,8 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		}
 		if cfg.Authorities >= 2 {
 			shared.Authorities = taAddrs
-			shared.QuorumMinAgree = cfg.QuorumMinAgree
 		}
-		var node *engine.Node
-		var err error
-		if cfg.Hardened {
-			nodeCfg := resilient.Config{Config: shared}
-			if cfg.HardenedTweak != nil {
-				cfg.HardenedTweak(i, &nodeCfg)
-			}
-			node, err = resilient.NewNode(platform, nodeCfg)
-		} else {
-			// The paper's effective drift rates come from few, short
-			// measurements; two samples per sleep value matches its
-			// "repeated and independent short interactions".
-			nodeCfg := core.Config{Config: shared, CalibSamplesPerSleep: 2}
-			if cfg.Tweak != nil {
-				cfg.Tweak(i, &nodeCfg)
-			}
-			node, err = core.NewNode(platform, nodeCfg)
-		}
+		node, err := cfg.Protocol(platform, shared)
 		if err != nil {
 			return nil, fmt.Errorf("experiment: node %d: %w", i+1, err)
 		}
@@ -294,7 +360,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		c.Platforms = append(c.Platforms, platform)
 		c.Timelines = append(c.Timelines, timeline)
 		if cfg.Streaming {
-			c.Probes = append(c.Probes, AcquireProbe(correctTol, infectTol))
+			c.Probes = append(c.Probes, AcquireProbe(CorrectDriftTolerance.Seconds(), streamInfectTol))
 		} else {
 			name := fmt.Sprintf("node%d", i+1)
 			c.Drift = append(c.Drift, &metrics.DriftSeries{Node: name})

@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"triadtime/internal/commit"
@@ -454,14 +453,4 @@ func RunCommitAttacks(ctx context.Context, seed uint64) ([]CommitRow, error) {
 		}
 	}
 	return runner.Run(ctx, runner.Config{}, tasks).Values()
-}
-
-// CommitAttackSummary renders the suite's table.
-func CommitAttackSummary(rows []CommitRow) string {
-	var b strings.Builder
-	b.WriteString("Time-locked commitment attack suite (early unlocks, forgery, holdover, rollbacks):\n")
-	for _, row := range rows {
-		fmt.Fprintf(&b, "  %s\n", row.Summary())
-	}
-	return b.String()
 }

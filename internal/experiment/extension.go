@@ -4,13 +4,13 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"triadtime/internal/attack"
 	"triadtime/internal/core"
 	"triadtime/internal/experiment/runner"
 	"triadtime/internal/resilient"
+	"triadtime/internal/simnet"
 	"triadtime/internal/simtime"
 )
 
@@ -48,41 +48,15 @@ func (v Variant) String() string {
 	}
 }
 
-// buildVariantCluster wires a cluster running the given protocol
-// variant under the Figure 6 F- propagation scenario.
-func buildVariantCluster(seed uint64, v Variant, mode attack.Mode) (*Cluster, error) {
-	cfg := ClusterConfig{
-		Seed:        seed,
-		SampleEvery: 250 * time.Millisecond,
+// protocol is the variant's protocol line (nil: the paper's).
+func (v Variant) protocol() Protocol {
+	if v == VariantOriginal {
+		return nil
 	}
-	if v != VariantOriginal {
-		cfg.Hardened = true
-		cfg.HardenedTweak = func(_ int, rc *resilient.Config) {
-			switch v {
-			case VariantNoChimer:
-				rc.DisableChimerFilter = true
-			case VariantNoDeadline:
-				rc.DisableDeadline = true
-			}
-		}
-	}
-	c, err := NewCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.SetEnv(0, EnvNone)
-	c.SetEnv(1, EnvNone)
-	c.SetEnv(2, EnvTriadLike)
-	c.Net.AttachMiddlebox(attack.NewDelay(attack.DelayConfig{
-		Victim:    c.Nodes[2].Addr(),
-		Authority: TAAddr,
-		Mode:      mode,
-	}))
-	c.At(FMinusSwitch, func() {
-		c.SetEnv(0, EnvTriadLike)
-		c.SetEnv(1, EnvTriadLike)
+	return Hardened(func(rc *resilient.Config) {
+		rc.DisableChimerFilter = v == VariantNoChimer
+		rc.DisableDeadline = v == VariantNoDeadline
 	})
-	return c, nil
 }
 
 // ExtensionResult summarizes one variant's behaviour under attack.
@@ -120,12 +94,10 @@ func (r ExtensionResult) Summary() string {
 // RunExtensionVariant runs the Figure 6 propagation scenario on the
 // given protocol variant and summarizes the outcome.
 func RunExtensionVariant(seed uint64, v Variant, mode attack.Mode, duration time.Duration) (*ExtensionResult, error) {
-	c, err := buildVariantCluster(seed, v, mode)
+	c, err := Run(propagation(seed, v.protocol(), mode, duration))
 	if err != nil {
 		return nil, err
 	}
-	c.Start()
-	c.RunFor(duration)
 
 	res := &ExtensionResult{Variant: v, Mode: mode, HonestAvailability: 1}
 	for i := 0; i < 2; i++ {
@@ -160,7 +132,6 @@ func RunExtensionComparison(ctx context.Context, seed uint64, duration time.Dura
 				// Variants share the seed on purpose (like-for-like
 				// comparison); each variant is its own simulation, so the
 				// repeated sender identities share no nonce space.
-				//triad:nolint:noncepart independent simulated clusters; sealed frames never cross simulations
 				r, err := RunExtensionVariant(seed, v, attack.ModeFMinus, duration)
 				if err != nil {
 					return nil, fmt.Errorf("variant %s: %w", v, err)
@@ -170,15 +141,6 @@ func RunExtensionComparison(ctx context.Context, seed uint64, duration time.Dura
 		}
 	}
 	return runner.Run(ctx, runner.Config{}, tasks).Values()
-}
-
-// ComparisonSummary renders the variant table.
-func ComparisonSummary(results []*ExtensionResult) string {
-	var b strings.Builder
-	for _, r := range results {
-		b.WriteString("  " + r.Summary() + "\n")
-	}
-	return b.String()
 }
 
 // DualMonitorRow reports one monitoring configuration's behaviour under
@@ -204,30 +166,29 @@ func (r DualMonitorRow) Summary() string {
 // dual-monitor (INC + memory) node.
 func RunDualMonitorAblation(seed uint64) ([]DualMonitorRow, error) {
 	run := func(enableMem bool) (DualMonitorRow, error) {
-		c, err := NewCluster(ClusterConfig{
-			Seed:  seed,
-			Nodes: 1,
-			// The masking attacker owns the OS: it suppresses interrupts
-			// so nothing but the monitors can notice anything (and TA
-			// re-anchor jumps do not pollute the rate probe).
-			DisableMachineAEX: true,
-			Tweak: func(_ int, cfg *core.Config) {
-				cfg.EnableMemMonitor = enableMem
+		c, err := Run(Scenario{
+			ClusterConfig: ClusterConfig{
+				Seed:  seed,
+				Nodes: 1,
+				// The masking attacker owns the OS: it suppresses
+				// interrupts so nothing but the monitors can notice
+				// anything (and TA re-anchor jumps do not pollute the rate
+				// probe).
+				DisableMachineAEX: true,
+				Protocol:          Original(func(cfg *core.Config) { cfg.EnableMemMonitor = enableMem }),
 			},
+			Duration: 30 * time.Second,
 		})
 		if err != nil {
 			return DualMonitorRow{}, err
 		}
-		detected := false
 		// The cluster builder wired Calibrated; detection shows up as a
 		// second calibration after the attack engages.
-		c.Start()
-		c.RunFor(30 * time.Second)
 		calibsBefore := len(c.FCalibs[0])
 		c.Platforms[0].TSC().SetScale(0.8, c.Sched.Now())
 		c.Platforms[0].SetCoreFreqHz(2800e6)
 		c.RunFor(60 * time.Second)
-		detected = len(c.FCalibs[0]) > calibsBefore
+		detected := len(c.FCalibs[0]) > calibsBefore
 
 		start, _ := c.Nodes[0].ClockReading()
 		startRef := c.Sched.Now()
@@ -278,25 +239,21 @@ func (r GossipRow) Summary() string {
 func RunGossipComparison(seed uint64, duration time.Duration) ([]GossipRow, error) {
 	rows := make([]GossipRow, 0, 2)
 	for _, gossip := range []bool{false, true} {
-		link := defaultExperimentLink()
+		link := simnet.DefaultLink()
 		link.LossProb = 0.35 // partial answers dominate recovery rounds
-		c, err := NewCluster(ClusterConfig{
-			Seed:     seed,
-			Nodes:    5,
-			Link:     &link,
-			Hardened: true,
-			HardenedTweak: func(_ int, rc *resilient.Config) {
-				rc.EnableGossip = gossip
+		c, err := Run(Scenario{
+			ClusterConfig: ClusterConfig{
+				Seed:     seed,
+				Nodes:    5,
+				Link:     &link,
+				Protocol: Hardened(func(rc *resilient.Config) { rc.EnableGossip = gossip }),
 			},
+			Env:      []Env{EnvTriadLike},
+			Duration: duration,
 		})
 		if err != nil {
 			return nil, err
 		}
-		for i := range c.Nodes {
-			c.SetEnv(i, EnvTriadLike)
-		}
-		c.Start()
-		c.RunFor(duration)
 
 		row := GossipRow{Gossip: gossip, MinAvailability: 1}
 		for i, n := range c.Nodes {

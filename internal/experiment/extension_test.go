@@ -67,7 +67,7 @@ func TestExtensionComparisonTable(t *testing.T) {
 	if byVariant[VariantNoDeadline].HonestInfected {
 		t.Error("no-deadline ablation should still block propagation (chimer filter active)")
 	}
-	summary := ComparisonSummary(results)
+	summary := Table("variants", results)
 	if !strings.Contains(summary, "original") || !strings.Contains(summary, "hardened") {
 		t.Errorf("summary malformed:\n%s", summary)
 	}

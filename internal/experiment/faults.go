@@ -43,19 +43,18 @@ func RunLossResilience(ctx context.Context, seed uint64, duration time.Duration,
 		tasks[t] = runner.Task[LossRow]{
 			Name: fmt.Sprintf("loss %.0f%%", loss*100),
 			Run: func(context.Context) (LossRow, error) {
-				link := defaultExperimentLink()
+				link := simnet.DefaultLink()
 				link.LossProb = loss
 				// Streaming: the row reduces to final calibrated rates and
 				// timeline availability, so no sample series is retained.
-				c, err := NewCluster(ClusterConfig{Seed: seed, Link: &link, Streaming: true})
+				c, err := Run(Scenario{
+					ClusterConfig: ClusterConfig{Seed: seed, Link: &link, Streaming: true},
+					Env:           []Env{EnvTriadLike},
+					Duration:      duration,
+				})
 				if err != nil {
 					return LossRow{}, err
 				}
-				for i := range c.Nodes {
-					c.SetEnv(i, EnvTriadLike)
-				}
-				c.Start()
-				c.RunFor(duration)
 
 				row := LossRow{LossProb: loss, Calibrated: true, MinAvailability: 1}
 				for i := range c.Nodes {
@@ -94,34 +93,20 @@ func (r OutageResult) Summary() string {
 		r.OutageStart, r.OutageEnd, r.AvailabilityDuring*100, r.Recovered)
 }
 
-// taBlackhole drops every packet to or from the Time Authority while
-// active.
-type taBlackhole struct {
-	active bool
-}
-
-func (b *taBlackhole) Process(_ simtime.Instant, p simnet.Packet) simnet.Verdict {
-	return simnet.Verdict{Drop: b.active && (p.From == TAAddr || p.To == TAAddr)}
-}
-
 // RunTAOutage kills the Time Authority for [start, end) of a
 // Triad-like run. While the TA is dark, nodes can still untaint from
 // peers; only simultaneous machine-wide taints leave them stuck in
 // RefCalib retries until the authority returns.
 func RunTAOutage(seed uint64, duration, start, end time.Duration) (*OutageResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed})
+	c, err := Run(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed},
+		Env:           []Env{EnvTriadLike},
+		Steps:         []Step{blackhole([]simnet.Addr{TAAddr}, start, end)},
+		Duration:      duration,
+	})
 	if err != nil {
 		return nil, err
 	}
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvTriadLike)
-	}
-	hole := &taBlackhole{}
-	c.Net.AttachMiddlebox(hole)
-	c.At(start, func() { hole.active = true })
-	c.At(end, func() { hole.active = false })
-	c.Start()
-	c.RunFor(duration)
 
 	res := &OutageResult{OutageStart: start, OutageEnd: end, AvailabilityDuring: 1, Recovered: true}
 	for i := range c.Nodes {

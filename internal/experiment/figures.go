@@ -13,7 +13,6 @@ import (
 	"triadtime/internal/experiment/runner"
 	"triadtime/internal/metrics"
 	"triadtime/internal/stats"
-	"triadtime/internal/trace"
 )
 
 // longRunMonitorTicks enlarges the INC monitoring window for multi-hour
@@ -102,11 +101,16 @@ func (r *FigureResult) Summary() string {
 	return b.String()
 }
 
-// collectResult snapshots a cluster's instrumentation.
-func collectResult(name string, c *Cluster, d time.Duration) *FigureResult {
+// RunFigure runs a drift/state figure's scenario and snapshots the
+// cluster's instrumentation under the scenario's name.
+func RunFigure(sc Scenario) (*FigureResult, error) {
+	c, err := Run(sc)
+	if err != nil {
+		return nil, err
+	}
 	res := &FigureResult{
-		Name:      name,
-		Duration:  d,
+		Name:      sc.Name,
+		Duration:  sc.Duration,
 		Drift:     c.Drift,
 		TACounts:  c.TACounts,
 		AEXCounts: c.AEXCounts,
@@ -117,7 +121,18 @@ func collectResult(name string, c *Cluster, d time.Duration) *FigureResult {
 		res.FCalib = append(res.FCalib, c.FinalFCalib(i))
 		res.Availability = append(res.Availability, c.Availability(i))
 	}
-	return res
+	return res, nil
+}
+
+// Table renders a tabular figure: its header line, then one indented
+// line per row's Summary.
+func Table[T interface{ Summary() string }](header string, rows []T) string {
+	var b strings.Builder
+	b.WriteString(header + "\n")
+	for _, r := range rows {
+		b.WriteString("  " + r.Summary() + "\n")
+	}
+	return b.String()
 }
 
 // CDFResult carries an inter-AEX delay distribution (Figure 1).
@@ -156,18 +171,14 @@ func RunFig1b(seed uint64, duration time.Duration) (*CDFResult, error) {
 }
 
 func runAEXCDF(name string, seed uint64, duration time.Duration, env Env) (*CDFResult, error) {
-	c, err := NewCluster(ClusterConfig{
-		Seed:          seed,
-		Nodes:         1,
-		RecordAEXGaps: true,
-		MonitorTicks:  longRunMonitorTicks,
+	c, err := Run(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed, Nodes: 1, RecordAEXGaps: true, MonitorTicks: longRunMonitorTicks},
+		Env:           []Env{env},
+		Duration:      duration,
 	})
 	if err != nil {
 		return nil, err
 	}
-	c.SetEnv(0, env)
-	c.Start()
-	c.RunFor(duration)
 	gaps := c.Platforms[0].AEXGaps()
 	xs := make([]float64, len(gaps))
 	for i, g := range gaps {
@@ -196,14 +207,14 @@ func (r *INCResult) Summary() string {
 // count monitoring-loop iterations until the TSC advances by 15e6
 // ticks, at fixed core frequency (§IV-A.1).
 func RunINCTable(seed uint64, n int) (*INCResult, error) {
-	c, err := NewCluster(ClusterConfig{
+	c, err := Run(Scenario{ClusterConfig: ClusterConfig{
 		Seed:              seed,
 		Nodes:             1,
 		DisableMachineAEX: true,
-		Tweak: func(_ int, cfg *core.Config) {
+		Protocol: Original(func(cfg *core.Config) {
 			cfg.DisableMonitor = true // the experiment measures INC directly
-		},
-	})
+		}),
+	}})
 	if err != nil {
 		return nil, err
 	}
@@ -224,89 +235,59 @@ func RunINCTable(seed uint64, n int) (*INCResult, error) {
 	return res, nil
 }
 
+// fig2 is RunFig2's scenario, which the trace tests record.
+func fig2(seed uint64, duration time.Duration) Scenario {
+	return Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed},
+		Name:          "Fig2 fault-free, Triad-like AEXs",
+		Env:           []Env{EnvTriadLike},
+		Duration:      duration,
+	}
+}
+
 // RunFig2 reproduces the fault-free 30-minute run under Triad-like AEXs
 // (Figures 2a drift and 2b TA references, plus the ≥98% availability
 // row of §IV-A.2).
 func RunFig2(seed uint64, duration time.Duration) (*FigureResult, error) {
-	return RunFig2Traced(seed, duration, nil)
-}
-
-// RunFig2Traced is RunFig2 with an optional structured-event recorder
-// attached to every node. The simulation is deterministic, so the
-// recorded JSONL stream is a byte-exact fingerprint of the run — the
-// oracle the parallel-runner determinism tests diff against.
-func RunFig2Traced(seed uint64, duration time.Duration, rec *trace.Recorder) (*FigureResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, Trace: rec})
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvTriadLike)
-	}
-	c.Start()
-	c.RunFor(duration)
-	return collectResult("Fig2 fault-free, Triad-like AEXs", c, duration), nil
+	return RunFigure(fig2(seed, duration))
 }
 
 // RunFig3 reproduces the fault-free long run in the low-AEX isolated
 // core environment (Figures 3a drift and 3b state timeline, plus the
 // 99.9% availability row).
 func RunFig3(seed uint64, duration time.Duration) (*FigureResult, error) {
-	c, err := NewCluster(ClusterConfig{
-		Seed:         seed,
-		MonitorTicks: longRunMonitorTicks,
+	return RunFigure(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed, MonitorTicks: longRunMonitorTicks},
+		Name:          "Fig3 fault-free, low-AEX environment",
+		Duration:      duration,
 	})
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvNone)
-	}
-	c.Start()
-	c.RunFor(duration)
-	return collectResult("Fig3 fault-free, low-AEX environment", c, duration), nil
 }
 
 // RunFig4 reproduces the F+ attack with the compromised Node 3 in the
 // low-AEX environment while Nodes 1-2 experience Triad-like AEXs
 // (Figure 4: Node 3 drifts at ≈ -91ms/s).
 func RunFig4(seed uint64, duration time.Duration) (*FigureResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, MonitorTicks: longRunMonitorTicks})
-	if err != nil {
-		return nil, err
-	}
-	c.SetEnv(0, EnvTriadLike)
-	c.SetEnv(1, EnvTriadLike)
-	c.SetEnv(2, EnvNone) // attacker isolates its own monitoring core
-	c.Net.AttachMiddlebox(attack.NewDelay(attack.DelayConfig{
-		Victim:    c.Nodes[2].Addr(),
-		Authority: TAAddr,
-		Mode:      attack.ModeFPlus,
-	}))
-	c.Start()
-	c.RunFor(duration)
-	return collectResult("Fig4 F+ attack on Node 3 (low-AEX)", c, duration), nil
+	return RunFigure(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed, MonitorTicks: longRunMonitorTicks},
+		Name:          "Fig4 F+ attack on Node 3 (low-AEX)",
+		// The attacker isolates its own monitoring core.
+		Env:      []Env{EnvTriadLike, EnvTriadLike, EnvNone},
+		Steps:    []Step{DelayAttack(2, attack.ModeFPlus)},
+		Duration: duration,
+	})
 }
 
 // RunFig5 reproduces the F+ attack with all nodes under Triad-like
 // AEXs (Figure 5: Node 3 oscillates between its peers' drift and
 // ≈ -150ms).
 func RunFig5(seed uint64, duration time.Duration) (*FigureResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvTriadLike)
-	}
-	c.Net.AttachMiddlebox(attack.NewDelay(attack.DelayConfig{
-		Victim:    c.Nodes[2].Addr(),
-		Authority: TAAddr,
-		Mode:      attack.ModeFPlus,
-	}))
-	c.Start()
-	c.RunFor(duration)
-	return collectResult("Fig5 F+ attack on Node 3 (all Triad-like)", c, duration), nil
+	return RunFigure(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed},
+		Name:          "Fig5 F+ attack on Node 3 (all Triad-like)",
+		Env:           []Env{EnvTriadLike},
+		Steps:         []Step{DelayAttack(2, attack.ModeFPlus)},
+		Duration:      duration,
+	})
 }
 
 // FMinusSwitch is when Nodes 1-2 switch from the low-AEX to the
@@ -314,40 +295,41 @@ func RunFig5(seed uint64, duration time.Duration) (*FigureResult, error) {
 // at t = 104s).
 const FMinusSwitch = 104 * time.Second
 
-// RunFig6 reproduces the F- attack and its propagation: Node 3 (fast
-// clock, Triad-like AEXs) infects Nodes 1-2 once they start
-// experiencing AEXs at t=104s and ask peers for timestamps
-// (Figures 6a drift and 6b AEX counts).
-func RunFig6(seed uint64, duration time.Duration) (*FigureResult, error) {
-	return RunFig6Traced(seed, duration, nil)
+// propagation is the Figure 6 rig: Node 3 (Triad-like AEXs) under the
+// delay attack in mode, Nodes 1-2 in the low-AEX environment until they
+// switch to Triad-like AEXs at FMinusSwitch, all running protocol.
+func propagation(seed uint64, protocol Protocol, mode attack.Mode, duration time.Duration) Scenario {
+	return Scenario{
+		ClusterConfig: ClusterConfig{
+			Seed:        seed,
+			SampleEvery: 250 * time.Millisecond, // jumps are short-lived
+			Protocol:    protocol,
+		},
+		Env: []Env{EnvNone, EnvNone, EnvTriadLike},
+		Steps: []Step{
+			DelayAttack(2, mode),
+			{At: FMinusSwitch, Do: func(c *Cluster) {
+				c.SetEnv(0, EnvTriadLike)
+				c.SetEnv(1, EnvTriadLike)
+			}},
+		},
+		Duration: duration,
+	}
 }
 
-// RunFig6Traced is RunFig6 with an optional structured-event recorder
-// attached to every node (see internal/trace).
-func RunFig6Traced(seed uint64, duration time.Duration, rec *trace.Recorder) (*FigureResult, error) {
-	c, err := NewCluster(ClusterConfig{
-		Seed:        seed,
-		SampleEvery: 250 * time.Millisecond, // jumps are short-lived
-		Trace:       rec,
-	})
-	if err != nil {
-		return nil, err
-	}
-	c.SetEnv(0, EnvNone)
-	c.SetEnv(1, EnvNone)
-	c.SetEnv(2, EnvTriadLike)
-	c.Net.AttachMiddlebox(attack.NewDelay(attack.DelayConfig{
-		Victim:    c.Nodes[2].Addr(),
-		Authority: TAAddr,
-		Mode:      attack.ModeFMinus,
-	}))
-	c.At(FMinusSwitch, func() {
-		c.SetEnv(0, EnvTriadLike)
-		c.SetEnv(1, EnvTriadLike)
-	})
-	c.Start()
-	c.RunFor(duration)
-	return collectResult("Fig6 F- attack on Node 3 with propagation", c, duration), nil
+// Fig6 is the F- attack and its propagation: Node 3 (fast clock,
+// Triad-like AEXs) infects Nodes 1-2 once they start experiencing AEXs
+// at t=104s and ask peers for timestamps (Figures 6a drift and 6b AEX
+// counts).
+func Fig6(seed uint64, duration time.Duration) Scenario {
+	sc := propagation(seed, nil, attack.ModeFMinus, duration)
+	sc.Name = "Fig6 F- attack on Node 3 with propagation"
+	return sc
+}
+
+// RunFig6 runs Fig6 and snapshots its series.
+func RunFig6(seed uint64, duration time.Duration) (*FigureResult, error) {
+	return RunFigure(Fig6(seed, duration))
 }
 
 // AvailabilityRow is one row of the §IV-A.2 availability table.
@@ -380,16 +362,12 @@ func (r AvailabilityRow) Summary() string {
 // rejection/probe counters behind it — land beside the original
 // protocol's rows.
 func RunHardenedAvailability(seed uint64, duration time.Duration) (*FigureResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, Hardened: true})
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvTriadLike)
-	}
-	c.Start()
-	c.RunFor(duration)
-	return collectResult("Hardened fault-free, Triad-like AEXs", c, duration), nil
+	return RunFigure(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed, Protocol: Hardened(nil)},
+		Name:          "Hardened fault-free, Triad-like AEXs",
+		Env:           []Env{EnvTriadLike},
+		Duration:      duration,
+	})
 }
 
 // runAvailabilityRow runs one availability scenario in streaming mode:
@@ -398,22 +376,13 @@ func RunHardenedAvailability(seed uint64, duration time.Duration) (*FigureResult
 // run costs fixed instrumentation memory. Sampling performs the same
 // node reads either way, so the numbers are identical to the retained
 // figure runs the table used to share.
-func runAvailabilityRow(scenario string, seed uint64, d time.Duration, hardened bool, env Env, monitorTicks uint64) (AvailabilityRow, error) {
-	c, err := NewCluster(ClusterConfig{
-		Seed:         seed,
-		Hardened:     hardened,
-		MonitorTicks: monitorTicks,
-		Streaming:    true,
-	})
+func runAvailabilityRow(sc Scenario) (AvailabilityRow, error) {
+	sc.Streaming = true
+	c, err := Run(sc)
 	if err != nil {
 		return AvailabilityRow{}, err
 	}
-	for i := range c.Nodes {
-		c.SetEnv(i, env)
-	}
-	c.Start()
-	c.RunFor(d)
-	row := AvailabilityRow{Scenario: scenario, Duration: d, Counters: c.CounterSnapshots()}
+	row := AvailabilityRow{Scenario: sc.Name, Duration: sc.Duration, Counters: c.CounterSnapshots()}
 	for i := range c.Nodes {
 		row.Availability = append(row.Availability, c.Availability(i))
 	}
@@ -427,19 +396,17 @@ func runAvailabilityRow(scenario string, seed uint64, d time.Duration, hardened 
 // counters show the §V machinery (RTT rejections, probes) at work.
 // Cancelling ctx abandons unstarted rows and returns its error.
 func RunAvailabilityTable(ctx context.Context, seed uint64, shortRun, longRun time.Duration) ([]AvailabilityRow, error) {
-	rows, err := runner.Run(ctx, runner.Config{}, []runner.Task[AvailabilityRow]{
-		{Name: "availability triad-like", Run: func(context.Context) (AvailabilityRow, error) {
-			return runAvailabilityRow("Triad-like AEXs", seed, shortRun, false, EnvTriadLike, 0)
-		}},
-		{Name: "availability low-AEX", Run: func(context.Context) (AvailabilityRow, error) {
-			return runAvailabilityRow("low-AEX environment", seed+1, longRun, false, EnvNone, longRunMonitorTicks)
-		}},
-		{Name: "availability hardened", Run: func(context.Context) (AvailabilityRow, error) {
-			return runAvailabilityRow("hardened (§V), Triad-like AEXs", seed+2, shortRun, true, EnvTriadLike, 0)
-		}},
-	}).Values()
-	if err != nil {
-		return nil, err
+	scenarios := []Scenario{
+		{ClusterConfig: ClusterConfig{Seed: seed}, Name: "Triad-like AEXs", Env: []Env{EnvTriadLike}, Duration: shortRun},
+		{ClusterConfig: ClusterConfig{Seed: seed + 1, MonitorTicks: longRunMonitorTicks}, Name: "low-AEX environment", Duration: longRun},
+		{ClusterConfig: ClusterConfig{Seed: seed + 2, Protocol: Hardened(nil)}, Name: "hardened (§V), Triad-like AEXs", Env: []Env{EnvTriadLike}, Duration: shortRun},
 	}
-	return rows, nil
+	tasks := make([]runner.Task[AvailabilityRow], len(scenarios))
+	for i, sc := range scenarios {
+		tasks[i] = runner.Task[AvailabilityRow]{
+			Name: "availability " + sc.Name,
+			Run:  func(context.Context) (AvailabilityRow, error) { return runAvailabilityRow(sc) },
+		}
+	}
+	return runner.Run(ctx, runner.Config{}, tasks).Values()
 }

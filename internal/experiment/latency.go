@@ -90,20 +90,12 @@ func (g *retryGrid) quantile(q float64) float64 {
 // fault-free Triad-like cluster: one request per period, retrying
 // every retryEvery until served.
 func RunServingLatency(seed uint64, duration, period, retryEvery time.Duration) (*LatencyResult, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvTriadLike)
-	}
-
 	res := &LatencyResult{Node: "node1"}
 	grid := &retryGrid{step: retryEvery}
-	node := c.Nodes[0]
-
+	var c *Cluster
 	var issue func()
 	issue = func() {
+		node := c.Nodes[0]
 		start := c.Sched.Now()
 		res.Requests++
 		var attempt func()
@@ -121,12 +113,17 @@ func RunServingLatency(seed uint64, duration, period, retryEvery time.Duration) 
 		attempt()
 		c.Sched.After(simtime.FromDuration(period), issue)
 	}
-	// Start the workload after the cluster has had a chance to
-	// calibrate once; initial-calibration latency is reported by the
-	// availability table instead.
-	c.Sched.At(simtime.FromDuration(10*time.Second), issue)
-	c.Start()
-	c.RunFor(duration)
+	if _, err := Run(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed},
+		Env:           []Env{EnvTriadLike},
+		// Start the workload after the cluster has had a chance to
+		// calibrate once; initial-calibration latency is reported by the
+		// availability table instead.
+		Steps:    []Step{{At: 10 * time.Second, Do: func(cl *Cluster) { c = cl; issue() }}},
+		Duration: duration,
+	}); err != nil {
+		return nil, err
+	}
 
 	if res.Requests > 0 {
 		res.FirstTry /= float64(res.Requests)

@@ -20,7 +20,9 @@ import (
 func fig2Trace(seed uint64, duration time.Duration) ([]byte, error) {
 	var buf bytes.Buffer
 	rec := trace.NewRecorder(nil, &buf)
-	if _, err := RunFig2Traced(seed, duration, rec); err != nil {
+	sc := fig2(seed, duration)
+	sc.Trace = rec
+	if _, err := RunFigure(sc); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

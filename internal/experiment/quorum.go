@@ -52,26 +52,6 @@ func (r QuorumRow) Summary() string {
 		r.QuorumAccepts, r.QuorumNoMajority, r.FalseTickers, r.Holdovers)
 }
 
-// quorumScenario scripts one cluster run: the authority set, optional
-// lying clocks, and a fault hook installed before Start.
-type quorumScenario struct {
-	name        string
-	authorities int
-	minAgree    int
-	clocks      func(i int, ref authority.Clock) authority.Clock
-	// install wires middleboxes / scheduled faults onto the cluster.
-	install func(c *Cluster)
-	// noAEX runs without any interrupt injection (no Triad-like storm,
-	// no machine-wide residuals). The split-brain scenario uses it: a
-	// taint while every peer is in Degraded holdover strands the node in
-	// RefCalib until the partition heals (Degraded peers do not vouch,
-	// and neither side of the split has a quorum), so an interrupt-free
-	// run is the one that isolates holdover behaviour itself. Split
-	// behaviour under interrupts is covered by quorum-5ta-split-3v2,
-	// where the honest majority keeps recovery available.
-	noAEX bool
-}
-
 // addrFault is a middlebox dropping or delaying traffic of selected
 // authority addresses while active. Address sets are tiny fixed
 // arrays, keeping Process allocation-free on the hot path.
@@ -102,131 +82,123 @@ func (f *addrFault) Process(_ simtime.Instant, p simnet.Packet) simnet.Verdict {
 	return simnet.Verdict{ExtraDelay: f.extra}
 }
 
-// blackholeWindow drops an authority set's traffic during [from, to).
-func blackholeWindow(c *Cluster, addrs []simnet.Addr, from, to time.Duration) {
-	hole := &addrFault{drop: true, addrs: addrs}
-	c.Net.AttachMiddlebox(hole)
-	c.At(from, func() { hole.active = true })
-	c.At(to, func() { hole.active = false })
+// blackhole is the set-up step that drops an address set's traffic
+// during [from, to).
+func blackhole(addrs []simnet.Addr, from, to time.Duration) Step {
+	return Step{Do: func(c *Cluster) {
+		hole := &addrFault{drop: true, addrs: addrs}
+		c.Net.AttachMiddlebox(hole)
+		c.At(from, func() { hole.active = true })
+		c.At(to, func() { hole.active = false })
+	}}
 }
 
-// lieOffset returns a clock lying by a fixed offset.
-func lieOffset(ref authority.Clock, offset time.Duration) authority.Clock {
-	return func() int64 { return ref() + offset.Nanoseconds() }
-}
-
-// lieDrift returns a clock drifting from reference at ppb parts per
-// billion (2e6 ppb = 2ms/s).
-func lieDrift(ref authority.Clock, ppb int64) authority.Clock {
-	return func() int64 {
-		t := ref()
-		return t + t/1e9*ppb
-	}
-}
-
-// lieOffsetWindow returns a clock lying by offset only during
-// [from, to) of reference time — the split-brain partition that heals.
-func lieOffsetWindow(ref authority.Clock, offset, from, to time.Duration) authority.Clock {
-	return func() int64 {
-		t := ref()
-		if t >= from.Nanoseconds() && t < to.Nanoseconds() {
-			return t + offset.Nanoseconds()
+// liars is the AuthorityClocks hook under which the authorities from
+// index from on run lie(ref) and the others keep the reference clock.
+func liars(from int, lie func(ref authority.Clock) authority.Clock) func(int, authority.Clock) authority.Clock {
+	return func(i int, ref authority.Clock) authority.Clock {
+		if i >= from {
+			return lie(ref)
 		}
-		return t
+		return nil
 	}
 }
+
+// lieOffset is a clock lying by a fixed offset.
+func lieOffset(offset time.Duration) func(authority.Clock) authority.Clock {
+	return func(ref authority.Clock) authority.Clock {
+		return func() int64 { return ref() + offset.Nanoseconds() }
+	}
+}
+
+// lieDrift is a clock drifting from reference at ppb parts per billion
+// (2e6 ppb = 2ms/s).
+func lieDrift(ppb int64) func(authority.Clock) authority.Clock {
+	return func(ref authority.Clock) authority.Clock {
+		return func() int64 {
+			t := ref()
+			return t + t/1e9*ppb
+		}
+	}
+}
+
+// lieOffsetWindow is a clock lying by offset only during [from, to) of
+// reference time — the split-brain partition that heals.
+func lieOffsetWindow(offset, from, to time.Duration) func(authority.Clock) authority.Clock {
+	return func(ref authority.Clock) authority.Clock {
+		return func() int64 {
+			t := ref()
+			if t >= from.Nanoseconds() && t < to.Nanoseconds() {
+				return t + offset.Nanoseconds()
+			}
+			return t
+		}
+	}
+}
+
+// lie is the lying authorities' fixed offset in the single-lie
+// scenarios.
+const lie = 300 * time.Millisecond
 
 // quorumScenarios is the fault suite. TA addresses are TAAddr + i; the
 // liar / victim choices are fixed so runs are reproducible.
-func quorumScenarios() []quorumScenario {
-	const lie = 300 * time.Millisecond
-	return []quorumScenario{
+func quorumScenarios() []Scenario {
+	quorum := func(authorities int, clocks func(int, authority.Clock) authority.Clock) ClusterConfig {
+		return ClusterConfig{Authorities: authorities, AuthorityClocks: clocks}
+	}
+	return []Scenario{
 		{
-			name:        "baseline-1ta-outage",
-			authorities: 1,
-			install: func(c *Cluster) {
-				blackholeWindow(c, []simnet.Addr{TAAddr}, 60*time.Second, 180*time.Second)
-			},
+			Name:          "baseline-1ta-outage",
+			ClusterConfig: quorum(1, nil),
+			Steps:         []Step{blackhole([]simnet.Addr{TAAddr}, 60*time.Second, 180*time.Second)},
 		},
 		{
-			name:        "quorum-3ta-1dark",
-			authorities: 3,
-			install: func(c *Cluster) {
-				blackholeWindow(c, []simnet.Addr{TAAddr + 1}, 60*time.Second, 180*time.Second)
-			},
+			Name:          "quorum-3ta-1dark",
+			ClusterConfig: quorum(3, nil),
+			Steps:         []Step{blackhole([]simnet.Addr{TAAddr + 1}, 60*time.Second, 180*time.Second)},
 		},
 		{
-			name:        "quorum-5ta-2dark",
-			authorities: 5,
-			install: func(c *Cluster) {
-				blackholeWindow(c, []simnet.Addr{TAAddr + 3, TAAddr + 4}, 60*time.Second, 180*time.Second)
-			},
+			Name:          "quorum-5ta-2dark",
+			ClusterConfig: quorum(5, nil),
+			Steps:         []Step{blackhole([]simnet.Addr{TAAddr + 3, TAAddr + 4}, 60*time.Second, 180*time.Second)},
+		},
+		{Name: "baseline-1ta-lying", ClusterConfig: quorum(1, liars(0, lieOffset(lie)))},
+		{Name: "quorum-3ta-lying-fixed", ClusterConfig: quorum(3, liars(2, lieOffset(lie)))},
+		{Name: "quorum-3ta-lying-drift", ClusterConfig: quorum(3, liars(2, lieDrift(2_000_000)))}, // 2ms/s
+		{
+			Name:          "quorum-3ta-delaying",
+			ClusterConfig: quorum(3, nil),
+			Steps: []Step{{Do: func(c *Cluster) {
+				c.Net.AttachMiddlebox(&addrFault{active: true, extra: 50 * time.Millisecond, addrs: []simnet.Addr{TAAddr + 2}})
+			}}},
 		},
 		{
-			name:        "baseline-1ta-lying",
-			authorities: 1,
-			clocks: func(i int, ref authority.Clock) authority.Clock {
-				return lieOffset(ref, lie)
-			},
-		},
-		{
-			name:        "quorum-3ta-lying-fixed",
-			authorities: 3,
-			clocks: func(i int, ref authority.Clock) authority.Clock {
-				if i == 2 {
-					return lieOffset(ref, lie)
-				}
-				return nil
-			},
-		},
-		{
-			name:        "quorum-3ta-lying-drift",
-			authorities: 3,
-			clocks: func(i int, ref authority.Clock) authority.Clock {
-				if i == 2 {
-					return lieDrift(ref, 2_000_000) // 2ms/s
-				}
-				return nil
-			},
-		},
-		{
-			name:        "quorum-3ta-delaying",
-			authorities: 3,
-			install: func(c *Cluster) {
-				slow := &addrFault{active: true, extra: 50 * time.Millisecond, addrs: []simnet.Addr{TAAddr + 2}}
-				c.Net.AttachMiddlebox(slow)
-			},
-		},
-		{
-			name:        "quorum-4ta-splitbrain-2v2",
-			authorities: 4,
 			// Two of four authorities jump +500ms during [60s, 180s): no
 			// strict majority on either side, so rechecks degrade nodes to
 			// holdover until the partition heals.
-			clocks: func(i int, ref authority.Clock) authority.Clock {
-				if i >= 2 {
-					return lieOffsetWindow(ref, 500*time.Millisecond, 60*time.Second, 180*time.Second)
-				}
-				return nil
-			},
-			noAEX: true,
-		},
-		{
-			name:        "quorum-5ta-split-3v2",
-			authorities: 5,
-			clocks: func(i int, ref authority.Clock) authority.Clock {
-				if i >= 3 {
-					return lieOffset(ref, 500*time.Millisecond)
-				}
-				return nil
+			//
+			// It runs without any interrupt injection (no Triad-like storm,
+			// no machine-wide residuals): a taint while every peer is in
+			// Degraded holdover strands the node in RefCalib until the
+			// partition heals (Degraded peers do not vouch, and neither side
+			// of the split has a quorum), so an interrupt-free run is the one
+			// that isolates holdover behaviour itself. Split behaviour under
+			// interrupts is covered by quorum-5ta-split-3v2, where the honest
+			// majority keeps recovery available.
+			Name: "quorum-4ta-splitbrain-2v2",
+			ClusterConfig: ClusterConfig{
+				Authorities:       4,
+				AuthorityClocks:   liars(2, lieOffsetWindow(500*time.Millisecond, 60*time.Second, 180*time.Second)),
+				DisableMachineAEX: true,
 			},
 		},
+		{Name: "quorum-5ta-split-3v2", ClusterConfig: quorum(5, liars(3, lieOffset(500*time.Millisecond)))},
 		{
-			name:        "quorum-3ta-staggered-dark",
-			authorities: 3,
-			install: func(c *Cluster) {
-				blackholeWindow(c, []simnet.Addr{TAAddr + 1}, 60*time.Second, 120*time.Second)
-				blackholeWindow(c, []simnet.Addr{TAAddr + 2}, 120*time.Second, 180*time.Second)
+			Name:          "quorum-3ta-staggered-dark",
+			ClusterConfig: quorum(3, nil),
+			Steps: []Step{
+				blackhole([]simnet.Addr{TAAddr + 1}, 60*time.Second, 120*time.Second),
+				blackhole([]simnet.Addr{TAAddr + 2}, 120*time.Second, 180*time.Second),
 			},
 		},
 	}
@@ -234,37 +206,24 @@ func quorumScenarios() []quorumScenario {
 
 // runQuorumScenario executes one scenario for duration and reduces it
 // to a row. rec, when non-nil, receives the run's protocol trace (the
-// golden-trace seed-stability tests diff these byte-for-byte). The
-// cluster runs in streaming mode: correct-availability is accumulated
-// per sampling tick by the node probes (same condition the retained
-// Drift/TACounts reduction applied — served, Serving state, within
-// CorrectDriftTolerance — over the same tick denominator).
-func runQuorumScenario(seed uint64, duration time.Duration, sc quorumScenario, rec *trace.Recorder) (QuorumRow, error) {
-	c, err := NewCluster(ClusterConfig{
-		Seed:              seed,
-		Authorities:       sc.authorities,
-		QuorumMinAgree:    sc.minAgree,
-		MonitorTicks:      longRunMonitorTicks,
-		AuthorityClocks:   sc.clocks,
-		DisableMachineAEX: sc.noAEX,
-		Trace:             rec,
-		Streaming:         true,
-	})
+// golden-trace seed-stability tests diff these byte-for-byte). Nodes
+// run under Triad-like AEXs unless the scenario disables machine-wide
+// interrupts too. The cluster runs in streaming mode:
+// correct-availability is accumulated per sampling tick by the node
+// probes (same condition the retained Drift/TACounts reduction applied
+// — served, Serving state, within CorrectDriftTolerance — over the same
+// tick denominator).
+func runQuorumScenario(seed uint64, duration time.Duration, sc Scenario, rec *trace.Recorder) (QuorumRow, error) {
+	sc.Seed, sc.MonitorTicks, sc.Trace, sc.Streaming, sc.Duration = seed, longRunMonitorTicks, rec, true, duration
+	if !sc.DisableMachineAEX {
+		sc.Env = []Env{EnvTriadLike}
+	}
+	c, err := Run(sc)
 	if err != nil {
 		return QuorumRow{}, err
 	}
-	if !sc.noAEX {
-		for i := range c.Nodes {
-			c.SetEnv(i, EnvTriadLike)
-		}
-	}
-	if sc.install != nil {
-		sc.install(c)
-	}
-	c.Start()
-	c.RunFor(duration)
 
-	row := QuorumRow{Name: sc.name, Authorities: sc.authorities, RawAvailability: 1, CorrectAvailability: 1}
+	row := QuorumRow{Name: sc.Name, Authorities: sc.Authorities, RawAvailability: 1, CorrectAvailability: 1}
 	for i := range c.Nodes {
 		row.RawAvailability = math.Min(row.RawAvailability, c.Availability(i))
 		row.CorrectAvailability = math.Min(row.CorrectAvailability, c.Probes[i].CorrectAvailability())
@@ -293,7 +252,7 @@ func RunQuorumFaults(ctx context.Context, seed uint64, duration time.Duration) (
 	for t, sc := range scenarios {
 		sc := sc
 		tasks[t] = runner.Task[QuorumRow]{
-			Name: sc.name,
+			Name: sc.Name,
 			Run: func(context.Context) (QuorumRow, error) {
 				return runQuorumScenario(seed, duration, sc, nil)
 			},
@@ -316,36 +275,27 @@ func RunQuorumAttackFigure(seed uint64, duration time.Duration) (*QuorumAttackFi
 	if duration == 0 {
 		duration = 5 * time.Minute
 	}
-	run := func(authorities int, clocks func(i int, ref authority.Clock) authority.Clock) ([]*metrics.DriftSeries, error) {
-		c, err := NewCluster(ClusterConfig{
-			Seed:            seed,
-			Authorities:     authorities,
-			MonitorTicks:    longRunMonitorTicks,
-			AuthorityClocks: clocks,
+	run := func(authorities int) ([]*metrics.DriftSeries, error) {
+		c, err := Run(Scenario{
+			ClusterConfig: ClusterConfig{
+				Seed:            seed,
+				Authorities:     authorities,
+				MonitorTicks:    longRunMonitorTicks,
+				AuthorityClocks: liars(authorities-1, lieOffset(lie)),
+			},
+			Env:      []Env{EnvTriadLike},
+			Duration: duration,
 		})
 		if err != nil {
 			return nil, err
 		}
-		for i := range c.Nodes {
-			c.SetEnv(i, EnvTriadLike)
-		}
-		c.Start()
-		c.RunFor(duration)
 		return c.Drift, nil
 	}
-	const lie = 300 * time.Millisecond
-	baseline, err := run(1, func(i int, ref authority.Clock) authority.Clock {
-		return lieOffset(ref, lie)
-	})
+	baseline, err := run(1)
 	if err != nil {
 		return nil, err
 	}
-	quorum, err := run(3, func(i int, ref authority.Clock) authority.Clock {
-		if i == 2 {
-			return lieOffset(ref, lie)
-		}
-		return nil
-	})
+	quorum, err := run(3)
 	if err != nil {
 		return nil, err
 	}

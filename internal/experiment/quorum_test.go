@@ -143,7 +143,7 @@ func TestQuorumSuiteDeterministic(t *testing.T) {
 func TestQuorumScenarioGoldenTraces(t *testing.T) {
 	for _, sc := range quorumScenarios() {
 		sc := sc
-		t.Run(sc.name, func(t *testing.T) {
+		t.Run(sc.Name, func(t *testing.T) {
 			run := func() string {
 				var sink strings.Builder
 				rec := trace.NewRecorder(nil, &sink)

@@ -75,38 +75,33 @@ func RunClusterScale(ctx context.Context, seed uint64, sizes []int, churn float6
 	return runner.Run(ctx, runner.Config{}, tasks).Values()
 }
 
-// scheduleChurn installs staggered blackhole windows over the first
-// round(churn·honest) honest nodes. Exposed to the topology driver,
-// which churns region members with the same schedule.
-func scheduleChurn(c *Cluster, churn float64, honest int) {
-	k := int(math.Round(churn * float64(honest)))
-	for j := 0; j < k; j++ {
-		from := churnStart + time.Duration(j)*churnGap
-		blackholeWindow(c, []simnet.Addr{c.Nodes[j].Addr()}, from, from+churnDark)
-	}
+// churn is the set-up step that blackholes the first round(frac·honest)
+// honest nodes on the staggered schedule. The topology driver churns
+// region members with it too.
+func churn(frac float64, honest int) Step {
+	return Step{Do: func(c *Cluster) {
+		k := int(math.Round(frac * float64(honest)))
+		for j := 0; j < k; j++ {
+			from := churnStart + time.Duration(j)*churnGap
+			blackhole([]simnet.Addr{c.Nodes[j].Addr()}, from, from+churnDark).Do(c)
+		}
+	}}
 }
 
 // runClusterScaleOne measures one cluster size under the F- scenario.
 // The cluster runs in streaming mode: infection detection and
 // availability reduce per-tick into the node probes, so memory stays
 // fixed per node no matter how long or large the run.
-func runClusterScaleOne(seed uint64, n int, churn float64, duration time.Duration) (ScaleRow, error) {
-	c, err := NewCluster(ClusterConfig{Seed: seed, Nodes: n, Streaming: true})
+func runClusterScaleOne(seed uint64, n int, frac float64, duration time.Duration) (ScaleRow, error) {
+	c, err := Run(Scenario{
+		ClusterConfig: ClusterConfig{Seed: seed, Nodes: n, Streaming: true},
+		Env:           []Env{EnvTriadLike},
+		Steps:         []Step{DelayAttack(n-1, attack.ModeFMinus), churn(frac, n-1)},
+		Duration:      duration,
+	})
 	if err != nil {
 		return ScaleRow{}, err
 	}
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvTriadLike)
-	}
-	compromised := n - 1
-	c.Net.AttachMiddlebox(attack.NewDelay(attack.DelayConfig{
-		Victim:    c.Nodes[compromised].Addr(),
-		Authority: TAAddr,
-		Mode:      attack.ModeFMinus,
-	}))
-	scheduleChurn(c, churn, n-1)
-	c.Start()
-	c.RunFor(duration)
 
 	row := ScaleRow{Nodes: n, MinAvailability: 1}
 	var taSum float64

@@ -117,13 +117,10 @@ func RunAttackLatency(ctx context.Context, seed uint64, duration time.Duration) 
 			Run: func(context.Context) (AttackLatencyRow, error) {
 				// Both variants reuse the seed for a like-for-like
 				// comparison; the clusters are separate simulations.
-				//triad:nolint:noncepart independent simulated clusters; sealed frames never cross simulations
-				c, err := buildVariantCluster(seed, v, attack.ModeFMinus)
-				if err != nil {
-					return AttackLatencyRow{}, err
-				}
+				sc := propagation(seed, v.protocol(), attack.ModeFMinus, duration)
 				honest := probeCounts{}
 				compromised := probeCounts{}
+				var c *Cluster
 				var poll func()
 				poll = func() {
 					for i, n := range c.Nodes {
@@ -139,9 +136,10 @@ func RunAttackLatency(ctx context.Context, seed uint64, duration time.Duration) 
 					}
 					c.Sched.After(simtime.FromDuration(100*time.Millisecond), poll)
 				}
-				c.Sched.At(simtime.FromDuration(30*time.Second), poll)
-				c.Start()
-				c.RunFor(duration)
+				sc.Steps = append(sc.Steps, Step{At: 30 * time.Second, Do: func(cl *Cluster) { c = cl; poll() }})
+				if _, err := Run(sc); err != nil {
+					return AttackLatencyRow{}, err
+				}
 				return AttackLatencyRow{
 					Variant:             v,
 					HonestFirstTry:      honest.frac(),

@@ -225,29 +225,30 @@ func RunTopology(ctx context.Context, cfg TopologyConfig) (*TopologyResult, erro
 // streaming probes.
 func runTopologyPartition(cfg TopologyConfig, part int) (PartitionStats, error) {
 	n := cfg.nodes()
-	c, err := NewCluster(ClusterConfig{
-		Seed:         cfg.Seed + uint64(part),
-		Nodes:        n,
-		Authorities:  cfg.Regions,
-		MonitorTicks: longRunMonitorTicks,
-		Streaming:    true,
+	steps := []Step{{Do: func(c *Cluster) { c.Net.SetLinkPolicy(cfg.linkFor) }}, churn(cfg.Churn, n)}
+	if cfg.IsolateTo > cfg.IsolateFrom {
+		steps = append(steps, Step{Do: func(c *Cluster) {
+			iso := &regionIsolation{cfg: &cfg, region: cfg.IsolateRegion}
+			c.Net.AttachMiddlebox(iso)
+			c.At(cfg.IsolateFrom, func() { iso.active = true })
+			c.At(cfg.IsolateTo, func() { iso.active = false })
+		}})
+	}
+	c, err := Run(Scenario{
+		ClusterConfig: ClusterConfig{
+			Seed:         cfg.Seed + uint64(part),
+			Nodes:        n,
+			Authorities:  cfg.Regions,
+			MonitorTicks: longRunMonitorTicks,
+			Streaming:    true,
+		},
+		Env:      []Env{EnvTriadLike},
+		Steps:    steps,
+		Duration: cfg.Duration,
 	})
 	if err != nil {
 		return PartitionStats{}, err
 	}
-	c.Net.SetLinkPolicy(cfg.linkFor)
-	for i := range c.Nodes {
-		c.SetEnv(i, EnvTriadLike)
-	}
-	scheduleChurn(c, cfg.Churn, n)
-	if cfg.IsolateTo > cfg.IsolateFrom {
-		iso := &regionIsolation{cfg: &cfg, region: cfg.IsolateRegion}
-		c.Net.AttachMiddlebox(iso)
-		c.At(cfg.IsolateFrom, func() { iso.active = true })
-		c.At(cfg.IsolateTo, func() { iso.active = false })
-	}
-	c.Start()
-	c.RunFor(cfg.Duration)
 
 	st := PartitionStats{Partition: part, MinAvailability: 1, WorstCorrect: 1}
 	for i := range c.Nodes {

@@ -174,11 +174,11 @@ func (p *policy) applySample(e *engine.Engine, s sample) {
 		p.filter = p.filter[1:]
 	}
 	// NTP clock filter: only act when the newest sample is the
-	// minimum-delay sample of the register, ties going to the older —
-	// a delayed (possibly attacker-held) response never disciplines the
-	// clock.
+	// minimum-delay sample of the register, ties going to the newer — a
+	// delayed (possibly attacker-held) response never disciplines the
+	// clock, and on a constant-delay link every answer still does.
 	for _, f := range p.filter[:len(p.filter)-1] {
-		if f.delay <= s.delay {
+		if f.delay < s.delay {
 			e.Counters().RTTRejections++
 			return
 		}

@@ -216,6 +216,21 @@ func TestFreqClamp(t *testing.T) {
 	}
 }
 
+// On a jitter-free link every answer has the same roundtrip. The clock
+// filter must let the newest of equal-delay samples through: were ties
+// to go to the older, every answer after the first in the register
+// would be rejected, the step check behind the filter would never run,
+// and a crystal 5000ppm off its boot hint would run seconds away.
+func TestConstantDelayLinkKeepsDisciplining(t *testing.T) {
+	trueHz := simtime.NominalTSCHz * (1 + 5000e-6)
+	l := rig(t, 321, trueHz, simtime.NominalTSCHz, quietLink)
+	l.sched.RunUntil(simtime.FromDuration(30 * time.Minute))
+	off, ok := l.offset()
+	if !ok || !within(off, StepThreshold) {
+		t.Errorf("offset = %v (synced %v) after 30 min on a constant-delay link, want within %v", off, ok, StepThreshold)
+	}
+}
+
 func TestLostResponsesRetried(t *testing.T) {
 	// Under 50% random loss the node still syncs and holds its offset.
 	l := rig(t, 13, simtime.NominalTSCHz, simtime.NominalTSCHz,

@@ -52,13 +52,9 @@ const (
 
 // NewLab builds a simulation laboratory.
 func NewLab(cfg LabConfig) (*Lab, error) {
-	ec := experiment.ClusterConfig{
-		Seed:     cfg.Seed,
-		Nodes:    cfg.Nodes,
-		Hardened: cfg.Hardened || cfg.Gossip,
-		HardenedTweak: func(_ int, rc *resilient.Config) {
-			rc.EnableGossip = cfg.Gossip
-		},
+	ec := experiment.ClusterConfig{Seed: cfg.Seed, Nodes: cfg.Nodes}
+	if cfg.Hardened || cfg.Gossip {
+		ec.Protocol = experiment.Hardened(func(rc *resilient.Config) { rc.EnableGossip = cfg.Gossip })
 	}
 	if cfg.LossProb > 0 {
 		link := simnet.DefaultLink()
@@ -83,11 +79,7 @@ func (l *Lab) UseIsolatedCore(i int) { l.SetEnv(i, experiment.EnvNone) }
 // AttackCalibration attaches an F+/F- delay attacker against node i's
 // Time Authority traffic (paper §III-C). Attach before Start.
 func (l *Lab) AttackCalibration(i int, mode AttackMode) {
-	l.Net.AttachMiddlebox(attack.NewDelay(attack.DelayConfig{
-		Victim:    l.Nodes[i].Addr(),
-		Authority: experiment.TAAddr,
-		Mode:      mode,
-	}))
+	experiment.DelayAttack(i, mode).Do(l.Cluster)
 }
 
 // TrustedNow serves a trusted timestamp from node i at the current
